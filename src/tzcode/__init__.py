@@ -26,7 +26,7 @@ from .construct import (
 )
 from .decoder import DecodeOutcome, decode, syndrome
 from .field import FF2n, Basis, FieldCtx, ext, ext_inv, qvan, rank_weight
-from .linpoly import LinPoly, root_space, span_poly
+from .linpoly import LinPoly, root_space
 from .oracle import OracleResult, brute_force_decode, min_distance_bruteforce
 from .paramfile import load_params, save_params
 
@@ -42,7 +42,6 @@ __all__ = [
     "ext_inv",
     "rank_weight",
     "LinPoly",
-    "span_poly",
     "root_space",
     "TZCode",
     "build_code",

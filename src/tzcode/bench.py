@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, random_error, random_message, trial_rng
+from .channel import ChannelSpec, simulate
 from .construct import build_code
-from .decoder import decode
 from .field import FieldCtx
 
 __all__ = ["BenchRow", "BenchReport", "bench"]
@@ -51,21 +49,10 @@ def bench(q: int, sizes, k: int = 1, trials: int = 5, seed: int = 0) -> BenchRep
     """
     rows = []
     for n in sizes:
-        ctx = FieldCtx(q, n)
-        code = build_code(ctx, k)
-        t = max((ctx.m - (k + 1)) // 2, 1)
-        spec = ChannelSpec(t=t, seed=seed)
-        times = []
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            msg = random_message(code, rng)
-            cw = code.encode(msg)
-            e, _ = random_error(code, spec, rng)
-            r = tuple(x + y for x, y in zip(cw, e))
-            t0 = time.perf_counter()
-            decode(code, r)
-            times.append(time.perf_counter() - t0)
-        rows.append(BenchRow(n, k, t, float(np.median(times) * 1000.0), trials))
+        code = build_code(FieldCtx(q, n), k)
+        t = max((code.length - (k + 1)) // 2, 1)
+        report = simulate(code, ChannelSpec(t=t, seed=seed), trials)
+        rows.append(BenchRow(n, k, t, report.timing["p50_ms"], trials))
     slope = None
     if len(rows) >= 2:
         xs = np.log([row.n for row in rows])

@@ -5,6 +5,12 @@ trial index, so campaigns are reproducible, order-independent, and safe to
 parallelize.  Wall-clock timings are collected alongside but kept out of
 the canonical report form, which must be byte-identical across runs with
 the same seed.
+
+A planted error e = a . B comes with its locators d = B mu^(q^k), taken from
+the code's expansion of mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the
+trace almost dual basis.  simulate accepts a decode only when it returns the
+plant; the decoder has by then run the corrected word through the code's
+single membership test, TZCode.unmap.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import TZCode
-from .decoder import FAILURE_REASONS, decode
+from .decoder import FAILURE_REASONS, decode, error_from_decomposition
 from .errors import InvalidParameter
 from .field import FF2n, FieldCtx, rank_weight
 from .linalg import fq_rank
@@ -67,12 +73,7 @@ class ErrorDecomposition:
 
 
 def random_subfield_element(ctx: FieldCtx, rng) -> FF2n:
-    digits = rng.integers(0, ctx.q, ctx.n)
-    acc = ctx.zero
-    for b, dgt in zip(ctx.subfield_basis, digits):
-        if dgt:
-            acc = acc + b.scale(int(dgt))
-    return acc
+    return ctx.subfield_elements(rng.integers(0, ctx.q, ctx.n))[0]
 
 
 def random_message(code: TZCode, rng) -> tuple:
@@ -104,11 +105,8 @@ def random_error(code: TZCode, spec: ChannelSpec, rng):
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:
             break
-    cols = np.stack([x.coeffs for x in a], axis=1)
-    coeff = (cols @ B) % ctx.q
-    e = tuple(FF2n(ctx, coeff[:, j].copy()) for j in range(ctx.m))
-    mu_k = np.stack([x.frobenius(code.k).coeffs for x in code.mu], axis=1)
-    d_coeff = (mu_k @ B.T) % ctx.q
+    e = error_from_decomposition(a, B)
+    d_coeff = (code.mu_k @ B.T) % ctx.q
     d = tuple(FF2n(ctx, d_coeff[:, i].copy()) for i in range(t))
     return e, ErrorDecomposition(tuple(a), B, d)
 

@@ -3,9 +3,16 @@
 A code instance lives over the tower F_q < F_{q^n} < F_{q^2n} and is linear
 over the middle field only.  Its generator matrix G (2k x 2n) evaluates the
 basis maps x, x^q, gamma x^q, ..., x^(q^(k-1)), gamma x^(q^(k-1)),
-gamma x^(q^k) at the evaluation basis lambda; the parity-check matrix H
-((4n-2k) x 2n) is built on the trace almost dual basis mu and certifies
-membership through a zero relative-trace syndrome.
+gamma x^(q^k) at the evaluation basis lambda.  The parity-check matrix H
+((4n-2k) x 2n) is built on the trace almost dual basis
+mu = xi^(q^(2n-k)) lambda*, where lambda* is the trace-dual basis of lambda;
+a word is a codeword exactly when its syndrome has zero relative trace.
+
+The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
+of a message to the 4n^2 coefficients of its codeword.  encode multiplies by
+it.  The single membership test reads a word's digits off a left inverse and
+accepts the word when re-applying _enc_mat gives it back; unmap and
+is_codeword both use it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .field import FF2n, Basis, FieldCtx, qvan
-from .linalg import ff_rank, ff_solve, fq_inv, fq_solve
+from .linalg import ff_mat_mul, ff_rank, ff_transpose, fq_inv, fq_solve
 
 __all__ = [
     "find_gamma",
@@ -66,19 +73,43 @@ def find_xi(ctx: FieldCtx, gamma: FF2n) -> FF2n:
     return eta / gamma
 
 
-def trace_almost_dual(ctx: FieldCtx, lam: Basis, xi: FF2n, k: int) -> Basis:
-    """The unique basis mu paired with lam under shifted q-power inner products.
+def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
+    """The unique basis mu with sum_j lam_j^(q^i) mu_j = xi^(q^(2n-k)) if i = 0, else 0.
 
-    mu solves the square Moore system with right-hand side
-    (xi^(q^(2n-k)), 0, ..., 0); the coefficient matrix is invertible because
-    lam is a basis, so the solution exists and is unique.
+    The trace-dual basis lam* (Tr(lam_i lam*_j) = delta_ij) satisfies
+    sum_j lam_j^(q^i) lam*_j = delta_i0, so mu = xi^(q^(2n-k)) lam*.  With T
+    the F_q Gram matrix T_ij = Tr(lam_i lam_j), lam* = T^-1 lam, which costs
+    one 2n x 2n inversion over F_q.
     """
     if xi.is_zero():
         raise InvalidParameter("xi must be nonzero")
-    system = qvan(list(lam), ctx.m)
-    rhs = [xi.frobenius(ctx.m - k)] + [ctx.zero] * (ctx.m - 1)
-    mu = ff_solve(system, rhs)
-    return Basis(mu)
+    q, m = ctx.q, ctx.m
+    # Tr(alpha^d) for d <= 4n-2: the absolute trace lies in F_q, so it is the
+    # constant coefficient of the sum of all Frobenius images
+    tr = (ctx._red @ sum(ctx._frob_pows)[0]) % q
+    power = np.arange(m)
+    trace_form = tr[power[:, None] + power[None, :]]  # Tr(alpha^r alpha^s)
+    expansion = np.stack([e.coeffs for e in lam], axis=1)
+    gram = (expansion.T @ trace_form % q @ expansion) % q
+    dual = (expansion @ fq_inv(gram, q)) % q  # T is symmetric, so is T^-1
+    scale = xi.frobenius(m - k)
+    return Basis(scale * FF2n(ctx, dual[:, j].copy()) for j in range(m))
+
+
+def _twisted_rows(elems, gamma: FF2n, powers) -> list:
+    """The rows e^(q^i) and gamma e^(q^i) over elems, for each i in powers."""
+    rows = []
+    for i in powers:
+        row = [e.frobenius(i) for e in elems]
+        rows += [row, [gamma * e for e in row]]
+    return rows
+
+
+def _generator_rows(points, gamma: FF2n, k: int) -> list:
+    """x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at points."""
+    points = list(points)
+    return ([points] + _twisted_rows(points, gamma, range(1, k))
+            + [[gamma * e.frobenius(k) for e in points]])
 
 
 class TZCode:
@@ -96,53 +127,44 @@ class TZCode:
         self.xi = xi
         self.mu = mu
 
-        n, m = ctx.n, ctx.m
+        m, q = ctx.m, ctx.q
         self.length = m
         self.min_distance = m - k + 1
         self.radius = (m - k) // 2
 
-        lam_elems = list(lam)
+        self.G = _generator_rows(lam, gamma, k)
         mu_elems = list(mu)
-        g_rows = [lam_elems]
-        for i in range(1, k):
-            lam_i = [e.frobenius(i) for e in lam_elems]
-            g_rows.append(lam_i)
-            g_rows.append([gamma * e for e in lam_i])
-        lam_k = [e.frobenius(k) for e in lam_elems]
-        g_rows.append([gamma * e for e in lam_k])
-        self.G = g_rows
-
         gamma_2nk = gamma.frobenius(m - k)
-        h_rows = [[gamma_2nk * e for e in mu_elems]]
-        for i in range(k + 1, m):
-            mu_i = [e.frobenius(i) for e in mu_elems]
-            h_rows.append(mu_i)
-            h_rows.append([gamma * e for e in mu_i])
-        h_rows.append([e.frobenius(k) for e in mu_elems])
-        self.H = h_rows
+        self.H = ([[gamma_2nk * e for e in mu_elems]]
+                  + _twisted_rows(mu_elems, gamma, range(k + 1, m))
+                  + [[e.frobenius(k) for e in mu_elems]])
 
-        # coordinates in the basis mu^(q^k), used to rebuild B from the locators
-        mu_k = np.stack([e.frobenius(k).coeffs for e in mu_elems], axis=1)
-        self.mu_k_coords = fq_inv(mu_k, ctx.q)
+        # mu^(q^k) by columns, which plants the locators d = B mu^(q^k), and
+        # coordinates in that basis, which rebuild B from the locators
+        self.mu_k = (ctx._frob_pows[k] @ mu.expansion) % q
+        self.mu_k_coords = fq_inv(self.mu_k, q)
 
-        # F_q-expansion of the encoding map and a left inverse for unmapping
-        sub = ctx.subfield_basis
-        enc = np.zeros((2 * k * n, m * m), dtype=np.int64)
-        for i in range(2 * k):
-            for j in range(n):
-                row = sub[j]
-                flat = np.zeros(m * m, dtype=np.int64)
-                for col in range(m):
-                    flat[col * m : (col + 1) * m] = (row * self.G[i][col]).coeffs
-                enc[i * n + j] = flat
-        self._enc_mat = enc % ctx.q
-        eye = np.eye(2 * k * n, dtype=np.int64)
-        self.msg_left_inverse = fq_solve(self._enc_mat, eye, ctx.q)
+        # the code as one F_q map: row i*n + j holds the coefficients of the
+        # codeword of the message with subfield_basis[j] at entry i, zero elsewhere
+        self._enc_mat = np.stack([
+            np.concatenate([(b * g).coeffs for g in row])
+            for row in self.G for b in ctx.subfield_basis
+        ])
+        eye = np.eye(self._enc_mat.shape[0], dtype=np.int64)
+        self.msg_left_inverse = fq_solve(self._enc_mat, eye, q)
+
+    def check_context(self, vec):
+        """Raise InvalidParameter unless every entry lies in the code's field."""
+        ctx = self.ctx
+        for e in vec:
+            if e.ctx is not ctx and e.ctx != ctx:
+                raise InvalidParameter(f"entry {e!r} lies in {e.ctx!r}, not in {ctx!r}")
 
     def validate_message(self, msg) -> tuple:
         msg = tuple(msg)
         if len(msg) != 2 * self.k:
             raise MessageNotInSubfield(f"message needs {2 * self.k} entries, got {len(msg)}")
+        self.check_context(msg)
         for e in msg:
             if not self.ctx.in_subfield(e):
                 raise MessageNotInSubfield(f"entry {e!r} is not fixed by the q^n power map")
@@ -150,44 +172,29 @@ class TZCode:
 
     def encode(self, msg) -> tuple:
         """Codeword msg . G for a message over the subfield of linearity."""
-        msg = self.validate_message(msg)
-        out = []
-        for col in range(self.length):
-            acc = msg[0] * self.G[0][col]
-            for i in range(1, 2 * self.k):
-                acc = acc + msg[i] * self.G[i][col]
-            out.append(acc)
-        return tuple(out)
+        digits = self.ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
+        flat = (digits @ self._enc_mat) % self.ctx.q
+        return tuple(FF2n(self.ctx, c) for c in flat.reshape(self.length, -1))
+
+    def _message_digits(self, v):
+        """Digits of the message encoding to v, or None when v is not a codeword."""
+        q = self.ctx.q
+        flat = np.concatenate([c.coeffs for c in v])
+        digits = (flat @ self.msg_left_inverse) % q
+        return digits if np.array_equal((digits @ self._enc_mat) % q, flat) else None
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""
         cw = tuple(cw)
-        flat = np.concatenate([c.coeffs for c in cw])
-        digits = (flat @ self.msg_left_inverse) % self.ctx.q
-        sub = self.ctx.subfield_basis
-        n = self.ctx.n
-        msg = []
-        for i in range(2 * self.k):
-            acc = self.ctx.zero
-            for j in range(n):
-                d = int(digits[i * n + j])
-                if d:
-                    acc = acc + sub[j].scale(d)
-            msg.append(acc)
-        msg = tuple(msg)
-        if self.encode(msg) != cw:
+        self.check_context(cw)
+        digits = self._message_digits(cw)
+        if digits is None:
             raise NotACodeword("vector is not in the code")
-        return msg
+        return self.ctx.subfield_elements(digits)
 
     def is_codeword(self, v) -> bool:
-        """Zero relative-trace syndrome test."""
-        for row in self.H:
-            acc = row[0] * v[0]
-            for x, y in zip(row[1:], list(v)[1:]):
-                acc = acc + x * y
-            if not self.ctx.trace_rel(acc).is_zero():
-                return False
-        return True
+        """Membership: v is the encoding of the digits its left inverse reads off."""
+        return self._message_digits(v) is not None
 
     def __repr__(self):
         return (
@@ -197,25 +204,13 @@ class TZCode:
 
 
 def _check_gh_structure(code: TZCode):
+    """G H^T is zero but for (gamma xi)^(q^(2n-k)) and gamma xi at its two corners."""
     ctx = code.ctx
-    m, k = ctx.m, code.k
-    corner0 = (code.gamma * code.xi).frobenius(m - k)
-    corner1 = code.gamma * code.xi
-    for i, grow in enumerate(code.G):
-        for j in range(len(code.H)):
-            acc = ctx.zero
-            for a, b in zip(grow, code.H[j]):
-                acc = acc + a * b
-            if i == 0 and j == 0:
-                expected = corner0
-            elif i == 2 * k - 1 and j == 2 * m - 2 * k - 1:
-                expected = corner1
-            else:
-                expected = ctx.zero
-            if acc != expected:
-                raise InvalidParameter(
-                    f"generator/parity-check product violates its structure at ({i}, {j})"
-                )
+    expected = [[ctx.zero] * len(code.H) for _ in code.G]
+    expected[0][0] = (code.gamma * code.xi).frobenius(ctx.m - code.k)
+    expected[-1][-1] = code.gamma * code.xi
+    if ff_mat_mul(code.G, ff_transpose(code.H)) != expected:
+        raise InvalidParameter("generator/parity-check product violates its structure")
 
 
 def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
@@ -261,11 +256,4 @@ def punctured_generator(code: TZCode, points):
         raise InvalidParameter(f"need k <= #points <= 2n, got {ell}")
     if ff_rank(qvan(points, ell)) != ell:
         raise DependentEvaluationPoints("evaluation points are F_q-dependent")
-    rows = [list(points)]
-    for i in range(1, code.k):
-        p_i = [e.frobenius(i) for e in points]
-        rows.append(p_i)
-        rows.append([code.gamma * e for e in p_i])
-    p_k = [e.frobenius(code.k) for e in points]
-    rows.append([code.gamma * e for e in p_k])
-    return rows
+    return _generator_rows(points, code.gamma, code.k)

@@ -4,7 +4,9 @@ The pipeline: compute the syndrome s = r H^T; estimate the error rank from
 the ranks of shifted syndrome matrices; solve a homogeneous system for the
 error span polynomial; extract its root space; solve the locator system for
 the locator vector d; rebuild the row-space matrix B from d in the basis
-mu^(q^k); subtract the error.
+mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual basis;
+subtract the error.  The corrected word then passes the code's single
+membership test once, in TZCode.unmap, which also returns its message.
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -21,9 +23,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .construct import TZCode
-from .errors import LocatorSystemInconsistent, NoSolution, SpanDimMismatch
+from .errors import LocatorSystemInconsistent, NoSolution, NotACodeword, SpanDimMismatch
 from .field import FF2n, rank_weight
-from .linalg import ff_kernel, ff_rank, ff_solve
+from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve
 from .linpoly import LinPoly, root_space
 
 __all__ = [
@@ -83,14 +85,7 @@ class DecodeOutcome:
 
 def syndrome(code: TZCode, r) -> tuple:
     """s = r H^T; entrywise relative trace vanishes exactly on codewords."""
-    r = list(r)
-    out = []
-    for row in code.H:
-        acc = r[0] * row[0]
-        for x, y in zip(r[1:], row[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
+    return tuple(ff_mat_vec(code.H, list(r)))
 
 
 def syndrome_traces(code: TZCode, s) -> tuple:
@@ -213,12 +208,16 @@ def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
     B = recover_B(code, d)
     err = error_from_decomposition(roots, B)
-    cw = tuple(x - y for x, y in zip(r, err))
-    # residual check keeps the bounded-distance promise: the corrected word
-    # must be a codeword and the error rank must match the estimate
-    if rank_weight(err) != t or not code.is_codeword(cw):
+    # residual check keeps the bounded-distance promise: the error rank must
+    # match the estimate, and unmap accepts only a codeword
+    if rank_weight(err) != t:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    return DecodeOutcome.ok(cw, err, code.unmap(cw), t)
+    cw = tuple(x - y for x, y in zip(r, err))
+    try:
+        msg = code.unmap(cw)
+    except NotACodeword:
+        return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
+    return DecodeOutcome.ok(cw, err, msg, t)
 
 
 def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
@@ -235,6 +234,7 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
     r = tuple(r)
     if len(r) != code.length:
         raise ValueError(f"received word must have length {code.length}")
+    code.check_context(r)
     s = syndrome(code, r)
     if all(ctx.trace_rel(x).is_zero() for x in s):
         zero_err = tuple(ctx.zero for _ in range(code.length))

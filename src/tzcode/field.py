@@ -227,8 +227,18 @@ class FieldCtx:
         alpha = np.zeros(m, dtype=np.int64)
         alpha[1] = 1
         self.alpha = FF2n(self, alpha)
-        self._subfield_basis = None
         self._power_basis = None
+
+        from .linalg import fq_kernel, fq_solve  # local import avoids a cycle
+
+        # echelon-canonical F_q-basis of F_{q^n} inside F_{q^2n}, and a right
+        # inverse that reads an element's digits in that basis back off
+        sub = fq_kernel((pows[n] - pows[0]) % q, q)
+        if sub.shape[0] != n:
+            raise InvalidParameter("subfield of the stated degree not found")
+        self._subfield_mat = sub
+        self._subfield_coords = fq_solve(sub, np.eye(n, dtype=np.int64), q)
+        self.subfield_basis = self.subfield_elements(np.eye(n, dtype=np.int64))
 
     # -- element constructors ------------------------------------------------
 
@@ -251,12 +261,6 @@ class FieldCtx:
             idx //= self.q
         return FF2n(self, arr)
 
-    def index_of(self, a: "FF2n") -> int:
-        idx = 0
-        for i in range(self.m - 1, -1, -1):
-            idx = idx * self.q + int(a.coeffs[i])
-        return idx
-
     def elements(self):
         """All q^2n elements in index order.  Only sensible for tiny fields."""
         for idx in range(self.q**self.m):
@@ -275,13 +279,6 @@ class FieldCtx:
         """Relative trace onto F_{q^n}: a + a^(q^n)."""
         return FF2n(self, (a.coeffs + (self._frob_pows[self.n] @ a.coeffs)) % self.q)
 
-    def trace_abs(self, a: "FF2n") -> "FF2n":
-        """Absolute trace onto F_q: sum of all 2n Frobenius images."""
-        acc = np.zeros(self.m, dtype=np.int64)
-        for p in self._frob_pows:
-            acc += p @ a.coeffs
-        return FF2n(self, acc % self.q)
-
     def norm_abs(self, a: "FF2n") -> "FF2n":
         """Absolute norm onto F_q: product of all 2n Frobenius images."""
         out = self.one
@@ -293,21 +290,18 @@ class FieldCtx:
         """Membership in F_{q^n}, tested as a^(q^n) == a."""
         return np.array_equal((self._frob_pows[self.n] @ a.coeffs) % self.q, a.coeffs)
 
-    def in_base(self, a: "FF2n") -> bool:
-        return bool(np.all(a.coeffs[1:] == 0))
+    def subfield_elements(self, digits) -> tuple:
+        """Elements sum_j d_j subfield_basis[j], one per row of a (..., n) digit array."""
+        digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.n)
+        coeffs = (digits @ self._subfield_mat) % self.q
+        return tuple(FF2n(self, c) for c in coeffs)
 
-    @property
-    def subfield_basis(self):
-        """Echelon-canonical F_q-basis of F_{q^n} inside F_{q^2n}."""
-        if self._subfield_basis is None:
-            from .linalg import fq_kernel
+    def subfield_digits(self, elems) -> np.ndarray:
+        """(len(elems), n) digits in subfield_basis; the inverse of subfield_elements.
 
-            fixed = (self._frob_pows[self.n] - self._frob_pows[0]) % self.q
-            vecs = fq_kernel(fixed, self.q)
-            if vecs.shape[0] != self.n:
-                raise InvalidParameter("subfield of the stated degree not found")
-            self._subfield_basis = tuple(FF2n(self, v.copy()) for v in vecs)
-        return self._subfield_basis
+        Valid only for elements of F_{q^n}.
+        """
+        return (np.stack([e.coeffs for e in elems]) @ self._subfield_coords) % self.q
 
     @property
     def power_basis(self) -> "Basis":

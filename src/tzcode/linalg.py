@@ -22,7 +22,6 @@ __all__ = [
     "ff_rank",
     "ff_kernel",
     "ff_solve",
-    "ff_inv",
     "fq_rref",
     "fq_rank",
     "fq_kernel",
@@ -140,19 +139,6 @@ def ff_solve(mat, rhs):
             raise NoSolution("inconsistent linear system")
         sol[p] = rref[r][ncols]
     return sol
-
-
-def ff_inv(mat):
-    n = len(mat)
-    ctx = mat[0][0].ctx
-    aug = []
-    for i, row in enumerate(mat):
-        ident = [ctx.one if j == i else ctx.zero for j in range(n)]
-        aug.append(list(row) + ident)
-    rref, pivots = ff_rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in rref]
 
 
 # ---------------------------------------------------------------------------

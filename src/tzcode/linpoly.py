@@ -7,11 +7,10 @@ degree stays below 2n since x^(q^2n) = x on the field.
 
 from __future__ import annotations
 
-from .errors import DependentSpan
 from .field import FF2n, Basis, ext
 from .linalg import fq_kernel
 
-__all__ = ["LinPoly", "span_poly", "root_space"]
+__all__ = ["LinPoly", "root_space"]
 
 
 class LinPoly:
@@ -50,32 +49,6 @@ class LinPoly:
 
     def __repr__(self):
         return f"LinPoly({list(self.coeffs)})"
-
-
-def span_poly(ctx, vecs) -> LinPoly:
-    """Monic subspace polynomial whose roots are exactly the F_q-span of vecs.
-
-    Built degree by degree: when L kills the span of the first j inputs and
-    v is the next one, L'(x) = L(x)^q - L(v)^(q-1) L(x) kills the enlarged
-    span and has q-degree j+1.  Dependent inputs make L(v) vanish, which is
-    rejected.  The top coefficient is normalized to 1.
-    """
-    vecs = list(vecs)
-    coeffs = [ctx.one]  # the identity polynomial x
-    for v in vecs:
-        val = ctx.zero
-        for i, c in enumerate(coeffs):
-            val = val + c * v.frobenius(i)
-        if val.is_zero():
-            raise DependentSpan("generators are linearly dependent over F_q")
-        factor = val.frobenius(1) / val  # val^(q-1)
-        raised = [ctx.zero] + [c.frobenius(1) for c in coeffs]
-        coeffs = [r - factor * c for r, c in zip(raised, coeffs + [ctx.zero])]
-    top = coeffs[-1]
-    if top != ctx.one:
-        inv = top.inverse()
-        coeffs = [c * inv for c in coeffs]
-    return LinPoly(ctx, coeffs)
 
 
 def root_space(f: LinPoly, basis: Basis | None = None):

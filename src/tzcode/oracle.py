@@ -44,18 +44,10 @@ def _codebook(code: TZCode, budget: int) -> np.ndarray:
 
 
 def _message_from_index(code: TZCode, idx: int) -> tuple:
+    """The message whose 2kn subfield digits are the base-q digits of idx."""
     ctx = code.ctx
-    sub = ctx.subfield_basis
-    msg = []
-    for _ in range(2 * code.k):
-        acc = ctx.zero
-        for j in range(ctx.n):
-            d = idx % ctx.q
-            idx //= ctx.q
-            if d:
-                acc = acc + sub[j].scale(d)
-        msg.append(acc)
-    return tuple(msg)
+    digits = [(idx // ctx.q**p) % ctx.q for p in range(2 * code.k * ctx.n)]
+    return ctx.subfield_elements(digits)
 
 
 @dataclass(frozen=True)

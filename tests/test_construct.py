@@ -20,11 +20,21 @@ from tzcode.errors import (
     MessageNotInSubfield,
     NotACodeword,
 )
+from tzcode.channel import random_message
+from tzcode.decoder import decode
 from tzcode.field import Basis
+from tzcode.paramfile import params_from_dict
 from tzcode.linalg import fq_kernel, fq_rank_batch
 from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
-from conftest import rng_for
+from conftest import (
+    encode_by_rows,
+    index_of,
+    is_codeword_by_trace,
+    moore_mu,
+    plant,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +73,7 @@ def test_find_gamma_default_field():
 def test_find_gamma_is_first_in_enumeration_order():
     ctx = FieldCtx(5, 2)
     gamma = find_gamma(ctx)
-    idx = ctx.index_of(gamma)
+    idx = index_of(ctx, gamma)
     for i in range(idx):
         assert not is_valid_gamma(ctx, ctx.element_from_index(i))
 
@@ -137,6 +147,43 @@ def test_mu_is_unique_perturbation_breaks_pairing(code5):
             if (i != j and not acc.is_zero()) or (i == j and acc.is_zero()):
                 ok = False
     assert not ok
+
+
+def _random_basis(ctx, rng):
+    while True:
+        try:
+            return Basis([ctx.random_element(rng) for _ in range(ctx.m)])
+        except InvalidParameter:
+            continue
+
+
+@pytest.mark.parametrize("q, n, k", [(5, 2, 2), (3, 2, 1), (3, 3, 2), (3, 4, 3), (7, 2, 3)])
+def test_closed_form_mu_matches_moore_solve(q, n, k):
+    ctx = FieldCtx(q, n)
+    xi = find_xi(ctx, find_gamma(ctx))
+    rng = rng_for(54)
+    for lam in [ctx.power_basis] + [_random_basis(ctx, rng) for _ in range(3)]:
+        assert list(trace_almost_dual(ctx, lam, xi, k)) == moore_mu(ctx, lam, xi, k)
+
+
+# parameter files written when mu still came from the Moore solve; loading
+# recomputes mu and insists that it equals the stored one
+PARAM_FILES = [
+    {"q": 3, "n": 2, "k": 1, "modulus": [2, 1, 0, 0, 1], "gamma": [0, 1, 0, 0],
+     "xi": [2, 1, 0, 0],
+     "lambda": [[2, 2, 0, 2], [1, 1, 1, 0], [2, 0, 0, 1], [1, 1, 0, 0]],
+     "mu": [[1, 2, 2, 1], [2, 2, 1, 1], [2, 0, 0, 0], [0, 1, 0, 1]], "rng": "philox4x64"},
+    {"q": 5, "n": 2, "k": 2, "modulus": [2, 0, 0, 0, 1], "gamma": [0, 1, 0, 0],
+     "xi": [1, 0, 0, 0],
+     "lambda": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "mu": [[4, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0], [0, 3, 0, 0]], "rng": "philox4x64"},
+]
+
+
+@pytest.mark.parametrize("data", PARAM_FILES, ids=["q3-random-lambda", "q5-default"])
+def test_earlier_param_files_still_load(data):
+    code = params_from_dict(data)
+    assert [list(map(int, e.coeffs)) for e in code.mu] == data["mu"]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +319,51 @@ def test_membership_characterization_exhaustive(code321):
     mat = np.stack(rows, axis=1)
     kernel_dim = fq_kernel(mat, 3).shape[0]
     assert kernel_dim == 2 * ctx.n * code321.k  # |zero-trace set| = 81 = |code|
+
+
+def test_encode_matches_generator_row_sum(code5, code332):
+    rng = rng_for(55)
+    for code in (code5, code332, build_code(FieldCtx(7, 2), 3)):
+        for _ in range(30):
+            msg = random_message(code, rng)
+            assert code.encode(msg) == encode_by_rows(code, msg)
+
+
+def test_is_codeword_matches_trace_syndrome(code321, code332):
+    rng = rng_for(56)
+    for code in (code321, code332):
+        ctx = code.ctx
+        for _ in range(30):
+            _, cw, _, _, r = plant(code, 1, rng)
+            noise = tuple(ctx.random_element(rng) for _ in range(code.length))
+            assert code.is_codeword(cw) and is_codeword_by_trace(code, cw)
+            for v in (r, noise):
+                assert code.is_codeword(v) == is_codeword_by_trace(code, v)
+            assert not code.is_codeword(r)
+
+
+@pytest.mark.parametrize("other", [(5, 2, None), (3, 2, [2, 2, 0, 0, 1])],
+                         ids=["foreign-q", "foreign-modulus"])
+def test_words_from_another_field_are_rejected(code321, other):
+    ctx, foreign = code321.ctx, FieldCtx(*other)
+    assert foreign != ctx
+    word = (ctx.zero, ctx.zero, ctx.zero, foreign.one)
+    with pytest.raises(InvalidParameter):
+        decode(code321, word)
+    with pytest.raises(InvalidParameter):
+        code321.unmap(word)
+    with pytest.raises(InvalidParameter):
+        code321.encode((foreign.one, ctx.zero))
+
+
+def test_equal_field_built_twice_is_accepted(code321):
+    twin = FieldCtx(3, 2)
+    assert twin is not code321.ctx and twin == code321.ctx
+    msg = random_message(code321, rng_for(57))
+    word = tuple(twin.elem(c.coeffs) for c in code321.encode(msg))
+    out = decode(code321, word)
+    assert out.success and out.message == msg
+    assert code321.unmap(word) == msg
 
 
 # ---------------------------------------------------------------------------

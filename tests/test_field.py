@@ -8,7 +8,7 @@ from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacter
 from tzcode.field import Basis
 from tzcode.linalg import ff_rank, fq_rank
 
-from conftest import rng_for
+from conftest import in_base, index_of, rng_for, trace_abs
 
 
 def test_reduction_of_alpha_fourth(ctx5):
@@ -145,8 +145,8 @@ def test_trace_rel_surjective_linear_kernel_dim_one(ctx5):
 def test_trace_abs_lands_in_base(ctx5):
     rng = rng_for(18)
     for _ in range(20):
-        assert ctx5.in_base(ctx5.trace_abs(ctx5.random_element(rng)))
-        assert ctx5.in_base(ctx5.norm_abs(ctx5.random_element(rng)))
+        assert in_base(trace_abs(ctx5, ctx5.random_element(rng)))
+        assert in_base(ctx5.norm_abs(ctx5.random_element(rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,20 @@ def test_default_modulus_matches_published_field():
 
 def test_element_index_round_trip(ctx3):
     for idx in (0, 1, 5, 80):
-        assert ctx3.index_of(ctx3.element_from_index(idx)) == idx
+        assert index_of(ctx3, ctx3.element_from_index(idx)) == idx
+
+
+def test_subfield_digit_map_round_trip(ctx5, ctx33):
+    for ctx in (ctx5, ctx33):
+        rng = rng_for(19)
+        digits = rng.integers(0, ctx.q, (6, ctx.n))
+        elems = ctx.subfield_elements(digits)
+        for row, e in zip(digits, elems):
+            acc = ctx.zero
+            for b, d in zip(ctx.subfield_basis, row):
+                acc = acc + b.scale(int(d))
+            assert e == acc and ctx.in_subfield(e)
+        assert np.array_equal(ctx.subfield_digits(elems), digits)
 
 
 def test_basis_rejects_dependent_elements(ctx5):

@@ -1,0 +1,74 @@
+"""Canonical simulate reports pinned byte for byte.
+
+The grid reaches every failure reason and a miscorrection, in both
+strict_alg1 modes, so any change to encoding, membership, decoding or the
+random draws that alters one trial's outcome shows here.
+"""
+
+import functools
+import json
+
+import pytest
+
+from tzcode import FieldCtx, build_code
+from tzcode.channel import ChannelSpec, simulate
+
+TRIALS, SEED = 40, 7
+
+# (q, n, k, t, subfield_only, strict_alg1) -> canonical_json()
+GOLDEN = [
+    ((3, 2, 1, 1, False, False),
+     '{"failures_by_reason":{},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":1},"successes":40,"trials":40}'),
+    ((3, 2, 1, 1, False, True),
+     '{"failures_by_reason":{},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":1},"successes":40,"trials":40}'),
+    ((5, 2, 2, 1, True, False),
+     '{"failures_by_reason":{},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":true,"t":1},"successes":40,"trials":40}'),
+    ((5, 2, 2, 1, True, True),
+     '{"failures_by_reason":{},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":true,"t":1},"successes":40,"trials":40}'),
+    ((5, 2, 2, 2, False, False),
+     '{"failures_by_reason":{"Miscorrection":1,"NoRankFound":39},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((5, 2, 2, 2, False, True),
+     '{"failures_by_reason":{"Miscorrection":1,"NoRankFound":38,"RootCountMismatch":1},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((3, 3, 2, 2, False, False),
+     '{"failures_by_reason":{"LocatorSystemInconsistent":21,"RootCountMismatch":19},"params":{"k":2,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((3, 3, 2, 2, False, True),
+     '{"failures_by_reason":{"LocatorSystemInconsistent":21,"RootCountMismatch":19},"params":{"k":2,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((3, 4, 2, 3, True, False),
+     '{"failures_by_reason":{},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":true,"t":3},"successes":40,"trials":40}'),
+    ((3, 4, 2, 3, True, True),
+     '{"failures_by_reason":{},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":true,"t":3},"successes":40,"trials":40}'),
+    ((3, 4, 2, 3, False, False),
+     '{"failures_by_reason":{"RootCountMismatch":40},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+    ((3, 4, 2, 3, False, True),
+     '{"failures_by_reason":{"RootCountMismatch":40},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+    ((3, 4, 1, 4, False, False),
+     '{"failures_by_reason":{"RootCountMismatch":40},"params":{"k":1,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":4},"successes":0,"trials":40}'),
+    ((3, 4, 1, 4, False, True),
+     '{"failures_by_reason":{"RootCountMismatch":40},"params":{"k":1,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":4},"successes":0,"trials":40}'),
+    ((3, 3, 1, 3, False, False),
+     '{"failures_by_reason":{"RootCountMismatch":39,"SpanDimMismatch":1},"params":{"k":1,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+    ((3, 3, 1, 3, False, True),
+     '{"failures_by_reason":{"RootCountMismatch":39,"SpanDimMismatch":1},"params":{"k":1,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _code(q, n, k):
+    return build_code(FieldCtx(q, n), k)
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN, ids=[str(c) for c, _ in GOLDEN])
+def test_canonical_report_is_byte_identical(case, expected):
+    q, n, k, t, subfield, strict = case
+    report = simulate(_code(q, n, k), ChannelSpec(t, subfield, SEED), TRIALS, strict_alg1=strict)
+    assert report.canonical_json() == expected
+
+
+def test_grid_reaches_every_outcome():
+    reasons = set()
+    for _, expected in GOLDEN:
+        reasons.update(json.loads(expected)["failures_by_reason"])
+    assert reasons == {
+        "Miscorrection", "NoRankFound", "RootCountMismatch", "SpanDimMismatch",
+        "LocatorSystemInconsistent",
+    }

@@ -7,7 +7,6 @@ from tzcode import FieldCtx
 from tzcode.errors import NoSolution, SingularMatrix
 from tzcode.field import qvan
 from tzcode.linalg import (
-    ff_inv,
     ff_kernel,
     ff_mat_mul,
     ff_mat_vec,
@@ -103,6 +102,8 @@ def test_solve_against_adjugate_oracle_on_subfield_systems():
         rhs = [sub_elem() for _ in range(3)]
         inv_det = det.inverse()
         adj = _adjugate3(m)
+        assert ff_mat_mul(m, adj) == [[det if i == j else ctx.zero for j in range(3)]
+                                      for i in range(3)]
         expected = [inv_det * acc for acc in ff_mat_vec(adj, rhs)]
         assert ff_solve(m, rhs) == expected
         assert ff_kernel(m) == []
@@ -113,19 +114,6 @@ def test_ff_solve_inconsistent_raises(ctx5):
     mat = [[ctx5.one, ctx5.one], [ctx5.one, ctx5.one]]
     with pytest.raises(NoSolution):
         ff_solve(mat, [ctx5.zero, ctx5.one])
-
-
-def test_ff_inv_round_trip_and_singular(ctx5):
-    rng = rng_for(31)
-    while True:
-        m = [[ctx5.random_element(rng) for _ in range(3)] for _ in range(3)]
-        if ff_rank(m) == 3:
-            break
-    assert ff_mat_mul(ff_inv(m), m) == _identity(ctx5, 3)
-    singular = [row[:] for row in m]
-    singular[2] = [x + y for x, y in zip(singular[0], singular[1])]
-    with pytest.raises(SingularMatrix):
-        ff_inv(singular)
 
 
 def test_ff_kernel_vectors_annihilate(ctx5):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from tzcode import FieldCtx, LinPoly, rank_weight, root_space, span_poly
+from tzcode import FieldCtx, LinPoly, rank_weight, root_space
 from tzcode.errors import DependentSpan
 
-from conftest import rng_for
+from conftest import rng_for, span_poly
 
 
 def test_identity_polynomial_evaluation(ctx5):
