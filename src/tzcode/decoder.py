@@ -152,11 +152,11 @@ def solve_span(S) -> LinPoly:
     """
     kernel = ff_kernel(S)
     if len(kernel) != 1:
-        raise SpanDimMismatch(f"kernel dimension {len(kernel)}, expected 1")
+        raise SpanDimMismatch(f"kernel dimension {len(kernel)}, expected 1", len(kernel))
     vec = kernel[0]
     top = vec[-1]
     if top.is_zero():
-        raise SpanDimMismatch("kernel vector has zero top coefficient")
+        raise SpanDimMismatch("kernel vector has zero top coefficient", 1)
     inv = top.inverse()
     ctx = vec[0].ctx
     return LinPoly(ctx, [c * inv for c in vec])
@@ -241,25 +241,25 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         return DecodeOutcome.ok(r, zero_err, code.unmap(r), 0)
 
     if code.k % 2 == 0:
-        t_lim = ctx.n - code.k // 2
-        s_exp = build_S_exp(code, s)
-        if ff_rank(s_exp) == t_lim:
+        # S_exp is 2t x (t+1), so it has rank t exactly when its kernel is a
+        # line: one elimination inside solve_span answers both questions.  A
+        # rank other than t leaves reason None and falls through in both modes.
+        try:
+            span = solve_span(build_S_exp(code, s))
             reason = None
-            try:
-                span = solve_span(s_exp)
-            except SpanDimMismatch:
-                reason = SPAN_DIM_MISMATCH
-                span = None
-            if span is not None:
-                if all(ctx.in_subfield(c) for c in span.coeffs):
-                    out = _finish(code, r, s, span, t_lim)
-                    if out.success:
-                        return out
-                    reason = out.failure_reason
-                else:
-                    reason = LAMBDA_NOT_IN_SUBFIELD
-            if strict_alg1:
-                return DecodeOutcome.fail(reason)
+        except SpanDimMismatch as exc:
+            span = None
+            reason = SPAN_DIM_MISMATCH if exc.kernel_dim == 1 else None
+        if span is not None:
+            if all(ctx.in_subfield(c) for c in span.coeffs):
+                out = _finish(code, r, s, span, ctx.n - code.k // 2)
+                if out.success:
+                    return out
+                reason = out.failure_reason
+            else:
+                reason = LAMBDA_NOT_IN_SUBFIELD
+        if strict_alg1 and reason is not None:
+            return DecodeOutcome.fail(reason)
 
     t = estimate_rank(code, s)
     if t is None:

@@ -55,7 +55,11 @@ class OracleBudgetExceeded(TZError):
 
 
 class SpanDimMismatch(TZError):
-    """Span-polynomial system has a solution space of dimension other than one."""
+    """Span-polynomial kernel is not a line (kernel_dim != 1) or has a zero top coefficient."""
+
+    def __init__(self, message: str, kernel_dim: int):
+        super().__init__(message)
+        self.kernel_dim = kernel_dim
 
 
 class LocatorSystemInconsistent(TZError):

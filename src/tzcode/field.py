@@ -1,15 +1,22 @@
 """Exact arithmetic in the tower F_q < F_{q^n} < F_{q^2n}, q an odd prime.
 
 An element of F_{q^2n} is a length-2n coefficient vector over F_q in the
-power basis of alpha, where alpha is a root of the defining modulus, a
+power basis of alpha, where alpha is a root of the defining modulus f, a
 monic irreducible polynomial of degree 2n over F_q.  Coefficient index i
 holds the coefficient of alpha^i.  Vectors are stored as read-only numpy
 int64 arrays with entries reduced into [0, q).
 
-The Frobenius map a -> a^q is applied through a precomputed 2n x 2n
-matrix over F_q (and its cached powers), never by field exponentiation;
-the decoder applies thousands of q-power maps and this keeps each one a
-single matrix-vector product.
+All polynomial arithmetic mod f goes through one reduction table, the rows
+x^d mod f for d <= 4n-2: a product is a convolution folded through it.
+The same table serves the Rabin irreducibility test of each candidate
+modulus.  The Frobenius map a -> a^q is the 2n x 2n matrix whose columns
+are (x^q)^j, with x^q mod f found by square-and-multiply; it and its
+powers are applied as single matrix-vector products, never by field
+exponentiation.  Inversion is Itoh-Tsujii: the conorm
+b = a^(q + ... + q^(2n-1)) comes from an addition chain of about
+2 log2(2n) products, N(a) = a b lies in F_q, and a^-1 = b N(a)^-1; the
+absolute norm is the same a b.  Every fold stays exact in int64 only
+while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first.
 """
 
 from __future__ import annotations
@@ -35,45 +42,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_q (dense int lists, low degree first)
+# F_q[x]/(f) through its reduction table
 # ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return p[: d + 1]
-
-
-def _poly_divmod(a, b, q):
-    """Quotient and remainder of a by b over F_q.  b must be nonzero."""
-    a = list(a)
-    b = _poly_trim(list(b))
-    db = len(b) - 1
-    inv_lead = pow(int(b[db]), q - 2, q)
-    quo = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = (a[i + db] * inv_lead) % q
-        if c:
-            quo[i] = c
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - c * b[j]) % q
-    return _poly_trim(quo), _poly_trim(a)
-
-
-def _poly_gcd(a, b, q):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b != [0]:
-        _, r = _poly_divmod(a, b, q)
-        a, b = b, r
-    # normalize monic
-    lead = a[-1]
-    if lead not in (0, 1):
-        inv = pow(lead, q - 2, q)
-        a = [(c * inv) % q for c in a]
-    return a
-
 
 def _is_prime(v):
     if v < 2:
@@ -102,55 +72,60 @@ def _prime_factors(v):
     return out
 
 
-def _frobenius_matrix(q, modulus):
-    """Matrix of a -> a^q on F_q[x]/(modulus), columns are x^(jq) mod modulus."""
+def _reduction_table(q, modulus) -> np.ndarray:
+    """Row d is x^d mod modulus, for d = 0 .. 2m-2: it folds any raw product."""
     m = len(modulus) - 1
-    # x^d mod modulus for d up to (m-1)*q, built by shift-and-reduce
-    rows = np.zeros(((m - 1) * q + 1, m), dtype=np.int64)
-    rows[0, 0] = 1
-    cur = [0] * m
-    cur[0] = 1
-    for d in range(1, (m - 1) * q + 1):
-        nxt = [0] + cur[: m - 1]
-        carry = cur[m - 1]
-        if carry:
-            for j in range(m):
-                nxt[j] = (nxt[j] - carry * modulus[j]) % q
-        cur = nxt
-        rows[d] = cur
-    frob = np.zeros((m, m), dtype=np.int64)
-    for j in range(m):
-        frob[:, j] = rows[j * q]
-    return frob
+    low = np.array(modulus[:m], dtype=np.int64)
+    red = np.zeros((2 * m - 1, m), dtype=np.int64)
+    red[0, 0] = 1
+    for d in range(1, 2 * m - 1):
+        carry = red[d - 1, m - 1]
+        red[d, 1:] = red[d - 1, : m - 1]
+        red[d] = (red[d] - carry * low) % q
+    return red
 
 
-def _poly_is_irreducible(q, coeffs):
-    """Rabin test for a monic polynomial of degree m over F_q."""
+def _rabin(q, coeffs):
+    """Rabin test of a monic polynomial of degree m >= 2 over F_q.
+
+    Returns (reduction table, Frobenius matrix) when it is irreducible, else
+    None.  The Frobenius matrix has columns (x^q)^j, with x^q mod f found by
+    square-and-multiply.  f is irreducible exactly when x^(q^m) = x and, for
+    each prime p | m, x^(q^(m/p)) - x is coprime to f; gcd(f, g) = 1 exactly
+    when multiplication by g is bijective on F_q[x]/(f), so coprimality is a
+    full-rank test of g's multiplication matrix, whose rows are g x^j.
+    """
+    from .linalg import fq_rank  # local import avoids a cycle
+
     m = len(coeffs) - 1
-    if m < 1 or coeffs[m] != 1:
-        return False
     if coeffs[0] == 0:
-        return False  # divisible by x
-    frob = _frobenius_matrix(q, coeffs)
-    x_vec = np.zeros(m, dtype=np.int64)
-    x_vec[1 % m] = 1
-    if m == 1:
-        return True
-    # x^(q^m) == x mod f
-    power = np.eye(m, dtype=np.int64)
-    powers = {}
-    for i in range(1, m + 1):
-        power = (frob @ power) % q
-        powers[i] = power
-    if not np.array_equal((powers[m] @ x_vec) % q, x_vec):
-        return False
+        return None  # divisible by x
+    red = _reduction_table(q, coeffs)
+
+    def mul(a, b):
+        return (np.convolve(a, b) @ red) % q
+
+    x = red[1]
+    xq = x
+    for bit in bin(q)[3:]:
+        xq = mul(xq, xq)
+        if bit == "1":
+            xq = mul(xq, x)
+    cols = [red[0]]
+    for _ in range(m - 1):
+        cols.append(mul(cols[-1], xq))
+    frob = np.stack(cols, axis=1)
+
+    x_qi = [x]  # x^(q^i) for i = 0 .. m
+    for _ in range(m):
+        x_qi.append((frob @ x_qi[-1]) % q)
+    if not np.array_equal(x_qi[m], x):
+        return None
     for p in _prime_factors(m):
-        d = m // p
-        g = (powers[d] @ x_vec) % q
-        diff = [int(c) for c in (g - x_vec) % q]
-        if _poly_gcd(coeffs, diff, q) != [1]:
-            return False
-    return True
+        g = (x_qi[m // p] - x) % q
+        if fq_rank(np.stack([mul(g, x_j) for x_j in red[:m]]), q) != m:
+            return None
+    return red, frob
 
 
 def default_modulus(q, m):
@@ -162,7 +137,7 @@ def default_modulus(q, m):
     """
     for idx in range(q**m):
         coeffs = [(idx // q**i) % q for i in range(m)] + [1]
-        if _poly_is_irreducible(q, coeffs):
+        if _rabin(q, coeffs) is not None:
             return coeffs
     raise InvalidParameter(f"no irreducible polynomial of degree {m} over F_{q}")
 
@@ -178,55 +153,41 @@ class FieldCtx:
     """
 
     def __init__(self, q: int, n: int, modulus=None):
-        if not _is_prime(q) or q == 2:
-            raise UnsupportedCharacteristic(f"q must be an odd prime, got {q}")
         if n < 1:
             raise InvalidParameter(f"n must be positive, got {n}")
+        # _mul folds a raw product c = a*b (entries < q) through the table:
+        # with m = 2n, c_d sums at most min(d+1, 2m-1-d) terms below (q-1)^2;
+        # output i takes c_i itself (d < m, at most m (q-1)^2) plus
+        # c_d * (x^d mod f)_i for d = m .. 2m-2, at most
+        # (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  All of it stays in int64
+        # only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63.
+        if 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3 >= 2**63:
+            raise InvalidParameter(f"q={q}, n={n} overflows int64 field arithmetic")
+        if not _is_prime(q) or q == 2:
+            raise UnsupportedCharacteristic(f"q must be an odd prime, got {q}")
         self.q = q
         self.n = n
-        self.m = 2 * n
+        self.m = m = 2 * n
         if modulus is None:
-            modulus = default_modulus(q, self.m)
+            modulus = default_modulus(q, m)
         modulus = [int(c) % q for c in modulus]
-        if len(modulus) != self.m + 1 or modulus[self.m] != 1:
+        if len(modulus) != m + 1 or modulus[m] != 1:
             raise InvalidParameter(
-                f"modulus must be monic of degree {self.m}, got coefficients {modulus}"
+                f"modulus must be monic of degree {m}, got coefficients {modulus}"
             )
-        if not _poly_is_irreducible(q, modulus):
+        tables = _rabin(q, modulus)
+        if tables is None:
             raise InvalidParameter("modulus is not irreducible over F_q")
         self.modulus = tuple(modulus)
-
-        m = self.m
-        mod_arr = np.array(modulus, dtype=np.int64)
-        # x^d mod modulus for d = 0 .. 2m-2, used to fold raw products
-        red = np.zeros((2 * m - 1, m), dtype=np.int64)
-        red[0, 0] = 1
-        cur = np.zeros(m, dtype=np.int64)
-        cur[0] = 1
-        for d in range(1, 2 * m - 1):
-            nxt = np.roll(cur, 1)
-            carry = cur[m - 1]
-            nxt[0] = 0
-            if carry:
-                nxt = (nxt - carry * mod_arr[:m]) % q
-            cur = nxt
-            red[d] = cur
-        self._red = red
-
-        frob = _frobenius_matrix(q, list(self.modulus))
+        self._red, frob = tables
         pows = [np.eye(m, dtype=np.int64)]
         for _ in range(m - 1):
             pows.append((frob @ pows[-1]) % q)
-        self.frob_table = frob
         self._frob_pows = pows
-        if not np.array_equal((frob @ pows[-1]) % q, pows[0]):
-            raise InvalidParameter("Frobenius table does not have order 2n")
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
-        self.one = FF2n(self, red[0].copy())
-        alpha = np.zeros(m, dtype=np.int64)
-        alpha[1] = 1
-        self.alpha = FF2n(self, alpha)
+        self.one = FF2n(self, self._red[0].copy())
+        self.alpha = FF2n(self, self._red[1].copy())
         self._power_basis = None
 
         from .linalg import fq_kernel, fq_solve  # local import avoids a cycle
@@ -280,11 +241,8 @@ class FieldCtx:
         return FF2n(self, (a.coeffs + (self._frob_pows[self.n] @ a.coeffs)) % self.q)
 
     def norm_abs(self, a: "FF2n") -> "FF2n":
-        """Absolute norm onto F_q: product of all 2n Frobenius images."""
-        out = self.one
-        for i in range(self.m):
-            out = out * self.frobenius(a, i)
-        return out
+        """Absolute norm onto F_q: a times its conorm, the other 2n-1 Frobenius images."""
+        return FF2n(self, self._mul(a.coeffs, self._conorm(a.coeffs)))
 
     def in_subfield(self, a: "FF2n") -> bool:
         """Membership in F_{q^n}, tested as a^(q^n) == a."""
@@ -306,13 +264,8 @@ class FieldCtx:
     @property
     def power_basis(self) -> "Basis":
         if self._power_basis is None:
-            elems = []
-            arr = np.zeros(self.m, dtype=np.int64)
-            for i in range(self.m):
-                arr[:] = 0
-                arr[i] = 1
-                elems.append(FF2n(self, arr.copy()))
-            self._power_basis = Basis(elems)
+            # rows x^0 .. x^(2n-1) of the reduction table are the unit vectors
+            self._power_basis = Basis(FF2n(self, x_d.copy()) for x_d in self._red[: self.m])
         return self._power_basis
 
     # -- raw coefficient arithmetic --------------------------------------------
@@ -321,32 +274,30 @@ class FieldCtx:
         conv = np.convolve(a, b)
         return (conv @ self._red[: conv.shape[0]]) % self.q
 
+    def _conorm(self, a: np.ndarray) -> np.ndarray:
+        """a^(q + q^2 + ... + q^(2n-1)), by the Itoh-Tsujii addition chain.
+
+        With e_j = 1 + q + ... + q^(j-1), x = a^(e_j) steps to a^(e_2j) as
+        x * x^(q^j) and to a^(e_(j+1)) as a * x^q, following the bits of 2n-1;
+        about 2 log2(2n) products and as many Frobenius matrix-vector products.
+        """
+        q, pows = self.q, self._frob_pows
+        x, j = a, 1
+        for bit in bin(self.m - 1)[3:]:
+            x = self._mul(x, (pows[j] @ x) % q)
+            j *= 2
+            if bit == "1":
+                x = self._mul(a, (pows[1] @ x) % q)
+                j += 1
+        return (pows[1] @ x) % q
+
     def _inv(self, a: np.ndarray) -> np.ndarray:
+        """a^-1 = b / N(a), b the conorm: N(a) = a b lies in F_q."""
         if not a.any():
             raise DivisionByZero("inverse of zero")
-        # extended Euclid in F_q[x] against the modulus
-        q = self.q
-        r0, r1 = list(self.modulus), _poly_trim([int(c) for c in a])
-        s0, s1 = [0], [1]
-        while r1 != [0]:
-            quo, rem = _poly_divmod(r0, r1, q)
-            r0, r1 = r1, rem
-            prod = [0] * (len(quo) + len(s1) - 1)
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + qc * sc) % q
-            diff = [0] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                diff[i] = c
-            for i, c in enumerate(prod):
-                diff[i] = (diff[i] - c) % q
-            s0, s1 = s1, _poly_trim(diff)
-        inv_lead = pow(r0[-1], q - 2, q)
-        out = np.zeros(self.m, dtype=np.int64)
-        for i, c in enumerate(s0):
-            out[i] = (c * inv_lead) % q
-        return out
+        b = self._conorm(a)
+        norm = int(self._mul(a, b)[0])
+        return (b * pow(norm, self.q - 2, self.q)) % self.q
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"
@@ -423,7 +374,7 @@ class FF2n:
     def __eq__(self, other):
         return (
             isinstance(other, FF2n)
-            and self.ctx is other.ctx
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and np.array_equal(self.coeffs, other.coeffs)
         )
 

@@ -151,7 +151,13 @@ _inv_tables: dict[int, np.ndarray] = {}
 def _inv_table(q: int) -> np.ndarray:
     tab = _inv_tables.get(q)
     if tab is None:
-        tab = np.array([0] + [pow(i, q - 2, q) for i in range(1, q)], dtype=np.int64)
+        # i^(q-2) for every i at once, by square-and-multiply; 0 maps to 0
+        base, tab, e = np.arange(q, dtype=np.int64), np.ones(q, dtype=np.int64), q - 2
+        while e:
+            if e & 1:
+                tab = (tab * base) % q
+            base = (base * base) % q
+            e >>= 1
         _inv_tables[q] = tab
     return tab
 

@@ -45,7 +45,7 @@ class LinPoly:
     __call__ = evaluate
 
     def __eq__(self, other):
-        return isinstance(other, LinPoly) and self.ctx is other.ctx and self.coeffs == other.coeffs
+        return isinstance(other, LinPoly) and self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"LinPoly({list(self.coeffs)})"

@@ -5,6 +5,7 @@ import pytest
 
 from tzcode import (
     FieldCtx,
+    LinPoly,
     build_code,
     find_gamma,
     find_xi,
@@ -359,11 +360,13 @@ def test_words_from_another_field_are_rejected(code321, other):
 def test_equal_field_built_twice_is_accepted(code321):
     twin = FieldCtx(3, 2)
     assert twin is not code321.ctx and twin == code321.ctx
-    msg = random_message(code321, rng_for(57))
-    word = tuple(twin.elem(c.coeffs) for c in code321.encode(msg))
-    out = decode(code321, word)
-    assert out.success and out.message == msg
-    assert code321.unmap(word) == msg
+    msg, cw, _, _, r = plant(code321, 1, rng_for(57))
+    for word in (cw, r):
+        word = tuple(twin.elem(c.coeffs) for c in word)
+        out = decode(code321, word)
+        assert out.success and out.message == msg and out.codeword == cw
+    assert code321.unmap(tuple(twin.elem(c.coeffs) for c in cw)) == msg
+    assert LinPoly(twin, [twin.one]) == LinPoly(code321.ctx, [code321.ctx.one])
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,12 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
 
 def test_solve_span_rejects_fat_kernel(ctx5):
     degenerate = [[ctx5.zero, ctx5.zero, ctx5.zero], [ctx5.zero, ctx5.zero, ctx5.zero]]
-    with pytest.raises(SpanDimMismatch):
+    with pytest.raises(SpanDimMismatch) as fat:
         solve_span(degenerate)
+    assert fat.value.kernel_dim == 3
+    with pytest.raises(SpanDimMismatch) as zero_top:
+        solve_span([[ctx5.zero, ctx5.one]])  # kernel spanned by (1, 0)
+    assert zero_top.value.kernel_dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +408,20 @@ def test_decode_boundary_same_under_both_flags(code5):
         _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
         assert decode(code5, r, strict_alg1=True).codeword == cw
         assert decode(code5, r).codeword == cw
+
+
+def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
+    import tzcode.decoder as dec
+
+    calls = []
+    monkeypatch.setattr(dec, "ff_rank", lambda m: calls.append("rank") or ff_rank(m))
+    monkeypatch.setattr(dec, "ff_kernel", lambda m: calls.append("kernel") or ff_kernel(m))
+    rng = rng_for(85)
+    for _ in range(5):
+        _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
+        calls.clear()
+        assert decode(code5, r).codeword == cw
+        assert calls == ["kernel"]
 
 
 def test_decode_fallback_rescues_misrouted_strict_errors(code342):

@@ -5,7 +5,7 @@ import pytest
 
 from tzcode import FieldCtx, qvan, ext, ext_inv, rank_weight
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
-from tzcode.field import Basis
+from tzcode.field import Basis, _is_prime, _rabin, default_modulus
 from tzcode.linalg import ff_rank, fq_rank
 
 from conftest import in_base, index_of, rng_for, trace_abs
@@ -290,6 +290,93 @@ def test_nonmonic_modulus_rejected():
 
 def test_default_modulus_matches_published_field():
     assert FieldCtx(5, 2).modulus == (2, 0, 0, 0, 1)
+
+
+# default moduli found by the list-polynomial Rabin test this one replaced
+@pytest.mark.parametrize("q, n, modulus", [
+    (3, 12, [2, 0, 0, 0, 1] + [0] * 19 + [1]),
+    (7, 12, [4, 3, 1] + [0] * 21 + [1]),
+    (3, 16, [1, 2, 2, 1] + [0] * 28 + [1]),
+    (5, 2, [2, 0, 0, 0, 1]),
+    (3, 2, [2, 1, 0, 0, 1]),
+])
+def test_default_moduli_pinned(q, n, modulus):
+    assert default_modulus(q, 2 * n) == modulus
+
+
+def _monic(q, m):
+    """Every monic polynomial of degree m over F_q, low degree first."""
+    for idx in range(q**m):
+        yield [(idx // q**i) % q for i in range(m)] + [1]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("m", [2, 3])
+def test_low_degree_irreducible_iff_rootless(q, m):
+    for f in _monic(q, m):
+        rootless = all(sum(c * x**i for i, c in enumerate(f)) % q for x in range(q))
+        assert (_rabin(q, f) is not None) == rootless, f
+
+
+def _mobius(d):
+    out, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
+
+@pytest.mark.parametrize("q, m", [(3, 4), (5, 4), (3, 6)])
+def test_irreducible_count_matches_gauss_formula(q, m):
+    gauss = sum(_mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    assert sum(_rabin(q, f) is not None for f in _monic(q, m)) == gauss
+
+
+def test_inverse_exhaustive(ctx5, ctx3):
+    for ctx in (ctx5, ctx3):
+        for a in list(ctx.elements())[1:]:
+            assert a * a.inverse() == ctx.one
+
+
+def _check_arithmetic(ctx, seed):
+    rng = rng_for(seed)
+    e = (ctx.q**ctx.m - 1) // (ctx.q - 1)
+    for _ in range(10):
+        a, b = ctx.random_element(rng), ctx.random_element(rng)
+        assert a * a.inverse() == ctx.one
+        assert (a * b).frobenius(1) == a.frobenius(1) * b.frobenius(1)
+        assert a.frobenius(1) == a**ctx.q
+        assert ctx.norm_abs(a) == a**e
+
+
+def test_large_q_field_builds():
+    ctx = FieldCtx(10007, 2)
+    assert ctx.modulus == (6, 1, 0, 0, 1)
+    _check_arithmetic(ctx, 20)
+
+
+def _int64_safe(q, n):
+    """The largest intermediate of a field multiply stays below 2^63."""
+    return 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3 < 2**63
+
+
+def test_int64_bound_at_the_api_boundary():
+    lo, hi = 3, 2**21  # first q that overflows at n = 2 lies in between
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if not _int64_safe(mid, 2) else (mid + 1, hi)
+    above = next(p for p in range(lo, 2 * lo) if _is_prime(p))
+    with pytest.raises(InvalidParameter, match="int64"):
+        FieldCtx(above, 2)
+    # q = 1 mod 4 makes x^4 - c irreducible for any non-square c, so the
+    # modulus search stops after a few candidates
+    below = next(p for p in range(lo - 1, 0, -1) if _is_prime(p) and p % 4 == 1)
+    ctx = FieldCtx(below, 2)
+    _check_arithmetic(ctx, 21)
 
 
 def test_element_index_round_trip(ctx3):
