@@ -7,6 +7,8 @@ gamma x^(q^k) at the evaluation basis lambda.  The parity-check matrix H
 ((4n-2k) x 2n) is built on the trace almost dual basis
 mu = xi^(q^(2n-k)) lambda*, where lambda* is the trace-dual basis of lambda;
 a word is a codeword exactly when its syndrome has zero relative trace.
+G and H are packed (rows, 2n, 2n) arrays (field.py), built by batched
+Frobenius maps and products.
 
 The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
 of a message to the 4n^2 coefficients of its codeword.  encode multiplies by
@@ -27,7 +29,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .field import FF2n, Basis, FieldCtx, qvan
-from .linalg import ff_mat_mul, ff_rank, ff_transpose, fq_inv, fq_solve
+from .linalg import ff_mat_vec, ff_rank, fq_inv, fq_solve
 
 __all__ = [
     "find_gamma",
@@ -36,6 +38,7 @@ __all__ = [
     "trace_almost_dual",
     "TZCode",
     "build_code",
+    "gh_product",
     "punctured_generator",
 ]
 
@@ -92,24 +95,21 @@ def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
     expansion = np.stack([e.coeffs for e in lam], axis=1)
     gram = (expansion.T @ trace_form % q @ expansion) % q
     dual = (expansion @ fq_inv(gram, q)) % q  # T is symmetric, so is T^-1
-    scale = xi.frobenius(m - k)
-    return Basis(scale * FF2n(ctx, dual[:, j].copy()) for j in range(m))
+    return Basis(ctx.unpack(ctx.mul(xi.frobenius(m - k).coeffs, dual.T)))
 
 
-def _twisted_rows(elems, gamma: FF2n, powers) -> list:
-    """The rows e^(q^i) and gamma e^(q^i) over elems, for each i in powers."""
-    rows = []
-    for i in powers:
-        row = [e.frobenius(i) for e in elems]
-        rows += [row, [gamma * e for e in row]]
-    return rows
+def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.ndarray:
+    """The packed rows e^(q^i) and gamma e^(q^i) over elems, for each i in powers."""
+    rows = ctx.frob(elems, np.array(powers, dtype=np.int64)[:, None])
+    return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
 
 
-def _generator_rows(points, gamma: FF2n, k: int) -> list:
-    """x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at points."""
-    points = list(points)
-    return ([points] + _twisted_rows(points, gamma, range(1, k))
-            + [[gamma * e.frobenius(k) for e in points]])
+def _generator_rows(ctx: FieldCtx, points, gamma: FF2n, k: int) -> np.ndarray:
+    """x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), packed at points."""
+    points = ctx.pack(points)
+    last = ctx.mul(gamma.coeffs, ctx.frob(points, k))
+    return np.concatenate([points[None], _twisted_rows(ctx, points, gamma, range(1, k)),
+                           last[None]])
 
 
 class TZCode:
@@ -132,12 +132,13 @@ class TZCode:
         self.min_distance = m - k + 1
         self.radius = (m - k) // 2
 
-        self.G = _generator_rows(lam, gamma, k)
-        mu_elems = list(mu)
-        gamma_2nk = gamma.frobenius(m - k)
-        self.H = ([[gamma_2nk * e for e in mu_elems]]
-                  + _twisted_rows(mu_elems, gamma, range(k + 1, m))
-                  + [[e.frobenius(k) for e in mu_elems]])
+        self.G = _generator_rows(ctx, lam, gamma, k)
+        mu_elems = ctx.pack(mu)
+        self.H = np.concatenate([
+            ctx.mul(gamma.frobenius(m - k).coeffs, mu_elems)[None],
+            _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
+            ctx.frob(mu_elems, k)[None],
+        ])
 
         # mu^(q^k) by columns, which plants the locators d = B mu^(q^k), and
         # coordinates in that basis, which rebuild B from the locators
@@ -145,11 +146,12 @@ class TZCode:
         self.mu_k_coords = fq_inv(self.mu_k, q)
 
         # the code as one F_q map: row i*n + j holds the coefficients of the
-        # codeword of the message with subfield_basis[j] at entry i, zero elsewhere
-        self._enc_mat = np.stack([
-            np.concatenate([(b * g).coeffs for g in row])
-            for row in self.G for b in ctx.subfield_basis
-        ])
+        # codeword of the message with subfield_basis[j] at entry i, zero
+        # elsewhere: G's row i through the multiplication matrix of that basis
+        # element, which every entry of G shares
+        by_basis = ctx.mul_matrix(ctx.pack(ctx.subfield_basis))
+        self._enc_mat = ((self.G[:, None] @ by_basis[None]) % q).reshape(
+            2 * k * ctx.n, m * m)
         eye = np.eye(self._enc_mat.shape[0], dtype=np.int64)
         self.msg_left_inverse = fq_solve(self._enc_mat, eye, q)
 
@@ -165,9 +167,11 @@ class TZCode:
         if len(msg) != 2 * self.k:
             raise MessageNotInSubfield(f"message needs {2 * self.k} entries, got {len(msg)}")
         self.check_context(msg)
-        for e in msg:
-            if not self.ctx.in_subfield(e):
-                raise MessageNotInSubfield(f"entry {e!r} is not fixed by the q^n power map")
+        packed = self.ctx.pack(msg)
+        moved = (self.ctx.frob(packed, self.ctx.n) != packed).any(axis=1)
+        if moved.any():
+            bad = msg[int(np.argmax(moved))]
+            raise MessageNotInSubfield(f"entry {bad!r} is not fixed by the q^n power map")
         return msg
 
     def encode(self, msg) -> tuple:
@@ -203,13 +207,18 @@ class TZCode:
         )
 
 
+def gh_product(code: TZCode) -> np.ndarray:
+    """G H^T, packed: row i is the syndrome H g_i of G's row i."""
+    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G])
+
+
 def _check_gh_structure(code: TZCode):
     """G H^T is zero but for (gamma xi)^(q^(2n-k)) and gamma xi at its two corners."""
     ctx = code.ctx
-    expected = [[ctx.zero] * len(code.H) for _ in code.G]
-    expected[0][0] = (code.gamma * code.xi).frobenius(ctx.m - code.k)
-    expected[-1][-1] = code.gamma * code.xi
-    if ff_mat_mul(code.G, ff_transpose(code.H)) != expected:
+    expected = np.zeros((len(code.G), len(code.H), ctx.m), dtype=np.int64)
+    expected[-1, -1] = (code.gamma * code.xi).coeffs
+    expected[0, 0] = ctx.frob(expected[-1, -1], ctx.m - code.k)
+    if not np.array_equal(gh_product(code), expected):
         raise InvalidParameter("generator/parity-check product violates its structure")
 
 
@@ -254,6 +263,6 @@ def punctured_generator(code: TZCode, points):
     ell = len(points)
     if not code.k <= ell <= ctx.m:
         raise InvalidParameter(f"need k <= #points <= 2n, got {ell}")
-    if ff_rank(qvan(points, ell)) != ell:
+    if ff_rank(qvan(points, ell), ctx) != ell:
         raise DependentEvaluationPoints("evaluation points are F_q-dependent")
-    return _generator_rows(points, code.gamma, code.k)
+    return _generator_rows(ctx, points, code.gamma, code.k)

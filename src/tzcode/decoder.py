@@ -14,6 +14,13 @@ row and the matrix is augmented with relative-trace rows (S_exp), which
 pins the solution space back to dimension one provided the error entries
 lie in the subfield of linearity.
 
+Every stage works on packed arrays (field.py): the syndrome is a
+(4n-2k, 2n) array, the syndrome matrices and the locator system are
+(rows, cols, 2n) arrays built by gathering syndrome entries and applying
+their Frobenius powers in one batched matmul, and linalg eliminates them
+one numpy step per pivot.  FF2n appears only where decode hands results
+back: the span polynomial, its roots and the corrected word.
+
 Decoding failures are returned as values, never raised.
 """
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from .construct import TZCode
 from .errors import LocatorSystemInconsistent, NoSolution, NotACodeword, SpanDimMismatch
 from .field import FF2n, rank_weight
-from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve
+from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve, _packed
 from .linpoly import LinPoly, root_space
 
 __all__ = [
@@ -83,37 +90,41 @@ class DecodeOutcome:
         return cls(False, failure_reason=reason)
 
 
-def syndrome(code: TZCode, r) -> tuple:
-    """s = r H^T; entrywise relative trace vanishes exactly on codewords."""
-    return tuple(ff_mat_vec(code.H, list(r)))
+def syndrome(code: TZCode, r) -> np.ndarray:
+    """s = r H^T, packed; entrywise relative trace vanishes exactly on codewords."""
+    return ff_mat_vec(code.H, r, code.ctx)
 
 
-def syndrome_traces(code: TZCode, s) -> tuple:
-    return tuple(code.ctx.trace_rel(x) for x in s)
+def syndrome_traces(code: TZCode, s) -> np.ndarray:
+    return code.ctx.trace(s)
 
 
-def build_S(code: TZCode, s, u: int):
-    """The u x (u+1) shifted syndrome matrix over the odd-index entries."""
+def _shifted(ctx, s, top: int, rows, cols: int) -> np.ndarray:
+    """Rows j of s[2 (top + j - c) - 1]^(q^c), c < cols: the q-Toeplitz shape of S^(u)."""
+    c = np.arange(cols)
+    idx = 2 * (top + np.asarray(rows, dtype=np.int64)[:, None] - c) - 1
+    return ctx.frob(s[idx], c)
+
+
+def build_S(code: TZCode, s, u: int) -> np.ndarray:
+    """The packed u x (u+1) shifted syndrome matrix over the odd-index entries."""
     m, k = code.ctx.m, code.k
     if not 1 <= u <= (m - (k + 1)) // 2:
         raise IndexError(f"u must satisfy 1 <= u <= {(m - (k + 1)) // 2}, got {u}")
-    return [
-        [s[2 * (u + 1 + j - c) - 1].frobenius(c) for c in range(u + 1)]
-        for j in range(u)
-    ]
+    return _shifted(code.ctx, s, u + 1, range(u), u + 1)
 
 
 def estimate_rank(code: TZCode, s):
     """Largest u with S^(u) of full rank, scanning downwards; None if no u fits."""
     u_max = (code.ctx.m - (code.k + 1)) // 2
     for u in range(u_max, 0, -1):
-        if ff_rank(build_S(code, s, u)) == u:
+        if ff_rank(build_S(code, s, u), code.ctx) == u:
             return u
     return None
 
 
-def build_S_exp(code: TZCode, s):
-    """Trace-augmented 2t x (t+1) span system for the boundary rank t = n - k/2.
+def build_S_exp(code: TZCode, s) -> np.ndarray:
+    """Packed trace-augmented 2t x (t+1) span system for the boundary rank t = n - k/2.
 
     Rows: the t-1 plain shifted rows, then the trace rows.  The trace row at
     shift 0 borrows the final syndrome entry (whose message part dies under
@@ -128,64 +139,50 @@ def build_S_exp(code: TZCode, s):
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
     st = syndrome_traces(code, s)
-    rows = []
-    for j in range(1, t):
-        rows.append([s[2 * (t + j - c) - 1].frobenius(c) for c in range(t + 1)])
-    row = [st[2 * (t - c) - 1].frobenius(c) for c in range(t)]
-    row.append(st[4 * t - 1].frobenius(t))
-    rows.append(row)
-    for j in range(1, t):
-        rows.append([st[2 * (t + j - c) - 1].frobenius(c) for c in range(t + 1)])
-    g2t = code.gamma.frobenius(2 * t)
-    row = [st[0]]
-    for c in range(1, t + 1):
-        row.append(ctx.trace_rel(g2t * s[2 * (2 * t - c) - 1].frobenius(c)))
-    rows.append(row)
-    return rows
+    trace_rows = _shifted(ctx, st, t, range(t), t + 1)
+    trace_rows[0, t] = ctx.frob(st[4 * t - 1], t)  # the final entry, not an odd shift
+    g2t = ctx.frob(code.gamma.coeffs, 2 * t)
+    twisted = ctx.mul(g2t, _shifted(ctx, s, 2 * t, [0], t + 1)[0, 1:])
+    last = np.concatenate([st[:1], ctx.trace(twisted)])
+    return np.concatenate([_shifted(ctx, s, t, range(1, t), t + 1), trace_rows, last[None]])
 
 
-def solve_span(S) -> LinPoly:
+def solve_span(S, ctx=None) -> LinPoly:
     """Span-polynomial coefficients from a one-dimensional kernel.
 
     The kernel vector is scaled so its last entry is 1; anything other than
     a one-dimensional kernel with invertible top coefficient is rejected.
     """
-    kernel = ff_kernel(S)
+    ctx, S = _packed(S, ctx)
+    kernel = ff_kernel(S, ctx)
     if len(kernel) != 1:
         raise SpanDimMismatch(f"kernel dimension {len(kernel)}, expected 1", len(kernel))
     vec = kernel[0]
-    top = vec[-1]
-    if top.is_zero():
+    if not vec[-1].any():
         raise SpanDimMismatch("kernel vector has zero top coefficient", 1)
-    inv = top.inverse()
-    ctx = vec[0].ctx
-    return LinPoly(ctx, [c * inv for c in vec])
+    return LinPoly(ctx, ctx.unpack(ctx.mul(vec, ctx.inv(vec[-1]))))
 
 
-def solve_locators(code: TZCode, a, s):
-    """The locator vector d solving the inverse-Frobenius Moore system.
+def solve_locators(code: TZCode, a, s) -> np.ndarray:
+    """The packed locator vector d solving the inverse-Frobenius Moore system.
 
     Row i pairs a^(q^-i) against s_(2i-1)^(q^-i); with independent a the
     coefficient matrix has full column rank, so the solution is unique, and
     inconsistency means the span estimate was wrong.
     """
     ctx = code.ctx
-    a = list(a)
-    rows = []
-    rhs = []
-    for i in range(1, ctx.m - code.k):
-        rows.append([x.frobenius(-i) for x in a])
-        rhs.append(s[2 * i - 1].frobenius(-i))
+    powers = -np.arange(1, ctx.m - code.k)[:, None]
+    rows = ctx.frob(ctx.pack(a)[None], powers)
+    rhs = ctx.frob(s[1 : 2 * (ctx.m - code.k) - 1 : 2], powers[:, 0])
     try:
-        return ff_solve(rows, rhs)
+        return ff_solve(rows, rhs, ctx)
     except NoSolution:
         raise LocatorSystemInconsistent("locator system has no solution") from None
 
 
 def recover_B(code: TZCode, d) -> np.ndarray:
     """Row l holds the coordinates of d_l in the basis mu^(q^k)."""
-    rows = [(code.mu_k_coords @ x.coeffs) % code.ctx.q for x in d]
-    return np.stack(rows) if rows else np.zeros((0, code.ctx.m), dtype=np.int64)
+    return (code.ctx.pack(d) @ code.mu_k_coords.T) % code.ctx.q
 
 
 def error_from_decomposition(a, B) -> tuple:
@@ -236,7 +233,7 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         raise ValueError(f"received word must have length {code.length}")
     code.check_context(r)
     s = syndrome(code, r)
-    if all(ctx.trace_rel(x).is_zero() for x in s):
+    if not syndrome_traces(code, s).any():
         zero_err = tuple(ctx.zero for _ in range(code.length))
         return DecodeOutcome.ok(r, zero_err, code.unmap(r), 0)
 
@@ -245,7 +242,7 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         # line: one elimination inside solve_span answers both questions.  A
         # rank other than t leaves reason None and falls through in both modes.
         try:
-            span = solve_span(build_S_exp(code, s))
+            span = solve_span(build_S_exp(code, s), ctx)
             reason = None
         except SpanDimMismatch as exc:
             span = None
@@ -265,7 +262,7 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
     if t is None:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     try:
-        span = solve_span(build_S(code, s, t))
+        span = solve_span(build_S(code, s, t), ctx)
     except SpanDimMismatch:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
     return _finish(code, r, s, span, t)

@@ -3,20 +3,35 @@
 An element of F_{q^2n} is a length-2n coefficient vector over F_q in the
 power basis of alpha, where alpha is a root of the defining modulus f, a
 monic irreducible polynomial of degree 2n over F_q.  Coefficient index i
-holds the coefficient of alpha^i.  Vectors are stored as read-only numpy
-int64 arrays with entries reduced into [0, q).
+holds the coefficient of alpha^i, reduced into [0, q).
 
-All polynomial arithmetic mod f goes through one reduction table, the rows
-x^d mod f for d <= 4n-2: a product is a convolution folded through it.
-The same table serves the Rabin irreducibility test of each candidate
-modulus.  The Frobenius map a -> a^q is the 2n x 2n matrix whose columns
-are (x^q)^j, with x^q mod f found by square-and-multiply; it and its
-powers are applied as single matrix-vector products, never by field
-exponentiation.  Inversion is Itoh-Tsujii: the conorm
-b = a^(q + ... + q^(2n-1)) comes from an addition chain of about
-2 log2(2n) products, N(a) = a b lies in F_q, and a^-1 = b N(a)^-1; the
-absolute norm is the same a b.  Every fold stays exact in int64 only
-while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first.
+Inside the library a vector or matrix over F_{q^2n} is one packed int64
+array of shape (..., 2n); FF2n is the scalar view the public API hands out
+and takes back, and FieldCtx.pack / unpack convert between the two.  The
+FieldCtx kernels broadcast over the leading axes:
+
+* mul: stacked convolution (each a against the Toeplitz blocks of b, one
+  batched matmul), then a fold through the reduction table, the rows
+  x^d mod f for d <= 4n-2;
+* outer: all products a_i b_j, one matmul against the Toeplitz blocks of b
+  shared by every a_i, then the fold;
+* mul_matrix: the 2n x 2n matrix of multiplication by an element, worth
+  building only when one factor meets a whole row of others;
+* frob: a^(q^i) as one matmul with the stacked Frobenius powers, whose
+  columns are (x^q)^j with x^q mod f found by square-and-multiply;
+* inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
+  addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
+  a^-1 = b N(a)^-1; the absolute norm is the same a b.
+
+The reduction table also serves the Rabin irreducibility test of each
+candidate modulus.  Every fold stays exact in int64 only while
+2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; every
+kernel keeps its running sums inside that bound by reducing mod q before
+it sums further.  The kernels compute in the dtype they are given.  Long
+eliminations and large products pass float64 instead (FieldCtx._work)
+whenever the bound times q stays below 2^53: every value is then an exact
+integer, and BLAS multiplies float64 matrices many times faster than numpy
+multiplies int64 ones.
 """
 
 from __future__ import annotations
@@ -85,6 +100,32 @@ def _reduction_table(q, modulus) -> np.ndarray:
     return red
 
 
+def _toeplitz(b) -> np.ndarray:
+    """(..., m, 2m-1) Toeplitz blocks of a (..., m) array: [j, d] = b_(d-j).
+
+    Row j holds the coefficients of b x^j before reduction, so a convolution
+    a * b is a @ _toeplitz(b), and many products against one b share it.
+    The blocks are a strided view of one padded copy of b.
+    """
+    m = b.shape[-1]
+    pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
+    # windows over the zero-padded reversal r of b: [j, e] = r_(j+e) = b_(2m-2-e-j)
+    r = np.concatenate([pad, b[..., ::-1], pad], axis=-1)
+    step = r.itemsize
+    windows = np.ndarray(b.shape[:-1] + (m, 2 * m - 1), b.dtype, r, 0,
+                         r.strides[:-1] + (step, step))
+    return windows[..., ::-1]
+
+
+def _convolve(a, b) -> np.ndarray:
+    """Raw products of two broadcasting (..., m) coefficient arrays, length 2m-1."""
+    if a.ndim == b.ndim == 1:
+        return np.convolve(a, b)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return (a[..., None, :] @ _toeplitz(b))[..., 0, :]
+
+
 def _rabin(q, coeffs):
     """Rabin test of a monic polynomial of degree m >= 2 over F_q.
 
@@ -103,7 +144,7 @@ def _rabin(q, coeffs):
     red = _reduction_table(q, coeffs)
 
     def mul(a, b):
-        return (np.convolve(a, b) @ red) % q
+        return (_convolve(a, b) @ red) % q
 
     x = red[1]
     xq = x
@@ -155,13 +196,18 @@ class FieldCtx:
     def __init__(self, q: int, n: int, modulus=None):
         if n < 1:
             raise InvalidParameter(f"n must be positive, got {n}")
-        # _mul folds a raw product c = a*b (entries < q) through the table:
+        # mul folds a raw product c = a*b (entries < q) through the table:
         # with m = 2n, c_d sums at most min(d+1, 2m-1-d) terms below (q-1)^2;
         # output i takes c_i itself (d < m, at most m (q-1)^2) plus
         # c_d * (x^d mod f)_i for d = m .. 2m-2, at most
         # (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  All of it stays in int64
-        # only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63.
-        if 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3 >= 2**63:
+        # only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63.  For q >= 3 that sum is
+        # at least m^2 (q-1)^2, so any sum of m^2 products of two reduced
+        # entries is safe too: the matrix kernels (a row against m x m
+        # multiplication or Frobenius matrices, 2n products of 2n terms in a
+        # matrix-vector convolution) reduce mod q before they sum further.
+        bound = 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
+        if bound >= 2**63:
             raise InvalidParameter(f"q={q}, n={n} overflows int64 field arithmetic")
         if not _is_prime(q) or q == 2:
             raise UnsupportedCharacteristic(f"q must be an odd prime, got {q}")
@@ -183,7 +229,16 @@ class FieldCtx:
         pows = [np.eye(m, dtype=np.int64)]
         for _ in range(m - 1):
             pows.append((frob @ pows[-1]) % q)
-        self._frob_pows = pows
+        # _frob_pows[i] maps coefficient columns to those of a^(q^i); its
+        # transpose maps the rows of a packed array
+        self._frob_pows = np.stack(pows)
+        self._frob_rows = self._frob_pows.transpose(0, 2, 1)
+        # Below 2^53 every integer is exact in float64, and BLAS multiplies
+        # float64 matrices many times faster than numpy multiplies int64 ones;
+        # below 2^53 / q, floor(x / q) is exact too (_mod).  So long
+        # eliminations and large products run in float64 whenever the bound
+        # allows; the kernels compute in the dtype they are given.
+        self._work = np.dtype(np.float64 if bound * q < 2**53 else np.int64)
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
         self.one = FF2n(self, self._red[0].copy())
@@ -234,19 +289,19 @@ class FieldCtx:
 
     def frobenius(self, a: "FF2n", i: int) -> "FF2n":
         """a^(q^i), i reduced mod 2n; negative i inverts the map."""
-        return FF2n(self, (self._frob_pows[i % self.m] @ a.coeffs) % self.q)
+        return FF2n(self, self.frob(a.coeffs, i))
 
     def trace_rel(self, a: "FF2n") -> "FF2n":
         """Relative trace onto F_{q^n}: a + a^(q^n)."""
-        return FF2n(self, (a.coeffs + (self._frob_pows[self.n] @ a.coeffs)) % self.q)
+        return FF2n(self, self.trace(a.coeffs))
 
     def norm_abs(self, a: "FF2n") -> "FF2n":
         """Absolute norm onto F_q: a times its conorm, the other 2n-1 Frobenius images."""
-        return FF2n(self, self._mul(a.coeffs, self._conorm(a.coeffs)))
+        return FF2n(self, self.mul(a.coeffs, self._conorm(a.coeffs)))
 
     def in_subfield(self, a: "FF2n") -> bool:
         """Membership in F_{q^n}, tested as a^(q^n) == a."""
-        return np.array_equal((self._frob_pows[self.n] @ a.coeffs) % self.q, a.coeffs)
+        return np.array_equal(self.frob(a.coeffs, self.n), a.coeffs)
 
     def subfield_elements(self, digits) -> tuple:
         """Elements sum_j d_j subfield_basis[j], one per row of a (..., n) digit array."""
@@ -268,36 +323,109 @@ class FieldCtx:
             self._power_basis = Basis(FF2n(self, x_d.copy()) for x_d in self._red[: self.m])
         return self._power_basis
 
-    # -- raw coefficient arithmetic --------------------------------------------
+    # -- packed arithmetic: (..., 2n) arrays, broadcasting over leading axes ----
 
-    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        conv = np.convolve(a, b)
-        return (conv @ self._red[: conv.shape[0]]) % self.q
+    def pack(self, elems) -> np.ndarray:
+        """The (..., 2n) array of an element or a nested sequence of elements.
+
+        An array passes through unchanged.
+        """
+        if isinstance(elems, np.ndarray):
+            return elems
+        if isinstance(elems, FF2n):
+            return elems.coeffs
+        parts = [self.pack(e) for e in elems]
+        return np.stack(parts) if parts else np.zeros((0, self.m), dtype=np.int64)
+
+    def unpack(self, arr):
+        """The elements of a (..., 2n) array, as nested tuples of FF2n."""
+        def build(x):
+            return FF2n(self, x) if x.ndim == 1 else tuple(build(y) for y in x)
+
+        return build(np.array(arr, dtype=np.int64))  # the elements own this copy
+
+    def _mod(self, x: np.ndarray) -> np.ndarray:
+        """x mod q entrywise, for int64 or for work-dtype x below the fold bound.
+
+        A float x is overwritten.
+        """
+        if x.dtype.kind != "f":
+            return x % self.q
+        floor = np.floor(x / self.q)
+        floor *= self.q
+        x -= floor
+        return x
+
+    def _dot(self, a: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
+        """a @ b, mod q unless reduce is False; exact while its sums stay within the fold bound.
+
+        A stack of rows against one matrix is a single matrix product.
+        """
+        if b.ndim == 2 and a.ndim > 2:
+            out = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+        else:
+            out = a @ b
+        return self._mod(out) if reduce else out
+
+    def fold(self, conv: np.ndarray) -> np.ndarray:
+        """Reduce (..., 4n-1) raw products, each no larger than one product's, mod f."""
+        return self._dot(conv, self._red)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise products of two broadcasting packed arrays."""
+        return self.fold(_convolve(a, b))
+
+    def outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The (len a, len b, 2n) products a_i b_j of two packed vectors.
+
+        One matmul against b's Toeplitz blocks, shared by every a_i, then the fold.
+        """
+        blocks = _toeplitz(b).transpose(1, 0, 2).reshape(self.m, -1)
+        return self.fold(self._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
+
+    def mul_matrix(self, a: np.ndarray) -> np.ndarray:
+        """(..., 2n, 2n) matrices M with v @ M = a v, one per entry of a.
+
+        Row k is a x^k: the Toeplitz block row k, folded.
+        """
+        return self.fold(_toeplitz(a))
+
+    def frob(self, a: np.ndarray, i) -> np.ndarray:
+        """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries."""
+        rows = self._frob_rows[i % self.m]
+        if rows.ndim == 2:
+            return self._dot(a, rows)
+        return self._dot(a[..., None, :], rows)[..., 0, :]
+
+    def trace(self, a: np.ndarray) -> np.ndarray:
+        """Relative trace onto F_{q^n} entrywise: a + a^(q^n)."""
+        return self._mod(a + self._dot(a, self._frob_rows[self.n]))
 
     def _conorm(self, a: np.ndarray) -> np.ndarray:
-        """a^(q + q^2 + ... + q^(2n-1)), by the Itoh-Tsujii addition chain.
+        """a^(q + q^2 + ... + q^(2n-1)) entrywise, by the Itoh-Tsujii addition chain.
 
         With e_j = 1 + q + ... + q^(j-1), x = a^(e_j) steps to a^(e_2j) as
         x * x^(q^j) and to a^(e_(j+1)) as a * x^q, following the bits of 2n-1;
-        about 2 log2(2n) products and as many Frobenius matrix-vector products.
+        about 2 log2(2n) products and as many Frobenius maps.
         """
-        q, pows = self.q, self._frob_pows
         x, j = a, 1
         for bit in bin(self.m - 1)[3:]:
-            x = self._mul(x, (pows[j] @ x) % q)
+            x = self.mul(x, self.frob(x, j))
             j *= 2
             if bit == "1":
-                x = self._mul(a, (pows[1] @ x) % q)
+                x = self.mul(a, self.frob(x, 1))
                 j += 1
-        return (pows[1] @ x) % q
+        return self.frob(x, 1)
 
-    def _inv(self, a: np.ndarray) -> np.ndarray:
-        """a^-1 = b / N(a), b the conorm: N(a) = a b lies in F_q."""
-        if not a.any():
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q."""
+        if not a.any(axis=-1).all():
             raise DivisionByZero("inverse of zero")
+        from .linalg import fq_reciprocal  # local import avoids a cycle
+
         b = self._conorm(a)
-        norm = int(self._mul(a, b)[0])
-        return (b * pow(norm, self.q - 2, self.q)) % self.q
+        norm = self.mul(a, b)[..., :1]
+        return self._mod(b * fq_reciprocal(norm, self.q))
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"
@@ -337,13 +465,13 @@ class FF2n:
         return FF2n(self.ctx, (-self.coeffs) % self.ctx.q)
 
     def __mul__(self, other: "FF2n") -> "FF2n":
-        return FF2n(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+        return FF2n(self.ctx, self.ctx.mul(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FF2n") -> "FF2n":
-        return FF2n(self.ctx, self.ctx._mul(self.coeffs, self.ctx._inv(other.coeffs)))
+        return FF2n(self.ctx, self.ctx.mul(self.coeffs, self.ctx.inv(other.coeffs)))
 
     def inverse(self) -> "FF2n":
-        return FF2n(self.ctx, self.ctx._inv(self.coeffs))
+        return FF2n(self.ctx, self.ctx.inv(self.coeffs))
 
     def __pow__(self, e: int) -> "FF2n":
         """Square-and-multiply exponentiation; negative e inverts first."""
@@ -446,15 +574,13 @@ class Basis:
 # derived constructions
 # ---------------------------------------------------------------------------
 
-def qvan(a, s: int):
-    """The s x len(a) Moore matrix: row i is the entrywise q^i power of a."""
+def qvan(a, s: int) -> np.ndarray:
+    """The packed s x len(a) Moore matrix: row i is the entrywise q^i power of a."""
     if s < 1:
         raise InvalidParameter("Moore matrix needs at least one row")
     a = list(a)
-    rows = [a]
-    for _ in range(s - 1):
-        rows.append([x.frobenius(1) for x in rows[-1]])
-    return rows
+    ctx = a[0].ctx
+    return ctx.frob(ctx.pack(a), np.arange(s)[:, None])
 
 
 def ext(x, basis: Basis) -> np.ndarray:

@@ -1,27 +1,42 @@
 """Dense exact linear algebra over F_{q^2n} and over F_q.
 
-Extension-field matrices are plain lists of lists of FF2n; base-field
-matrices are numpy int64 arrays reduced mod q.  Elimination is plain
-Gaussian with deterministic pivoting: columns scanned left to right, the
-pivot is the first nonzero entry scanning rows top-down, pivots are
-normalized to 1.  Kernels come back in reduced-echelon order so callers
-get reproducible bases.
+A matrix over F_{q^2n} is a packed int64 array of shape (rows, cols, 2n)
+(field.py); the F_{q^2n} entry points also take nested lists of FF2n and
+then read the field off the entries.  A matrix over F_q is an int64 array
+reduced mod q.
+
+Both fields share one convention: columns are scanned left to right, the
+pivot is the first nonzero entry scanning rows top-down, and the result is
+the unique reduced row echelon form with pivots 1, so kernels come back as
+the standard reduced-echelon basis ordered by ascending free column.
+
+Over F_q each pivot is one numpy step: the pivot row is scaled by a
+reciprocal read from a table, then the pivot column is cleared from column
+c onward.  Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one
+numpy step per pivot: every row becomes p row - f pivot_row, with p the
+pivot and f the row's entry in the pivot column.  p row goes through p's
+multiplication matrix, built once for the whole matrix, and f pivot_row is
+one batched product.  No inverse is taken per pivot; one batched inverse
+of the pivots normalises the rows at the end, which gives the same unique
+reduced form.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NoSolution, SingularMatrix
+from .field import FF2n, _toeplitz
 
 __all__ = [
-    "ff_mat_mul",
     "ff_mat_vec",
-    "ff_transpose",
     "ff_rref",
     "ff_rank",
     "ff_kernel",
     "ff_solve",
+    "fq_reciprocal",
     "fq_rref",
     "fq_rank",
     "fq_kernel",
@@ -32,112 +47,112 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# matrices over F_{q^2n}
+# matrices over F_{q^2n}, packed (rows, cols, 2n)
 # ---------------------------------------------------------------------------
 
-def ff_transpose(mat):
-    return [list(col) for col in zip(*mat)]
+def _packed(a, ctx):
+    """(ctx, packed array) from a packed array and its field, or from nested FF2n."""
+    if ctx is None:
+        if isinstance(a, np.ndarray):
+            raise TypeError("a packed matrix needs its FieldCtx")
+        first = a
+        while not isinstance(first, FF2n):
+            first = first[0]
+        ctx = first.ctx
+    return ctx, ctx.pack(a)
 
 
-def ff_mat_mul(a, b):
-    bt = ff_transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
+    """The packed vector a v.
+
+    Column i of a meets the Toeplitz block of v_i in one matmul, and the
+    raw products are folded once at the end.  Each column adds at most 2n
+    products of reduced entries, so the running sum is reduced every 2n
+    columns to stay inside FieldCtx's bound.
+    """
+    ctx, a = _packed(a, ctx)
+    v = ctx.pack(v)
+    w, m = ctx._work, ctx.m
+    conv = np.zeros((a.shape[0], 2 * m - 1), dtype=w)
+    for i in range(a.shape[1]):
+        conv += a[:, i].astype(w) @ _toeplitz(v[i].astype(w))
+        if i % m == m - 1:
+            conv = ctx._mod(conv)
+    return ctx.fold(conv).astype(np.int64)
 
 
-def ff_mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return out
+def _eliminate(ctx, a):
+    """Fraction-free Gauss-Jordan on a copy of a packed matrix.
 
-
-def ff_rref(mat):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    Returns the eliminated matrix, whose pivot rows still carry their
+    pivots rather than ones, and the pivot columns.
+    """
+    a = a.astype(ctx._work)  # a copy, exact in the work dtype (FieldCtx)
+    rows, cols = a.shape[:2]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
             break
-    return rows, pivots
+        nz = np.flatnonzero(a[r:, c].any(axis=1))
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        f = a[:, c].copy()
+        f[r] = 0
+        pivot_row = a[r, c:].copy()
+        # every row becomes p row - f pivot_row; the pivot row is zero left of c
+        a = ctx._dot(a, ctx.mul_matrix(pivot_row[0]), reduce=False)
+        a[:, c:] -= ctx.outer(f, pivot_row)
+        a = ctx._mod(a)
+        pivots.append(c)
+    return a.astype(np.int64), pivots
 
 
-def ff_rank(mat) -> int:
-    _, pivots = ff_rref(mat)
-    return len(pivots)
+def ff_rref(a, ctx=None):
+    """Reduced row echelon form; returns (packed rows, pivot column indices)."""
+    ctx, a = _packed(a, ctx)
+    a, pivots = _eliminate(ctx, a)
+    if pivots:
+        r = len(pivots)
+        a[:r] = ctx.mul(a[:r], ctx.inv(a[np.arange(r), pivots])[:, None])
+    return a, pivots
 
 
-def ff_kernel(mat):
-    """Basis of the right null space, one list per basis vector.
+def ff_rank(a, ctx=None) -> int:
+    ctx, a = _packed(a, ctx)
+    return len(_eliminate(ctx, a)[1])
 
-    Vectors are the standard reduced-echelon kernel basis, ordered by
+
+def ff_kernel(a, ctx=None) -> np.ndarray:
+    """Packed (dim, cols) basis of the right null space.
+
+    Rows are the standard reduced-echelon kernel basis, ordered by
     ascending free column.
     """
-    rows = [list(r) for r in mat]
-    if not rows:
-        return []
-    ctx = rows[0][0].ctx
-    ncols = len(rows[0])
-    rref, pivots = ff_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ctx.zero] * ncols
-        vec[f] = ctx.one
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
+    ctx, a = _packed(a, ctx)
+    cols = a.shape[1]
+    rref, pivots = ff_rref(a, ctx)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols, ctx.m), dtype=np.int64)
+    basis[np.arange(len(free)), free, 0] = 1
+    basis[:, pivots] = (-rref[: len(pivots), free].swapaxes(0, 1)) % ctx.q
     return basis
 
 
-def ff_solve(mat, rhs):
-    """One solution of mat x = rhs with free variables set to zero.
+def ff_solve(a, rhs, ctx=None) -> np.ndarray:
+    """One packed solution of a x = rhs with free variables set to zero.
 
     Raises NoSolution when the system is inconsistent.
     """
-    rows = [list(r) + [b] for r, b in zip(mat, rhs)]
-    ncols = len(mat[0])
-    rref, pivots = ff_rref(rows)
-    ctx = mat[0][0].ctx
-    for r in range(len(rref)):
-        if all(rref[r][c].is_zero() for c in range(ncols)) and not rref[r][ncols].is_zero():
-            raise NoSolution("inconsistent linear system")
-    sol = [ctx.zero] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            raise NoSolution("inconsistent linear system")
-        sol[p] = rref[r][ncols]
+    ctx, a = _packed(a, ctx)
+    ncols = a.shape[1]
+    rref, pivots = ff_rref(np.concatenate([a, ctx.pack(rhs)[:, None]], axis=1), ctx)
+    if pivots and pivots[-1] == ncols:
+        raise NoSolution("inconsistent linear system")
+    sol = np.zeros((ncols, ctx.m), dtype=np.int64)
+    sol[pivots] = rref[: len(pivots), ncols]
     return sol
 
 
@@ -145,21 +160,24 @@ def ff_solve(mat, rhs):
 # matrices over F_q (numpy, entries in [0, q))
 # ---------------------------------------------------------------------------
 
-_inv_tables: dict[int, np.ndarray] = {}
+def fq_reciprocal(x, q: int) -> np.ndarray:
+    """x^(q-2) entrywise by square-and-multiply: the inverse of nonzero x, and 0 at 0."""
+    base = np.asarray(x, dtype=np.int64) % q
+    out, e = np.ones_like(base), q - 2
+    while e:
+        if e & 1:
+            out = (out * base) % q
+        base = (base * base) % q
+        e >>= 1
+    return out
 
 
+@functools.lru_cache(maxsize=8)
 def _inv_table(q: int) -> np.ndarray:
-    tab = _inv_tables.get(q)
-    if tab is None:
-        # i^(q-2) for every i at once, by square-and-multiply; 0 maps to 0
-        base, tab, e = np.arange(q, dtype=np.int64), np.ones(q, dtype=np.int64), q - 2
-        while e:
-            if e & 1:
-                tab = (tab * base) % q
-            base = (base * base) % q
-            e >>= 1
-        _inv_tables[q] = tab
-    return tab
+    """Reciprocals of 0 .. q-1, read-only; the cache keeps the last 8 fields' tables."""
+    table = fq_reciprocal(np.arange(q), q)
+    table.setflags(write=False)
+    return table
 
 
 def fq_rref(a, q):
@@ -175,11 +193,12 @@ def fq_rref(a, q):
         i = r + nz[0]
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv[a[r, c]]) % q
+        # the pivot row is zero left of c, so only columns c onward change
+        a[r, c:] = (a[r, c:] * inv[a[r, c]]) % q
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
         pivots.append(c)
         r += 1
         if r == rows:

@@ -7,7 +7,9 @@ degree stays below 2n since x^(q^2n) = x on the field.
 
 from __future__ import annotations
 
-from .field import FF2n, Basis, ext
+import numpy as np
+
+from .field import FF2n, Basis
 from .linalg import fq_kernel
 
 __all__ = ["LinPoly", "root_space"]
@@ -54,13 +56,20 @@ class LinPoly:
 def root_space(f: LinPoly, basis: Basis | None = None):
     """Echelon-canonical F_q-basis of the kernel of f.
 
-    Solves the 2n x 2n base-field system given by expanding the images of a
-    basis; the result size is bounded by the q-degree of f.
+    f acts on coefficient rows as the F_q matrix whose row k is f(x^k), one
+    batched product of its coefficients with the Frobenius images of the
+    power basis; the kernel is then a 2n x 2n base-field system in the
+    coordinates of the basis, and its size is bounded by the q-degree of f.
     """
     ctx = f.ctx
     if basis is None:
         basis = ctx.power_basis
-    images = [f.evaluate(b) for b in basis]
-    mat = ext(images, basis)
-    kernel_rows = fq_kernel(mat, ctx.q)
-    return [basis.from_coords(row) for row in kernel_rows]
+    q = ctx.q
+    coeffs = ctx.pack(f.coeffs)
+    # row k of action is f(x^k) = sum_i f_i (x^k)^(q^i), so x @ action = f(x)
+    powers = np.arange(len(coeffs))[:, None]
+    identity = np.eye(ctx.m, dtype=np.int64)
+    action = ctx.mul(coeffs[:, None], ctx.frob(identity, powers)).sum(axis=0) % q
+    # column j: coordinates of f(basis_j)
+    mat = (basis._inv_expansion @ ((basis.expansion.T @ action) % q).T) % q
+    return [basis.from_coords(row) for row in fq_kernel(mat, q)]

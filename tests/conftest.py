@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tzcode import FieldCtx, LinPoly, build_code, qvan
-from tzcode.errors import DependentSpan
-from tzcode.linalg import ff_solve
+from tzcode.errors import DependentSpan, NoSolution
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
 from tzcode.selftest import GAMMA, MODULUS, XI
 
@@ -105,26 +104,110 @@ def span_poly(ctx, vecs):
 def moore_mu(ctx, lam, xi, k):
     """mu from the square Moore system qvan(lam) mu = (xi^(q^(2n-k)), 0, ..., 0)."""
     rhs = [xi.frobenius(ctx.m - k)] + [ctx.zero] * (ctx.m - 1)
-    return ff_solve(qvan(list(lam), ctx.m), rhs)
+    return ref_solve(ctx.unpack(qvan(list(lam), ctx.m)), rhs)
 
 
 def encode_by_rows(code, msg) -> tuple:
     """msg . G as a sum of generator rows, entry by entry."""
     out = []
     for col in range(code.length):
-        acc = msg[0] * code.G[0][col]
+        G = code.ctx.unpack(code.G)
+        acc = msg[0] * G[0][col]
         for i in range(1, 2 * code.k):
-            acc = acc + msg[i] * code.G[i][col]
+            acc = acc + msg[i] * G[i][col]
         out.append(acc)
     return tuple(out)
 
 
 def is_codeword_by_trace(code, v) -> bool:
     """Zero relative trace of every entry of v H^T, row by row."""
-    for row in code.H:
+    for row in code.ctx.unpack(code.H):
         acc = code.ctx.zero
         for x, y in zip(row, v):
             acc = acc + x * y
         if not code.ctx.trace_rel(acc).is_zero():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference linear algebra over F_{q^2n}: lists of lists of FF2n, one field
+# operation at a time, the form src/ replaced with packed arrays
+# ---------------------------------------------------------------------------
+
+def ref_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = row[0] * v[0]
+        for x, y in zip(row[1:], v[1:]):
+            acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def ref_mat_mul(a, b):
+    cols = [list(col) for col in zip(*b)]
+    return [ref_mat_vec(cols, row) for row in a]
+
+
+def ref_rref(mat):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in mat]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_rank(mat) -> int:
+    return len(ref_rref(mat)[1])
+
+
+def ref_kernel(mat):
+    """Reduced-echelon basis of the right null space, by ascending free column."""
+    rows = [list(r) for r in mat]
+    ctx = rows[0][0].ctx
+    ncols = len(rows[0])
+    rref, pivots = ref_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [ctx.zero] * ncols
+        vec[f] = ctx.one
+        for r, p in enumerate(pivots):
+            vec[p] = -rref[r][f]
+        basis.append(vec)
+    return basis
+
+
+def ref_solve(mat, rhs):
+    """One solution of mat x = rhs with free variables zero; NoSolution if none."""
+    rows = [list(r) + [b] for r, b in zip(mat, rhs)]
+    ncols = len(mat[0])
+    rref, pivots = ref_rref(rows)
+    if pivots and pivots[-1] == ncols:
+        raise NoSolution("inconsistent linear system")
+    sol = [mat[0][0].ctx.zero] * ncols
+    for r, p in enumerate(pivots):
+        sol[p] = rref[r][ncols]
+    return sol

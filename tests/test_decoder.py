@@ -41,7 +41,8 @@ def code342():
 
 def test_syndrome_of_zero(code5):
     zeros = [code5.ctx.zero] * 4
-    assert all(s.is_zero() for s in syndrome(code5, zeros))
+    s = syndrome(code5, zeros)
+    assert s.shape == (len(code5.H), code5.ctx.m) and not s.any()
 
 
 def test_syndrome_zero_trace_iff_codeword(code321):
@@ -49,9 +50,9 @@ def test_syndrome_zero_trace_iff_codeword(code321):
     ctx = code321.ctx
     for _ in range(50):
         cw = code321.encode(random_message(code321, rng))
-        assert all(ctx.trace_rel(s).is_zero() for s in syndrome(code321, cw))
+        assert all(ctx.trace_rel(s).is_zero() for s in ctx.unpack(syndrome(code321, cw)))
         r = [ctx.random_element(rng) for _ in range(4)]
-        zero_trace = all(ctx.trace_rel(s).is_zero() for s in syndrome(code321, r))
+        zero_trace = all(ctx.trace_rel(s).is_zero() for s in ctx.unpack(syndrome(code321, r)))
         assert zero_trace == code321.is_codeword(r)
 
 
@@ -61,7 +62,7 @@ def test_syndrome_gamma_pairing_for_pure_errors(code332):
     ctx = code332.ctx
     for _ in range(30):
         e, _ = random_error(code332, ChannelSpec(t=2), rng)
-        s = syndrome(code332, e)
+        s = ctx.unpack(syndrome(code332, e))
         for i in range(1, ctx.m - code332.k):
             assert s[2 * i] == code332.gamma * s[2 * i - 1]
 
@@ -72,7 +73,7 @@ def test_syndrome_entries_match_locator_form(code332):
     ctx = code332.ctx
     for _ in range(20):
         e, decomp = random_error(code332, ChannelSpec(t=2), rng)
-        s = syndrome(code332, e)
+        s = ctx.unpack(syndrome(code332, e))
         for i in range(1, ctx.m - code332.k):
             acc = ctx.zero
             for a_l, d_l in zip(decomp.a, decomp.d):
@@ -88,7 +89,8 @@ def test_build_S_smallest_case(code321):
     rng = rng_for(63)
     _, _, _, _, r = plant(code321, 1, rng)
     s = syndrome(code321, r)
-    assert build_S(code321, s, 1) == [[s[3], s[1].frobenius(1)]]
+    entries = code321.ctx.unpack(s)
+    assert code321.ctx.unpack(build_S(code321, s, 1)) == ((entries[3], entries[1].frobenius(1)),)
 
 
 def test_build_S_index_bounds(code321):
@@ -109,7 +111,7 @@ def test_rank_of_syndrome_matrix_lemma(code341):
             _, _, _, _, r = plant(code341, t, rng)
             s = syndrome(code341, r)
             for u in range(t, u_max + 1):
-                assert (ff_rank(build_S(code341, s, u)) == u) == (u == t)
+                assert (ff_rank(build_S(code341, s, u), code341.ctx) == u) == (u == t)
 
 
 def test_estimate_rank_returns_planted_rank(code332, code341):
@@ -153,8 +155,8 @@ def test_S_exp_rank_and_kernel_dimension(code5, code332):
         for _ in range(50):
             _, _, _, _, r = plant(code, t, rng, subfield=True)
             s_exp = build_S_exp(code, syndrome(code, r))
-            assert ff_rank(s_exp) == t
-            assert len(ff_kernel(s_exp)) == 1
+            assert ff_rank(s_exp, code.ctx) == t
+            assert len(ff_kernel(s_exp, code.ctx)) == 1
 
 
 def test_S_exp_top_block_rank_deficient(code332):
@@ -164,7 +166,7 @@ def test_S_exp_top_block_rank_deficient(code332):
     for _ in range(30):
         _, _, _, _, r = plant(code332, t, rng, subfield=True)
         top = build_S_exp(code332, syndrome(code332, r))[: t - 1]
-        assert ff_rank(top) == t - 1
+        assert ff_rank(top, code332.ctx) == t - 1
 
 
 def test_trace_identities_for_boundary_plants(code5, code332):
@@ -175,7 +177,7 @@ def test_trace_identities_for_boundary_plants(code5, code332):
         t = ctx.n - code.k // 2
         for _ in range(20):
             e, decomp = random_error(code, ChannelSpec(t=t, subfield_only=True), rng)
-            st = syndrome_traces(code, syndrome(code, e))
+            st = ctx.unpack(syndrome_traces(code, syndrome(code, e)))
             for i in range(1, 2 * t):
                 acc = ctx.zero
                 for a_l, d_l in zip(decomp.a, decomp.d):
@@ -202,7 +204,7 @@ def test_solve_span_recovers_planted_span(code341):
         for _ in range(20):
             _, _, _, decomp, r = plant(code341, t, rng)
             s = syndrome(code341, r)
-            span = solve_span(build_S(code341, s, t))
+            span = solve_span(build_S(code341, s, t), code341.ctx)
             roots = root_space(span)
             assert len(roots) == t
             assert rank_weight(roots + list(decomp.a)) == t
@@ -213,7 +215,7 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
     ctx = code5.ctx
     for _ in range(30):
         _, _, _, _, r = plant(code5, 1, rng, subfield=True)
-        span = solve_span(build_S_exp(code5, syndrome(code5, r)))
+        span = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
         assert all(ctx.in_subfield(c) for c in span.coeffs)
         assert span.coeffs[-1] == ctx.one
 
@@ -239,8 +241,8 @@ def test_solve_locators_matches_planted_locators(code332):
         for _ in range(20):
             _, _, _, decomp, r = plant(code332, t, rng, subfield=(t == 2))
             s = syndrome(code332, r)
-            d = solve_locators(code332, list(decomp.a), s)
-            assert tuple(d) == decomp.d
+            d = code332.ctx.unpack(solve_locators(code332, list(decomp.a), s))
+            assert d == decomp.d
             assert rank_weight(d) == t  # locators are always independent
 
 
@@ -255,8 +257,8 @@ def test_solve_locators_single_equation_case(code321):
     e = error_from_decomposition([ctx.one], B)
     msg = random_message(code321, rng)
     r = tuple(x + y for x, y in zip(code321.encode(msg), e))
-    s = syndrome(code321, r)
-    d = solve_locators(code321, [ctx.one], s)
+    s = ctx.unpack(syndrome(code321, r))
+    d = ctx.unpack(solve_locators(code321, [ctx.one], ctx.pack(s)))
     assert d[0] == s[1].frobenius(-1)
     assert d[0].frobenius(1) == s[1]
 
@@ -365,7 +367,7 @@ def test_decode_strict_flag_on_misrouted_boundary(code332):
     for _ in range(30):
         msg, cw, e, _, r = plant(code332, 1, rng)
         s = syndrome(code332, r)
-        engaged = ff_rank(build_S_exp(code332, s)) == t_lim
+        engaged = ff_rank(build_S_exp(code332, s), code332.ctx) == t_lim
         strict = decode(code332, r, strict_alg1=True)
         relaxed = decode(code332, r)
         assert relaxed.success and relaxed.codeword == cw and relaxed.error == e
@@ -389,7 +391,7 @@ def test_decode_beyond_guarantee_fails_identically(code5):
         msg, cw, e, _, r = plant(code5, 1, rng, subfield=False)
         s = syndrome(code5, r)
         out = decode(code5, r)
-        if ff_rank(build_S_exp(code5, s)) != t_lim:
+        if ff_rank(build_S_exp(code5, s), ctx) != t_lim:
             blocked += 1
             assert not out.success and out.failure_reason == NO_RANK_FOUND
             strict = decode(code5, r, strict_alg1=True)
@@ -414,14 +416,47 @@ def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
     import tzcode.decoder as dec
 
     calls = []
-    monkeypatch.setattr(dec, "ff_rank", lambda m: calls.append("rank") or ff_rank(m))
-    monkeypatch.setattr(dec, "ff_kernel", lambda m: calls.append("kernel") or ff_kernel(m))
+    monkeypatch.setattr(dec, "ff_rank", lambda *a: calls.append("rank") or ff_rank(*a))
+    monkeypatch.setattr(dec, "ff_kernel", lambda *a: calls.append("kernel") or ff_kernel(*a))
     rng = rng_for(85)
     for _ in range(5):
         _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
         calls.clear()
         assert decode(code5, r).codeword == cw
         assert calls == ["kernel"]
+
+
+def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
+    # the syndrome, the rank scan, the span kernel and the locator solve work
+    # on packed arrays: not one FF2n multiply, division or inverse inside them
+    import tzcode.decoder as dec
+    from tzcode.field import FF2n
+
+    stages = ("syndrome", "estimate_rank", "solve_span", "solve_locators")
+    inside, entered, calls = [], set(), []
+    for name in ("__mul__", "__truediv__", "inverse"):
+        def counted(*args, _orig=vars(FF2n)[name], _name=name):
+            if inside:
+                calls.append((inside[-1], _name))
+            return _orig(*args)
+
+        monkeypatch.setattr(FF2n, name, counted)
+    for stage in stages:
+        def staged(*args, _orig=getattr(dec, stage), _stage=stage):
+            entered.add(_stage)
+            inside.append(_stage)
+            try:
+                return _orig(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(dec, stage, staged)
+    rng = rng_for(88)
+    for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
+        _, cw, _, _, r = plant(code, t, rng, subfield=subfield)
+        assert decode(code, r).codeword == cw
+    assert entered == set(stages)
+    assert calls == []
 
 
 def test_decode_fallback_rescues_misrouted_strict_errors(code342):

@@ -155,23 +155,23 @@ def test_trace_abs_lands_in_base(ctx5):
 
 def test_qvan_reproduces_published_system(ctx5):
     lam = [ctx5.one, ctx5.alpha, ctx5.alpha**2, ctx5.alpha**3]
-    mat = qvan(lam, 4)
+    mat = ctx5.unpack(qvan(lam, 4))
     a = ctx5.alpha
-    assert mat[1] == [ctx5.one, a.scale(3), (a**2).scale(4), (a**3).scale(2)]
-    assert mat[2] == [ctx5.one, a.scale(4), a**2, (a**3).scale(4)]
-    assert mat[3] == [ctx5.one, a.scale(2), (a**2).scale(4), (a**3).scale(3)]
+    assert mat[1] == (ctx5.one, a.scale(3), (a**2).scale(4), (a**3).scale(2))
+    assert mat[2] == (ctx5.one, a.scale(4), a**2, (a**3).scale(4))
+    assert mat[3] == (ctx5.one, a.scale(2), (a**2).scale(4), (a**3).scale(3))
 
 
 def test_qvan_single_row(ctx5):
     rng = rng_for(19)
     vec = [ctx5.random_element(rng) for _ in range(3)]
-    assert qvan(vec, 1) == [vec]
+    assert ctx5.unpack(qvan(vec, 1)) == (tuple(vec),)
 
 
 def test_qvan_rank_of_dependent_entries(ctx5):
     a = ctx5.alpha
     mat = qvan([ctx5.one, a, a.scale(3)], 3)
-    assert ff_rank(mat) == 2  # entries span the plane <1, a>
+    assert ff_rank(mat, ctx5) == 2  # entries span the plane <1, a>
 
 
 def test_qvan_determinant_lemma_exhaustive():
@@ -190,7 +190,7 @@ def test_qvan_determinant_lemma_exhaustive():
     for _ in range(25):
         pair = [ctx.random_element(rng) for _ in range(2)]
         full = rank_weight(pair) == 2
-        assert (ff_rank(qvan(pair, 2)) == 2) == full
+        assert (ff_rank(qvan(pair, 2), ctx) == 2) == full
 
 
 def test_qvan_full_rank_via_determinant_product_formula(ctx5):
@@ -206,7 +206,7 @@ def test_qvan_full_rank_via_determinant_product_formula(ctx5):
                 acc = acc - li.scale(ci)
             det = det * acc
     assert not det.is_zero()
-    assert ff_rank(qvan(lam, 4)) == 4
+    assert ff_rank(qvan(lam, 4), ctx5) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_evaluation_matches_generator_entry(ctx5, code5):
     gamma = code5.gamma
     f = LinPoly(ctx5, [ctx5.zero, gamma])
     assert f(ctx5.alpha) == gamma * ctx5.alpha.scale(3)
-    assert f(ctx5.alpha) == code5.G[2][1]
+    assert f(ctx5.alpha) == ctx5.unpack(code5.G[2][1])
     assert f(ctx5.alpha) == ctx5.elem([4, 4, 1, 3])
 
 

@@ -1,0 +1,210 @@
+"""Packed F_{q^2n} kernels and elimination against element-by-element references.
+
+The batched kernels (FieldCtx.mul, outer, frob, inv) are checked against the
+scalar FF2n operations and against schoolbook products in Python ints; the
+packed elimination (ff_rref, ff_rank, ff_kernel, ff_solve) against the
+list-of-FF2n reference in conftest.  Each check runs in int64 and, where the
+field allows it, in the float64 work dtype the decoder eliminates in.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tzcode import FieldCtx
+from tzcode.errors import DivisionByZero, NoSolution
+from tzcode.field import _is_prime
+from tzcode.linalg import ff_kernel, ff_mat_vec, ff_rank, ff_rref, ff_solve
+
+from conftest import ref_kernel, ref_mat_vec, ref_rref, ref_solve, rng_for
+
+
+def _fold_bound(q, n):
+    return 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
+
+
+def _largest_prime(ok):
+    """Largest prime q = 1 mod 4 with ok(q) at n = 2; ok must be monotone."""
+    lo, hi = 3, 2**21
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if ok(mid) else (lo, mid)
+    # q = 1 mod 4 keeps the modulus search short (see test_field)
+    return next(p for p in range(lo - 1, 0, -1) if _is_prime(p) and p % 4 == 1)
+
+
+def int_mulmod(ctx, a, b):
+    """Schoolbook a b mod the modulus, in Python ints."""
+    q, m, f = ctx.q, ctx.m, ctx.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += int(x) * int(y)
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d] % q
+        for i in range(m + 1):
+            prod[d - m + i] -= c * f[i]
+    return [x % q for x in prod[:m]]
+
+
+def _dtypes(ctx):
+    return sorted({np.dtype(np.int64), ctx._work}, key=str)
+
+
+def _check_kernels(ctx, a, b):
+    """Batched mul, outer, frob and inv of packed a, b against the scalar ops."""
+    ea, eb = ctx.unpack(a), ctx.unpack(b)
+    for dt in _dtypes(ctx):
+        wa, wb = a.astype(dt), b.astype(dt)
+        prod = ctx.mul(wa, wb)
+        assert prod.dtype == dt
+        assert ctx.unpack(prod) == tuple(x * y for x, y in zip(ea, eb))
+        assert ctx.unpack(ctx.outer(wa[:5], wb[:7])) == tuple(
+            tuple(x * y for y in eb[:7]) for x in ea[:5])
+        for i in (1, ctx.n, -1):
+            assert ctx.unpack(ctx.frob(wa, i)) == tuple(x.frobenius(i) for x in ea)
+        powers = np.arange(len(a)) % ctx.m
+        assert ctx.unpack(ctx.frob(wa, powers)) == tuple(
+            x.frobenius(int(i)) for x, i in zip(ea, powers))
+        nonzero = [i for i, x in enumerate(ea) if not x.is_zero()]
+        assert ctx.unpack(ctx.inv(wa[nonzero])) == tuple(ea[i].inverse() for i in nonzero)
+
+
+def test_batched_kernels_match_scalar_ops_exhaustively():
+    ctx = FieldCtx(3, 2)
+    elems = ctx.pack(list(ctx.elements()))
+    a = np.repeat(elems, len(elems), axis=0)
+    b = np.tile(elems, (len(elems), 1))
+    _check_kernels(ctx, a, b)
+
+
+@pytest.mark.parametrize("q, n", [(3, 12), (7, 12)])
+def test_batched_kernels_match_scalar_ops_at_decoder_size(q, n):
+    ctx = FieldCtx(q, n)
+    rng = rng_for(200 + q)
+    a = rng.integers(0, q, (60, ctx.m))
+    b = rng.integers(0, q, (60, ctx.m))
+    a[3] = 0
+    _check_kernels(ctx, a, b)
+    for x, y, z in zip(a, b, ctx.mul(a, b)):
+        assert z.tolist() == int_mulmod(ctx, x, y)
+
+
+@pytest.mark.parametrize("edge", ["int64", "float64"])
+def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
+    # int64: the largest q FieldCtx accepts; float64: the largest q whose
+    # kernels still run in float64, where floor(x / q) must stay exact
+    if edge == "int64":
+        q = _largest_prime(lambda v: _fold_bound(v, 2) < 2**63)
+    else:
+        q = _largest_prime(lambda v: _fold_bound(v, 2) * v < 2**53)
+    ctx = FieldCtx(q, 2)
+    assert ctx._work == np.dtype(edge)
+    if edge == "float64":
+        above = next(p for p in range(q + 1, 2 * q) if _is_prime(p) and p % 4 == 1)
+        assert FieldCtx(above, 2)._work == np.dtype(np.int64)
+    rng = rng_for(210)
+    a = rng.integers(0, q, (40, ctx.m))
+    b = rng.integers(0, q, (40, ctx.m))
+    a[:4] = q - 1  # the largest raw products
+    b[:4] = q - 1
+    work = (a.astype(ctx._work), b.astype(ctx._work))
+    for prod in (ctx.mul(a, b), ctx.mul(*work), ctx.outer(*work)[np.arange(40), np.arange(40)]):
+        for x, y, z in zip(a, b, prod):
+            assert [int(v) for v in z] == int_mulmod(ctx, x, y)
+    one = ctx.mul(work[0], ctx.inv(work[0]))
+    assert np.array_equal(one, np.broadcast_to(ctx.one.coeffs, one.shape))
+    mat = rng.integers(0, q, (3, 4, ctx.m))
+    _check_elimination(ctx, mat)
+
+
+def test_inverse_of_zero_raises_in_a_batch(ctx5):
+    with pytest.raises(DivisionByZero):
+        ctx5.inv(np.stack([ctx5.one.coeffs, ctx5.zero.coeffs]))
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+def _check_elimination(ctx, mat, rhs=None):
+    """Packed rref, rank, kernel and solve equal the list-of-FF2n reference."""
+    lists = [list(row) for row in ctx.unpack(mat)]
+    rows, pivots = ref_rref(lists)
+    packed, packed_pivots = ff_rref(mat, ctx)
+    assert packed_pivots == pivots
+    assert ctx.unpack(packed) == tuple(tuple(r) for r in rows)
+    assert ff_rank(mat, ctx) == len(pivots)
+    kernel = ff_kernel(mat, ctx)
+    assert ctx.unpack(kernel) == tuple(tuple(v) for v in ref_kernel(lists))
+    for vec in kernel:
+        assert not ff_mat_vec(mat, vec, ctx).any()
+    if rhs is None:
+        return
+    try:
+        expected = tuple(ref_solve(lists, list(ctx.unpack(rhs))))
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            ff_solve(mat, rhs, ctx)
+        return
+    sol = ff_solve(mat, rhs, ctx)
+    assert ctx.unpack(sol) == expected
+    assert np.array_equal(ff_mat_vec(mat, sol, ctx), rhs)
+
+
+def _low_rank(ctx, rng, rows, cols, rank):
+    """A random rows x cols packed matrix of rank at most `rank`: a product of two."""
+    left = ctx.unpack(rng.integers(0, ctx.q, (rows, rank, ctx.m)))
+    right = ctx.unpack(rng.integers(0, ctx.q, (rank, cols, ctx.m)))
+    return ctx.pack([ref_mat_vec([list(col) for col in zip(*right)], list(row))
+                     for row in left]) if rank else np.zeros((rows, cols, ctx.m), np.int64)
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (5, 2), (3, 4), (7, 3)])
+def test_elimination_matches_reference(q, n):
+    ctx = FieldCtx(q, n)
+    rng = rng_for(220 + 10 * q + n)
+    for _ in range(12):
+        rows, cols = (int(v) for v in rng.integers(1, 7, 2))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        mat = _low_rank(ctx, rng, rows, cols, rank)
+        assert ff_rank(mat, ctx) <= rank
+        consistent = ff_mat_vec(mat, rng.integers(0, q, (cols, ctx.m)), ctx)
+        _check_elimination(ctx, mat, consistent)
+        _check_elimination(ctx, mat, rng.integers(0, q, (rows, ctx.m)))
+        _check_elimination(ctx, rng.integers(0, q, (rows, cols, ctx.m)))
+
+
+def test_elimination_takes_nested_elements_too(ctx5):
+    rng = rng_for(230)
+    mat = rng.integers(0, 5, (3, 4, ctx5.m))
+    lists = [list(row) for row in ctx5.unpack(mat)]
+    for packed, nested in ((ff_rref(mat, ctx5), ff_rref(lists)),
+                           ((ff_kernel(mat, ctx5),), (ff_kernel(lists),))):
+        for x, y in zip(packed, nested):
+            assert np.array_equal(np.asarray(x), np.asarray(y))
+    with pytest.raises(TypeError, match="FieldCtx"):
+        ff_rank(mat)
+
+
+_CTX32 = FieldCtx(3, 2)
+
+
+@st.composite
+def _matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(rows, cols)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    zero_rows = draw(st.lists(st.integers(0, rows - 1), max_size=2))
+    mat = _low_rank(_CTX32, rng, rows, cols, rank)
+    mat[zero_rows] = 0
+    return mat, rng.integers(0, 3, (rows, _CTX32.m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_elimination_property(case):
+    mat, rhs = case
+    _check_elimination(_CTX32, mat, rhs)
