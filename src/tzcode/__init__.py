@@ -5,7 +5,6 @@ channel simulation, and brute-force oracles for desk-scale verification.
 """
 
 from . import errors
-from .bench import BenchReport, bench
 from .channel import (
     ChannelSpec,
     ErrorDecomposition,
@@ -21,11 +20,10 @@ from .construct import (
     find_gamma,
     find_xi,
     is_valid_gamma,
-    punctured_generator,
     trace_almost_dual,
 )
 from .decoder import DecodeOutcome, decode, syndrome
-from .field import FF2n, Basis, FieldCtx, ext, ext_inv, qvan, rank_weight
+from .field import FF2n, Basis, FieldCtx, rank_weight
 from .linpoly import LinPoly, root_space
 from .oracle import OracleResult, brute_force_decode, min_distance_bruteforce
 from .paramfile import load_params, save_params
@@ -37,9 +35,6 @@ __all__ = [
     "FieldCtx",
     "FF2n",
     "Basis",
-    "qvan",
-    "ext",
-    "ext_inv",
     "rank_weight",
     "LinPoly",
     "root_space",
@@ -49,7 +44,6 @@ __all__ = [
     "is_valid_gamma",
     "find_xi",
     "trace_almost_dual",
-    "punctured_generator",
     "decode",
     "DecodeOutcome",
     "syndrome",
@@ -63,8 +57,6 @@ __all__ = [
     "OracleResult",
     "brute_force_decode",
     "min_distance_bruteforce",
-    "bench",
-    "BenchReport",
     "load_params",
     "save_params",
     "__version__",

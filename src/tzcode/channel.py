@@ -105,9 +105,8 @@ def random_error(code: TZCode, spec: ChannelSpec, rng):
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:
             break
-    e = error_from_decomposition(a, B)
-    d_coeff = (code.mu_k @ B.T) % ctx.q
-    d = tuple(FF2n(ctx, d_coeff[:, i].copy()) for i in range(t))
+    e = ctx.unpack(error_from_decomposition(ctx.pack(a), B, ctx))
+    d = ctx.unpack((B @ code.mu_k.T) % ctx.q)
     return e, ErrorDecomposition(tuple(a), B, d)
 
 

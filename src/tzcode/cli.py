@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import paramfile
-from .bench import bench
 from .channel import ChannelSpec, simulate
 from .construct import build_code
 from .errors import OracleBudgetExceeded, TZError
@@ -96,13 +95,6 @@ def _cmd_mindist(args) -> int:
     return EXIT_OK if d == expected else EXIT_DECODE_FAILURE
 
 
-def _cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes)
-    report = bench(args.q, sizes, k=args.k, trials=args.trials, seed=args.seed)
-    print(report.table())
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tzcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,14 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_mindist)
-
-    p = sub.add_parser("bench", help="decode timing across sizes")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated list of n")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

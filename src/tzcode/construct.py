@@ -22,14 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DependentEvaluationPoints,
     InvalidParameter,
     MessageNotInSubfield,
     NotACodeword,
     UnsupportedCharacteristic,
 )
-from .field import FF2n, Basis, FieldCtx, qvan
-from .linalg import ff_mat_vec, ff_rank, fq_inv, fq_solve
+from .field import FF2n, Basis, FieldCtx
+from .linalg import ff_mat_vec, fq_inv, fq_kernel, fq_solve
 
 __all__ = [
     "find_gamma",
@@ -39,7 +38,6 @@ __all__ = [
     "TZCode",
     "build_code",
     "gh_product",
-    "punctured_generator",
 ]
 
 
@@ -68,8 +66,6 @@ def find_xi(ctx: FieldCtx, gamma: FF2n) -> FF2n:
     """
     if gamma.is_zero():
         raise InvalidParameter("gamma must be nonzero")
-    from .linalg import fq_kernel
-
     trace_map = (ctx._frob_pows[ctx.n] + ctx._frob_pows[0]) % ctx.q
     kernel = fq_kernel(trace_map, ctx.q)
     eta = FF2n(ctx, kernel[0].copy())
@@ -104,14 +100,6 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
     return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
 
 
-def _generator_rows(ctx: FieldCtx, points, gamma: FF2n, k: int) -> np.ndarray:
-    """x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), packed at points."""
-    points = ctx.pack(points)
-    last = ctx.mul(gamma.coeffs, ctx.frob(points, k))
-    return np.concatenate([points[None], _twisted_rows(ctx, points, gamma, range(1, k)),
-                           last[None]])
-
-
 class TZCode:
     """A fully instantiated code: parameters, G, H, and encoding helpers.
 
@@ -132,7 +120,13 @@ class TZCode:
         self.min_distance = m - k + 1
         self.radius = (m - k) // 2
 
-        self.G = _generator_rows(ctx, lam, gamma, k)
+        # x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at lam
+        lam_elems = ctx.pack(lam)
+        self.G = np.concatenate([
+            lam_elems[None],
+            _twisted_rows(ctx, lam_elems, gamma, range(1, k)),
+            ctx.mul(gamma.coeffs, ctx.frob(lam_elems, k))[None],
+        ])
         mu_elems = ctx.pack(mu)
         self.H = np.concatenate([
             ctx.mul(gamma.frobenius(m - k).coeffs, mu_elems)[None],
@@ -156,9 +150,11 @@ class TZCode:
         self.msg_left_inverse = fq_solve(self._enc_mat, eye, q)
 
     def check_context(self, vec):
-        """Raise InvalidParameter unless every entry lies in the code's field."""
+        """Raise InvalidParameter unless every entry is an element of the code's field."""
         ctx = self.ctx
         for e in vec:
+            if not isinstance(e, FF2n):
+                raise InvalidParameter(f"entry {e!r} is not a field element")
             if e.ctx is not ctx and e.ctx != ctx:
                 raise InvalidParameter(f"entry {e!r} lies in {e.ctx!r}, not in {ctx!r}")
 
@@ -251,18 +247,3 @@ def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
     _check_gh_structure(code)
     return code
 
-
-def punctured_generator(code: TZCode, points):
-    """Generator matrix of the evaluation code on fewer points.
-
-    Evaluates the 2k basis maps at the given independent points; only the
-    construction is provided, decoding of punctured codes is not.
-    """
-    ctx = code.ctx
-    points = list(points)
-    ell = len(points)
-    if not code.k <= ell <= ctx.m:
-        raise InvalidParameter(f"need k <= #points <= 2n, got {ell}")
-    if ff_rank(qvan(points, ell), ctx) != ell:
-        raise DependentEvaluationPoints("evaluation points are F_q-dependent")
-    return _generator_rows(ctx, points, code.gamma, code.k)

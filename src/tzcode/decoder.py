@@ -2,11 +2,12 @@
 
 The pipeline: compute the syndrome s = r H^T; estimate the error rank from
 the ranks of shifted syndrome matrices; solve a homogeneous system for the
-error span polynomial; extract its root space; solve the locator system for
-the locator vector d; rebuild the row-space matrix B from d in the basis
-mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual basis;
-subtract the error.  The corrected word then passes the code's single
-membership test once, in TZCode.unmap, which also returns its message.
+error span polynomial; extract its root space a; solve the locator system
+for the locator vector d; rebuild the row-space matrix B from d in the
+basis mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual
+basis; subtract the error e = a B, whose rank must equal the estimate.  The
+corrected word then passes the code's single membership test once, in
+TZCode.unmap, which also returns its message.
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -14,12 +15,14 @@ row and the matrix is augmented with relative-trace rows (S_exp), which
 pins the solution space back to dimension one provided the error entries
 lie in the subfield of linearity.
 
-Every stage works on packed arrays (field.py): the syndrome is a
-(4n-2k, 2n) array, the syndrome matrices and the locator system are
-(rows, cols, 2n) arrays built by gathering syndrome entries and applying
-their Frobenius powers in one batched matmul, and linalg eliminates them
-one numpy step per pivot.  FF2n appears only where decode hands results
-back: the span polynomial, its roots and the corrected word.
+decode packs the received word once, and every stage from there on works
+on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
+syndrome matrices and the locator system are (rows, cols, 2n) arrays built
+by gathering syndrome entries and applying their Frobenius powers in one
+batched matmul, and linalg eliminates them one numpy step per pivot.  The
+span polynomial is a packed LinPoly, its roots a (t, 2n) array, the error
+the F_q product B^T a.  FF2n appears only where decode hands results back:
+the corrected word, the error and the message in DecodeOutcome.
 
 Decoding failures are returned as values, never raised.
 """
@@ -30,9 +33,14 @@ import numpy as np
 from dataclasses import dataclass
 
 from .construct import TZCode
-from .errors import LocatorSystemInconsistent, NoSolution, NotACodeword, SpanDimMismatch
-from .field import FF2n, rank_weight
-from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve, _packed
+from .errors import (
+    LimitCaseInapplicable,
+    LocatorSystemInconsistent,
+    NoSolution,
+    NotACodeword,
+    SpanDimMismatch,
+)
+from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve, fq_rank, _packed
 from .linpoly import LinPoly, root_space
 
 __all__ = [
@@ -44,7 +52,6 @@ __all__ = [
     "FAILURE_REASONS",
     "DecodeOutcome",
     "syndrome",
-    "syndrome_traces",
     "build_S",
     "estimate_rank",
     "build_S_exp",
@@ -95,10 +102,6 @@ def syndrome(code: TZCode, r) -> np.ndarray:
     return ff_mat_vec(code.H, r, code.ctx)
 
 
-def syndrome_traces(code: TZCode, s) -> np.ndarray:
-    return code.ctx.trace(s)
-
-
 def _shifted(ctx, s, top: int, rows, cols: int) -> np.ndarray:
     """Rows j of s[2 (top + j - c) - 1]^(q^c), c < cols: the q-Toeplitz shape of S^(u)."""
     c = np.arange(cols)
@@ -134,11 +137,9 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
     ctx = code.ctx
     k = code.k
     if k % 2 != 0:
-        from .errors import LimitCaseInapplicable
-
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
-    st = syndrome_traces(code, s)
+    st = ctx.trace(s)
     trace_rows = _shifted(ctx, st, t, range(t), t + 1)
     trace_rows[0, t] = ctx.frob(st[4 * t - 1], t)  # the final entry, not an odd shift
     g2t = ctx.frob(code.gamma.coeffs, 2 * t)
@@ -148,7 +149,7 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
 
 
 def solve_span(S, ctx=None) -> LinPoly:
-    """Span-polynomial coefficients from a one-dimensional kernel.
+    """The packed span polynomial from a one-dimensional kernel.
 
     The kernel vector is scaled so its last entry is 1; anything other than
     a one-dimensional kernel with invertible top coefficient is rejected.
@@ -160,19 +161,20 @@ def solve_span(S, ctx=None) -> LinPoly:
     vec = kernel[0]
     if not vec[-1].any():
         raise SpanDimMismatch("kernel vector has zero top coefficient", 1)
-    return LinPoly(ctx, ctx.unpack(ctx.mul(vec, ctx.inv(vec[-1]))))
+    return LinPoly(ctx, ctx.mul(vec, ctx.inv(vec[-1])))
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
     """The packed locator vector d solving the inverse-Frobenius Moore system.
 
-    Row i pairs a^(q^-i) against s_(2i-1)^(q^-i); with independent a the
-    coefficient matrix has full column rank, so the solution is unique, and
-    inconsistency means the span estimate was wrong.
+    a is the packed (t, 2n) root basis.  Row i pairs a^(q^-i) against
+    s_(2i-1)^(q^-i); with independent a the coefficient matrix has full
+    column rank, so the solution is unique, and inconsistency means the
+    span estimate was wrong.
     """
     ctx = code.ctx
     powers = -np.arange(1, ctx.m - code.k)[:, None]
-    rows = ctx.frob(ctx.pack(a)[None], powers)
+    rows = ctx.frob(a[None], powers)
     rhs = ctx.frob(s[1 : 2 * (ctx.m - code.k) - 1 : 2], powers[:, 0])
     try:
         return ff_solve(rows, rhs, ctx)
@@ -181,21 +183,22 @@ def solve_locators(code: TZCode, a, s) -> np.ndarray:
 
 
 def recover_B(code: TZCode, d) -> np.ndarray:
-    """Row l holds the coordinates of d_l in the basis mu^(q^k)."""
-    return (code.ctx.pack(d) @ code.mu_k_coords.T) % code.ctx.q
+    """Row l holds the coordinates of the packed locator d_l in the basis mu^(q^k)."""
+    return (d @ code.mu_k_coords.T) % code.ctx.q
 
 
-def error_from_decomposition(a, B) -> tuple:
-    """The error vector a . B rebuilt from a root basis and its row-space matrix."""
-    a = list(a)
-    ctx = a[0].ctx
-    cols = np.stack([x.coeffs for x in a], axis=1)
-    coeff = (cols @ np.asarray(B, dtype=np.int64)) % ctx.q
-    return tuple(FF2n(ctx, coeff[:, j].copy()) for j in range(coeff.shape[1]))
+def error_from_decomposition(a, B, ctx) -> np.ndarray:
+    """The packed error a . B from packed column elements a (t, 2n) and B (t, length).
+
+    Entry j is sum_l B[l, j] a_l, an F_q combination, so the whole vector is
+    the F_q product B^T a.
+    """
+    return (B.T @ a) % ctx.q
 
 
 def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
-    """Shared tail: roots, locators, B, error subtraction, residual check."""
+    """Shared tail on the packed word r: roots, locators, B, error, residual check."""
+    ctx = code.ctx
     roots = root_space(span)
     if len(roots) != t:
         return DecodeOutcome.fail(ROOT_COUNT_MISMATCH)
@@ -203,13 +206,12 @@ def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
         d = solve_locators(code, roots, s)
     except LocatorSystemInconsistent:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    B = recover_B(code, d)
-    err = error_from_decomposition(roots, B)
+    err = error_from_decomposition(roots, recover_B(code, d), ctx)
     # residual check keeps the bounded-distance promise: the error rank must
     # match the estimate, and unmap accepts only a codeword
-    if rank_weight(err) != t:
+    if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    cw = tuple(x - y for x, y in zip(r, err))
+    cw, err = ctx.unpack((r - err) % ctx.q), ctx.unpack(err)
     try:
         msg = code.unmap(cw)
     except NotACodeword:
@@ -232,8 +234,9 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
     if len(r) != code.length:
         raise ValueError(f"received word must have length {code.length}")
     code.check_context(r)
-    s = syndrome(code, r)
-    if not syndrome_traces(code, s).any():
+    packed = ctx.pack(r)
+    s = syndrome(code, packed)
+    if not ctx.trace(s).any():
         zero_err = tuple(ctx.zero for _ in range(code.length))
         return DecodeOutcome.ok(r, zero_err, code.unmap(r), 0)
 
@@ -248,8 +251,8 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
             span = None
             reason = SPAN_DIM_MISMATCH if exc.kernel_dim == 1 else None
         if span is not None:
-            if all(ctx.in_subfield(c) for c in span.coeffs):
-                out = _finish(code, r, s, span, ctx.n - code.k // 2)
+            if np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
+                out = _finish(code, packed, s, span, ctx.n - code.k // 2)
                 if out.success:
                     return out
                 reason = out.failure_reason
@@ -265,4 +268,4 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         span = solve_span(build_S(code, s, t), ctx)
     except SpanDimMismatch:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, r, s, span, t)
+    return _finish(code, packed, s, span, t)

@@ -42,10 +42,6 @@ class NotACodeword(TZError):
     """Vector passed as a codeword fails the membership test."""
 
 
-class DependentEvaluationPoints(TZError):
-    """Evaluation points for a punctured generator must be independent."""
-
-
 class LimitCaseInapplicable(TZError):
     """Trace-augmented system only exists for even k."""
 

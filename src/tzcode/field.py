@@ -38,20 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DivisionByZero,
-    InvalidParameter,
-    SingularMatrix,
-    UnsupportedCharacteristic,
-)
+from .errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
 
 __all__ = [
     "FieldCtx",
     "FF2n",
     "Basis",
-    "qvan",
-    "ext",
-    "ext_inv",
     "rank_weight",
 ]
 
@@ -528,31 +520,23 @@ class FF2n:
 
 
 class Basis:
-    """An ordered F_q-basis of F_{q^2n} with cached coordinate maps."""
+    """An ordered F_q-basis of F_{q^2n}; column j of expansion holds elems[j]."""
 
     def __init__(self, elems):
         elems = tuple(elems)
+        if not elems:
+            raise InvalidParameter("a basis needs at least one element")
         ctx = elems[0].ctx
         if len(elems) != ctx.m:
             raise InvalidParameter(f"basis needs {ctx.m} elements, got {len(elems)}")
         expansion = np.stack([e.coeffs for e in elems], axis=1) % ctx.q
-        from .linalg import fq_inv  # local import avoids a cycle
+        from .linalg import fq_rank  # local import avoids a cycle
 
-        try:
-            inv = fq_inv(expansion, ctx.q)
-        except SingularMatrix:
-            raise InvalidParameter("elements are not an F_q-basis") from None
+        if fq_rank(expansion, ctx.q) != ctx.m:
+            raise InvalidParameter("elements are not an F_q-basis")
         self.ctx = ctx
         self.elems = elems
         self.expansion = expansion
-        self._inv_expansion = inv
-
-    def coords(self, a: FF2n) -> np.ndarray:
-        return (self._inv_expansion @ a.coeffs) % self.ctx.q
-
-    def from_coords(self, v) -> FF2n:
-        arr = (self.expansion @ (np.asarray(v, dtype=np.int64) % self.ctx.q)) % self.ctx.q
-        return FF2n(self.ctx, arr)
 
     def __iter__(self):
         return iter(self.elems)
@@ -568,32 +552,6 @@ class Basis:
 
     def __repr__(self):
         return f"Basis({list(self.elems)})"
-
-
-# ---------------------------------------------------------------------------
-# derived constructions
-# ---------------------------------------------------------------------------
-
-def qvan(a, s: int) -> np.ndarray:
-    """The packed s x len(a) Moore matrix: row i is the entrywise q^i power of a."""
-    if s < 1:
-        raise InvalidParameter("Moore matrix needs at least one row")
-    a = list(a)
-    ctx = a[0].ctx
-    return ctx.frob(ctx.pack(a), np.arange(s)[:, None])
-
-
-def ext(x, basis: Basis) -> np.ndarray:
-    """Matrix expansion by columns: column j holds the basis coordinates of x[j]."""
-    x = list(x)
-    if not x:
-        return np.zeros((basis.ctx.m, 0), dtype=np.int64)
-    return np.stack([basis.coords(v) for v in x], axis=1)
-
-
-def ext_inv(mat: np.ndarray, basis: Basis):
-    """Inverse of ext: rebuild the field vector from a coordinate matrix."""
-    return tuple(basis.from_coords(mat[:, j]) for j in range(mat.shape[1]))
 
 
 def rank_weight(x) -> int:

@@ -218,10 +218,8 @@ def fq_kernel(a, q) -> np.ndarray:
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, p in enumerate(pivots):
-            basis[k, p] = (-rref[r, f]) % q
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rref[: len(pivots), free].T % q
     return basis
 
 
@@ -237,8 +235,7 @@ def fq_solve(a, b, q) -> np.ndarray:
     if pivots and pivots[-1] >= ncols:
         raise NoSolution("inconsistent linear system")
     x = np.zeros((ncols, rhs.shape[1]), dtype=np.int64)
-    for i, p in enumerate(pivots):
-        x[p] = rref[i, ncols:]
+    x[pivots] = rref[: len(pivots), ncols:]
     return x[:, 0] if single else x
 
 

@@ -1,75 +1,75 @@
 """Linearized polynomials over F_{q^2n}.
 
 A q-polynomial sum_i f_i x^(q^i) acts as an F_q-linear endomorphism of
-F_{q^2n}.  Coefficient index i holds the coefficient of x^(q^i); working
-degree stays below 2n since x^(q^2n) = x on the field.
+F_{q^2n}.  LinPoly holds its coefficients as one packed (d+1, 2n) array
+(field.py), row i the coefficient of x^(q^i).  Since x^(q^2n) = x on the
+field, 2n+1 coefficients (q-degree 2n, as the subspace polynomial of the
+whole field needs) are the most it takes.  root_space returns the kernel
+packed as well: the decoder keeps the span polynomial and its roots as
+arrays from the syndrome to the corrected word.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import FF2n, Basis
+from .field import FF2n
 from .linalg import fq_kernel
 
 __all__ = ["LinPoly", "root_space"]
 
 
 class LinPoly:
-    """Linearized polynomial with coefficients in F_{q^2n}."""
+    """Linearized polynomial with coefficients in F_{q^2n}, packed (d+1, 2n).
+
+    The coefficients may be given as a sequence of FF2n or as a packed array.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = ctx.pack(coeffs)
         if len(coeffs) > ctx.m + 1:
-            raise ValueError("working q-degree must stay below 2n")
+            raise ValueError(
+                f"q-degree must stay at most 2n = {ctx.m}, got {len(coeffs)} coefficients")
         self.ctx = ctx
         self.coeffs = coeffs
 
     @property
     def qdegree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return i
-        return -1  # zero polynomial
+        nonzero = np.flatnonzero(self.coeffs.any(axis=1))
+        return int(nonzero[-1]) if nonzero.size else -1  # -1: the zero polynomial
 
     def is_zero(self) -> bool:
         return self.qdegree < 0
 
     def evaluate(self, x: FF2n) -> FF2n:
-        acc = self.ctx.zero
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                acc = acc + c * x.frobenius(i)
-        return acc
+        """sum_i f_i x^(q^i): one batched Frobenius of x, one batched product."""
+        ctx = self.ctx
+        powers = ctx.frob(x.coeffs, np.arange(len(self.coeffs)))
+        return FF2n(ctx, ctx.mul(self.coeffs, powers).sum(axis=0) % ctx.q)
 
     __call__ = evaluate
 
     def __eq__(self, other):
-        return isinstance(other, LinPoly) and self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (isinstance(other, LinPoly) and self.ctx == other.ctx
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self):
-        return f"LinPoly({list(self.coeffs)})"
+        return f"LinPoly({self.coeffs.tolist()})"
 
 
-def root_space(f: LinPoly, basis: Basis | None = None):
-    """Echelon-canonical F_q-basis of the kernel of f.
+def root_space(f: LinPoly) -> np.ndarray:
+    """Echelon-canonical F_q-basis of the kernel of f, packed (dim, 2n).
 
     f acts on coefficient rows as the F_q matrix whose row k is f(x^k), one
     batched product of its coefficients with the Frobenius images of the
-    power basis; the kernel is then a 2n x 2n base-field system in the
-    coordinates of the basis, and its size is bounded by the q-degree of f.
+    power basis; the kernel of that 2n x 2n system has at most the q-degree
+    of f for its dimension.
     """
     ctx = f.ctx
-    if basis is None:
-        basis = ctx.power_basis
-    q = ctx.q
-    coeffs = ctx.pack(f.coeffs)
     # row k of action is f(x^k) = sum_i f_i (x^k)^(q^i), so x @ action = f(x)
-    powers = np.arange(len(coeffs))[:, None]
+    powers = np.arange(len(f.coeffs))[:, None]
     identity = np.eye(ctx.m, dtype=np.int64)
-    action = ctx.mul(coeffs[:, None], ctx.frob(identity, powers)).sum(axis=0) % q
-    # column j: coordinates of f(basis_j)
-    mat = (basis._inv_expansion @ ((basis.expansion.T @ action) % q).T) % q
-    return [basis.from_coords(row) for row in fq_kernel(mat, q)]
+    action = ctx.mul(f.coeffs[:, None], ctx.frob(identity, powers)).sum(axis=0) % ctx.q
+    return fq_kernel(action.T, ctx.q)

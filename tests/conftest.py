@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tzcode import FieldCtx, LinPoly, build_code, qvan
+from tzcode import FieldCtx, LinPoly, build_code
 from tzcode.errors import DependentSpan, NoSolution
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
+from tzcode.linalg import fq_inv
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -58,7 +59,8 @@ def rng_for(seed, trial=0):
 
 # ---------------------------------------------------------------------------
 # reference implementations: the element-by-element forms that src/ replaced
-# with F_q matrix forms, kept here so tests can compare the two
+# with F_q matrix forms, kept here so tests can compare the two, and the
+# Moore matrix and coordinate maps that only tests use
 # ---------------------------------------------------------------------------
 
 def index_of(ctx, a) -> int:
@@ -99,6 +101,24 @@ def span_poly(ctx, vecs):
         coeffs = [r - factor * c for r, c in zip(raised, coeffs + [ctx.zero])]
     inv = coeffs[-1].inverse()
     return LinPoly(ctx, [c * inv for c in coeffs])
+
+
+def qvan(a, s: int) -> np.ndarray:
+    """The packed s x len(a) Moore matrix: row i is the entrywise q^i power of a."""
+    ctx = a[0].ctx
+    return ctx.frob(ctx.pack(list(a)), np.arange(s)[:, None])
+
+
+def ext(x, basis) -> np.ndarray:
+    """Matrix expansion by columns: column j holds the basis coordinates of x[j]."""
+    ctx = basis.ctx
+    cols = ctx.pack(list(x)).T
+    return (fq_inv(basis.expansion, ctx.q) @ cols) % ctx.q
+
+
+def ext_inv(mat, basis):
+    """Inverse of ext: rebuild the field vector from a coordinate matrix."""
+    return basis.ctx.unpack(((basis.expansion @ mat) % basis.ctx.q).T)
 
 
 def moore_mu(ctx, lam, xi, k):

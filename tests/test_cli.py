@@ -1,16 +1,16 @@
 """Command-line entry points."""
 
-from tzcode.cli import main
-
-
-def test_bench_prints_one_row_per_size(capsys):
-    assert main(["bench", "--q", "3", "--sizes", "2,3", "--trials", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "q=3  decode wall time"
-    assert [line.split()[:3] for line in lines[2:4]] == [["2", "1", "1"], ["3", "1", "2"]]
-    assert lines[4].startswith("log-log slope:")
+from tzcode.cli import EXIT_BAD_PARAMS, main
 
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_gen_rejects_an_empty_basis(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--q", "3", "--n", "2", "--k", "1", "--lam", "[]", "--out", str(out)]
+    assert main(argv) == EXIT_BAD_PARAMS
+    assert "basis" in capsys.readouterr().err
+    assert not out.exists()

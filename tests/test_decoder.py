@@ -16,7 +16,6 @@ from tzcode.decoder import (
     solve_locators,
     solve_span,
     syndrome,
-    syndrome_traces,
 )
 from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent, SpanDimMismatch
 from tzcode.linalg import ff_kernel, ff_rank, fq_inv, fq_rank
@@ -177,7 +176,7 @@ def test_trace_identities_for_boundary_plants(code5, code332):
         t = ctx.n - code.k // 2
         for _ in range(20):
             e, decomp = random_error(code, ChannelSpec(t=t, subfield_only=True), rng)
-            st = ctx.unpack(syndrome_traces(code, syndrome(code, e)))
+            st = ctx.unpack(ctx.trace(syndrome(code, e)))
             for i in range(1, 2 * t):
                 acc = ctx.zero
                 for a_l, d_l in zip(decomp.a, decomp.d):
@@ -206,8 +205,8 @@ def test_solve_span_recovers_planted_span(code341):
             s = syndrome(code341, r)
             span = solve_span(build_S(code341, s, t), code341.ctx)
             roots = root_space(span)
-            assert len(roots) == t
-            assert rank_weight(roots + list(decomp.a)) == t
+            assert roots.shape == (t, code341.ctx.m)
+            assert rank_weight(code341.ctx.unpack(roots) + decomp.a) == t
 
 
 def test_solve_span_boundary_coefficients_in_subfield(code5):
@@ -216,8 +215,8 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
     for _ in range(30):
         _, _, _, _, r = plant(code5, 1, rng, subfield=True)
         span = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
-        assert all(ctx.in_subfield(c) for c in span.coeffs)
-        assert span.coeffs[-1] == ctx.one
+        assert np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs)
+        assert ctx.unpack(span.coeffs[-1]) == ctx.one
 
 
 def test_solve_span_rejects_fat_kernel(ctx5):
@@ -241,7 +240,7 @@ def test_solve_locators_matches_planted_locators(code332):
         for _ in range(20):
             _, _, _, decomp, r = plant(code332, t, rng, subfield=(t == 2))
             s = syndrome(code332, r)
-            d = code332.ctx.unpack(solve_locators(code332, list(decomp.a), s))
+            d = code332.ctx.unpack(solve_locators(code332, code332.ctx.pack(decomp.a), s))
             assert d == decomp.d
             assert rank_weight(d) == t  # locators are always independent
 
@@ -254,11 +253,11 @@ def test_solve_locators_single_equation_case(code321):
         B = rng.integers(0, 3, (1, 4), dtype=np.int64)
         if B.any():
             break
-    e = error_from_decomposition([ctx.one], B)
+    e = ctx.unpack(error_from_decomposition(ctx.pack([ctx.one]), B, ctx))
     msg = random_message(code321, rng)
     r = tuple(x + y for x, y in zip(code321.encode(msg), e))
     s = ctx.unpack(syndrome(code321, r))
-    d = ctx.unpack(solve_locators(code321, [ctx.one], ctx.pack(s)))
+    d = ctx.unpack(solve_locators(code321, ctx.pack([ctx.one]), ctx.pack(s)))
     assert d[0] == s[1].frobenius(-1)
     assert d[0].frobenius(1) == s[1]
 
@@ -270,7 +269,7 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
     for _ in range(20):
         _, _, _, decomp, r = plant(code341, 2, rng)
         s = syndrome(code341, r)
-        wrong = [code341.ctx.one]  # rank-1 guess against a rank-2 error
+        wrong = code341.ctx.pack([code341.ctx.one])  # rank-1 guess against a rank-2 error
         try:
             solve_locators(code341, wrong, s)
         except LocatorSystemInconsistent:
@@ -280,7 +279,7 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
 
 def test_recover_B_on_basis_locators(code5):
     ctx = code5.ctx
-    mu_k = [e.frobenius(code5.k) for e in code5.mu]
+    mu_k = ctx.pack([e.frobenius(code5.k) for e in code5.mu])
     B = recover_B(code5, mu_k[:2])
     expected = np.zeros((2, 4), dtype=np.int64)
     expected[0, 0] = 1
@@ -293,10 +292,11 @@ def test_recover_B_round_trip(code332):
     for t in (1, 2):
         _, _, e, decomp, r = plant(code332, t, rng, subfield=(t == 2))
         s = syndrome(code332, r)
-        d = solve_locators(code332, list(decomp.a), s)
+        a = code332.ctx.pack(decomp.a)
+        d = solve_locators(code332, a, s)
         B = recover_B(code332, d)
         assert np.array_equal(B, decomp.B)
-        assert error_from_decomposition(decomp.a, B) == e
+        assert code332.ctx.unpack(error_from_decomposition(a, B, code332.ctx)) == e
 
 
 def test_error_invariant_under_redecomposition(code332):
@@ -310,16 +310,12 @@ def test_error_invariant_under_redecomposition(code332):
             M = rng.integers(0, 3, (2, 2), dtype=np.int64)
             if fq_rank(M, 3) == 2:
                 break
-        cols = np.stack([x.coeffs for x in decomp.a], axis=1)
-        a_prime_coeffs = (cols @ M) % 3
-        from tzcode.field import FF2n
-
-        a_prime = [FF2n(ctx, a_prime_coeffs[:, j].copy()) for j in range(2)]
+        a_prime = (M.T @ ctx.pack(decomp.a)) % 3  # a'_j = sum_l M[l, j] a_l
         d_prime = solve_locators(code332, a_prime, s)
         B_prime = recover_B(code332, d_prime)
         minv = fq_inv(M, 3)
         assert np.array_equal(B_prime, (minv @ decomp.B) % 3)
-        assert error_from_decomposition(a_prime, B_prime) == e
+        assert ctx.unpack(error_from_decomposition(a_prime, B_prime, ctx)) == e
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +423,16 @@ def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
 
 
 def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
-    # the syndrome, the rank scan, the span kernel and the locator solve work
-    # on packed arrays: not one FF2n multiply, division or inverse inside them
+    # from the syndrome to the outcome every stage works on packed arrays: not
+    # one FF2n addition, subtraction, negation, multiply, division or inverse
+    # inside decode, on the plain and on the boundary branch
     import tzcode.decoder as dec
     from tzcode.field import FF2n
 
-    stages = ("syndrome", "estimate_rank", "solve_span", "solve_locators")
+    stages = ("syndrome", "estimate_rank", "solve_span", "root_space", "solve_locators",
+              "error_from_decomposition")
     inside, entered, calls = [], set(), []
-    for name in ("__mul__", "__truediv__", "inverse"):
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "inverse"):
         def counted(*args, _orig=vars(FF2n)[name], _name=name):
             if inside:
                 calls.append((inside[-1], _name))
@@ -453,8 +451,13 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
         monkeypatch.setattr(dec, stage, staged)
     rng = rng_for(88)
     for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
-        _, cw, _, _, r = plant(code, t, rng, subfield=subfield)
-        assert decode(code, r).codeword == cw
+        _, cw, e, _, r = plant(code, t, rng, subfield=subfield)
+        inside.append("decode")
+        try:
+            out = decode(code, r)
+        finally:
+            inside.pop()
+        assert out.codeword == cw and out.error == e
     assert entered == set(stages)
     assert calls == []
 

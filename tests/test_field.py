@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from tzcode import FieldCtx, qvan, ext, ext_inv, rank_weight
+from tzcode import FieldCtx, rank_weight
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
 from tzcode.field import Basis, _is_prime, _rabin, default_modulus
 from tzcode.linalg import ff_rank, fq_rank
 
-from conftest import in_base, index_of, rng_for, trace_abs
+from conftest import ext, ext_inv, in_base, index_of, qvan, rng_for, trace_abs
 
 
 def test_reduction_of_alpha_fourth(ctx5):
@@ -264,7 +264,7 @@ def test_rank_weight_of_planted_decomposition(ctx5):
             B = rng.integers(0, 5, (t, 4), dtype=np.int64)
             if fq_rank(B, 5) == t:
                 break
-        assert rank_weight(error_from_decomposition(a, B)) == t
+        assert rank_weight(ctx5.unpack(error_from_decomposition(ctx5.pack(a), B, ctx5))) == t
 
 
 # ---------------------------------------------------------------------------

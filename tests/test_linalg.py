@@ -5,7 +5,6 @@ import pytest
 
 from tzcode import FieldCtx
 from tzcode.errors import NoSolution, SingularMatrix
-from tzcode.field import qvan
 from tzcode.linalg import (
     ff_kernel,
     ff_mat_vec,
@@ -18,7 +17,7 @@ from tzcode.linalg import (
     fq_solve,
 )
 
-from conftest import ref_mat_mul, rng_for
+from conftest import qvan, ref_mat_mul, rng_for
 
 
 def _identity(ctx, t):

@@ -1,5 +1,6 @@
 """Span polynomials, evaluation, and root-space extraction."""
 
+import numpy as np
 import pytest
 
 from tzcode import FieldCtx, LinPoly, rank_weight, root_space
@@ -48,14 +49,30 @@ def test_evaluation_is_additive_and_homogeneous(ctx5):
         assert f(x.scale(c)) == f(x).scale(c)
 
 
+def test_coefficients_are_packed(ctx5):
+    f = LinPoly(ctx5, [ctx5.zero, ctx5.alpha])
+    assert np.array_equal(f.coeffs, ctx5.pack([ctx5.zero, ctx5.alpha]))
+    assert LinPoly(ctx5, f.coeffs) == f
+    assert f.qdegree == 1 and LinPoly(ctx5, [ctx5.zero]).qdegree == -1
+
+
+def test_qdegree_limit_is_2n(ctx5):
+    # 2n+1 coefficients: the subspace polynomial of the whole field needs them
+    full = span_poly(ctx5, list(ctx5.power_basis))
+    assert full.qdegree == ctx5.m
+    assert all(full(a).is_zero() for a in ctx5.power_basis)
+    with pytest.raises(ValueError, match="at most 2n = 4"):
+        LinPoly(ctx5, [ctx5.one] * (ctx5.m + 2))
+
+
 def test_span_poly_of_one_is_x_q_minus_x(ctx5):
     f = span_poly(ctx5, [ctx5.one])
-    assert f.coeffs == (-ctx5.one, ctx5.one)
+    assert ctx5.unpack(f.coeffs) == (-ctx5.one, ctx5.one)
 
 
 def test_span_poly_of_empty_set_is_x(ctx5):
     f = span_poly(ctx5, [])
-    assert f.coeffs == (ctx5.one,)
+    assert ctx5.unpack(f.coeffs) == (ctx5.one,)
 
 
 def test_span_poly_exhaustive_root_check():
@@ -84,7 +101,7 @@ def test_span_poly_is_monic(ctx5):
             if rank_weight(vecs) == t:
                 break
         f = span_poly(ctx5, vecs)
-        assert f.coeffs[-1] == ctx5.one
+        assert ctx5.unpack(f.coeffs[-1]) == ctx5.one
         assert f.qdegree == t
 
 
@@ -99,14 +116,14 @@ def test_span_poly_coeffs_in_subfield_for_subfield_inputs(ctx5, ctx33):
                 if rank_weight(vecs) == t:
                     break
             f = span_poly(ctx, vecs)
-            assert all(ctx.in_subfield(c) for c in f.coeffs)
+            assert all(ctx.in_subfield(c) for c in ctx.unpack(f.coeffs))
 
 
 def test_root_space_trivial_cases(ctx5):
     one_dim = root_space(LinPoly(ctx5, [-ctx5.one, ctx5.one]))  # x^q - x
-    assert len(one_dim) == 1
-    assert rank_weight(one_dim + [ctx5.one]) == 1  # spans F_q
-    assert root_space(LinPoly(ctx5, [ctx5.one])) == []  # x has only the zero root
+    assert one_dim.shape == (1, ctx5.m)
+    assert rank_weight(ctx5.unpack(one_dim) + (ctx5.one,)) == 1  # spans F_q
+    assert root_space(LinPoly(ctx5, [ctx5.one])).shape == (0, ctx5.m)  # only the zero root
 
 
 def test_root_space_inverts_span_poly():
@@ -120,7 +137,7 @@ def test_root_space_inverts_span_poly():
                 break
         roots = root_space(span_poly(ctx, vecs))
         assert len(roots) == t
-        assert rank_weight(roots + vecs) == t  # same span
+        assert rank_weight(ctx.unpack(roots) + tuple(vecs)) == t  # same span
 
 
 def test_kernel_dimension_bounded_by_degree(ctx5):

@@ -5,9 +5,11 @@ import pytest
 
 from tzcode import rank_weight
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
-from tzcode.decoder import decode, error_from_decomposition
+from tzcode.decoder import decode
 from tzcode.errors import OracleBudgetExceeded
 from tzcode.oracle import brute_force_decode, min_distance_bruteforce
+
+from conftest import ext, ext_inv
 
 
 def test_codeword_decodes_to_itself(code321):
@@ -53,7 +55,6 @@ def test_oracle_reports_ties_at_midpoints(code321):
         diff = tuple(x - y for x, y in zip(c2, c1))
         if rank_weight(diff) == 4:
             break
-    from tzcode.field import ext
     from tzcode.linalg import fq_rank, fq_solve
 
     basis = ctx.power_basis
@@ -65,7 +66,7 @@ def test_oracle_reports_ties_at_midpoints(code321):
     rows = rref[: len(pivots)]
     coef = fq_solve(rows.T, mat.T, 3).T  # mat = coef @ rows
     half = (coef[:, :2] @ rows[:2]) % 3
-    e = tuple(basis.from_coords(half[:, j]) for j in range(4))
+    e = ext_inv(half, basis)
     assert rank_weight(e) == 2
     assert rank_weight(tuple(x - y for x, y in zip(diff, e))) == 2
     r = tuple(x + y for x, y in zip(c1, e))
