@@ -10,7 +10,7 @@ A planted error e = a . B comes with its locators d = B mu^(q^k), taken from
 the code's expansion of mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the
 trace almost dual basis.  simulate accepts a decode only when it returns the
 plant; the decoder has by then run the corrected word through the code's
-single membership test, TZCode.unmap.
+single membership test.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def random_error(code: TZCode, spec: ChannelSpec, rng):
     spec.validate(code)
     ctx = code.ctx
     t = spec.t
-    if t == 0:
-        zero = tuple(ctx.zero for _ in range(code.length))
-        empty = np.zeros((0, ctx.m), dtype=np.int64)
-        return zero, ErrorDecomposition((), empty, ())
     while True:
         if spec.subfield_only:
             a = [random_subfield_element(ctx, rng) for _ in range(t)]

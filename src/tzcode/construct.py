@@ -12,9 +12,10 @@ Frobenius maps and products.
 
 The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
 of a message to the 4n^2 coefficients of its codeword.  encode multiplies by
-it.  The single membership test reads a word's digits off a left inverse and
-accepts the word when re-applying _enc_mat gives it back; unmap and
-is_codeword both use it.
+it.  The single membership test reads a packed word's digits off a left
+inverse and accepts the word when re-applying _enc_mat gives it back;
+unmap, is_codeword and the decoder all use it, on words that pack_word has
+checked for length and field.
 """
 
 from __future__ import annotations
@@ -176,25 +177,31 @@ class TZCode:
         flat = (digits @ self._enc_mat) % self.ctx.q
         return tuple(FF2n(self.ctx, c) for c in flat.reshape(self.length, -1))
 
-    def _message_digits(self, v):
-        """Digits of the message encoding to v, or None when v is not a codeword."""
+    def pack_word(self, v) -> np.ndarray:
+        """The packed word: ValueError on a wrong length, InvalidParameter on a foreign entry."""
+        v = tuple(v)
+        if len(v) != self.length:
+            raise ValueError(f"word must have length {self.length}, got {len(v)}")
+        self.check_context(v)
+        return self.ctx.pack(v)
+
+    def _message_digits(self, packed):
+        """Digits of the message encoding to a packed word, or None when it is not a codeword."""
         q = self.ctx.q
-        flat = np.concatenate([c.coeffs for c in v])
+        flat = packed.reshape(-1)
         digits = (flat @ self.msg_left_inverse) % q
         return digits if np.array_equal((digits @ self._enc_mat) % q, flat) else None
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""
-        cw = tuple(cw)
-        self.check_context(cw)
-        digits = self._message_digits(cw)
+        digits = self._message_digits(self.pack_word(cw))
         if digits is None:
             raise NotACodeword("vector is not in the code")
         return self.ctx.subfield_elements(digits)
 
     def is_codeword(self, v) -> bool:
         """Membership: v is the encoding of the digits its left inverse reads off."""
-        return self._message_digits(v) is not None
+        return self._message_digits(self.pack_word(v)) is not None
 
     def __repr__(self):
         return (

@@ -6,8 +6,8 @@ error span polynomial; extract its root space a; solve the locator system
 for the locator vector d; rebuild the row-space matrix B from d in the
 basis mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual
 basis; subtract the error e = a B, whose rank must equal the estimate.  The
-corrected word then passes the code's single membership test once, in
-TZCode.unmap, which also returns its message.
+packed corrected word then passes the code's single membership test once,
+which also reads its message digits off (TZCode._message_digits).
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -37,7 +37,6 @@ from .errors import (
     LimitCaseInapplicable,
     LocatorSystemInconsistent,
     NoSolution,
-    NotACodeword,
     SpanDimMismatch,
 )
 from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve, fq_rank, _packed
@@ -149,19 +148,18 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
 
 
 def solve_span(S, ctx=None) -> LinPoly:
-    """The packed span polynomial from a one-dimensional kernel.
+    """The packed monic span polynomial from a one-dimensional kernel.
 
-    The kernel vector is scaled so its last entry is 1; anything other than
-    a one-dimensional kernel with invertible top coefficient is rejected.
+    The reduced-echelon kernel line is one at its free column and zero after
+    it, so a nonzero top coefficient is one already; a zero one is rejected.
     """
     ctx, S = _packed(S, ctx)
     kernel = ff_kernel(S, ctx)
     if len(kernel) != 1:
         raise SpanDimMismatch(f"kernel dimension {len(kernel)}, expected 1", len(kernel))
-    vec = kernel[0]
-    if not vec[-1].any():
+    if not kernel[0, -1].any():
         raise SpanDimMismatch("kernel vector has zero top coefficient", 1)
-    return LinPoly(ctx, ctx.mul(vec, ctx.inv(vec[-1])))
+    return LinPoly(ctx, kernel[0])
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
@@ -208,15 +206,19 @@ def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
     err = error_from_decomposition(roots, recover_B(code, d), ctx)
     # residual check keeps the bounded-distance promise: the error rank must
-    # match the estimate, and unmap accepts only a codeword
+    # match the estimate, and the corrected word must be a codeword
     if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    cw, err = ctx.unpack((r - err) % ctx.q), ctx.unpack(err)
-    try:
-        msg = code.unmap(cw)
-    except NotACodeword:
+    return _corrected(code, (r - err) % ctx.q, err, t)
+
+
+def _corrected(code: TZCode, cw, err, t: int) -> DecodeOutcome:
+    """The outcome for the packed corrected word cw and error err, if cw is a codeword."""
+    digits = code._message_digits(cw)
+    if digits is None:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    return DecodeOutcome.ok(cw, err, msg, t)
+    ctx = code.ctx
+    return DecodeOutcome.ok(ctx.unpack(cw), ctx.unpack(err), ctx.subfield_elements(digits), t)
 
 
 def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
@@ -230,15 +232,10 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
     changing behaviour on boundary-conforming errors.
     """
     ctx = code.ctx
-    r = tuple(r)
-    if len(r) != code.length:
-        raise ValueError(f"received word must have length {code.length}")
-    code.check_context(r)
-    packed = ctx.pack(r)
+    packed = code.pack_word(r)
     s = syndrome(code, packed)
     if not ctx.trace(s).any():
-        zero_err = tuple(ctx.zero for _ in range(code.length))
-        return DecodeOutcome.ok(r, zero_err, code.unmap(r), 0)
+        return _corrected(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
         # S_exp is 2t x (t+1), so it has rank t exactly when its kernel is a

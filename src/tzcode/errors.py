@@ -22,10 +22,6 @@ class NoSolution(TZError):
     """Linear system is inconsistent."""
 
 
-class DependentSpan(TZError):
-    """Span polynomial requested for linearly dependent generators."""
-
-
 class UnsupportedCharacteristic(TZError):
     """Construction requires odd q; even characteristic has no valid twist."""
 

@@ -52,19 +52,6 @@ __all__ = [
 # F_q[x]/(f) through its reduction table
 # ---------------------------------------------------------------------------
 
-def _is_prime(v):
-    if v < 2:
-        return False
-    if v % 2 == 0:
-        return v == 2
-    f = 3
-    while f * f <= v:
-        if v % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(v):
     out = []
     f = 2
@@ -77,6 +64,10 @@ def _prime_factors(v):
     if v > 1:
         out.append(v)
     return out
+
+
+def _is_prime(v):
+    return _prime_factors(v) == [v]
 
 
 def _reduction_table(q, modulus) -> np.ndarray:
@@ -291,10 +282,6 @@ class FieldCtx:
         """Absolute norm onto F_q: a times its conorm, the other 2n-1 Frobenius images."""
         return FF2n(self, self.mul(a.coeffs, self._conorm(a.coeffs)))
 
-    def in_subfield(self, a: "FF2n") -> bool:
-        """Membership in F_{q^n}, tested as a^(q^n) == a."""
-        return np.array_equal(self.frob(a.coeffs, self.n), a.coeffs)
-
     def subfield_elements(self, digits) -> tuple:
         """Elements sum_j d_j subfield_basis[j], one per row of a (..., n) digit array."""
         digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.n)
@@ -435,7 +422,11 @@ class FieldCtx:
 
 
 class FF2n:
-    """One element of F_{q^2n} as a coefficient vector in the power basis."""
+    """One element of F_{q^2n} as a coefficient vector in the power basis.
+
+    Element arithmetic does not check that operands share a field; TZCode's
+    entry points (encode, decode, unmap, is_codeword) check every entry once.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -503,20 +494,6 @@ class FF2n:
 
     def __repr__(self):
         return f"FF2n({list(int(c) for c in self.coeffs)})"
-
-    def __str__(self):
-        terms = []
-        for i in range(self.ctx.m - 1, -1, -1):
-            c = int(self.coeffs[i])
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("a" if c == 1 else f"{c}a")
-            else:
-                terms.append(f"a^{i}" if c == 1 else f"{c}a^{i}")
-        return " + ".join(terms) if terms else "0"
 
 
 class Basis:

@@ -8,11 +8,14 @@ reduced mod q.
 Both fields share one convention: columns are scanned left to right, the
 pivot is the first nonzero entry scanning rows top-down, and the result is
 the unique reduced row echelon form with pivots 1, so kernels come back as
-the standard reduced-echelon basis ordered by ascending free column.
+the standard reduced-echelon basis ordered by ascending free column.  One
+reader takes the kernel off a reduced form and another the particular
+solution, for both fields: the kernel line of free column f holds the
+field's one at f and zeros after it.
 
-Over F_q each pivot is one numpy step: the pivot row is scaled by a
-reciprocal read from a table, then the pivot column is cleared from column
-c onward.  Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one
+Over F_q each pivot is one numpy step: the pivot row is scaled by the
+pivot's inverse p^(q-2), then the pivot column is cleared from column c
+onward.  Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one
 numpy step per pivot: every row becomes p row - f pivot_row, with p the
 pivot and f the row's entry in the pivot column.  p row goes through p's
 multiplication matrix, built once for the whole matrix, and f pivot_row is
@@ -22,8 +25,6 @@ reduced form.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -65,19 +66,19 @@ def _packed(a, ctx):
 def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     """The packed vector a v.
 
-    Column i of a meets the Toeplitz block of v_i in one matmul, and the
-    raw products are folded once at the end.  Each column adds at most 2n
-    products of reduced entries, so the running sum is reduced every 2n
-    columns to stay inside FieldCtx's bound.
+    Each block of 2n columns of a meets the stacked Toeplitz blocks of its
+    entries of v in one matmul, and the raw products are folded once at the
+    end.  A block adds at most (2n)^2 products of reduced entries, inside
+    FieldCtx's bound, so the running sum is reduced after every block.
     """
     ctx, a = _packed(a, ctx)
     v = ctx.pack(v)
     w, m = ctx._work, ctx.m
-    conv = np.zeros((a.shape[0], 2 * m - 1), dtype=w)
-    for i in range(a.shape[1]):
-        conv += a[:, i].astype(w) @ _toeplitz(v[i].astype(w))
-        if i % m == m - 1:
-            conv = ctx._mod(conv)
+    rows = a.shape[0]
+    conv = np.zeros((rows, 2 * m - 1), dtype=w)
+    for i in range(0, a.shape[1], m):
+        blocks = _toeplitz(v[i : i + m].astype(w)).reshape(-1, 2 * m - 1)
+        conv = ctx._mod(conv + a[:, i : i + m].astype(w).reshape(rows, -1) @ blocks)
     return ctx.fold(conv).astype(np.int64)
 
 
@@ -132,13 +133,7 @@ def ff_kernel(a, ctx=None) -> np.ndarray:
     ascending free column.
     """
     ctx, a = _packed(a, ctx)
-    cols = a.shape[1]
-    rref, pivots = ff_rref(a, ctx)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols, ctx.m), dtype=np.int64)
-    basis[np.arange(len(free)), free, 0] = 1
-    basis[:, pivots] = (-rref[: len(pivots), free].swapaxes(0, 1)) % ctx.q
-    return basis
+    return _kernel_of_rref(*ff_rref(a, ctx), a.shape[1], ctx.one.coeffs, ctx.q)
 
 
 def ff_solve(a, rhs, ctx=None) -> np.ndarray:
@@ -147,12 +142,33 @@ def ff_solve(a, rhs, ctx=None) -> np.ndarray:
     Raises NoSolution when the system is inconsistent.
     """
     ctx, a = _packed(a, ctx)
-    ncols = a.shape[1]
-    rref, pivots = ff_rref(np.concatenate([a, ctx.pack(rhs)[:, None]], axis=1), ctx)
-    if pivots and pivots[-1] == ncols:
+    aug = np.concatenate([a, ctx.pack(rhs)[:, None]], axis=1)
+    return _solution_of_rref(*ff_rref(aug, ctx), a.shape[1])[:, 0]
+
+
+def _kernel_of_rref(rref, pivots, cols: int, one, q: int) -> np.ndarray:
+    """The reduced-echelon kernel basis over either field, one line per free column f.
+
+    Line f is one at f, -rref[:, f] at the pivots and zero elsewhere; an F_q
+    entry is a scalar, a packed F_{q^2n} entry has one more trailing axis.
+    """
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols) + rref.shape[2:], dtype=np.int64)
+    basis[np.arange(len(free)), free] = one
+    basis[:, pivots] = (-rref[: len(pivots), free].swapaxes(0, 1)) % q
+    return basis
+
+
+def _solution_of_rref(rref, pivots, ncols: int) -> np.ndarray:
+    """(ncols, rhs columns, ...) solution of an augmented system, free variables zero.
+
+    Raises NoSolution when a pivot lies among the right-hand-side columns.
+    """
+    if pivots and pivots[-1] >= ncols:
         raise NoSolution("inconsistent linear system")
-    sol = np.zeros((ncols, ctx.m), dtype=np.int64)
-    sol[pivots] = rref[: len(pivots), ncols]
+    tail = rref[: len(pivots), ncols:]
+    sol = np.zeros((ncols,) + tail.shape[1:], dtype=np.int64)
+    sol[pivots] = tail
     return sol
 
 
@@ -172,17 +188,8 @@ def fq_reciprocal(x, q: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _inv_table(q: int) -> np.ndarray:
-    """Reciprocals of 0 .. q-1, read-only; the cache keeps the last 8 fields' tables."""
-    table = fq_reciprocal(np.arange(q), q)
-    table.setflags(write=False)
-    return table
-
-
 def fq_rref(a, q):
     a = np.array(a, dtype=np.int64) % q
-    inv = _inv_table(q)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -194,7 +201,7 @@ def fq_rref(a, q):
         if i != r:
             a[[r, i]] = a[[i, r]]
         # the pivot row is zero left of c, so only columns c onward change
-        a[r, c:] = (a[r, c:] * inv[a[r, c]]) % q
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), q - 2, q)) % q
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
@@ -214,39 +221,21 @@ def fq_rank(a, q) -> int:
 def fq_kernel(a, q) -> np.ndarray:
     """Rows of the result are a reduced-echelon basis of the right null space."""
     a = np.asarray(a)
-    rref, pivots = fq_rref(a, q)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rref[: len(pivots), free].T % q
-    return basis
+    return _kernel_of_rref(*fq_rref(a, q), a.shape[1], 1, q)
 
 
 def fq_solve(a, b, q) -> np.ndarray:
     """Solve a x = b (b one or many right-hand sides), free variables zero."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    single = b.ndim == 1
-    rhs = b.reshape(-1, 1) if single else b
-    ncols = a.shape[1]
-    aug = np.concatenate([a % q, rhs % q], axis=1)
-    rref, pivots = fq_rref(aug, q)
-    if pivots and pivots[-1] >= ncols:
-        raise NoSolution("inconsistent linear system")
-    x = np.zeros((ncols, rhs.shape[1]), dtype=np.int64)
-    x[pivots] = rref[: len(pivots), ncols:]
-    return x[:, 0] if single else x
+    b = np.asarray(b)
+    x = _solution_of_rref(*fq_rref(np.column_stack([a, b]), q), np.shape(a)[1])
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def fq_inv(a, q) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[0]
-    aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
-    rref, pivots = fq_rref(aug, q)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular over F_q")
-    return rref[:, n:]
+    try:
+        return fq_solve(a, np.eye(len(a), dtype=np.int64), q)
+    except NoSolution:
+        raise SingularMatrix("matrix is singular over F_q") from None
 
 
 def fq_rank_batch(mats, q) -> np.ndarray:
@@ -257,7 +246,6 @@ def fq_rank_batch(mats, q) -> np.ndarray:
     """
     a = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % q)
     n, rows, cols = a.shape
-    inv = _inv_table(q)
     rank = np.zeros(n, dtype=np.int64)
     row_idx = np.arange(rows)
     for c in range(cols):
@@ -273,7 +261,7 @@ def fq_rank_batch(mats, q) -> np.ndarray:
         tmp = a[idx, src, :].copy()
         a[idx, src, :] = a[idx, dst, :]
         a[idx, dst, :] = tmp
-        piv = (tmp * inv[tmp[:, c]][:, None]) % q
+        piv = (tmp * fq_reciprocal(tmp[:, c], q)[:, None]) % q
         a[idx, dst, :] = piv
         colv = a[idx, :, c]
         below = row_idx[None, :] > dst[:, None]

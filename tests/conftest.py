@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tzcode import FieldCtx, LinPoly, build_code
-from tzcode.errors import DependentSpan, NoSolution
+from tzcode.errors import NoSolution, TZError
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
 from tzcode.linalg import fq_inv
 from tzcode.selftest import GAMMA, MODULUS, XI
@@ -75,12 +75,21 @@ def in_base(a) -> bool:
     return not a.coeffs[1:].any()
 
 
+def in_subfield(a) -> bool:
+    """Membership in F_{q^n}, tested as a^(q^n) == a."""
+    return np.array_equal(a.ctx.frob(a.coeffs, a.ctx.n), a.coeffs)
+
+
 def trace_abs(ctx, a):
     """Absolute trace onto F_q: sum of all 2n Frobenius images."""
     acc = ctx.zero
     for i in range(ctx.m):
         acc = acc + a.frobenius(i)
     return acc
+
+
+class DependentSpan(TZError):
+    """Span polynomial requested for linearly dependent generators."""
 
 
 def span_poly(ctx, vecs):

@@ -28,6 +28,7 @@ from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
 from conftest import (
     encode_by_rows,
+    in_subfield,
     index_of,
     is_codeword_by_trace,
     moore_mu,
@@ -62,7 +63,7 @@ def test_find_gamma_default_field():
     ctx = FieldCtx(3, 2)
     gamma = find_gamma(ctx)
     assert is_valid_gamma(ctx, gamma)
-    assert not ctx.in_subfield(gamma)
+    assert not in_subfield(gamma)
     # norm checked against the plain exponentiation oracle; 2 is the only
     # non-square of F_3
     e = (3**4 - 1) // 2
@@ -95,7 +96,7 @@ def test_valid_xi_unique_up_to_subfield_factor():
     assert len(valid) == 3**2 - 1  # the kernel is an F_{q^n}-line
     base = valid[0]
     for x in valid:
-        assert ctx.in_subfield(x / base)
+        assert in_subfield(x / base)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,18 @@ def test_words_from_another_field_are_rejected(code321, other):
     with pytest.raises(InvalidParameter):
         code321.unmap(word)
     with pytest.raises(InvalidParameter):
+        code321.is_codeword(word)
+    with pytest.raises(InvalidParameter):
         code321.encode((stranger, ctx.zero))
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_words_of_the_wrong_length_are_rejected(code321, length):
+    # decode, unmap and is_codeword share one word check
+    word = (code321.ctx.zero,) * length
+    for entry in (lambda w: decode(code321, w), code321.unmap, code321.is_codeword):
+        with pytest.raises(ValueError, match="length 4"):
+            entry(word)
 
 
 def test_equal_field_built_twice_is_accepted(code321):

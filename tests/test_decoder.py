@@ -1,5 +1,7 @@
 """Syndrome machinery and the full decoding pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,42 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
         assert ctx.unpack(span.coeffs[-1]) == ctx.one
 
 
+def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
+    # the reduced-echelon kernel line is already monic, so the only inverses
+    # are the pivots ff_kernel normalises
+    import tzcode.decoder as dec
+    from tzcode.field import FieldCtx as Ctx
+
+    inside, calls = [], []
+
+    def inv(self, a, _orig=Ctx.inv):
+        if inside == ["solve_span"]:
+            calls.append(a)
+        return _orig(self, a)
+
+    def kernel(*args):
+        inside.append("ff_kernel")
+        try:
+            return ff_kernel(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Ctx, "inv", inv)
+    monkeypatch.setattr(dec, "ff_kernel", kernel)
+    rng = rng_for(76)
+    for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
+        _, _, _, _, r = plant(code, t, rng, subfield=subfield)
+        s = syndrome(code, r)
+        S = build_S_exp(code, s) if subfield else build_S(code, s, t)
+        inside.append("solve_span")
+        try:
+            span = solve_span(S, code.ctx)
+        finally:
+            inside.pop()
+        assert np.array_equal(span.coeffs[-1], code.ctx.one.coeffs)
+    assert calls == []
+
+
 def test_solve_span_rejects_fat_kernel(ctx5):
     degenerate = [[ctx5.zero, ctx5.zero, ctx5.zero], [ctx5.zero, ctx5.zero, ctx5.zero]]
     with pytest.raises(SpanDimMismatch) as fat:
@@ -330,6 +368,35 @@ def test_decode_error_free_word(code5):
     assert out.success and out.t == 0
     assert out.codeword == cw and out.message == msg
     assert all(e.is_zero() for e in out.error)
+
+
+def _lines(q, dim):
+    """Digit vectors of F_q^dim whose first nonzero digit is 1: one per F_q-line."""
+    vecs = np.array(list(itertools.product(range(q), repeat=dim)))[1:]
+    return vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1]
+
+
+@pytest.mark.parametrize("q, k, subfield, count", [(3, 1, False, 3200), (5, 2, True, 3744)])
+def test_every_rank_one_error_decodes_to_its_plant(q, k, subfield, count):
+    # e_j = b_j a for every F_q-line a (of F_{q^2n}, or of the subfield at the
+    # boundary rank of (5,2,2)) and every nonzero b in F_q^2n: every rank-one
+    # error, once each, on the plain branch and on the boundary branch
+    code = build_code(FieldCtx(q, 2), k)
+    ctx = code.ctx
+    msg = random_message(code, rng_for(87))
+    cw = code.encode(msg)
+    packed_cw = ctx.pack(cw)
+    columns = (ctx.pack(ctx.subfield_elements(_lines(q, ctx.n))) if subfield
+               else _lines(q, ctx.m))
+    rows = np.array(list(itertools.product(range(q), repeat=ctx.m)))[1:]
+    assert len(columns) * len(rows) == count
+    for a in columns:
+        for b in rows:
+            e = (b[:, None] * a) % q
+            out = decode(code, ctx.unpack((packed_cw + e) % q))
+            assert out.success and out.t == 1, (a, b)
+            assert out.codeword == cw and out.message == msg
+            assert np.array_equal(ctx.pack(out.error), e)
 
 
 def test_decode_round_trips_all_regimes():

@@ -14,6 +14,7 @@ from tzcode.linalg import (
     fq_kernel,
     fq_rank,
     fq_rank_batch,
+    fq_reciprocal,
     fq_solve,
 )
 
@@ -176,16 +177,16 @@ def test_fq_kernel_reduced_echelon_order():
     assert basis[0][1] == 1 and basis[1][3] == 1
 
 
-def test_reciprocal_tables_stay_bounded():
-    # each large q keeps a table of q reciprocals; only the last few fields' stay
-    from tzcode.linalg import _inv_table, fq_reciprocal
-
+def test_elimination_at_large_primes():
+    # pivots are inverted by pow, with no per-q state, at any q FieldCtx admits
     primes = [p for p in range(100_003, 101_000, 2) if all(p % d for d in range(3, 400, 2))]
-    assert len(primes) > _inv_table.cache_info().maxsize
+    rng = rng_for(36)
     for p in primes:
         assert fq_rank(np.array([[1, 2], [3, 4]]), p) == 2
-    assert _inv_table.cache_info().currsize <= 8
+    for p in primes[-3:]:
+        a = rng.integers(0, p, (4, 4))
+        assert fq_rank(a, p) == 4
+        assert np.array_equal((fq_inv(a, p) @ a) % p, np.eye(4, dtype=np.int64))
     q = primes[-1]
     x = np.arange(1, q, 997)
     assert np.array_equal((x * fq_reciprocal(x, q)) % q, np.ones_like(x))
-    assert np.array_equal(_inv_table(q)[x], fq_reciprocal(x, q))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tzcode import FieldCtx, LinPoly, rank_weight, root_space
-from tzcode.errors import DependentSpan
 
-from conftest import rng_for, span_poly
+from conftest import DependentSpan, in_subfield, rng_for, span_poly
 
 
 def test_identity_polynomial_evaluation(ctx5):
@@ -116,7 +115,7 @@ def test_span_poly_coeffs_in_subfield_for_subfield_inputs(ctx5, ctx33):
                 if rank_weight(vecs) == t:
                     break
             f = span_poly(ctx, vecs)
-            assert all(ctx.in_subfield(c) for c in ctx.unpack(f.coeffs))
+            assert all(in_subfield(c) for c in ctx.unpack(f.coeffs))
 
 
 def test_root_space_trivial_cases(ctx5):

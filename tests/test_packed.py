@@ -137,8 +137,12 @@ def _check_elimination(ctx, mat, rhs=None):
     assert ff_rank(mat, ctx) == len(pivots)
     kernel = ff_kernel(mat, ctx)
     assert ctx.unpack(kernel) == tuple(tuple(v) for v in ref_kernel(lists))
-    for vec in kernel:
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    for f, vec in zip(free, kernel, strict=True):
         assert not ff_mat_vec(mat, vec, ctx).any()
+        # the field's one at the free column and zeros after it: a line whose
+        # free column is the last is monic, which solve_span relies on
+        assert np.array_equal(vec[f], ctx.one.coeffs) and not vec[f + 1 :].any()
     if rhs is None:
         return
     try:
