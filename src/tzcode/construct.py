@@ -104,8 +104,9 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
 class TZCode:
     """A fully instantiated code: parameters, G, H, and encoding helpers.
 
-    Instances are immutable after construction and safe for concurrent use.
-    Build through build_code rather than directly.
+    Instances are immutable after construction: nothing, the exhaustive
+    oracles included, attaches state to one, so it is safe for concurrent
+    use.  Build through build_code rather than directly.
     """
 
     def __init__(self, ctx: FieldCtx, k: int, lam: Basis, gamma: FF2n, xi: FF2n, mu: Basis):

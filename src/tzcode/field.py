@@ -117,7 +117,8 @@ def _rabin(q, coeffs):
     square-and-multiply.  f is irreducible exactly when x^(q^m) = x and, for
     each prime p | m, x^(q^(m/p)) - x is coprime to f; gcd(f, g) = 1 exactly
     when multiplication by g is bijective on F_q[x]/(f), so coprimality is a
-    full-rank test of g's multiplication matrix, whose rows are g x^j.
+    full-rank test of g's multiplication matrix: its Toeplitz rows g x^j,
+    folded through the table.
     """
     from .linalg import fq_rank  # local import avoids a cycle
 
@@ -147,7 +148,7 @@ def _rabin(q, coeffs):
         return None
     for p in _prime_factors(m):
         g = (x_qi[m // p] - x) % q
-        if fq_rank(np.stack([mul(g, x_j) for x_j in red[:m]]), q) != m:
+        if fq_rank((_toeplitz(g) @ red) % q, q) != m:
             return None
     return red, frob
 
@@ -226,7 +227,6 @@ class FieldCtx:
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
         self.one = FF2n(self, self._red[0].copy())
         self.alpha = FF2n(self, self._red[1].copy())
-        self._power_basis = None
 
         from .linalg import fq_kernel, fq_solve  # local import avoids a cycle
 
@@ -297,10 +297,9 @@ class FieldCtx:
 
     @property
     def power_basis(self) -> "Basis":
-        if self._power_basis is None:
-            # rows x^0 .. x^(2n-1) of the reduction table are the unit vectors
-            self._power_basis = Basis(FF2n(self, x_d.copy()) for x_d in self._red[: self.m])
-        return self._power_basis
+        """1, alpha, ..., alpha^(2n-1), built afresh on each access."""
+        # rows x^0 .. x^(2n-1) of the reduction table are the unit vectors
+        return Basis(FF2n(self, x_d.copy()) for x_d in self._red[: self.m])
 
     # -- packed arithmetic: (..., 2n) arrays, broadcasting over leading axes ----
 

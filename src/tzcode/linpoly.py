@@ -62,14 +62,12 @@ class LinPoly:
 def root_space(f: LinPoly) -> np.ndarray:
     """Echelon-canonical F_q-basis of the kernel of f, packed (dim, 2n).
 
-    f acts on coefficient rows as the F_q matrix whose row k is f(x^k), one
-    batched product of its coefficients with the Frobenius images of the
-    power basis; the kernel of that 2n x 2n system has at most the q-degree
-    of f for its dimension.
+    f acts on coefficient rows as the F_q matrix sum_i F^i M(f_i), F^i the
+    rows of the q^i-th power map and M(f_i) multiplication by f_i; the kernel
+    of that 2n x 2n system has at most the q-degree of f for its dimension.
     """
     ctx = f.ctx
-    # row k of action is f(x^k) = sum_i f_i (x^k)^(q^i), so x @ action = f(x)
-    powers = np.arange(len(f.coeffs))[:, None]
-    identity = np.eye(ctx.m, dtype=np.int64)
-    action = ctx.mul(f.coeffs[:, None], ctx.frob(identity, powers)).sum(axis=0) % ctx.q
+    # x @ F^i @ M(f_i) = f_i x^(q^i), so x @ action = f(x); F^(2n) is F^0
+    frob = ctx._frob_rows[np.arange(len(f.coeffs)) % ctx.m]
+    action = ((frob @ ctx.mul_matrix(f.coeffs)) % ctx.q).sum(axis=0) % ctx.q
     return fq_kernel(action.T, ctx.q)

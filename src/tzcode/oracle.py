@@ -1,9 +1,12 @@
 """Exhaustive oracles: nearest-codeword search and true minimum distance.
 
-Enumeration walks every message through the F_q-expansion of the encoding
-map and measures rank weights with batched base-field elimination, so the
-q^(2nk)-word codebooks that fit the budget stay fast.  These paths share
-nothing with the syndrome decoder beyond the field context.
+Both oracles fold over one streamed enumeration of the code: chunk by chunk,
+in message-index order, the base-q digits of each index go through the
+F_q-expansion of the encoding map, and batched base-field elimination
+measures the rank distance from a word to each codeword.  Nothing outlives a
+call, so the code stays unchanged and a q^(2nk)-word codebook never sits in
+memory whole.  These paths share nothing with the syndrome decoder beyond
+the field context and the encoding map.
 """
 
 from __future__ import annotations
@@ -22,32 +25,27 @@ DEFAULT_BUDGET = 10**6
 _CHUNK = 1 << 15
 
 
-def _codebook(code: TZCode, budget: int) -> np.ndarray:
-    """(q^(2nk), 2n, 2n) stack of codeword expansions, cached on the code."""
+def _digits(code: TZCode, idx: np.ndarray) -> np.ndarray:
+    """(len idx, 2kn) message digits: the base-q digits of each index, least significant first.
+
+    Exact in int64, since every index stays below q^(2kn) <= the budget.
+    """
+    q = code.ctx.q
+    return (idx[:, None] // q ** np.arange(2 * code.k * code.ctx.n, dtype=np.int64)) % q
+
+
+def _rank_distances(code: TZCode, packed: np.ndarray, budget: int):
+    """(start, ranks) per chunk: ranks[i] is the rank distance from packed to codeword start + i."""
     ctx = code.ctx
     total = ctx.q ** (2 * code.k * ctx.n)
     if total > budget:
         raise OracleBudgetExceeded(f"{total} codewords exceed the budget of {budget}")
-    cached = getattr(code, "_codebook_cache", None)
-    if cached is not None:
-        return cached
-    dim = 2 * code.k * ctx.n
-    weights = ctx.q ** np.arange(dim, dtype=np.int64)
-    out = np.empty((total, ctx.m, ctx.m), dtype=np.int16)
+    flat = packed.reshape(-1)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % ctx.q
-        flat = (digits @ code._enc_mat) % ctx.q
-        out[start : start + idx.size] = flat.reshape(-1, ctx.m, ctx.m).astype(np.int16)
-    code._codebook_cache = out
-    return out
-
-
-def _message_from_index(code: TZCode, idx: int) -> tuple:
-    """The message whose 2kn subfield digits are the base-q digits of idx."""
-    ctx = code.ctx
-    digits = [(idx // ctx.q**p) % ctx.q for p in range(2 * code.k * ctx.n)]
-    return ctx.subfield_elements(digits)
+        book = (_digits(code, idx) @ code._enc_mat) % ctx.q
+        # fq_rank_batch reduces the differences mod q itself
+        yield start, fq_rank_batch((flat - book).reshape(-1, ctx.m, ctx.m), ctx.q)
 
 
 @dataclass(frozen=True)
@@ -64,16 +62,10 @@ def brute_force_decode(code: TZCode, r, budget: int = DEFAULT_BUDGET) -> OracleR
     More than one codeword at the minimum distance is reported through the
     tie count; a tie means r sits beyond the unique decoding radius.
     """
-    book = _codebook(code, budget)
-    # book rows follow the [entry, coefficient] layout, match it here
-    r_ext = np.stack([x.coeffs for x in r]).astype(np.int16)
-    total = book.shape[0]
     best = code.ctx.m + 1
     best_idx = -1
     ties = 0
-    for start in range(0, total, _CHUNK):
-        block = (r_ext[None, :, :] - book[start : start + _CHUNK]) % code.ctx.q
-        ranks = fq_rank_batch(block, code.ctx.q)
+    for start, ranks in _rank_distances(code, code.pack_word(r), budget):
         lo = int(ranks.min())
         if lo < best:
             best = lo
@@ -82,18 +74,15 @@ def brute_force_decode(code: TZCode, r, budget: int = DEFAULT_BUDGET) -> OracleR
             ties = int(hits.size)
         elif lo == best:
             ties += int((ranks == lo).sum())
-    msg = _message_from_index(code, best_idx)
+    msg = code.ctx.subfield_elements(_digits(code, np.array([best_idx], dtype=np.int64)))
     return OracleResult(code.encode(msg), msg, best, ties)
 
 
 def min_distance_bruteforce(code: TZCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum rank weight over all nonzero codewords."""
-    book = _codebook(code, budget)
     best = code.ctx.m + 1
-    total = book.shape[0]
-    for start in range(0, total, _CHUNK):
-        block = book[start : start + _CHUNK]
-        ranks = fq_rank_batch(block, code.ctx.q)
+    zero = np.zeros((code.length, code.ctx.m), dtype=np.int64)
+    for start, ranks in _rank_distances(code, zero, budget):
         if start == 0:
             ranks = ranks[1:]  # drop the zero codeword
         if ranks.size:

@@ -24,6 +24,7 @@ from tzcode.decoder import decode
 from tzcode.field import Basis
 from tzcode.paramfile import params_from_dict
 from tzcode.linalg import fq_kernel
+from tzcode.oracle import brute_force_decode
 from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
 from conftest import (
@@ -356,14 +357,17 @@ def test_words_from_another_field_are_rejected(code321, other):
     with pytest.raises(InvalidParameter):
         code321.is_codeword(word)
     with pytest.raises(InvalidParameter):
+        brute_force_decode(code321, word)
+    with pytest.raises(InvalidParameter):
         code321.encode((stranger, ctx.zero))
 
 
 @pytest.mark.parametrize("length", [3, 5])
 def test_words_of_the_wrong_length_are_rejected(code321, length):
-    # decode, unmap and is_codeword share one word check
+    # decode, unmap, is_codeword and the oracle share one word check
     word = (code321.ctx.zero,) * length
-    for entry in (lambda w: decode(code321, w), code321.unmap, code321.is_codeword):
+    for entry in (lambda w: decode(code321, w), code321.unmap, code321.is_codeword,
+                  lambda w: brute_force_decode(code321, w)):
         with pytest.raises(ValueError, match="length 4"):
             entry(word)
 
