@@ -1,7 +1,7 @@
 """Syndrome-based bounded-minimum-distance decoding.
 
-The pipeline: compute the syndrome s = r H^T; estimate the error rank from
-the ranks of shifted syndrome matrices; solve a homogeneous system for the
+The pipeline: compute the syndrome s = r H^T; read the error rank off the
+largest shifted syndrome matrix S^(u_max); solve a homogeneous system for the
 error span polynomial; extract its root space a; solve the locator system
 for the locator vector d; rebuild the row-space matrix B from d in the
 basis mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual
@@ -117,12 +117,14 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
 
 
 def estimate_rank(code: TZCode, s):
-    """Largest u with S^(u) of full rank, scanning downwards; None if no u fits."""
+    """The rank of S^(u_max), u_max = (2n-k-1)//2; None if u_max or that rank is 0.
+
+    For an error of rank t <= u_max, S^(u) is the u x t Moore matrix of the
+    locators' q-powers times the t x (u+1) Moore matrix of the error's column
+    elements, both of rank t, so every S^(u) with t <= u <= u_max has rank t.
+    """
     u_max = (code.ctx.m - (code.k + 1)) // 2
-    for u in range(u_max, 0, -1):
-        if ff_rank(build_S(code, s, u), code.ctx) == u:
-            return u
-    return None
+    return (ff_rank(build_S(code, s, u_max), code.ctx) or None) if u_max else None
 
 
 def build_S_exp(code: TZCode, s) -> np.ndarray:

@@ -241,33 +241,28 @@ def fq_inv(a, q) -> np.ndarray:
 def fq_rank_batch(mats, q) -> np.ndarray:
     """Ranks of a stack of matrices, eliminated in lockstep across the batch.
 
-    mats has shape (N, rows, cols); the batch is consumed column by column
-    with per-matrix pivot selection, so memory stays O(N * rows * cols).
+    mats has shape (N, rows, cols).  Each column is one fraction-free step over
+    the stack: every matrix swaps its pivot row into row rank, then each row
+    below becomes p row - f pivot_row, one row of the stack at a time and in
+    place, so memory stays one copy of the stack.
     """
-    a = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % q)
+    a = np.asarray(mats, dtype=np.int64) % q
     n, rows, cols = a.shape
     rank = np.zeros(n, dtype=np.int64)
-    row_idx = np.arange(rows)
+    every = np.arange(n)
     for c in range(cols):
-        col = a[:, :, c]
-        candidates = (col != 0) & (row_idx[None, :] >= rank[:, None])
+        candidates = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
         has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        idx = np.nonzero(has)[0]
-        src = candidates[idx].argmax(axis=1)
-        dst = rank[idx]
-        # swap the pivot row into position dst
-        tmp = a[idx, src, :].copy()
-        a[idx, src, :] = a[idx, dst, :]
-        a[idx, dst, :] = tmp
-        piv = (tmp * fq_reciprocal(tmp[:, c], q)[:, None]) % q
-        a[idx, dst, :] = piv
-        colv = a[idx, :, c]
-        below = row_idx[None, :] > dst[:, None]
-        fac = np.where(below, colv, 0)
-        a[idx] = (a[idx] - fac[:, :, None] * piv[:, None, :]) % q
-        rank[idx] += 1
+        # a matrix without a pivot here, or already of full rank, swaps a row with itself
+        dst = np.minimum(rank, rows - 1)
+        src = np.where(has, candidates.argmax(axis=1), dst)
+        pivot_row = a[every, src]
+        a[every, src] = a[every, dst]
+        a[every, dst] = pivot_row
+        for i in range(1, rows):
+            f = np.where(has & (i > rank), a[:, i, c], 0)[:, None]
+            a[:, i] = (np.where(f, pivot_row[:, c, None], 1) * a[:, i] - f * pivot_row) % q
+        rank += has
         if (rank == rows).all():
             break
     return rank

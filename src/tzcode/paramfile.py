@@ -25,9 +25,6 @@ __all__ = [
     "read_vectors",
 ]
 
-_REQUIRED_KEYS = ("q", "n", "k", "modulus", "gamma", "xi", "lambda", "mu")
-
-
 def _elem_list(e) -> list:
     return [int(c) for c in e.coeffs]
 
@@ -49,15 +46,18 @@ def params_dict(code: TZCode) -> dict:
 
 
 def params_from_dict(data: dict) -> TZCode:
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise InvalidParameter(f"parameter file is missing key {key!r}")
-    ctx = FieldCtx(int(data["q"]), int(data["n"]), data["modulus"])
-    lam = Basis([ctx.elem(e) for e in data["lambda"]])
-    gamma = ctx.elem(data["gamma"])
-    xi = ctx.elem(data["xi"])
-    code = build_code(ctx, int(data["k"]), lam=lam, gamma=gamma, xi=xi)
-    stored_mu = [ctx.elem(e) for e in data["mu"]]
+    try:
+        ctx = FieldCtx(int(data["q"]), int(data["n"]), data["modulus"])
+        k = int(data["k"])
+        lam = Basis([ctx.elem(e) for e in data["lambda"]])
+        gamma = ctx.elem(data["gamma"])
+        xi = ctx.elem(data["xi"])
+        stored_mu = [ctx.elem(e) for e in data["mu"]]
+    except KeyError as exc:
+        raise InvalidParameter(f"parameter file is missing key {exc}") from None
+    except TypeError as exc:
+        raise InvalidParameter(f"parameter file has a field of the wrong type: {exc}") from None
+    code = build_code(ctx, k, lam=lam, gamma=gamma, xi=xi)
     if list(code.mu) != stored_mu:
         raise InvalidParameter("stored mu does not match the basis recomputed from lambda and xi")
     return code
@@ -80,10 +80,9 @@ def format_vector(vec) -> str:
 
 def parse_vector(line: str, ctx: FieldCtx) -> tuple:
     try:
-        data = json.loads("[" + line.strip() + "]")
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"malformed vector line: {line!r}") from exc
-    return tuple(ctx.elem(e) for e in data)
+        return tuple(ctx.elem(e) for e in json.loads("[" + line.strip() + "]"))
+    except (json.JSONDecodeError, TypeError):
+        raise InvalidParameter(f"malformed vector line: {line!r}") from None
 
 
 def write_vectors(path, vectors):

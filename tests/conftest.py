@@ -4,7 +4,8 @@ import pytest
 from tzcode import FieldCtx, LinPoly, build_code
 from tzcode.errors import NoSolution, TZError
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
-from tzcode.linalg import fq_inv
+from tzcode.decoder import build_S
+from tzcode.linalg import ff_rank, fq_inv
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -62,6 +63,15 @@ def rng_for(seed, trial=0):
 # with F_q matrix forms, kept here so tests can compare the two, and the
 # Moore matrix and coordinate maps that only tests use
 # ---------------------------------------------------------------------------
+
+def ref_rank_scan(code, s):
+    """Largest u with S^(u) of full rank, scanning u_max, u_max - 1, ..., 1; None if none."""
+    u_max = (code.ctx.m - (code.k + 1)) // 2
+    for u in range(u_max, 0, -1):
+        if ff_rank(build_S(code, s, u), code.ctx) == u:
+            return u
+    return None
+
 
 def index_of(ctx, a) -> int:
     """Inverse of FieldCtx.element_from_index: coefficients as base-q digits."""

@@ -23,7 +23,7 @@ from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent, Span
 from tzcode.linalg import ff_kernel, ff_rank, fq_inv, fq_rank
 from tzcode.linpoly import root_space
 
-from conftest import plant, rng_for
+from conftest import plant, ref_rank_scan, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,9 @@ def test_build_S_index_bounds(code321):
 
 
 def test_rank_of_syndrome_matrix_lemma(code341):
-    # strict plants at every admissible t: S^(u) has full rank iff u = t
+    # strict plants at every admissible t: S^(u) factors through two rank-t
+    # Moore matrices, so it has rank exactly t for every u in t..u_max, and
+    # full rank iff u = t
     rng = rng_for(65)
     u_max = (code341.ctx.m - 2) // 2
     for t in (1, 2, 3):
@@ -112,7 +114,9 @@ def test_rank_of_syndrome_matrix_lemma(code341):
             _, _, _, _, r = plant(code341, t, rng)
             s = syndrome(code341, r)
             for u in range(t, u_max + 1):
-                assert (ff_rank(build_S(code341, s, u), code341.ctx) == u) == (u == t)
+                rank = ff_rank(build_S(code341, s, u), code341.ctx)
+                assert (rank == u) == (u == t)
+                assert rank == t
 
 
 def test_estimate_rank_returns_planted_rank(code332, code341):
@@ -120,7 +124,7 @@ def test_estimate_rank_returns_planted_rank(code332, code341):
     for _ in range(25):
         _, _, _, _, r = plant(code332, 1, rng)
         assert estimate_rank(code332, syndrome(code332, r)) == 1
-    # rank-2 strict errors need k=1 at n=3 so the scan reaches u=2
+    # rank-2 strict errors need k=1 at n=3, where u_max = 2
     code331 = build_code(FieldCtx(3, 3), 1)
     for _ in range(25):
         _, _, _, _, r = plant(code331, 2, rng)
@@ -128,6 +132,25 @@ def test_estimate_rank_returns_planted_rank(code332, code341):
     for t in (1, 2, 3):
         _, _, _, _, r = plant(code341, t, rng)
         assert estimate_rank(code341, syndrome(code341, r)) == t
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 3, 1), (3, 4, 1), (3, 4, 2), (5, 3, 1), (3, 5, 2)])
+def test_estimate_rank_matches_the_scan(q, n, k):
+    # words B^T a of every rank 1..2n, inside and beyond the decoding radius:
+    # beyond it the Moore factorization does not apply, and only agreement
+    # with the top-down scan pins the rank read off S^(u_max)
+    code = build_code(FieldCtx(q, n), k)
+    ctx = code.ctx
+    rng = rng_for(69)
+    for rank in range(1, ctx.m + 1):
+        for _ in range(50):
+            while True:
+                a = rng.integers(0, q, (rank, ctx.m), dtype=np.int64)
+                B = rng.integers(0, q, (rank, ctx.m), dtype=np.int64)
+                if fq_rank(a, q) == rank == fq_rank(B, q):
+                    break
+            s = syndrome(code, error_from_decomposition(a, B, ctx))
+            assert estimate_rank(code, s) == ref_rank_scan(code, s)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +510,21 @@ def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
         calls.clear()
         assert decode(code5, r).codeword == cw
         assert calls == ["kernel"]
+
+
+def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
+    # u_max = 3 at t = 1: one rank of S^(3) tells t, then one kernel of S^(1)
+    import tzcode.decoder as dec
+
+    calls = []
+    monkeypatch.setattr(dec, "ff_rank", lambda *a: calls.append("rank") or ff_rank(*a))
+    monkeypatch.setattr(dec, "ff_kernel", lambda *a: calls.append("kernel") or ff_kernel(*a))
+    rng = rng_for(89)
+    for _ in range(5):
+        _, cw, _, _, r = plant(code341, 1, rng)
+        calls.clear()
+        assert decode(code341, r).codeword == cw
+        assert calls == ["rank", "kernel"]
 
 
 def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):

@@ -1,5 +1,7 @@
 """Exact solvers over both fields, checked against naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,12 +162,30 @@ def test_fq_inv_and_singular():
 
 
 def test_fq_rank_batch_matches_scalar_path():
+    # the second half are products through rank <= 2, with dependent rows
+    # and columns that have no pivot
     rng = rng_for(35)
-    for q in (3, 5):
+    for q in (3, 5, 7, 10007):
         mats = rng.integers(0, q, (200, 4, 5), dtype=np.int64)
+        mats[100:] = (mats[100:, :, :2] @ mats[100:, :2, :]) % q
+        mats[150:, 2] = 0
         ranks = fq_rank_batch(mats, q)
         for i in range(200):
             assert ranks[i] == fq_rank(mats[i], q)
+
+
+def test_fq_rank_batch_keeps_one_copy_of_the_stack():
+    # the elimination works in place on one reduced copy, a row of the stack
+    # at a time, with no per-pivot copies of the whole stack
+    mats = rng_for(37).integers(0, 3, (32768, 6, 6), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        ranks = fq_rank_batch(mats, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * mats.nbytes
+    assert ranks[:50].tolist() == [fq_rank(m, 3) for m in mats[:50]]
 
 
 def test_fq_kernel_reduced_echelon_order():
