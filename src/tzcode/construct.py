@@ -12,24 +12,24 @@ Frobenius maps and products.
 
 The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
 of a message to the 4n^2 coefficients of its codeword.  encode multiplies by
-it.  The single membership test reads a packed word's digits off a left
-inverse and accepts the word when re-applying _enc_mat gives it back;
-unmap, is_codeword and the decoder all use it, on words that pack_word has
-checked for length and field.
+it.  Its left inverse, msg_left_inverse, is not found by elimination: it is
+read off the trace-dual basis lambda* in closed form.  A codeword is
+c_j = f(lambda_j) for the linearized polynomial f = sum_i f_i x^(q^i) of its
+message, and sum_j lambda_j^(q^i) lambda*_j = delta_i0 gives
+f_i = sum_j c_j (lambda*_j)^(q^i); splitting f_i = a_i + gamma b_i over
+F_{q^n} gives the message entries.  The single membership test reads a
+packed word's digits off that left inverse and accepts the word when
+re-applying _enc_mat gives it back; unmap, is_codeword and the decoder all
+use it, on words that pack_word has checked for length and field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    MessageNotInSubfield,
-    NotACodeword,
-    UnsupportedCharacteristic,
-)
+from .errors import InvalidParameter, MessageNotInSubfield, NotACodeword
 from .field import FF2n, Basis, FieldCtx
-from .linalg import ff_mat_vec, fq_inv, fq_kernel, fq_solve
+from .linalg import ff_mat_vec, fq_inv, fq_kernel
 
 __all__ = [
     "find_gamma",
@@ -50,8 +50,6 @@ def is_valid_gamma(ctx: FieldCtx, g: FF2n) -> bool:
 
 def find_gamma(ctx: FieldCtx) -> FF2n:
     """First element with non-square norm, in coefficient-lexicographic order."""
-    if ctx.q % 2 == 0:
-        raise UnsupportedCharacteristic("even q admits no non-square norms")
     for idx in range(ctx.q**ctx.m):
         g = ctx.element_from_index(idx)
         if is_valid_gamma(ctx, g):
@@ -101,6 +99,29 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
     return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
 
 
+def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, xi: FF2n, mu: Basis) -> np.ndarray:
+    """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits.
+
+    With lam* = mu / xi^(q^(2n-k)), the unit word alpha^r at entry j has
+    f_i = alpha^r (lam*_j)^(q^i), row r of the multiplication matrix of
+    (lam*_j)^(q^i).  b = (f - f^(q^n)) / (gamma - gamma^(q^n)) and a = f - gamma b
+    are F_q maps on coefficient rows, folded into the subfield digit map; the
+    message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
+    """
+    q, n, m = ctx.q, ctx.n, ctx.m
+    dual = ctx.mul(ctx.inv(xi.frobenius(m - k).coeffs), ctx.pack(mu))
+    f = ctx.mul_matrix(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
+    eye = np.eye(m, dtype=np.int64)
+    conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
+    to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
+    to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
+    to_digits = np.stack([to_a, to_b], axis=1) @ ctx._subfield_coords % q  # [row, (a, b), digit]
+    ab = ctx._dot(f, to_digits.reshape(m, 2 * n)).reshape(k + 1, m, m, 2, n)
+    ab = ab.transpose(1, 2, 0, 3, 4).reshape(m * m, 2 * k + 2, n)  # [j r, i (a, b), digit]
+    keep = np.r_[0, 2:2 * k, 2 * k + 1]  # drop b_0 and a_k
+    return ab[:, keep].reshape(m * m, 2 * k * n)
+
+
 class TZCode:
     """A fully instantiated code: parameters, G, H, and encoding helpers.
 
@@ -148,8 +169,7 @@ class TZCode:
         by_basis = ctx.mul_matrix(ctx.pack(ctx.subfield_basis))
         self._enc_mat = ((self.G[:, None] @ by_basis[None]) % q).reshape(
             2 * k * ctx.n, m * m)
-        eye = np.eye(self._enc_mat.shape[0], dtype=np.int64)
-        self.msg_left_inverse = fq_solve(self._enc_mat, eye, q)
+        self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, xi, mu)
 
     def check_context(self, vec):
         """Raise InvalidParameter unless every entry is an element of the code's field."""
@@ -245,11 +265,8 @@ def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
         raise InvalidParameter("gamma must have non-square absolute norm")
     if xi is None:
         xi = find_xi(ctx, gamma)
-    else:
-        if xi.is_zero():
-            raise InvalidParameter("xi must be nonzero")
-        if not ctx.trace_rel(gamma * xi).is_zero():
-            raise InvalidParameter("gamma * xi must have zero relative trace")
+    elif not ctx.trace_rel(gamma * xi).is_zero():
+        raise InvalidParameter("gamma * xi must have zero relative trace")
     mu = trace_almost_dual(ctx, lam, xi, k)
     code = TZCode(ctx, k, lam, gamma, xi, mu)
     _check_gh_structure(code)

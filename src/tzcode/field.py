@@ -158,12 +158,25 @@ def default_modulus(q, m):
 
     Candidates are enumerated by counting the non-leading coefficients as
     base-q digits with the constant term least significant, so the search is
-    reproducible across runs and implementations.
+    reproducible across runs and implementations.  Only candidates without a
+    root in F_q reach the Rabin test: the q candidates g + c that share their
+    higher terms g have a root exactly when -c is a value of g, so one
+    evaluation of g at every point of F_q screens all of them.
     """
-    for idx in range(q**m):
-        coeffs = [(idx // q**i) % q for i in range(m)] + [1]
-        if _rabin(q, coeffs) is not None:
-            return coeffs
+    points = np.arange(q, dtype=np.int64)
+    for high in range(q ** (m - 1)):
+        upper = [(high // q**i) % q for i in range(m - 1)] + [1]
+        minus_g = np.zeros(q, dtype=np.int64)
+        for c in reversed(upper):  # Horner: g(x) = sum_i upper[i] x^(i+1)
+            minus_g -= c
+            minus_g *= points
+            minus_g %= q
+        rootless = np.ones(q, dtype=bool)
+        rootless[minus_g] = False
+        for c in np.flatnonzero(rootless):
+            coeffs = [int(c)] + upper
+            if _rabin(q, coeffs) is not None:
+                return coeffs
     raise InvalidParameter(f"no irreducible polynomial of degree {m} over F_{q}")
 
 

@@ -5,7 +5,7 @@ from tzcode import FieldCtx, LinPoly, build_code
 from tzcode.errors import NoSolution, TZError
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
 from tzcode.decoder import build_S
-from tzcode.linalg import ff_rank, fq_inv
+from tzcode.linalg import ff_rank, fq_inv, fq_solve
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -156,6 +156,11 @@ def encode_by_rows(code, msg) -> tuple:
             acc = acc + msg[i] * G[i][col]
         out.append(acc)
     return tuple(out)
+
+
+def ref_msg_left_inverse(code) -> np.ndarray:
+    """A left inverse of the code map found by F_q elimination, the form src/ replaced."""
+    return fq_solve(code._enc_mat, np.eye(code._enc_mat.shape[0], dtype=np.int64), code.ctx.q)
 
 
 def is_codeword_by_trace(code, v) -> bool:

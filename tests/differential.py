@@ -4,7 +4,9 @@
 
 prints the number of decodes, how many succeeded, and the SHA-256 of one
 line per decode: success, failure reason, decoded rank t, and the
-coefficients of the codeword and the message.  The grid is q in {3, 5, 7},
+coefficients of the codeword and the message.  A second line does the same
+for membership: one line per received word with is_codeword, and the
+unmapped message when the word is a codeword.  The grid is q in {3, 5, 7},
 n in {2, 3, 4}, every k, t from 0 to one past the unique radius, generic
 errors and (where t <= n) subfield errors, TRIALS seeded trials each,
 every received word decoded in both strict_alg1 modes.  Run it on two trees
@@ -28,7 +30,7 @@ def _coeffs(vec) -> str:
 
 
 def outcome_lines():
-    """One line per decode, in grid order; the seed of each setting is its position."""
+    """("decode" or "member", line) pairs in grid order; the seed of each setting is its position."""
     seed = 0
     for q in (3, 5, 7):
         for n in (2, 3, 4):
@@ -43,22 +45,30 @@ def outcome_lines():
                             cw = code.encode(random_message(code, rng))
                             e, _ = random_error(code, spec, rng)
                             r = tuple(x + y for x, y in zip(cw, e))
+                            member = code.is_codeword(r)
+                            yield "member", (
+                                f"{q} {n} {k} {t} {int(subfield)} {trial} {int(member)} "
+                                f"{_coeffs(code.unmap(r) if member else None)}")
                             for strict in (False, True):
                                 out = decode(code, r, strict_alg1=strict)
-                                yield (f"{q} {n} {k} {t} {int(subfield)} {trial} {int(strict)} "
-                                       f"{int(out.success)} {out.failure_reason} {out.t} "
-                                       f"{_coeffs(out.codeword)} {_coeffs(out.message)}")
+                                yield "decode", (
+                                    f"{q} {n} {k} {t} {int(subfield)} {trial} {int(strict)} "
+                                    f"{int(out.success)} {out.failure_reason} {out.t} "
+                                    f"{_coeffs(out.codeword)} {_coeffs(out.message)}")
                         seed += 1
 
 
 def main():
-    digest = hashlib.sha256()
-    count = successes = 0
-    for line in outcome_lines():
-        digest.update(line.encode() + b"\n")
-        count += 1
-        successes += line.split()[7] == "1"
-    print(f"{count} decodes, {successes} successes, sha256 {digest.hexdigest()}")
+    digests = {"decode": hashlib.sha256(), "member": hashlib.sha256()}
+    counts = {"decode": [0, 0], "member": [0, 0]}  # lines, and decode successes or codewords
+    for kind, line in outcome_lines():
+        digests[kind].update(line.encode() + b"\n")
+        counts[kind][0] += 1
+        counts[kind][1] += line.split()[7 if kind == "decode" else 6] == "1"
+    decodes, successes = counts["decode"]
+    words, codewords = counts["member"]
+    print(f"{decodes} decodes, {successes} successes, sha256 {digests['decode'].hexdigest()}")
+    print(f"{words} words, {codewords} codewords, sha256 {digests['member'].hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from conftest import (
     is_codeword_by_trace,
     moore_mu,
     plant,
+    ref_msg_left_inverse,
     rng_for,
 )
 
@@ -341,6 +342,55 @@ def test_is_codeword_matches_trace_syndrome(code321, code332):
             for v in (r, noise):
                 assert code.is_codeword(v) == is_codeword_by_trace(code, v)
             assert not code.is_codeword(r)
+
+
+def _random_gamma(ctx, rng):
+    while True:
+        g = ctx.random_element(rng)
+        if is_valid_gamma(ctx, g):
+            return g
+
+
+def _is_left_inverse(code):
+    eye = np.eye(code._enc_mat.shape[0], dtype=np.int64)
+    return np.array_equal(code._enc_mat @ code.msg_left_inverse % code.ctx.q, eye)
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4),
+                                     (3, 12, 1), (3, 12, 2), (7, 12, 19)])
+def test_closed_form_left_inverse_at_default_parameters(q, n, k):
+    assert _is_left_inverse(build_code(FieldCtx(q, n), k))
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4),
+                                     (5, 4, 5), (3, 6, 7)])
+def test_closed_form_left_inverse_at_random_lambda_and_gamma(q, n, k):
+    ctx = FieldCtx(q, n)
+    rng = rng_for(57)
+    for _ in range(3):
+        gamma = _random_gamma(ctx, rng)
+        code = build_code(ctx, k, lam=_random_basis(ctx, rng), gamma=gamma,
+                          xi=find_xi(ctx, gamma))
+        assert _is_left_inverse(code)
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4)])
+def test_membership_agrees_with_eliminated_left_inverse(q, n, k):
+    ctx = FieldCtx(q, n)
+    code = build_code(ctx, k)
+    ref = ref_msg_left_inverse(code)
+    rng = rng_for(58)
+    for _ in range(20):
+        msg, cw, _, _, r = plant(code, 1, rng)
+        noise = tuple(ctx.random_element(rng) for _ in range(code.length))
+        for v in (cw, r, noise):
+            flat = ctx.pack(v).reshape(-1)
+            digits = flat @ ref % q
+            member = np.array_equal(digits @ code._enc_mat % q, flat)
+            assert code.is_codeword(v) == member
+            if member:
+                assert code.unmap(v) == ctx.subfield_elements(digits)
+        assert code.unmap(cw) == msg
 
 
 @pytest.mark.parametrize("other", [(5, 2, None), (3, 2, [2, 2, 0, 0, 1]), None],
