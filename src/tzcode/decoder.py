@@ -1,13 +1,14 @@
 """Syndrome-based bounded-minimum-distance decoding.
 
-The pipeline: compute the syndrome s = r H^T; read the error rank off the
-largest shifted syndrome matrix S^(u_max); solve a homogeneous system for the
-error span polynomial; extract its root space a; solve the locator system
-for the locator vector d; rebuild the row-space matrix B from d in the
-basis mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the trace almost dual
-basis; subtract the error e = a B, whose rank must equal the estimate.  The
-packed corrected word then passes the code's single membership test once,
-which also reads its message digits off (TZCode._message_digits).
+The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
+syndrome matrix S^(u_max) once and read both the error rank t and the error
+span polynomial off its reduced form; extract the span's root space a;
+solve the t x t locator system for the locator vector d; rebuild the
+row-space matrix B from d in the basis mu^(q^k), where
+mu = xi^(q^(2n-k)) lambda* is the trace almost dual basis; subtract the
+error e = a B, whose rank must equal the estimate.  The packed corrected
+word then passes the code's single membership test once, which also reads
+its message digits off (TZCode._message_digits).
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -39,7 +40,7 @@ from .errors import (
     NoSolution,
     SpanDimMismatch,
 )
-from .linalg import ff_kernel, ff_mat_vec, ff_rank, ff_solve, fq_rank, _packed
+from .linalg import _kernel_of_rref, _packed, ff_kernel, ff_mat_vec, ff_rref, ff_solve, fq_rank
 from .linpoly import LinPoly, root_space
 
 __all__ = [
@@ -117,14 +118,29 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
 
 
 def estimate_rank(code: TZCode, s):
-    """The rank of S^(u_max), u_max = (2n-k-1)//2; None if u_max or that rank is 0.
+    """(t, span) from one elimination of S^(u_max), u_max = (2n-k-1)//2.
 
-    For an error of rank t <= u_max, S^(u) is the u x t Moore matrix of the
-    locators' q-powers times the t x (u+1) Moore matrix of the error's column
-    elements, both of rank t, so every S^(u) with t <= u <= u_max has rank t.
+    For an error of rank t <= u_max, S^(u_max) is the u_max x t Moore matrix
+    of the locators' q-powers times the t x (u_max+1) Moore matrix of the
+    error's column elements, whose first t columns are independent.  So t is
+    the rank, the pivots are the columns 0..t-1, and the first kernel line
+    of the reduced form, one at column t and zero after it, is the monic
+    span polynomial of q-degree t: it annihilates every window of the
+    q-Toeplitz array the rows are cut from.  Other pivots (an error beyond
+    the radius) give span None; t is None if u_max or the rank is 0.
     """
-    u_max = (code.ctx.m - (code.k + 1)) // 2
-    return (ff_rank(build_S(code, s, u_max), code.ctx) or None) if u_max else None
+    ctx = code.ctx
+    u_max = (ctx.m - (code.k + 1)) // 2
+    if not u_max:
+        return None, None
+    rref, pivots = ff_rref(build_S(code, s, u_max), ctx)
+    t = len(pivots)
+    if not t:
+        return None, None
+    if pivots != list(range(t)):
+        return t, None
+    line = _kernel_of_rref(rref, pivots, u_max + 1, ctx.one.coeffs, ctx.q)[0, : t + 1]
+    return t, LinPoly(ctx, line)
 
 
 def build_S_exp(code: TZCode, s) -> np.ndarray:
@@ -165,17 +181,19 @@ def solve_span(S, ctx=None) -> LinPoly:
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
-    """The packed locator vector d solving the inverse-Frobenius Moore system.
+    """The packed locator vector d solving the t x t inverse-Frobenius Moore system.
 
-    a is the packed (t, 2n) root basis.  Row i pairs a^(q^-i) against
-    s_(2i-1)^(q^-i); with independent a the coefficient matrix has full
-    column rank, so the solution is unique, and inconsistency means the
-    span estimate was wrong.
+    a is the packed (t, 2n) root basis.  Row i = 1..t pairs a^(q^-i) against
+    s_(2i-1)^(q^-i); with independent a the matrix is invertible and the
+    solution unique.  The later rows of the full system only re-check
+    consistency, which the rank of the rebuilt error and the membership of
+    the corrected word decide in decode.  Dependent a with no solution
+    raises LocatorSystemInconsistent.
     """
     ctx = code.ctx
-    powers = -np.arange(1, ctx.m - code.k)[:, None]
+    powers = -np.arange(1, len(a) + 1)[:, None]
     rows = ctx.frob(a[None], powers)
-    rhs = ctx.frob(s[1 : 2 * (ctx.m - code.k) - 1 : 2], powers[:, 0])
+    rhs = ctx.frob(s[1 : 2 * len(a) : 2], powers[:, 0])
     try:
         return ff_solve(rows, rhs, ctx)
     except NoSolution:
@@ -202,13 +220,12 @@ def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
     roots = root_space(span)
     if len(roots) != t:
         return DecodeOutcome.fail(ROOT_COUNT_MISMATCH)
-    try:
-        d = solve_locators(code, roots, s)
-    except LocatorSystemInconsistent:
-        return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
+    # the roots are an F_q basis, so the square locator system is invertible
+    d = solve_locators(code, roots, s)
     err = error_from_decomposition(roots, recover_B(code, d), ctx)
-    # residual check keeps the bounded-distance promise: the error rank must
-    # match the estimate, and the corrected word must be a codeword
+    # residual check keeps the bounded-distance promise and decides what the
+    # t-row locator system leaves unchecked: the error rank must match the
+    # estimate, and the corrected word must be a codeword
     if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
     return _corrected(code, (r - err) % ctx.q, err, t)
@@ -260,11 +277,9 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         if strict_alg1 and reason is not None:
             return DecodeOutcome.fail(reason)
 
-    t = estimate_rank(code, s)
+    t, span = estimate_rank(code, s)
     if t is None:
         return DecodeOutcome.fail(NO_RANK_FOUND)
-    try:
-        span = solve_span(build_S(code, s, t), ctx)
-    except SpanDimMismatch:
+    if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
     return _finish(code, packed, s, span, t)
