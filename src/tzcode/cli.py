@@ -13,7 +13,8 @@ import sys
 from . import paramfile
 from .channel import ChannelSpec, simulate
 from .construct import build_code
-from .errors import OracleBudgetExceeded, TZError
+from .decoder import decode
+from .errors import TZError
 from .field import Basis, FieldCtx
 from .oracle import DEFAULT_BUDGET, min_distance_bruteforce
 from .selftest import run_selftest
@@ -51,8 +52,6 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    from .decoder import decode
-
     code = paramfile.load_params(args.params)
     received = paramfile.read_vectors(getattr(args, "in"), code.ctx)
     failures = 0
@@ -149,9 +148,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     except (TZError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

@@ -2,9 +2,9 @@
 
 The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
 syndrome matrix S^(u_max) once and read both the error rank t and the error
-span polynomial off its reduced form; extract the span's root space a;
-solve the t x t locator system for the locator vector d; rebuild the
-row-space matrix B from d in the basis mu^(q^k), where
+span polynomial off its reduced form (solve_span); extract the span's root
+space a; solve the t x t locator system for the locator vector d; rebuild
+the row-space matrix B from d in the basis mu^(q^k), where
 mu = xi^(q^(2n-k)) lambda* is the trace almost dual basis; subtract the
 error e = a B, whose rank must equal the estimate.  The packed corrected
 word then passes the code's single membership test once, which also reads
@@ -14,7 +14,8 @@ Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
 row and the matrix is augmented with relative-trace rows (S_exp), which
 pins the solution space back to dimension one provided the error entries
-lie in the subfield of linearity.
+lie in the subfield of linearity.  The same reader, solve_span, takes the
+rank and the span off one elimination of S_exp.
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
@@ -34,13 +35,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .construct import TZCode
-from .errors import (
-    LimitCaseInapplicable,
-    LocatorSystemInconsistent,
-    NoSolution,
-    SpanDimMismatch,
-)
-from .linalg import _kernel_of_rref, _packed, ff_kernel, ff_mat_vec, ff_rref, ff_solve, fq_rank
+from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
+from .linalg import _kernel_of_rref, ff_mat_vec, ff_rref, ff_solve, fq_rank
 from .linpoly import LinPoly, root_space
 
 __all__ = [
@@ -118,29 +114,21 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
 
 
 def estimate_rank(code: TZCode, s):
-    """(t, span) from one elimination of S^(u_max), u_max = (2n-k-1)//2.
+    """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span.
 
     For an error of rank t <= u_max, S^(u_max) is the u_max x t Moore matrix
     of the locators' q-powers times the t x (u_max+1) Moore matrix of the
     error's column elements, whose first t columns are independent.  So t is
-    the rank, the pivots are the columns 0..t-1, and the first kernel line
-    of the reduced form, one at column t and zero after it, is the monic
-    span polynomial of q-degree t: it annihilates every window of the
-    q-Toeplitz array the rows are cut from.  Other pivots (an error beyond
-    the radius) give span None; t is None if u_max or the rank is 0.
+    the rank, the pivots are the columns 0..t-1, and solve_span's kernel line
+    is the span polynomial: it annihilates every window of the q-Toeplitz
+    array the rows are cut from.  Other pivots (an error beyond the radius)
+    give span None; t is None if u_max or the rank is 0.
     """
-    ctx = code.ctx
-    u_max = (ctx.m - (code.k + 1)) // 2
+    u_max = (code.ctx.m - (code.k + 1)) // 2
     if not u_max:
         return None, None
-    rref, pivots = ff_rref(build_S(code, s, u_max), ctx)
-    t = len(pivots)
-    if not t:
-        return None, None
-    if pivots != list(range(t)):
-        return t, None
-    line = _kernel_of_rref(rref, pivots, u_max + 1, ctx.one.coeffs, ctx.q)[0, : t + 1]
-    return t, LinPoly(ctx, line)
+    t, span = solve_span(build_S(code, s, u_max), code.ctx)
+    return (t, span) if t else (None, None)
 
 
 def build_S_exp(code: TZCode, s) -> np.ndarray:
@@ -165,19 +153,20 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
     return np.concatenate([_shifted(ctx, s, t, range(1, t), t + 1), trace_rows, last[None]])
 
 
-def solve_span(S, ctx=None) -> LinPoly:
-    """The packed monic span polynomial from a one-dimensional kernel.
+def solve_span(S, ctx):
+    """(rank, span) of the packed syndrome matrix S from one elimination.
 
-    The reduced-echelon kernel line is one at its free column and zero after
-    it, so a nonzero top coefficient is one already; a zero one is rejected.
+    When the pivots are the columns 0..rank-1 and a column is left free, the
+    first reduced-echelon kernel line is one at column rank and zero after
+    it: cut to rank+1 entries it is the monic span polynomial of q-degree
+    rank.  Otherwise the span is None.
     """
-    ctx, S = _packed(S, ctx)
-    kernel = ff_kernel(S, ctx)
-    if len(kernel) != 1:
-        raise SpanDimMismatch(f"kernel dimension {len(kernel)}, expected 1", len(kernel))
-    if not kernel[0, -1].any():
-        raise SpanDimMismatch("kernel vector has zero top coefficient", 1)
-    return LinPoly(ctx, kernel[0])
+    rref, pivots = ff_rref(S, ctx)
+    rank, cols = len(pivots), rref.shape[1]
+    if rank == cols or pivots != list(range(rank)):
+        return rank, None
+    line = _kernel_of_rref(rref, pivots, cols, ctx.one.coeffs, ctx.q)[0, : rank + 1]
+    return rank, LinPoly(ctx, line)
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
@@ -257,18 +246,17 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         return _corrected(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
-        # S_exp is 2t x (t+1), so it has rank t exactly when its kernel is a
-        # line: one elimination inside solve_span answers both questions.  A
+        # S_exp is 2t x (t+1), so rank t leaves a kernel line: with leading
+        # pivots it is the span, otherwise its top coefficient is zero.  A
         # rank other than t leaves reason None and falls through in both modes.
-        try:
-            span = solve_span(build_S_exp(code, s), ctx)
-            reason = None
-        except SpanDimMismatch as exc:
-            span = None
-            reason = SPAN_DIM_MISMATCH if exc.kernel_dim == 1 else None
-        if span is not None:
-            if np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
-                out = _finish(code, packed, s, span, ctx.n - code.k // 2)
+        t = ctx.n - code.k // 2
+        rank, span = solve_span(build_S_exp(code, s), ctx)
+        reason = None
+        if rank == t:
+            if span is None:
+                reason = SPAN_DIM_MISMATCH
+            elif np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
+                out = _finish(code, packed, s, span, t)
                 if out.success:
                     return out
                 reason = out.failure_reason

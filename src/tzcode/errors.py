@@ -46,13 +46,5 @@ class OracleBudgetExceeded(TZError):
     """Brute-force enumeration would exceed the configured budget."""
 
 
-class SpanDimMismatch(TZError):
-    """Span-polynomial kernel is not a line (kernel_dim != 1) or has a zero top coefficient."""
-
-    def __init__(self, message: str, kernel_dim: int):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
-
-
 class LocatorSystemInconsistent(TZError):
     """Locator system has no solution, signalling a wrong span estimate."""

@@ -273,11 +273,6 @@ class FieldCtx:
             idx //= self.q
         return FF2n(self, arr)
 
-    def elements(self):
-        """All q^2n elements in index order.  Only sensible for tiny fields."""
-        for idx in range(self.q**self.m):
-            yield self.element_from_index(idx)
-
     def random_element(self, rng) -> "FF2n":
         return FF2n(self, rng.integers(0, self.q, self.m, dtype=np.int64))
 

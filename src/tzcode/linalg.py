@@ -35,7 +35,6 @@ __all__ = [
     "ff_mat_vec",
     "ff_rref",
     "ff_rank",
-    "ff_kernel",
     "ff_solve",
     "fq_reciprocal",
     "fq_rref",
@@ -124,16 +123,6 @@ def ff_rref(a, ctx=None):
 def ff_rank(a, ctx=None) -> int:
     ctx, a = _packed(a, ctx)
     return len(_eliminate(ctx, a)[1])
-
-
-def ff_kernel(a, ctx=None) -> np.ndarray:
-    """Packed (dim, cols) basis of the right null space.
-
-    Rows are the standard reduced-echelon kernel basis, ordered by
-    ascending free column.
-    """
-    ctx, a = _packed(a, ctx)
-    return _kernel_of_rref(*ff_rref(a, ctx), a.shape[1], ctx.one.coeffs, ctx.q)
 
 
 def ff_solve(a, rhs, ctx=None) -> np.ndarray:

@@ -5,7 +5,7 @@ from tzcode import FieldCtx, LinPoly, build_code
 from tzcode.errors import NoSolution, TZError
 from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
 from tzcode.decoder import build_S
-from tzcode.linalg import ff_rank, fq_inv, fq_solve
+from tzcode.linalg import _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_solve
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -71,6 +71,21 @@ def ref_rank_scan(code, s):
         if ff_rank(build_S(code, s, u), code.ctx) == u:
             return u
     return None
+
+
+def ff_kernel(a, ctx=None) -> np.ndarray:
+    """Packed (dim, cols) basis of the right null space.
+
+    Rows are the standard reduced-echelon kernel basis, ordered by
+    ascending free column.
+    """
+    ctx, a = _packed(a, ctx)
+    return _kernel_of_rref(*ff_rref(a, ctx), a.shape[1], ctx.one.coeffs, ctx.q)
+
+
+def elements(ctx):
+    """All q^2n elements in index order.  Only sensible for tiny fields."""
+    return (ctx.element_from_index(idx) for idx in range(ctx.q**ctx.m))
 
 
 def index_of(ctx, a) -> int:

@@ -45,3 +45,10 @@ def test_a_vector_of_the_wrong_type_is_a_bad_parameter(tmp_path, capsys):
     assert main(argv) == EXIT_BAD_PARAMS
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_mindist_over_budget_is_a_bad_parameter(tmp_path, capsys):
+    path = _params(tmp_path)
+    capsys.readouterr()
+    assert main(["mindist", "--params", str(path), "--budget", "1"]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err == "error: 81 codewords exceed the budget of 1\n"

@@ -28,6 +28,7 @@ from tzcode.oracle import brute_force_decode
 from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
 from conftest import (
+    elements,
     encode_by_rows,
     in_subfield,
     index_of,
@@ -93,7 +94,7 @@ def test_valid_xi_unique_up_to_subfield_factor():
     ctx = FieldCtx(3, 2)
     gamma = find_gamma(ctx)
     valid = [
-        x for x in ctx.elements() if not x.is_zero() and ctx.trace_rel(gamma * x).is_zero()
+        x for x in elements(ctx) if not x.is_zero() and ctx.trace_rel(gamma * x).is_zero()
     ]
     assert len(valid) == 3**2 - 1  # the kernel is an F_{q^n}-line
     base = valid[0]

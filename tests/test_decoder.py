@@ -21,12 +21,12 @@ from tzcode.decoder import (
     solve_span,
     syndrome,
 )
-from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent, SpanDimMismatch
-from tzcode.linalg import ff_kernel, ff_rank, ff_rref, fq_inv, fq_rank
+from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent
+from tzcode.linalg import ff_rank, ff_rref, fq_inv, fq_rank
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import plant, ref_rank_scan, rng_for
+from conftest import ff_kernel, plant, ref_rank_scan, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,8 @@ def test_estimate_rank_span_is_the_kernel_of_S_t(q, n, k):
         if rank <= u_max:
             assert span is not None
         if span is not None:
-            assert span == solve_span(build_S(code, s, t), code.ctx)
+            kernel = ff_kernel(build_S(code, s, t), code.ctx)
+            assert len(kernel) == 1 and np.array_equal(span.coeffs, kernel[0])
             assert span.qdegree == t
 
 
@@ -268,7 +269,8 @@ def test_solve_span_recovers_planted_span(code341):
         for _ in range(20):
             _, _, _, decomp, r = plant(code341, t, rng)
             s = syndrome(code341, r)
-            span = solve_span(build_S(code341, s, t), code341.ctx)
+            rank, span = solve_span(build_S(code341, s, t), code341.ctx)
+            assert rank == t
             roots = root_space(span)
             assert roots.shape == (t, code341.ctx.m)
             assert rank_weight(code341.ctx.unpack(roots) + decomp.a) == t
@@ -279,14 +281,15 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
     ctx = code5.ctx
     for _ in range(30):
         _, _, _, _, r = plant(code5, 1, rng, subfield=True)
-        span = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
+        rank, span = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
+        assert rank == 1
         assert np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs)
         assert ctx.unpack(span.coeffs[-1]) == ctx.one
 
 
 def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
     # the reduced-echelon kernel line is already monic, so the only inverses
-    # are the pivots ff_kernel normalises
+    # are the pivots ff_rref normalises
     import tzcode.decoder as dec
     from tzcode.field import FieldCtx as Ctx
 
@@ -297,15 +300,15 @@ def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
             calls.append(a)
         return _orig(self, a)
 
-    def kernel(*args):
-        inside.append("ff_kernel")
+    def rref(*args):
+        inside.append("ff_rref")
         try:
-            return ff_kernel(*args)
+            return ff_rref(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Ctx, "inv", inv)
-    monkeypatch.setattr(dec, "ff_kernel", kernel)
+    monkeypatch.setattr(dec, "ff_rref", rref)
     rng = rng_for(76)
     for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
         _, _, _, _, r = plant(code, t, rng, subfield=subfield)
@@ -313,7 +316,7 @@ def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
         S = build_S_exp(code, s) if subfield else build_S(code, s, t)
         inside.append("solve_span")
         try:
-            span = solve_span(S, code.ctx)
+            _, span = solve_span(S, code.ctx)
         finally:
             inside.pop()
         assert np.array_equal(span.coeffs[-1], code.ctx.one.coeffs)
@@ -321,13 +324,11 @@ def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
 
 
 def test_solve_span_rejects_fat_kernel(ctx5):
+    # a kernel wider than a line shows up as a rank below the expected t
     degenerate = [[ctx5.zero, ctx5.zero, ctx5.zero], [ctx5.zero, ctx5.zero, ctx5.zero]]
-    with pytest.raises(SpanDimMismatch) as fat:
-        solve_span(degenerate)
-    assert fat.value.kernel_dim == 3
-    with pytest.raises(SpanDimMismatch) as zero_top:
-        solve_span([[ctx5.zero, ctx5.one]])  # kernel spanned by (1, 0)
-    assert zero_top.value.kernel_dim == 1
+    assert solve_span(degenerate, ctx5)[0] == 0  # kernel dimension 3
+    # a line with a zero top coefficient, spanned by (1, 0), gives no span
+    assert solve_span([[ctx5.zero, ctx5.one]], ctx5) == (1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +550,19 @@ def test_decode_beyond_guarantee_fails_identically(code5):
     assert blocked > 0
 
 
+def test_boundary_rank_t_off_the_leading_pivots(code322):
+    # S_exp of this word has rank t = 1 with its pivot in column 1: the kernel
+    # line (1, 0) has a zero top coefficient, so no span is read.  Strict mode
+    # reports SpanDimMismatch; the default falls through to the plain branch
+    ctx = code322.ctx
+    r = np.array([[0, 0, 1, 1], [2, 1, 2, 0], [1, 2, 0, 2], [1, 1, 0, 0]])
+    S = build_S_exp(code322, syndrome(code322, r))
+    assert ff_rref(S, ctx)[1] == [1]
+    assert solve_span(S, ctx) == (1, None)
+    assert decode(code322, ctx.unpack(r), strict_alg1=True).failure_reason == SPAN_DIM_MISMATCH
+    assert decode(code322, ctx.unpack(r)).failure_reason == NO_RANK_FOUND
+
+
 def test_decode_boundary_same_under_both_flags(code5):
     rng = rng_for(84)
     for _ in range(25):
@@ -558,17 +572,18 @@ def test_decode_boundary_same_under_both_flags(code5):
 
 
 def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
+    # one reduced form of S_exp tells the rank and the span polynomial; no
+    # other elimination runs in decode itself
     import tzcode.decoder as dec
 
     calls = []
     monkeypatch.setattr(dec, "ff_rref", lambda *a: calls.append("rref") or ff_rref(*a))
-    monkeypatch.setattr(dec, "ff_kernel", lambda *a: calls.append("kernel") or ff_kernel(*a))
     rng = rng_for(85)
     for _ in range(5):
         _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
         calls.clear()
         assert decode(code5, r).codeword == cw
-        assert calls == ["kernel"]
+        assert calls == ["rref"]
 
 
 def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
@@ -578,7 +593,6 @@ def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
 
     calls = []
     monkeypatch.setattr(dec, "ff_rref", lambda *a: calls.append("rref") or ff_rref(*a))
-    monkeypatch.setattr(dec, "ff_kernel", lambda *a: calls.append("kernel") or ff_kernel(*a))
     rng = rng_for(89)
     for t in (1, 2, 3):
         for _ in range(3):
@@ -640,7 +654,7 @@ def test_decode_fallback_rescues_misrouted_strict_errors(code342):
         if not decode(code342, r, strict_alg1=True).success:
             strict_failures += 1
     # the flag exists precisely because this can happen; count is seed-stable
-    assert strict_failures >= 0
+    assert strict_failures > 0
 
 
 def test_decode_beyond_radius_keeps_contract(code321):

@@ -8,7 +8,6 @@ import pytest
 from tzcode import FieldCtx
 from tzcode.errors import NoSolution, SingularMatrix
 from tzcode.linalg import (
-    ff_kernel,
     ff_mat_vec,
     ff_rank,
     ff_solve,
@@ -20,7 +19,7 @@ from tzcode.linalg import (
     fq_solve,
 )
 
-from conftest import qvan, ref_mat_mul, rng_for
+from conftest import ff_kernel, qvan, ref_mat_mul, rng_for
 
 
 def _identity(ctx, t):

@@ -2,9 +2,10 @@
 
 The batched kernels (FieldCtx.mul, outer, frob, inv) are checked against the
 scalar FF2n operations and against schoolbook products in Python ints; the
-packed elimination (ff_rref, ff_rank, ff_kernel, ff_solve) against the
-list-of-FF2n reference in conftest.  Each check runs in int64 and, where the
-field allows it, in the float64 work dtype the decoder eliminates in.
+packed elimination (ff_rref, ff_rank, ff_solve, the conftest ff_kernel and
+the decoder's span reader solve_span) against the list-of-FF2n reference in
+conftest.  Each check runs in int64 and, where the field allows it, in the
+float64 work dtype the decoder eliminates in.
 """
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tzcode import FieldCtx
+from tzcode.decoder import solve_span
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
-from tzcode.linalg import ff_kernel, ff_mat_vec, ff_rank, ff_rref, ff_solve
+from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve
 
-from conftest import ref_kernel, ref_mat_vec, ref_rref, ref_solve, rng_for
+from conftest import elements, ff_kernel, ref_kernel, ref_mat_vec, ref_rref, ref_solve, rng_for
 
 
 def _fold_bound(q, n):
@@ -72,7 +74,7 @@ def _check_kernels(ctx, a, b):
 
 def test_batched_kernels_match_scalar_ops_exhaustively():
     ctx = FieldCtx(3, 2)
-    elems = ctx.pack(list(ctx.elements()))
+    elems = ctx.pack(list(elements(ctx)))
     a = np.repeat(elems, len(elems), axis=0)
     b = np.tile(elems, (len(elems), 1))
     _check_kernels(ctx, a, b)
@@ -128,7 +130,7 @@ def test_inverse_of_zero_raises_in_a_batch(ctx5):
 # ---------------------------------------------------------------------------
 
 def _check_elimination(ctx, mat, rhs=None):
-    """Packed rref, rank, kernel and solve equal the list-of-FF2n reference."""
+    """Packed rref, rank, kernel, span and solve equal the list-of-FF2n reference."""
     lists = [list(row) for row in ctx.unpack(mat)]
     rows, pivots = ref_rref(lists)
     packed, packed_pivots = ff_rref(mat, ctx)
@@ -140,9 +142,16 @@ def _check_elimination(ctx, mat, rhs=None):
     free = [c for c in range(mat.shape[1]) if c not in pivots]
     for f, vec in zip(free, kernel, strict=True):
         assert not ff_mat_vec(mat, vec, ctx).any()
-        # the field's one at the free column and zeros after it: a line whose
-        # free column is the last is monic, which solve_span relies on
+        # the field's one at the free column and zeros after it: cut after
+        # its free column a line is monic, which solve_span relies on
         assert np.array_equal(vec[f], ctx.one.coeffs) and not vec[f + 1 :].any()
+    rank, span = solve_span(mat, ctx)
+    assert rank == len(pivots)
+    if pivots == list(range(rank)) and rank < mat.shape[1]:
+        assert np.array_equal(span.coeffs, kernel[0, : rank + 1])
+        assert not kernel[0, rank + 1 :].any()
+    else:
+        assert span is None
     if rhs is None:
         return
     try:
