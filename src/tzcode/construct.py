@@ -20,7 +20,10 @@ f_i = sum_j c_j (lambda*_j)^(q^i); splitting f_i = a_i + gamma b_i over
 F_{q^n} gives the message entries.  The single membership test reads a
 packed word's digits off that left inverse and accepts the word when
 re-applying _enc_mat gives it back; unmap, is_codeword and the decoder all
-use it, on words that pack_word has checked for length and field.
+use it, on words that pack_word has checked for length and field.  Both
+maps are held once, in the field's work dtype (FieldCtx._work), so their
+products run through BLAS wherever that dtype is float64; digits and
+codewords leave them as int64.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
 
 
 def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, xi: FF2n, mu: Basis) -> np.ndarray:
-    """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits.
+    """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits, in ctx._work.
 
     With lam* = mu / xi^(q^(2n-k)), the unit word alpha^r at entry j has
     f_i = alpha^r (lam*_j)^(q^i), row r of the multiplication matrix of
@@ -109,7 +112,7 @@ def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, xi: FF2n, mu: Basi
     message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
     """
     q, n, m = ctx.q, ctx.n, ctx.m
-    dual = ctx.mul(ctx.inv(xi.frobenius(m - k).coeffs), ctx.pack(mu))
+    dual = np.asarray(ctx.mul(ctx.inv(xi.frobenius(m - k).coeffs), ctx.pack(mu)), ctx._work)
     f = ctx.mul_matrix(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
     eye = np.eye(m, dtype=np.int64)
     conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
@@ -165,10 +168,11 @@ class TZCode:
         # the code as one F_q map: row i*n + j holds the coefficients of the
         # codeword of the message with subfield_basis[j] at entry i, zero
         # elsewhere: G's row i through the multiplication matrix of that basis
-        # element, which every entry of G shares
-        by_basis = ctx.mul_matrix(ctx.pack(ctx.subfield_basis))
-        self._enc_mat = ((self.G[:, None] @ by_basis[None]) % q).reshape(
-            2 * k * ctx.n, m * m)
+        # element, which every entry of G shares.  Both maps are held once, in
+        # the work dtype: a product with either sums at most 4n^2 products of
+        # reduced entries, inside FieldCtx's bound
+        by_basis = ctx.mul_matrix(np.asarray(ctx.pack(ctx.subfield_basis), ctx._work))
+        self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
         self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, xi, mu)
 
     def check_context(self, vec):
@@ -194,9 +198,10 @@ class TZCode:
 
     def encode(self, msg) -> tuple:
         """Codeword msg . G for a message over the subfield of linearity."""
-        digits = self.ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
-        flat = (digits @ self._enc_mat) % self.ctx.q
-        return tuple(FF2n(self.ctx, c) for c in flat.reshape(self.length, -1))
+        ctx = self.ctx
+        digits = ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
+        flat = np.asarray(ctx._mod(digits @ self._enc_mat), np.int64)
+        return tuple(FF2n(ctx, c) for c in flat.reshape(self.length, -1))
 
     def pack_word(self, v) -> np.ndarray:
         """The packed word: ValueError on a wrong length, InvalidParameter on a foreign entry."""
@@ -207,11 +212,16 @@ class TZCode:
         return self.ctx.pack(v)
 
     def _message_digits(self, packed):
-        """Digits of the message encoding to a packed word, or None when it is not a codeword."""
-        q = self.ctx.q
+        """Digits of the message encoding to a packed word, or None when it is not a codeword.
+
+        Both products run in the work dtype of the maps; the digits leave as int64.
+        """
+        ctx = self.ctx
         flat = packed.reshape(-1)
-        digits = (flat @ self.msg_left_inverse) % q
-        return digits if np.array_equal((digits @ self._enc_mat) % q, flat) else None
+        digits = ctx._mod(flat @ self.msg_left_inverse)
+        if not np.array_equal(ctx._mod(digits @ self._enc_mat), flat):
+            return None
+        return np.asarray(digits, np.int64)
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""

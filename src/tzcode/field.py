@@ -27,11 +27,17 @@ The reduction table also serves the Rabin irreducibility test of each
 candidate modulus.  Every fold stays exact in int64 only while
 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; every
 kernel keeps its running sums inside that bound by reducing mod q before
-it sums further.  The kernels compute in the dtype they are given.  Long
-eliminations and large products pass float64 instead (FieldCtx._work)
-whenever the bound times q stays below 2^53: every value is then an exact
-integer, and BLAS multiplies float64 matrices many times faster than numpy
-multiplies int64 ones.
+it sums further.  The kernels compute in the dtype they are given.  The
+callers with long eliminations or large products hand them FieldCtx._work,
+which is float64 whenever the bound times q stays below 2^53: every value
+is then an exact integer, and BLAS multiplies float64 matrices many times
+faster than numpy multiplies int64 ones.  Those callers are the
+eliminations of linalg (ff_rref's pivot normalisation included),
+ff_mat_vec, the code's membership and encode maps, which TZCode holds in
+the work dtype, and linpoly.root_space's action matrix.  Each casts its
+result back to int64 once, so every array and element the library hands
+out holds int64.  Where the bound keeps the work dtype int64 the casts are
+no-ops.
 """
 
 from __future__ import annotations
@@ -234,7 +240,9 @@ class FieldCtx:
         # float64 matrices many times faster than numpy multiplies int64 ones;
         # below 2^53 / q, floor(x / q) is exact too (_mod).  So long
         # eliminations and large products run in float64 whenever the bound
-        # allows; the kernels compute in the dtype they are given.
+        # allows; the kernels compute in the dtype they are given.  The
+        # float64 products are small and were tuned single-threaded, the way
+        # the benchmark runs them with BLAS pinned to one thread.
         self._work = np.dtype(np.float64 if bound * q < 2**53 else np.int64)
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
@@ -337,7 +345,8 @@ class FieldCtx:
         """
         if x.dtype.kind != "f":
             return x % self.q
-        floor = np.floor(x / self.q)
+        floor = x / self.q
+        np.floor(floor, out=floor)
         floor *= self.q
         x -= floor
         return x

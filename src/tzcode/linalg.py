@@ -21,7 +21,8 @@ pivot and f the row's entry in the pivot column.  p row goes through p's
 multiplication matrix, built once for the whole matrix, and f pivot_row is
 one batched product.  No inverse is taken per pivot; one batched inverse
 of the pivots normalises the rows at the end, which gives the same unique
-reduced form.
+reduced form.  All of it runs in the field's work dtype (field.py), and
+ff_rref hands the rows back as int64.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
 def _eliminate(ctx, a):
     """Fraction-free Gauss-Jordan on a copy of a packed matrix.
 
-    Returns the eliminated matrix, whose pivot rows still carry their
-    pivots rather than ones, and the pivot columns.
+    Returns the eliminated matrix in ctx._work, whose pivot rows still carry
+    their pivots rather than ones, and the pivot columns.
     """
     a = a.astype(ctx._work)  # a copy, exact in the work dtype (FieldCtx)
     rows, cols = a.shape[:2]
@@ -107,17 +108,21 @@ def _eliminate(ctx, a):
         a[:, c:] -= ctx.outer(f, pivot_row)
         a = ctx._mod(a)
         pivots.append(c)
-    return a.astype(np.int64), pivots
+    return a, pivots
 
 
 def ff_rref(a, ctx=None):
-    """Reduced row echelon form; returns (packed rows, pivot column indices)."""
+    """Reduced row echelon form; returns (packed int64 rows, pivot column indices).
+
+    The batched pivot inverse and the row normalisation run in the work
+    dtype of the elimination; the rows are cast back to int64 once.
+    """
     ctx, a = _packed(a, ctx)
     a, pivots = _eliminate(ctx, a)
     if pivots:
         r = len(pivots)
         a[:r] = ctx.mul(a[:r], ctx.inv(a[np.arange(r), pivots])[:, None])
-    return a, pivots
+    return np.asarray(a, np.int64), pivots
 
 
 def ff_rank(a, ctx=None) -> int:

@@ -65,9 +65,13 @@ def root_space(f: LinPoly) -> np.ndarray:
     f acts on coefficient rows as the F_q matrix sum_i F^i M(f_i), F^i the
     rows of the q^i-th power map and M(f_i) multiplication by f_i; the kernel
     of that 2n x 2n system has at most the q-degree of f for its dimension.
+    The action is built in the field's work dtype: each F^i M(f_i) sums 2n
+    products of reduced entries, and the sum over i adds at most 2n+1
+    reduced matrices.
     """
     ctx = f.ctx
     # x @ F^i @ M(f_i) = f_i x^(q^i), so x @ action = f(x); F^(2n) is F^0
     frob = ctx._frob_rows[np.arange(len(f.coeffs)) % ctx.m]
-    action = ((frob @ ctx.mul_matrix(f.coeffs)) % ctx.q).sum(axis=0) % ctx.q
+    action = frob @ ctx.mul_matrix(np.asarray(f.coeffs, ctx._work))
+    action = ctx._mod(ctx._mod(action).sum(axis=0))
     return fq_kernel(action.T, ctx.q)

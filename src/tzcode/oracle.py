@@ -43,7 +43,7 @@ def _rank_distances(code: TZCode, packed: np.ndarray, budget: int):
     flat = packed.reshape(-1)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        book = (_digits(code, idx) @ code._enc_mat) % ctx.q
+        book = np.asarray(ctx._mod(_digits(code, idx) @ code._enc_mat), np.int64)
         # fq_rank_batch reduces the differences mod q itself
         yield start, fq_rank_batch((flat - book).reshape(-1, ctx.m, ctx.m), ctx.q)
 

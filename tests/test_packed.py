@@ -5,20 +5,25 @@ scalar FF2n operations and against schoolbook products in Python ints; the
 packed elimination (ff_rref, ff_rank, ff_solve, the conftest ff_kernel and
 the decoder's span reader solve_span) against the list-of-FF2n reference in
 conftest.  Each check runs in int64 and, where the field allows it, in the
-float64 work dtype the decoder eliminates in.
+float64 work dtype the decoder eliminates in.  At the largest q each dtype
+admits, the code's F_q maps, the root space and decoding are checked for
+exactness; and whatever runs in the work dtype inside, every array and
+element the library hands back holds int64.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tzcode import FieldCtx
-from tzcode.decoder import solve_span
+from tzcode import FieldCtx, LinPoly, build_code, decode, random_message, root_space
+from tzcode.construct import is_valid_gamma
+from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
-from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve
+from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 
-from conftest import elements, ff_kernel, ref_kernel, ref_mat_vec, ref_rref, ref_solve, rng_for
+from conftest import (elements, encode_by_rows, ff_kernel, plant, qvan, ref_kernel, ref_mat_vec,
+                      ref_rref, ref_solve, rng_for)
 
 
 def _fold_bound(q, n):
@@ -33,6 +38,23 @@ def _largest_prime(ok):
         lo, hi = (mid + 1, hi) if ok(mid) else (lo, mid)
     # q = 1 mod 4 keeps the modulus search short (see test_field)
     return next(p for p in range(lo - 1, 0, -1) if _is_prime(p) and p % 4 == 1)
+
+
+def _edge_q(edge):
+    """int64: the largest q FieldCtx accepts at n = 2; float64: the largest q
+    whose kernels still run in float64, where floor(x / q) must stay exact."""
+    if edge == "int64":
+        return _largest_prime(lambda v: _fold_bound(v, 2) < 2**63)
+    return _largest_prime(lambda v: _fold_bound(v, 2) * v < 2**53)
+
+
+def _code_with_random_gamma(ctx, k, rng):
+    """A code whose gamma is drawn at random: at large q the default search
+    would first scan all q scalars, whose norms are squares."""
+    while True:
+        gamma = ctx.random_element(rng)
+        if is_valid_gamma(ctx, gamma):
+            return build_code(ctx, k, gamma=gamma)
 
 
 def int_mulmod(ctx, a, b):
@@ -94,12 +116,7 @@ def test_batched_kernels_match_scalar_ops_at_decoder_size(q, n):
 
 @pytest.mark.parametrize("edge", ["int64", "float64"])
 def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
-    # int64: the largest q FieldCtx accepts; float64: the largest q whose
-    # kernels still run in float64, where floor(x / q) must stay exact
-    if edge == "int64":
-        q = _largest_prime(lambda v: _fold_bound(v, 2) < 2**63)
-    else:
-        q = _largest_prime(lambda v: _fold_bound(v, 2) * v < 2**53)
+    q = _edge_q(edge)
     ctx = FieldCtx(q, 2)
     assert ctx._work == np.dtype(edge)
     if edge == "float64":
@@ -120,6 +137,72 @@ def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
     _check_elimination(ctx, mat)
 
 
+@pytest.mark.parametrize("edge", ["int64", "float64"])
+def test_code_maps_and_decoding_at_the_largest_q_each_dtype_admits(edge):
+    ctx = FieldCtx(_edge_q(edge), 2)
+    assert ctx._work == np.dtype(edge)
+    q = ctx.q
+    rng = rng_for(240)
+    for k in (1, 2):
+        code = _code_with_random_gamma(ctx, k, rng)
+        # the maps hold reduced integers, and their product is checked in Python ints
+        enc, inv = (np.asarray(x, np.int64) for x in (code._enc_mat, code.msg_left_inverse))
+        for exact, held in ((enc, code._enc_mat), (inv, code.msg_left_inverse)):
+            assert np.array_equal(exact, held) and exact.min() >= 0 and exact.max() < q
+        assert np.array_equal(enc.astype(object) @ inv.astype(object) % q,
+                              np.eye(len(enc), dtype=np.int64))
+        for _ in range(4):
+            msg = random_message(code, rng)
+            cw = code.encode(msg)
+            assert cw == encode_by_rows(code, msg)
+            assert code.is_codeword(cw) and code.unmap(cw) == msg
+        for t in range(1, ctx.m):
+            vecs = [ctx.random_element(rng) for _ in range(t)]
+            plane, pivots = fq_rref([v.coeffs for v in vecs], q)
+            assert len(pivots) == t  # random elements are independent at these q
+            # the span polynomial is the one kernel line of the t x (t+1) Moore matrix
+            kernel = ff_kernel(qvan(vecs, t + 1).swapaxes(0, 1), ctx)
+            assert len(kernel) == 1
+            roots = root_space(LinPoly(ctx, kernel[0]))
+            assert len(roots) == t and np.array_equal(fq_rref(roots, q)[0], plane)
+        # rank-1 errors; at even k only subfield errors are guaranteed
+        for _ in range(4):
+            msg, cw, e, _, r = plant(code, 1, rng, subfield=k % 2 == 0)
+            out = decode(code, r)
+            assert out.success and out.t == 1
+            assert (out.codeword, out.error, out.message) == (cw, e, msg)
+
+
+def _all_int64(elems):
+    return all(e.coeffs.dtype == np.int64 for e in elems)
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 12, 1), (3, 12, 2), (3, 12, 19), (_edge_q("int64"), 2, 1)],
+                         ids=["float64-k1", "float64-k2", "float64-k19", "int64-edge"])
+def test_results_leave_as_int64(q, n, k):
+    # FF2n hashes its coefficient bytes: a float coefficient would give two
+    # equal elements different hashes
+    ctx = FieldCtx(q, n)
+    assert ctx._work == np.dtype(np.float64 if q == 3 else np.int64)
+    rng = rng_for(250 + k)
+    code = _code_with_random_gamma(ctx, k, rng)
+    t = code.radius  # at even k the boundary rank, decoded from subfield errors
+    msg, cw, e, _, r = plant(code, t, rng, subfield=k % 2 == 0)
+    assert _all_int64(code.encode(msg)) and _all_int64(code.unmap(cw))
+    assert _all_int64(ctx.subfield_elements(rng.integers(0, q, (3, n)).astype(ctx._work)))
+    for word, err in ((cw, (ctx.zero,) * code.length), (r, e)):
+        out = decode(code, word)
+        assert out.success and (out.codeword, out.error, out.message) == (cw, err, msg)
+        assert _all_int64(out.codeword) and _all_int64(out.error) and _all_int64(out.message)
+        assert hash(out.codeword[0]) == hash(ctx.elem(cw[0].coeffs.tolist()))
+    s = syndrome(code, ctx.pack(r))
+    S = build_S_exp(code, s) if k % 2 == 0 else build_S(code, s, (ctx.m - k - 1) // 2)
+    rank, span = solve_span(S, ctx)
+    assert rank == t
+    for arr in (s, ff_rref(S, ctx)[0], root_space(span), code._message_digits(ctx.pack(cw))):
+        assert arr.dtype == np.int64
+
+
 def test_inverse_of_zero_raises_in_a_batch(ctx5):
     with pytest.raises(DivisionByZero):
         ctx5.inv(np.stack([ctx5.one.coeffs, ctx5.zero.coeffs]))
@@ -136,6 +219,9 @@ def _check_elimination(ctx, mat, rhs=None):
     packed, packed_pivots = ff_rref(mat, ctx)
     assert packed_pivots == pivots
     assert ctx.unpack(packed) == tuple(tuple(r) for r in rows)
+    for dt in _dtypes(ctx):  # normalised in the work dtype, returned as int64
+        rref = ff_rref(mat.astype(dt), ctx)[0]
+        assert rref.dtype == np.int64 and np.array_equal(rref, packed)
     assert ff_rank(mat, ctx) == len(pivots)
     kernel = ff_kernel(mat, ctx)
     assert ctx.unpack(kernel) == tuple(tuple(v) for v in ref_kernel(lists))
