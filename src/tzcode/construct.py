@@ -24,6 +24,15 @@ use it, on words that pack_word has checked for length and field.  Both
 maps are held once, in the field's work dtype (FieldCtx._work), so their
 products run through BLAS wherever that dtype is float64; digits and
 codewords leave them as int64.
+
+The decoder recovers an error e from its transform
+sigma_i = sum_j e_j (mu_j^(q^k))^(q^i), i in Z_2n.  nu = lam^(q^k) xi^-1 is
+the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
+sum_i nu_j^(q^i) sigma_i = sum_l e_l Tr(nu_j mu_l^(q^k)) = e_j: TZCode
+holds the packed table N[j, i] = nu_j^(q^i), and N sigma is the error.  The
+same duality gives the coordinates of an element x in the basis mu^(q^k),
+Tr(x nu_j), with no inversion (mu_k_coords).  lam*, which the left inverse
+reads, and nu share the one inverse of xi^(q^(2n-k)).
 """
 
 from __future__ import annotations
@@ -74,6 +83,17 @@ def find_xi(ctx: FieldCtx, gamma: FF2n) -> FF2n:
     return eta / gamma
 
 
+def _trace_form(ctx: FieldCtx) -> np.ndarray:
+    """The F_q Gram matrix Tr(alpha^r alpha^s) of the power basis, r, s < 2n.
+
+    Tr(alpha^d) for d <= 4n-2: the absolute trace lies in F_q, so it is the
+    constant coefficient of the sum of all Frobenius images.
+    """
+    tr = (ctx._red @ sum(ctx._frob_pows)[0]) % ctx.q
+    power = np.arange(ctx.m)
+    return tr[power[:, None] + power[None, :]]
+
+
 def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
     """The unique basis mu with sum_j lam_j^(q^i) mu_j = xi^(q^(2n-k)) if i = 0, else 0.
 
@@ -85,13 +105,8 @@ def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
     if xi.is_zero():
         raise InvalidParameter("xi must be nonzero")
     q, m = ctx.q, ctx.m
-    # Tr(alpha^d) for d <= 4n-2: the absolute trace lies in F_q, so it is the
-    # constant coefficient of the sum of all Frobenius images
-    tr = (ctx._red @ sum(ctx._frob_pows)[0]) % q
-    power = np.arange(m)
-    trace_form = tr[power[:, None] + power[None, :]]  # Tr(alpha^r alpha^s)
     expansion = np.stack([e.coeffs for e in lam], axis=1)
-    gram = (expansion.T @ trace_form % q @ expansion) % q
+    gram = (expansion.T @ _trace_form(ctx) % q @ expansion) % q
     dual = (expansion @ fq_inv(gram, q)) % q  # T is symmetric, so is T^-1
     return Basis(ctx.unpack(ctx.mul(xi.frobenius(m - k).coeffs, dual.T)))
 
@@ -102,17 +117,16 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
     return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
 
 
-def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, xi: FF2n, mu: Basis) -> np.ndarray:
+def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, dual: np.ndarray) -> np.ndarray:
     """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits, in ctx._work.
 
-    With lam* = mu / xi^(q^(2n-k)), the unit word alpha^r at entry j has
+    dual is lam* packed in ctx._work.  The unit word alpha^r at entry j has
     f_i = alpha^r (lam*_j)^(q^i), row r of the multiplication matrix of
     (lam*_j)^(q^i).  b = (f - f^(q^n)) / (gamma - gamma^(q^n)) and a = f - gamma b
     are F_q maps on coefficient rows, folded into the subfield digit map; the
     message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
     """
     q, n, m = ctx.q, ctx.n, ctx.m
-    dual = np.asarray(ctx.mul(ctx.inv(xi.frobenius(m - k).coeffs), ctx.pack(mu)), ctx._work)
     f = ctx.mul_matrix(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
     eye = np.eye(m, dtype=np.int64)
     conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
@@ -126,7 +140,7 @@ def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, xi: FF2n, mu: Basi
 
 
 class TZCode:
-    """A fully instantiated code: parameters, G, H, and encoding helpers.
+    """A fully instantiated code: parameters, G, H, the transform table N, encoding helpers.
 
     Instances are immutable after construction: nothing, the exhaustive
     oracles included, attaches state to one, so it is safe for concurrent
@@ -160,10 +174,18 @@ class TZCode:
             ctx.frob(mu_elems, k)[None],
         ])
 
-        # mu^(q^k) by columns, which plants the locators d = B mu^(q^k), and
-        # coordinates in that basis, which rebuild B from the locators
+        # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
+        # trace-dual basis of mu^(q^k): one inverse serves both
+        xi_inv = ctx.inv(xi.frobenius(m - k).coeffs)
+        nu = ctx.frob(ctx.mul(xi_inv, lam_elems), k)
+        # N[j, i] = nu_j^(q^i) inverts the decoder's transform: one product of
+        # nu with the 2n power maps side by side.  mu^(q^k) by columns plants
+        # the locators d = B mu^(q^k), and the coordinates of x in that basis
+        # are Tr(x nu_j), which rebuild B from the locators
+        powers = ctx._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
+        self.N = np.asarray(ctx._dot(np.asarray(nu, ctx._work), powers), np.int64).reshape(m, m, m)
         self.mu_k = (ctx._frob_pows[k] @ mu.expansion) % q
-        self.mu_k_coords = fq_inv(self.mu_k, q)
+        self.mu_k_coords = nu @ _trace_form(ctx) % q
 
         # the code as one F_q map: row i*n + j holds the coefficients of the
         # codeword of the message with subfield_basis[j] at entry i, zero
@@ -173,7 +195,8 @@ class TZCode:
         # reduced entries, inside FieldCtx's bound
         by_basis = ctx.mul_matrix(np.asarray(ctx.pack(ctx.subfield_basis), ctx._work))
         self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
-        self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, xi, mu)
+        dual = np.asarray(ctx.mul(xi_inv, mu_elems), ctx._work)
+        self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, dual)
 
     def check_context(self, vec):
         """Raise InvalidParameter unless every entry is an element of the code's field."""

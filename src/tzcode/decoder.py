@@ -2,13 +2,27 @@
 
 The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
 syndrome matrix S^(u_max) once and read both the error rank t and the error
-span polynomial off its reduced form (solve_span); extract the span's root
-space a; solve the t x t locator system for the locator vector d; rebuild
-the row-space matrix B from d in the basis mu^(q^k), where
-mu = xi^(q^(2n-k)) lambda* is the trace almost dual basis; subtract the
-error e = a B, whose rank must equal the estimate.  The packed corrected
-word then passes the code's single membership test once, which also reads
-its message digits off (TZCode._message_digits).
+span polynomial Lambda off its reduced form (solve_span); check that Lambda
+splits into t independent roots (root_space); recover the error in the
+transform domain (error_from_span); check that its rank is t.  The packed
+corrected word then passes the code's single membership test once, which
+also reads its message digits off (TZCode._message_digits).
+
+The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)), i in
+Z_2n, mu the trace almost dual basis; the odd syndrome entries s_(2i-1),
+i < 2n-k, are sigma_1..sigma_(2n-k-1).  error_from_span extends them by
+Lambda's q-recurrence and inverts the transform with the code's table N, as
+Gabidulin decoders do (Silva and Kschischang, ISIT 2009), so no second
+elimination runs.  The t x t locator system (solve_locators), recover_B and
+error_from_decomposition stay as the reference that tests compare against,
+and the outcome is the same.  An error the locator path accepts follows the
+recurrence, so the extension reproduces it.  An error this path accepts
+follows the recurrence on at least t consecutive windows (the rows of
+S^(u_max), or the plain rows of S_exp and the k+1 extension windows), so the
+Moore matrix of its locators forces Lambda to vanish on its column elements,
+and the locator system gives the same error.  The transform needs no roots,
+but root_space's count stays, so RootCountMismatch keeps naming the spans
+that do not split.
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -19,12 +33,13 @@ rank and the span off one elimination of S_exp.
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
-syndrome matrices and the locator system are (rows, cols, 2n) arrays built
-by gathering syndrome entries and applying their Frobenius powers in one
-batched matmul, and linalg eliminates them one numpy step per pivot.  The
-span polynomial is a packed LinPoly, its roots a (t, 2n) array, the error
-the F_q product B^T a.  FF2n appears only where decode hands results back:
-the corrected word, the error and the message in DecodeOutcome.
+syndrome matrices are (rows, cols, 2n) arrays built by gathering syndrome
+entries and applying their Frobenius powers in one batched matmul, and
+linalg eliminates them one numpy step per pivot.  The span polynomial is a
+packed LinPoly, its roots a (t, 2n) array; each recurrence step is one F_q
+product and the inverse transform one ff_mat_vec.  FF2n appears only where
+decode hands results back: the corrected word, the error and the message in
+DecodeOutcome.
 
 Decoding failures are returned as values, never raised.
 """
@@ -37,7 +52,7 @@ from dataclasses import dataclass
 from .construct import TZCode
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
 from .linalg import _kernel_of_rref, ff_mat_vec, ff_rref, ff_solve, fq_rank
-from .linpoly import LinPoly, root_space
+from .linpoly import LinPoly, _term_matrices, root_space
 
 __all__ = [
     "SPAN_DIM_MISMATCH",
@@ -55,6 +70,7 @@ __all__ = [
     "solve_locators",
     "recover_B",
     "error_from_decomposition",
+    "error_from_span",
     "decode",
 ]
 
@@ -172,12 +188,12 @@ def solve_span(S, ctx):
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
     """The packed locator vector d solving the t x t inverse-Frobenius Moore system.
 
-    a is the packed (t, 2n) root basis.  Row i = 1..t pairs a^(q^-i) against
-    s_(2i-1)^(q^-i); with independent a the matrix is invertible and the
-    solution unique.  The later rows of the full system only re-check
-    consistency, which the rank of the rebuilt error and the membership of
-    the corrected word decide in decode.  Dependent a with no solution
-    raises LocatorSystemInconsistent.
+    The reference for error_from_span, which decode uses instead: the error
+    a B, B = recover_B(d), equals error_from_span's whenever either passes
+    the residual checks.  a is the packed (t, 2n) root basis.  Row i = 1..t
+    pairs a^(q^-i) against s_(2i-1)^(q^-i); with independent a the matrix is
+    invertible and the solution unique.  Dependent a with no solution raises
+    LocatorSystemInconsistent.
     """
     ctx = code.ctx
     powers = -np.arange(1, len(a) + 1)[:, None]
@@ -203,18 +219,43 @@ def error_from_decomposition(a, B, ctx) -> np.ndarray:
     return (B.T @ a) % ctx.q
 
 
+def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
+    """The packed error whose transform extends the syndrome by the span's recurrence.
+
+    The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)) over
+    i in Z_2n; the odd syndrome entries s_(2i-1), i < 2n-k, are
+    sigma_1..sigma_(2n-k-1).  With e = sum_l B_l a_l,
+    sigma_i = sum_l a_l d_l^(q^i), and the monic span Lambda of q-degree t
+    kills every a_l, so sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.
+    Stepping j down from t, each step reads sigma_(j-t) off the window
+    sigma_j..sigma_(j-t+1): one F_q product of its t 2n digits with
+    W = stack_c(-F^c M(Lambda_c) F^-t).  k+1 steps fill sigma_0,
+    sigma_(2n-1), ..., sigma_(2n-k), and the error is the inverse transform
+    N sigma (TZCode.N).  The steps run on sigma in descending order,
+    sigma_(2n-k-1) first, so that every window is one contiguous row block;
+    a step sums t 2n <= 2n^2 products of reduced entries, inside FieldCtx's
+    bound for the work dtype.
+    """
+    ctx, k, m = code.ctx, code.k, code.ctx.m
+    t = len(span.coeffs) - 1
+    W = ctx._dot(_term_matrices(span)[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
+    down = np.empty((m, m), dtype=ctx._work)  # down[p] = sigma_(2n-k-1-p)
+    down[: m - k - 1] = s[-3::-2]
+    for p in range(m - k - 1, m):
+        down[p] = ctx._dot(down[p - t : p].reshape(-1), W)
+    return ff_mat_vec(code.N, down[(m - k - 1 - np.arange(m)) % m], ctx)
+
+
 def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
-    """Shared tail on the packed word r: roots, locators, B, error, residual check."""
+    """Shared tail on the packed word r: root count, error, residual check."""
     ctx = code.ctx
-    roots = root_space(span)
-    if len(roots) != t:
+    # the transform needs no roots, but the count keeps RootCountMismatch
+    # naming the spans that do not split into t independent roots
+    if len(root_space(span)) != t:
         return DecodeOutcome.fail(ROOT_COUNT_MISMATCH)
-    # the roots are an F_q basis, so the square locator system is invertible
-    d = solve_locators(code, roots, s)
-    err = error_from_decomposition(roots, recover_B(code, d), ctx)
-    # residual check keeps the bounded-distance promise and decides what the
-    # t-row locator system leaves unchecked: the error rank must match the
-    # estimate, and the corrected word must be a codeword
+    err = error_from_span(code, s, span)
+    # residual check keeps the bounded-distance promise: the error rank must
+    # match the estimate, and the corrected word must be a codeword
     if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
     return _corrected(code, (r - err) % ctx.q, err, t)

@@ -59,19 +59,25 @@ class LinPoly:
         return f"LinPoly({self.coeffs.tolist()})"
 
 
+def _term_matrices(f: LinPoly) -> np.ndarray:
+    """The (d+1, 2n, 2n) F_q matrices F^i M(f_i), reduced, in the field's work dtype.
+
+    F^i holds the rows of the q^i-th power map and M(f_i) multiplication by
+    f_i, so x @ F^i @ M(f_i) = f_i x^(q^i) on a coefficient row x; each
+    entry sums 2n products of reduced entries.
+    """
+    ctx = f.ctx
+    frob = ctx._frob_rows[np.arange(len(f.coeffs)) % ctx.m]  # F^(2n) is F^0
+    return ctx._mod(frob @ ctx.mul_matrix(np.asarray(f.coeffs, ctx._work)))
+
+
 def root_space(f: LinPoly) -> np.ndarray:
     """Echelon-canonical F_q-basis of the kernel of f, packed (dim, 2n).
 
-    f acts on coefficient rows as the F_q matrix sum_i F^i M(f_i), F^i the
-    rows of the q^i-th power map and M(f_i) multiplication by f_i; the kernel
-    of that 2n x 2n system has at most the q-degree of f for its dimension.
-    The action is built in the field's work dtype: each F^i M(f_i) sums 2n
-    products of reduced entries, and the sum over i adds at most 2n+1
-    reduced matrices.
+    f acts on coefficient rows as the F_q matrix sum_i F^i M(f_i)
+    (_term_matrices); the kernel of that 2n x 2n system has at most the
+    q-degree of f for its dimension.  The sum adds at most 2n+1 reduced
+    matrices, inside the work dtype's bound.
     """
-    ctx = f.ctx
-    # x @ F^i @ M(f_i) = f_i x^(q^i), so x @ action = f(x); F^(2n) is F^0
-    frob = ctx._frob_rows[np.arange(len(f.coeffs)) % ctx.m]
-    action = frob @ ctx.mul_matrix(np.asarray(f.coeffs, ctx._work))
-    action = ctx._mod(ctx._mod(action).sum(axis=0))
-    return fq_kernel(action.T, ctx.q)
+    action = f.ctx._mod(_term_matrices(f).sum(axis=0))
+    return fq_kernel(action.T, f.ctx.q)

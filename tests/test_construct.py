@@ -23,7 +23,7 @@ from tzcode.channel import random_message
 from tzcode.decoder import decode
 from tzcode.field import Basis
 from tzcode.paramfile import params_from_dict
-from tzcode.linalg import fq_kernel
+from tzcode.linalg import fq_inv, fq_kernel
 from tzcode.oracle import brute_force_decode
 from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
@@ -373,6 +373,22 @@ def test_closed_form_left_inverse_at_random_lambda_and_gamma(q, n, k):
         code = build_code(ctx, k, lam=_random_basis(ctx, rng), gamma=gamma,
                           xi=find_xi(ctx, gamma))
         assert _is_left_inverse(code)
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4), (3, 6, 7)])
+def test_closed_form_mu_k_coords_invert_mu_k(q, n, k):
+    # Tr(alpha^r nu_j), nu the trace-dual basis of mu^(q^k), against the
+    # eliminated inverse of mu^(q^k)'s expansion, at the default and at
+    # random lambda and gamma
+    ctx = FieldCtx(q, n)
+    rng = rng_for(59)
+    codes = [build_code(ctx, k)]
+    for _ in range(2):
+        gamma = _random_gamma(ctx, rng)
+        codes.append(build_code(ctx, k, lam=_random_basis(ctx, rng), gamma=gamma,
+                                xi=find_xi(ctx, gamma)))
+    for code in codes:
+        assert np.array_equal(code.mu_k_coords, fq_inv(code.mu_k, q))
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4)])
