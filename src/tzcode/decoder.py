@@ -2,27 +2,26 @@
 
 The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
 syndrome matrix S^(u_max) once and read both the error rank t and the error
-span polynomial Lambda off its reduced form (solve_span); check that Lambda
-splits into t independent roots (root_space); recover the error in the
-transform domain (error_from_span); check that its rank is t.  The packed
-corrected word then passes the code's single membership test once, which
-also reads its message digits off (TZCode._message_digits).
+span polynomial Lambda off its reduced form (solve_span); recover the error
+in the transform domain (error_from_span); check that its rank is t.  The
+packed corrected word then passes the code's single membership test once,
+which also reads its message digits off (TZCode._message_digits).  Only
+a failure that decode reports counts Lambda's independent roots
+(root_space), to name it.
 
-The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)), i in
-Z_2n, mu the trace almost dual basis; the odd syndrome entries s_(2i-1),
-i < 2n-k, are sigma_1..sigma_(2n-k-1).  error_from_span extends them by
-Lambda's q-recurrence and inverts the transform with the code's table N, as
-Gabidulin decoders do (Silva and Kschischang, ISIT 2009), so no second
-elimination runs.  The t x t locator system (solve_locators), recover_B and
-error_from_decomposition stay as the reference that tests compare against,
-and the outcome is the same.  An error the locator path accepts follows the
-recurrence, so the extension reproduces it.  An error this path accepts
-follows the recurrence on at least t consecutive windows (the rows of
-S^(u_max), or the plain rows of S_exp and the k+1 extension windows), so the
-Moore matrix of its locators forces Lambda to vanish on its column elements,
-and the locator system gives the same error.  The transform needs no roots,
-but root_space's count stays, so RootCountMismatch keeps naming the spans
-that do not split.
+The odd syndrome entries are the error's transform sigma_1..sigma_(2n-k-1);
+error_from_span extends them by Lambda's q-recurrence and inverts the
+transform with the code's table N, as Gabidulin decoders do (Silva and
+Kschischang, ISIT 2009), so no second elimination runs.  The t x t locator
+system (solve_locators), recover_B and error_from_decomposition stay as the
+reference that tests compare against, and the outcome is the same.  An error
+the locator path accepts follows the recurrence, so the extension reproduces
+it.  An error this path accepts follows the recurrence on at least t
+consecutive windows (the rows of S^(u_max), or the plain rows of S_exp and
+the k+1 extension windows), so the Moore matrix of its locators forces
+Lambda to vanish on its column elements, and the locator system gives the
+same error.  A monic Lambda of q-degree t has at most t independent roots,
+so every span decode accepts has exactly t.
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
 everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
@@ -36,10 +35,9 @@ on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
 syndrome matrices are (rows, cols, 2n) arrays built by gathering syndrome
 entries and applying their Frobenius powers in one batched matmul, and
 linalg eliminates them one numpy step per pivot.  The span polynomial is a
-packed LinPoly, its roots a (t, 2n) array; each recurrence step is one F_q
-product and the inverse transform one ff_mat_vec.  FF2n appears only where
-decode hands results back: the corrected word, the error and the message in
-DecodeOutcome.
+packed LinPoly; each recurrence step is one F_q product and the inverse
+transform one ff_mat_vec.  FF2n appears only where decode hands results
+back: the corrected word, the error and the message in DecodeOutcome.
 
 Decoding failures are returned as values, never raised.
 """
@@ -80,12 +78,13 @@ LAMBDA_NOT_IN_SUBFIELD = "LambdaNotInSubfield"
 NO_RANK_FOUND = "NoRankFound"
 LOCATOR_SYSTEM_INCONSISTENT = "LocatorSystemInconsistent"
 
+# What each reason means in decode (which solves no locator system)
 FAILURE_REASONS = (
-    SPAN_DIM_MISMATCH,
-    ROOT_COUNT_MISMATCH,
-    LAMBDA_NOT_IN_SUBFIELD,
-    NO_RANK_FOUND,
-    LOCATOR_SYSTEM_INCONSISTENT,
+    SPAN_DIM_MISMATCH,  # rank t, but the pivots are not the columns 0..t-1
+    ROOT_COUNT_MISMATCH,  # the error failed the check below, and the span has other than t roots
+    LAMBDA_NOT_IN_SUBFIELD,  # the boundary span has coefficients outside F_(q^n)
+    NO_RANK_FOUND,  # S^(u_max) has rank 0, or u_max is 0
+    LOCATOR_SYSTEM_INCONSISTENT,  # the error read off the span has rank != t or leaves no codeword
 )
 
 
@@ -246,26 +245,28 @@ def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
     return ff_mat_vec(code.N, down[(m - k - 1 - np.arange(m)) % m], ctx)
 
 
-def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
-    """Shared tail on the packed word r: root count, error, residual check."""
+def _accepted(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome | None:
+    """The outcome on the packed word r if the error read off span passes, else None."""
     ctx = code.ctx
-    # the transform needs no roots, but the count keeps RootCountMismatch
-    # naming the spans that do not split into t independent roots
-    if len(root_space(span)) != t:
-        return DecodeOutcome.fail(ROOT_COUNT_MISMATCH)
     err = error_from_span(code, s, span)
     # residual check keeps the bounded-distance promise: the error rank must
     # match the estimate, and the corrected word must be a codeword
-    if fq_rank(err, ctx.q) != t:
-        return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
-    return _corrected(code, (r - err) % ctx.q, err, t)
+    return _corrected(code, (r - err) % ctx.q, err, t) if fq_rank(err, ctx.q) == t else None
 
 
-def _corrected(code: TZCode, cw, err, t: int) -> DecodeOutcome:
-    """The outcome for the packed corrected word cw and error err, if cw is a codeword."""
+def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
+    """_accepted's outcome, or the failure that the span's root count names."""
+    # every span the residual check accepts splits into t independent roots
+    # (module docstring), so only a failure counts them
+    return _accepted(code, r, s, span, t) or DecodeOutcome.fail(
+        ROOT_COUNT_MISMATCH if len(root_space(span)) != t else LOCATOR_SYSTEM_INCONSISTENT)
+
+
+def _corrected(code: TZCode, cw, err, t: int) -> DecodeOutcome | None:
+    """The outcome for the packed corrected word cw and error err, or None off the code."""
     digits = code._message_digits(cw)
     if digits is None:
-        return DecodeOutcome.fail(LOCATOR_SYSTEM_INCONSISTENT)
+        return None
     ctx = code.ctx
     return DecodeOutcome.ok(ctx.unpack(cw), ctx.unpack(err), ctx.subfield_elements(digits), t)
 
@@ -297,10 +298,10 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
             if span is None:
                 reason = SPAN_DIM_MISMATCH
             elif np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
-                out = _finish(code, packed, s, span, t)
-                if out.success:
+                # only strict mode reports this branch's failure, so only it names one
+                out = (_finish if strict_alg1 else _accepted)(code, packed, s, span, t)
+                if out is not None:
                     return out
-                reason = out.failure_reason
             else:
                 reason = LAMBDA_NOT_IN_SUBFIELD
         if strict_alg1 and reason is not None:

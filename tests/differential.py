@@ -19,8 +19,8 @@ uses only the public API, so it runs unchanged on earlier trees.  With
 differential.expected beside it and exits 1 on any difference; a change
 that alters outcomes on purpose re-records that file and says why.
 
-pytest does not collect this file; it takes about 12 s on one core of a
-2-vCPU x86-64 host.
+tests/test_differential.py runs the same comparison in the pytest suite.
+It takes about 12-20 s on one core of a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations

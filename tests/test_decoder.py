@@ -10,6 +10,7 @@ from tzcode.channel import ChannelSpec, random_error, random_message
 from tzcode.decoder import (
     LOCATOR_SYSTEM_INCONSISTENT,
     NO_RANK_FOUND,
+    ROOT_COUNT_MISMATCH,
     SPAN_DIM_MISMATCH,
     build_S,
     build_S_exp,
@@ -683,7 +684,7 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     from tzcode.field import FF2n
 
     # and the error comes from the transform domain: no locator system, no
-    # second elimination over F_{q^2n}
+    # second elimination over F_{q^2n}, and no root space on a success
     import tzcode.linalg as linalg
 
     stages = ("syndrome", "estimate_rank", "solve_span", "root_space", "error_from_span")
@@ -719,8 +720,49 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
         finally:
             inside.pop()
         assert out.codeword == cw and out.error == e
-    assert entered == set(stages)
+    assert entered == set(stages) - {"root_space"}
     assert calls == []
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 2, 2), (3, 6, 4)])
+def test_only_a_reported_failure_counts_roots(q, n, k, monkeypatch):
+    # the theorem decode's order rests on: the span of an error that passes
+    # the residual check vanishes on its t column elements, and a monic span
+    # of q-degree t has at most t independent roots, so the span that decoded
+    # splits into exactly t.  So decode counts roots only to name a failure
+    # it reports, once, on the last span it read: never on a success, and
+    # never for a boundary attempt that the default mode drops before the
+    # plain branch (at (3,6,4) generic rank-2 errors take that fallback).
+    # Generic rank-3 errors at (3,4,2) read RootCountMismatch, as in the
+    # golden reports
+    import tzcode.decoder as dec
+
+    code = build_code(FieldCtx(q, n), k)
+    spans, counted = [], []
+    monkeypatch.setattr(dec, "error_from_span",
+                        lambda *a: spans.append(a[-1]) or error_from_span(*a))
+    monkeypatch.setattr(dec, "root_space", lambda f: counted.append(f) or root_space(f))
+    successes = named = 0
+    for t in range(1, code.radius + 2):
+        for subfield in (False, True) if t <= n else (False,):
+            rng = rng_for(94, t)
+            for _ in range(10):
+                *_, r = plant(code, t, rng, subfield=subfield)
+                for strict in (False, True):
+                    spans.clear()
+                    counted.clear()
+                    out = decode(code, r, strict_alg1=strict)
+                    if (q, n, k, t, subfield) == (3, 4, 2, 3, False):
+                        assert out.failure_reason == ROOT_COUNT_MISMATCH
+                    if out.success:
+                        successes += 1
+                        assert counted == [] and len(root_space(spans[-1])) == out.t
+                    elif out.failure_reason in (ROOT_COUNT_MISMATCH, LOCATOR_SYSTEM_INCONSISTENT):
+                        named += 1
+                        assert counted == spans[-1:] != []
+                    else:
+                        assert counted == []
+    assert successes > 0 and named > 0
 
 
 def test_decode_fallback_rescues_misrouted_strict_errors(code342):
