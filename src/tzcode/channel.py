@@ -6,6 +6,12 @@ parallelize.  Wall-clock timings are collected alongside but kept out of
 the canonical report form, which must be byte-identical across runs with
 the same seed.
 
+Each word is drawn in one call: a (2k, n) draw of subfield digits for the
+message, and per attempt one (t, n) or (t, 2n) draw for the column elements
+a and one (t, 2n) draw for B.  Philox hands a bounded draw its values in
+stream order however the calls split it, so the words are those of one draw
+per element (tests/conftest.py keeps that form as the reference).
+
 A planted error e = a . B comes with its locators d = B mu^(q^k), taken from
 the code's expansion of mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the
 trace almost dual basis.  simulate accepts a decode only when it returns the
@@ -24,7 +30,6 @@ import numpy as np
 from .construct import TZCode
 from .decoder import FAILURE_REASONS, decode, error_from_decomposition
 from .errors import InvalidParameter
-from .field import FF2n, FieldCtx, rank_weight
 from .linalg import fq_rank
 
 __all__ = [
@@ -32,7 +37,6 @@ __all__ = [
     "ChannelSpec",
     "ErrorDecomposition",
     "trial_rng",
-    "random_subfield_element",
     "random_message",
     "random_error",
     "TrialReport",
@@ -72,38 +76,37 @@ class ErrorDecomposition:
     d: tuple
 
 
-def random_subfield_element(ctx: FieldCtx, rng) -> FF2n:
-    return ctx.subfield_elements(rng.integers(0, ctx.q, ctx.n))[0]
-
-
 def random_message(code: TZCode, rng) -> tuple:
-    return tuple(random_subfield_element(code.ctx, rng) for _ in range(2 * code.k))
+    """2k uniform elements of F_{q^n}, from one (2k, n) draw of subfield digits."""
+    ctx = code.ctx
+    return ctx.subfield_elements(rng.integers(0, ctx.q, (2 * code.k, ctx.n)))
 
 
 def random_error(code: TZCode, spec: ChannelSpec, rng):
     """A uniform rank-t error vector together with the planted decomposition.
 
-    Column-side elements a are drawn until F_q-independent; the row-space
-    matrix B is rejection-sampled until full rank (expected under two draws
-    for q >= 3).
+    The packed column-side elements a, t of them, are drawn in one call per
+    attempt (subfield digits or all 2n coefficients) until F_q-independent;
+    the row-space matrix B is rejection-sampled until full rank (expected
+    under two draws for q >= 3).
     """
     spec.validate(code)
     ctx = code.ctx
     t = spec.t
     while True:
         if spec.subfield_only:
-            a = [random_subfield_element(ctx, rng) for _ in range(t)]
+            a = ctx._from_digits(rng.integers(0, ctx.q, (t, ctx.n)))
         else:
-            a = [ctx.random_element(rng) for _ in range(t)]
-        if rank_weight(a) == t:
+            a = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
+        if fq_rank(a, ctx.q) == t:
             break
     while True:
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:
             break
-    e = ctx.unpack(error_from_decomposition(ctx.pack(a), B, ctx))
+    e = ctx.unpack(error_from_decomposition(a, B, ctx))
     d = ctx.unpack((B @ code.mu_k.T) % ctx.q)
-    return e, ErrorDecomposition(tuple(a), B, d)
+    return e, ErrorDecomposition(ctx.unpack(a), B, d)
 
 
 @dataclass

@@ -207,7 +207,8 @@ class TZCode:
             if e.ctx is not ctx and e.ctx != ctx:
                 raise InvalidParameter(f"entry {e!r} lies in {e.ctx!r}, not in {ctx!r}")
 
-    def validate_message(self, msg) -> tuple:
+    def validate_message(self, msg) -> np.ndarray:
+        """The packed (2k, 2n) message; MessageNotInSubfield unless it is 2k elements of F_(q^n)."""
         msg = tuple(msg)
         if len(msg) != 2 * self.k:
             raise MessageNotInSubfield(f"message needs {2 * self.k} entries, got {len(msg)}")
@@ -217,14 +218,14 @@ class TZCode:
         if moved.any():
             bad = msg[int(np.argmax(moved))]
             raise MessageNotInSubfield(f"entry {bad!r} is not fixed by the q^n power map")
-        return msg
+        return packed
 
     def encode(self, msg) -> tuple:
         """Codeword msg . G for a message over the subfield of linearity."""
         ctx = self.ctx
         digits = ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
-        flat = np.asarray(ctx._mod(digits @ self._enc_mat), np.int64)
-        return tuple(FF2n(ctx, c) for c in flat.reshape(self.length, -1))
+        flat = ctx._mod(digits @ self._enc_mat)
+        return ctx.unpack(flat.reshape(self.length, -1))
 
     def pack_word(self, v) -> np.ndarray:
         """The packed word: ValueError on a wrong length, InvalidParameter on a foreign entry."""

@@ -2,7 +2,7 @@
 
 The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
 syndrome matrix S^(u_max) once and read both the error rank t and the error
-span polynomial Lambda off its reduced form (solve_span); recover the error
+span polynomial Lambda off the eliminated matrix (solve_span); recover the error
 in the transform domain (error_from_span); check that its rank is t.  The
 packed corrected word then passes the code's single membership test once,
 which also reads its message digits off (TZCode._message_digits).  Only
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .construct import TZCode
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
-from .linalg import _kernel_of_rref, ff_mat_vec, ff_rref, ff_solve, fq_rank
+from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve, fq_rank
 from .linpoly import LinPoly, _term_matrices, root_space
 
 __all__ = [
@@ -174,13 +174,20 @@ def solve_span(S, ctx):
     When the pivots are the columns 0..rank-1 and a column is left free, the
     first reduced-echelon kernel line is one at column rank and zero after
     it: cut to rank+1 entries it is the monic span polynomial of q-degree
-    rank.  Otherwise the span is None.
+    rank.  Otherwise the span is None.  Fraction-free elimination leaves
+    pivot row i as a_ii times its reduced row, so the line needs only
+    column rank: -a_i,rank / a_ii at each pivot, from one batched inverse of
+    the rank pivots, and no row is normalised.
     """
-    rref, pivots = ff_rref(S, ctx)
-    rank, cols = len(pivots), rref.shape[1]
+    ctx, S = _packed(S, ctx)
+    a, pivots = _eliminate(ctx, S)
+    rank, cols = len(pivots), a.shape[1]
     if rank == cols or pivots != list(range(rank)):
         return rank, None
-    line = _kernel_of_rref(rref, pivots, cols, ctx.one.coeffs, ctx.q)[0, : rank + 1]
+    diag = np.arange(rank)
+    line = np.empty((rank + 1, ctx.m), dtype=np.int64)
+    line[:rank] = ctx._mod(-ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag])))
+    line[rank] = ctx.one.coeffs
     return rank, LinPoly(ctx, line)
 
 

@@ -7,7 +7,12 @@ holds the coefficient of alpha^i, reduced into [0, q).
 
 Inside the library a vector or matrix over F_{q^2n} is one packed int64
 array of shape (..., 2n); FF2n is the scalar view the public API hands out
-and takes back, and FieldCtx.pack / unpack convert between the two.  The
+and takes back, and FieldCtx.pack / unpack convert between the two, each in
+one pass over a word: pack reads a flat sequence of elements into one
+array, and unpack hands out the rows of one read-only copy.  Every FF2n the
+library builds holds a read-only int64 array of shape (2n,), reduced into
+[0, q); so two elements are equal exactly when their fields are equal and
+their coefficient bytes are, which is also what an element hashes.  The
 FieldCtx kernels broadcast over the leading axes:
 
 * mul: stacked convolution (each a against the Toeplitz blocks of b, one
@@ -300,16 +305,20 @@ class FieldCtx:
 
     def subfield_elements(self, digits) -> tuple:
         """Elements sum_j d_j subfield_basis[j], one per row of a (..., n) digit array."""
+        return self.unpack(self._from_digits(digits))
+
+    def _from_digits(self, digits) -> np.ndarray:
+        """The packed (rows, 2n) elements of subfield_elements."""
         digits = np.asarray(digits, dtype=np.int64).reshape(-1, self.n)
-        coeffs = (digits @ self._subfield_mat) % self.q
-        return tuple(FF2n(self, c) for c in coeffs)
+        return (digits @ self._subfield_mat) % self.q
 
     def subfield_digits(self, elems) -> np.ndarray:
         """(len(elems), n) digits in subfield_basis; the inverse of subfield_elements.
 
-        Valid only for elements of F_{q^n}.
+        elems is a sequence of elements or their packed array.  Valid only
+        for elements of F_{q^n}.
         """
-        return (np.stack([e.coeffs for e in elems]) @ self._subfield_coords) % self.q
+        return (self.pack(elems) @ self._subfield_coords) % self.q
 
     @property
     def power_basis(self) -> "Basis":
@@ -322,21 +331,29 @@ class FieldCtx:
     def pack(self, elems) -> np.ndarray:
         """The (..., 2n) array of an element or a nested sequence of elements.
 
-        An array passes through unchanged.
+        An array passes through unchanged, and a flat sequence of elements
+        is read entry by entry into one copy.
         """
         if isinstance(elems, np.ndarray):
             return elems
         if isinstance(elems, FF2n):
             return elems.coeffs
-        parts = [self.pack(e) for e in elems]
-        return np.stack(parts) if parts else np.zeros((0, self.m), dtype=np.int64)
+        parts = [e.coeffs if isinstance(e, FF2n) else self.pack(e) for e in elems]
+        return np.array(parts) if parts else np.zeros((0, self.m), dtype=np.int64)
 
     def unpack(self, arr):
-        """The elements of a (..., 2n) array, as nested tuples of FF2n."""
+        """The elements of a (..., 2n) array, as nested tuples of FF2n.
+
+        The elements share one read-only int64 copy of arr, row by row.
+        """
         def build(x):
+            if x.ndim == 2:
+                return tuple([FF2n(self, row) for row in x])
             return FF2n(self, x) if x.ndim == 1 else tuple(build(y) for y in x)
 
-        return build(np.array(arr, dtype=np.int64))  # the elements own this copy
+        arr = np.array(arr, dtype=np.int64)  # the elements own this copy
+        arr.setflags(write=False)
+        return build(arr)
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
         """x mod q entrywise, for int64 or for work-dtype x below the fold bound.
@@ -447,7 +464,8 @@ class FF2n:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs: np.ndarray):
-        coeffs.setflags(write=False)
+        if coeffs.flags.writeable:
+            coeffs.setflags(write=False)
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -502,7 +520,7 @@ class FF2n:
         return (
             isinstance(other, FF2n)
             and (self.ctx is other.ctx or self.ctx == other.ctx)
-            and np.array_equal(self.coeffs, other.coeffs)
+            and self.coeffs.tobytes() == other.coeffs.tobytes()
         )
 
     def __hash__(self):

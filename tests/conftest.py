@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from tzcode import FieldCtx, LinPoly, build_code
+from tzcode import FieldCtx, LinPoly, build_code, rank_weight
 from tzcode.errors import NoSolution, TZError
-from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
-from tzcode.decoder import build_S
-from tzcode.linalg import _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_solve
+from tzcode.channel import (
+    ChannelSpec,
+    ErrorDecomposition,
+    random_error,
+    random_message,
+    trial_rng,
+)
+from tzcode.decoder import build_S, error_from_decomposition
+from tzcode.linalg import _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank, fq_solve
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -56,6 +62,39 @@ def plant(code, t, rng, subfield=False):
 
 def rng_for(seed, trial=0):
     return trial_rng(seed, trial)
+
+
+# ---------------------------------------------------------------------------
+# reference channel draws: one call per element, the form src/ replaced with
+# one call per word; tests require the same words and the same stream
+# ---------------------------------------------------------------------------
+
+def random_subfield_element(ctx, rng):
+    return ctx.subfield_elements(rng.integers(0, ctx.q, ctx.n))[0]
+
+
+def ref_random_message(code, rng) -> tuple:
+    return tuple(random_subfield_element(code.ctx, rng) for _ in range(2 * code.k))
+
+
+def ref_random_error(code, spec, rng):
+    spec.validate(code)
+    ctx = code.ctx
+    t = spec.t
+    while True:
+        if spec.subfield_only:
+            a = [random_subfield_element(ctx, rng) for _ in range(t)]
+        else:
+            a = [ctx.random_element(rng) for _ in range(t)]
+        if rank_weight(a) == t:
+            break
+    while True:
+        B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
+        if fq_rank(B, ctx.q) == t:
+            break
+    e = ctx.unpack(error_from_decomposition(ctx.pack(a), B, ctx))
+    d = ctx.unpack((B @ code.mu_k.T) % ctx.q)
+    return e, ErrorDecomposition(tuple(a), B, d)
 
 
 # ---------------------------------------------------------------------------

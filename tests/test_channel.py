@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tzcode import rank_weight
+from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.channel import (
     MISCORRECTION,
     ChannelSpec,
@@ -13,8 +13,9 @@ from tzcode.channel import (
     trial_rng,
 )
 from tzcode.errors import InvalidParameter
+from tzcode.linalg import fq_rank
 
-from conftest import in_subfield
+from conftest import in_subfield, ref_random_error, ref_random_message
 
 
 def test_zero_rank_error_is_zero_vector(code5):
@@ -114,3 +115,71 @@ def test_report_params_echo(code5):
     assert report.params["rng"] == "philox4x64"
     assert report.params["seed"] == 23
     assert set(report.timing) == {"mean_ms", "p50_ms", "p95_ms", "max_ms"}
+
+
+class CountingRng:
+    """A Generator stand-in that logs the size of every integers draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def integers(self, low, high, size, **kwargs):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size, **kwargs)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_one_draw_per_word_keeps_the_stream(q, n):
+    # random_message and random_error draw a word's digits in one call; a
+    # bounded Philox draw takes its values from the stream one after the
+    # other however the calls split it, so the element-by-element reference
+    # gives the same words, decompositions and following draws, at every t
+    # and through the rejected rank-deficient draws (frequent at q=3, n=2)
+    code = build_code(FieldCtx(q, n), 1)
+    rejected = 0
+    for subfield in (False, True):
+        for t in range(n + 1 if subfield else 2 * n + 1):
+            spec = ChannelSpec(t=t, subfield_only=subfield)
+            for seed in range(20 if (q, n) == (3, 2) else 3):
+                new, ref = CountingRng(trial_rng(seed, t)), trial_rng(seed, t)
+                assert random_message(code, new) == ref_random_message(code, ref)
+                new.sizes.clear()
+                (e, decomp), (e_ref, decomp_ref) = (
+                    random_error(code, spec, new), ref_random_error(code, spec, ref))
+                assert e == e_ref and decomp.a == decomp_ref.a and decomp.d == decomp_ref.d
+                assert np.array_equal(decomp.B, decomp_ref.B)
+                assert np.array_equal(new.rng.integers(0, q, 5), ref.integers(0, q, 5))
+                assert np.array_equal(new.rng.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
+                rejected += len(new.sizes) > 2
+    if (q, n) == (3, 2):
+        assert rejected >= 20
+
+
+def test_each_word_is_one_draw(monkeypatch):
+    # random_message draws once; each random_error attempt draws a once (t
+    # subfield digits rows or t coefficient rows) or B once, and ranks the
+    # draw once.  q=3, n=2 rejects often, so attempts repeat
+    import tzcode.channel as channel
+
+    code = build_code(FieldCtx(3, 2), 1)
+    ctx = code.ctx
+    ranked = []
+    monkeypatch.setattr(channel, "fq_rank", lambda a, q: ranked.append(a.shape) or fq_rank(a, q))
+    repeated = 0
+    for t in range(1, ctx.m + 1):
+        for subfield in (False, True) if t <= ctx.n else (False,):
+            for seed in range(10):
+                rng = CountingRng(trial_rng(seed, t))
+                random_message(code, rng)
+                assert rng.sizes == [(2 * code.k, ctx.n)]
+                rng.sizes.clear()
+                ranked.clear()
+                random_error(code, ChannelSpec(t=t, subfield_only=subfield), rng)
+                # every attempt ranks t packed coefficient rows
+                assert set(ranked) == {(t, ctx.m)}
+                tries_a = rng.sizes.count((t, ctx.n)) if subfield else 0
+                assert rng.sizes == [(t, ctx.n)] * tries_a + [(t, ctx.m)] * (len(ranked) - tries_a)
+                repeated += len(ranked) > 2
+    assert repeated

@@ -35,6 +35,7 @@ from conftest import (
     is_codeword_by_trace,
     moore_mu,
     plant,
+    random_subfield_element,
     ref_msg_left_inverse,
     rng_for,
 )
@@ -54,8 +55,6 @@ def test_published_gamma_is_accepted(ctx5):
 def test_subfield_elements_are_rejected(ctx5):
     # the norm of a subfield element is a square, so no subfield gamma exists
     rng = rng_for(50)
-    from tzcode.channel import random_subfield_element
-
     for _ in range(20):
         g = random_subfield_element(ctx5, rng)
         assert not is_valid_gamma(ctx5, g)
@@ -240,8 +239,6 @@ def test_encode_trivial_and_linear(code5):
     unit = (ctx.one, ctx.zero, ctx.zero, ctx.zero)
     assert code5.encode(unit) == ctx.unpack(code5.G[0])
     # F_{q^n}-linearity
-    from tzcode.channel import random_message, random_subfield_element
-
     rng = rng_for(51)
     for _ in range(20):
         m1, m2 = random_message(code5, rng), random_message(code5, rng)

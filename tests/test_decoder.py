@@ -24,7 +24,7 @@ from tzcode.decoder import (
     syndrome,
 )
 from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent
-from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_rank
+from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_rank
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
@@ -289,40 +289,29 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
         assert ctx.unpack(span.coeffs[-1]) == ctx.one
 
 
-def test_solve_span_takes_no_inverse_of_its_own(code5, code341, monkeypatch):
-    # the reduced-echelon kernel line is already monic, so the only inverses
-    # are the pivots ff_rref normalises
-    import tzcode.decoder as dec
+def test_solve_span_inverts_only_the_rank_pivots(code5, code341, monkeypatch):
+    # the span line reads column rank of the fraction-free rows, so its one
+    # inverse is a single batched call on the rank pivots; no row is
+    # normalised, and the line is monic and equal to the reduced-echelon one
     from tzcode.field import FieldCtx as Ctx
 
-    inside, calls = [], []
+    calls = []
 
     def inv(self, a, _orig=Ctx.inv):
-        if inside == ["solve_span"]:
-            calls.append(a)
+        calls.append(a.shape)
         return _orig(self, a)
 
-    def rref(*args):
-        inside.append("ff_rref")
-        try:
-            return ff_rref(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(Ctx, "inv", inv)
-    monkeypatch.setattr(dec, "ff_rref", rref)
     rng = rng_for(76)
     for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
         _, _, _, _, r = plant(code, t, rng, subfield=subfield)
         s = syndrome(code, r)
         S = build_S_exp(code, s) if subfield else build_S(code, s, t)
-        inside.append("solve_span")
-        try:
-            _, span = solve_span(S, code.ctx)
-        finally:
-            inside.pop()
+        calls.clear()
+        rank, span = solve_span(S, code.ctx)
+        assert calls == [(t, code.ctx.m)] and rank == t
         assert np.array_equal(span.coeffs[-1], code.ctx.one.coeffs)
-    assert calls == []
+        assert np.array_equal(span.coeffs, ff_kernel(S, code.ctx)[0, : t + 1])
 
 
 def test_solve_span_rejects_fat_kernel(ctx5):
@@ -646,12 +635,12 @@ def test_decode_boundary_same_under_both_flags(code5):
 
 
 def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
-    # one reduced form of S_exp tells the rank and the span polynomial; no
+    # one elimination of S_exp tells the rank and the span polynomial; no
     # other elimination runs in decode itself
     import tzcode.decoder as dec
 
     calls = []
-    monkeypatch.setattr(dec, "ff_rref", lambda *a: calls.append("rref") or ff_rref(*a))
+    monkeypatch.setattr(dec, "_eliminate", lambda *a: calls.append("rref") or _eliminate(*a))
     rng = rng_for(85)
     for _ in range(5):
         _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
@@ -661,12 +650,12 @@ def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
 
 
 def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
-    # u_max = 3: one reduced form of S^(3) tells t and the span polynomial,
+    # u_max = 3: one elimination of S^(3) tells t and the span polynomial,
     # at every t; no other elimination runs in decode itself
     import tzcode.decoder as dec
 
     calls = []
-    monkeypatch.setattr(dec, "ff_rref", lambda *a: calls.append("rref") or ff_rref(*a))
+    monkeypatch.setattr(dec, "_eliminate", lambda *a: calls.append("rref") or _eliminate(*a))
     rng = rng_for(89)
     for t in (1, 2, 3):
         for _ in range(3):
@@ -674,6 +663,24 @@ def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
             calls.clear()
             assert decode(code341, r).codeword == cw
             assert calls == ["rref"]
+
+
+def test_a_decode_builds_one_element_per_entry(code5, code341, monkeypatch):
+    # every word becomes its FF2n tuple in one pass from one array: a
+    # successful decode builds the 2n entries of the codeword and of the
+    # error and the 2k of the message, and nothing else, on every route
+    from tzcode.field import FF2n
+
+    built = []
+    monkeypatch.setattr(FF2n, "__init__",
+                        lambda self, *a, _orig=FF2n.__init__: built.append(1) or _orig(self, *a))
+    rng = rng_for(98)
+    for code, t, subfield in ((code341, 0, False), (code341, 3, False), (code5, 1, True)):
+        for _ in range(3):
+            *_, r = plant(code, t, rng, subfield=subfield)
+            built.clear()
+            assert decode(code, r).success
+            assert len(built) == 2 * code.ctx.m + 2 * code.k
 
 
 def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):

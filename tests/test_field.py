@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tzcode import FieldCtx, rank_weight
+from tzcode import FieldCtx, build_code, rank_weight
+from tzcode.decoder import decode
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
 from tzcode.field import Basis, _is_prime, _rabin, default_modulus
 from tzcode.linalg import ff_rank, fq_rank
@@ -15,6 +16,7 @@ from conftest import (
     in_base,
     in_subfield,
     index_of,
+    plant,
     qvan,
     rng_for,
     trace_abs,
@@ -410,3 +412,33 @@ def test_subfield_digit_map_round_trip(ctx5, ctx33):
 def test_basis_rejects_dependent_elements(ctx5):
     with pytest.raises(InvalidParameter):
         Basis([ctx5.one, ctx5.alpha, ctx5.alpha.scale(2), ctx5.alpha**3])
+
+
+def test_handed_out_elements_compare_by_bytes(ctx5):
+    # every element encode, decode, unmap, the channel draws and
+    # subfield_elements hand out holds int64 (2n,) coefficients, so equality
+    # by coefficient bytes agrees with np.array_equal and with the hash;
+    # elements of equal but distinct fields compare equal, other types never
+    from tzcode.field import FF2n
+
+    twin = FieldCtx(ctx5.q, ctx5.n, ctx5.modulus)
+    assert twin is not ctx5 and twin == ctx5
+    code = build_code(ctx5, 1)
+    rng = rng_for(99)
+    elems = list(ctx5.subfield_elements(rng.integers(0, ctx5.q, (3, ctx5.n))))
+    for t, subfield in ((0, False), (1, False), (1, True)):
+        msg, cw, e, decomp, r = plant(code, t, rng, subfield=subfield)
+        out = decode(code, r)
+        assert out.success
+        for word in (msg, cw, e, decomp.a, decomp.d, out.codeword, out.error, out.message,
+                     code.unmap(cw)):
+            elems.extend(word)
+    for x in elems:
+        assert x.coeffs.dtype == np.int64 and x.coeffs.shape == (ctx5.m,)
+        assert x == FF2n(twin, x.coeffs.copy()) and hash(x) == hash(twin.elem(x.coeffs))
+        assert x != x.coeffs and x != tuple(x.coeffs) and x != int(x.coeffs[0])
+    for x in elems:
+        for y in elems:
+            same = np.array_equal(x.coeffs, y.coeffs)
+            assert (x == y) == same and (x != y) != same
+            assert not same or hash(x) == hash(y)

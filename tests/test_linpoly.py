@@ -5,7 +5,14 @@ import pytest
 
 from tzcode import FieldCtx, LinPoly, rank_weight, root_space
 
-from conftest import DependentSpan, elements, in_subfield, rng_for, span_poly
+from conftest import (
+    DependentSpan,
+    elements,
+    in_subfield,
+    random_subfield_element,
+    rng_for,
+    span_poly,
+)
 
 
 def test_identity_polynomial_evaluation(ctx5):
@@ -105,8 +112,6 @@ def test_span_poly_is_monic(ctx5):
 
 
 def test_span_poly_coeffs_in_subfield_for_subfield_inputs(ctx5, ctx33):
-    from tzcode.channel import random_subfield_element
-
     for ctx in (ctx5, ctx33):
         rng = rng_for(44)
         for t in (1, 2):
