@@ -10,7 +10,11 @@ Each word is drawn in one call: a (2k, n) draw of subfield digits for the
 message, and per attempt one (t, n) or (t, 2n) draw for the column elements
 a and one (t, 2n) draw for B.  Philox hands a bounded draw its values in
 stream order however the calls split it, so the words are those of one draw
-per element (tests/conftest.py keeps that form as the reference).
+per element (tests/conftest.py keeps that form as the reference).  A
+subfield attempt ranks its (t, n) digits rather than the elements they
+map to: the map from digits to elements is F_q-linear and injective, so the
+two ranks agree, every draw is accepted or rejected as before, and the
+stream is unchanged.
 
 A planted error e = a . B comes with its locators d = B mu^(q^k), taken from
 the code's expansion of mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the
@@ -86,20 +90,21 @@ def random_error(code: TZCode, spec: ChannelSpec, rng):
     """A uniform rank-t error vector together with the planted decomposition.
 
     The packed column-side elements a, t of them, are drawn in one call per
-    attempt (subfield digits or all 2n coefficients) until F_q-independent;
+    attempt (subfield digits or all 2n coefficients) until F_q-independent,
+    and subfield digits are ranked before they are mapped to elements;
     the row-space matrix B is rejection-sampled until full rank (expected
     under two draws for q >= 3).
     """
     spec.validate(code)
     ctx = code.ctx
     t = spec.t
+    width = ctx.n if spec.subfield_only else ctx.m
     while True:
-        if spec.subfield_only:
-            a = ctx._from_digits(rng.integers(0, ctx.q, (t, ctx.n)))
-        else:
-            a = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
+        a = rng.integers(0, ctx.q, (t, width), dtype=np.int64)
         if fq_rank(a, ctx.q) == t:
             break
+    if spec.subfield_only:
+        a = ctx._from_digits(a)
     while True:
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:

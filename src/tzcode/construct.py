@@ -23,7 +23,9 @@ re-applying _enc_mat gives it back; unmap, is_codeword and the decoder all
 use it, on words that pack_word has checked for length and field.  Both
 maps are held once, in the field's work dtype (FieldCtx._work), so their
 products run through BLAS wherever that dtype is float64; digits and
-codewords leave them as int64.
+codewords leave them as int64.  H and the decoder's table N are held twice,
+as the public int64 arrays and as private work-dtype copies that the
+decoder's products take uncast.
 
 The decoder recovers an error e from its transform
 sigma_i = sum_j e_j (mu_j^(q^k))^(q^i), i in Z_2n.  nu = lam^(q^k) xi^-1 is
@@ -173,6 +175,9 @@ class TZCode:
             _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
             ctx.frob(mu_elems, k)[None],
         ])
+        # H and N (below) are also held in the work dtype, in which the
+        # decoder's syndrome and inverse transform multiply by them
+        self._H_work = np.asarray(self.H, ctx._work)
 
         # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
         # trace-dual basis of mu^(q^k): one inverse serves both
@@ -183,7 +188,8 @@ class TZCode:
         # the locators d = B mu^(q^k), and the coordinates of x in that basis
         # are Tr(x nu_j), which rebuild B from the locators
         powers = ctx._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
-        self.N = np.asarray(ctx._dot(np.asarray(nu, ctx._work), powers), np.int64).reshape(m, m, m)
+        self._N_work = ctx._dot(np.asarray(nu, ctx._work), powers).reshape(m, m, m)
+        self.N = np.asarray(self._N_work, np.int64)
         self.mu_k = (ctx._frob_pows[k] @ mu.expansion) % q
         self.mu_k_coords = nu @ _trace_form(ctx) % q
 
@@ -267,7 +273,7 @@ class TZCode:
 
 def gh_product(code: TZCode) -> np.ndarray:
     """G H^T, packed: row i is the syndrome H g_i of G's row i."""
-    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G])
+    return np.stack([ff_mat_vec(code._H_work, g, code.ctx) for g in code.G])
 
 
 def _check_gh_structure(code: TZCode):

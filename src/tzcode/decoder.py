@@ -110,7 +110,7 @@ class DecodeOutcome:
 
 def syndrome(code: TZCode, r) -> np.ndarray:
     """s = r H^T, packed; entrywise relative trace vanishes exactly on codewords."""
-    return ff_mat_vec(code.H, r, code.ctx)
+    return ff_mat_vec(code._H_work, r, code.ctx)
 
 
 def _shifted(ctx, s, top: int, rows, cols: int) -> np.ndarray:
@@ -249,7 +249,7 @@ def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
     down[: m - k - 1] = s[-3::-2]
     for p in range(m - k - 1, m):
         down[p] = ctx._dot(down[p - t : p].reshape(-1), W)
-    return ff_mat_vec(code.N, down[(m - k - 1 - np.arange(m)) % m], ctx)
+    return ff_mat_vec(code._N_work, down[(m - k - 1 - np.arange(m)) % m], ctx)
 
 
 def _accepted(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome | None:

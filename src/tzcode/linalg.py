@@ -13,16 +13,26 @@ reader takes the kernel off a reduced form and another the particular
 solution, for both fields: the kernel line of free column f holds the
 field's one at f and zeros after it.
 
-Over F_q each pivot is one numpy step: the pivot row is scaled by the
-pivot's inverse p^(q-2), then the pivot column is cleared from column c
-onward.  Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one
-numpy step per pivot: every row becomes p row - f pivot_row, with p the
-pivot and f the row's entry in the pivot column.  p row goes through p's
-multiplication matrix, built once for the whole matrix, and f pivot_row is
-one batched product.  No inverse is taken per pivot; one batched inverse
-of the pivots normalises the rows at the end, which gives the same unique
-reduced form.  All of it runs in the field's work dtype (field.py), and
-ff_rref hands the rows back as int64.
+Over F_q one forward pass, _fq_echelon, serves both rank and reduced form.
+It is fraction-free, one numpy step per pivot: every row below the pivot
+becomes p row - f pivot_row mod q, with p the pivot and f the row's entry
+in the pivot column.  It neither scales the pivot row nor clears the rows
+above it, and it stops once every row holds a pivot or the rows below the
+last pivot are zero from the scanned column on.  Each product of reduced
+entries stays below q^2, so int64 holds it for any q below 2^31.  fq_rank
+counts the pivots of this pass and takes no inverse.  fq_rref adds one back
+sweep: one batched fq_reciprocal scales every pivot to 1, then the column
+of each pivot is cleared above it, from the last pivot to the first; the
+reduced form is unique, so this is the same form a Gauss-Jordan loop gives.
+
+Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one numpy step per
+pivot: every row becomes p row - f pivot_row, with p the pivot and f the
+row's entry in the pivot column.  p row goes through p's multiplication
+matrix, built once for the whole matrix, and f pivot_row is one batched
+product.  No inverse is taken per pivot; one batched inverse of the pivots
+normalises the rows at the end, which gives the same unique reduced form.
+All of it runs in the field's work dtype (field.py), and ff_rref hands the
+rows back as int64.
 """
 
 from __future__ import annotations
@@ -69,16 +79,18 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     Each block of 2n columns of a meets the stacked Toeplitz blocks of its
     entries of v in one matmul, and the raw products are folded once at the
     end.  A block adds at most (2n)^2 products of reduced entries, inside
-    FieldCtx's bound, so the running sum is reduced after every block.
+    FieldCtx's bound, so the running sum is reduced after every block.  A
+    matrix already in the work dtype, as TZCode holds H and N, is not cast.
     """
     ctx, a = _packed(a, ctx)
-    v = ctx.pack(v)
     w, m = ctx._work, ctx.m
+    a = a.astype(w, copy=False)
+    v = ctx.pack(v).astype(w, copy=False)
     rows = a.shape[0]
     conv = np.zeros((rows, 2 * m - 1), dtype=w)
     for i in range(0, a.shape[1], m):
-        blocks = _toeplitz(v[i : i + m].astype(w)).reshape(-1, 2 * m - 1)
-        conv = ctx._mod(conv + a[:, i : i + m].astype(w).reshape(rows, -1) @ blocks)
+        blocks = _toeplitz(v[i : i + m]).reshape(-1, 2 * m - 1)
+        conv = ctx._mod(conv + a[:, i : i + m].reshape(rows, -1) @ blocks)
     return ctx.fold(conv).astype(np.int64)
 
 
@@ -182,34 +194,48 @@ def fq_reciprocal(x, q: int) -> np.ndarray:
     return out
 
 
-def fq_rref(a, q):
+def _fq_echelon(a, q):
+    """Fraction-free forward elimination of a copy of a mod q: (rows, pivot columns).
+
+    The pivot rows keep their pivots rather than ones, and the rows above
+    a pivot are left as they are.
+    """
     a = np.array(a, dtype=np.int64) % q
     rows, cols = a.shape
     pivots = []
-    r = 0
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        # the pivot row is zero left of c, so only columns c onward change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), q - 2, q)) % q
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        nz = a[r:, c].nonzero()[0]
+        if not len(nz):
+            if not a[r:, c:].any():
+                break
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        # the pivot row is zero left of c, so only columns c onward change
+        pivot_row = a[r, c:]
+        below = a[r + 1 :, c:]
+        below[...] = (pivot_row[0] * below - below[:, :1] * pivot_row) % q
+        pivots.append(c)
+    return a, pivots
+
+
+def fq_rref(a, q):
+    """Reduced row echelon form mod q; returns (int64 rows, pivot column indices)."""
+    a, pivots = _fq_echelon(a, q)
+    r = len(pivots)
+    if r:
+        a[:r] = a[:r] * fq_reciprocal(a[np.arange(r), pivots], q)[:, None] % q
+        for i in range(r - 1, 0, -1):
+            above = a[:i, pivots[i]:]
+            above[...] = (above - above[:, :1] * a[i, pivots[i]:]) % q
     return a, pivots
 
 
 def fq_rank(a, q) -> int:
-    _, pivots = fq_rref(a, q)
-    return len(pivots)
+    return len(_fq_echelon(a, q)[1])
 
 
 def fq_kernel(a, q) -> np.ndarray:

@@ -228,6 +228,35 @@ def is_codeword_by_trace(code, v) -> bool:
     return True
 
 
+def ref_fq_rref(a, q):
+    """Gauss-Jordan over F_q: each pivot row is scaled by the pivot's inverse
+    and its column cleared above and below, the form src/ replaced with a
+    fraction-free forward pass and one back sweep.  Returns (rows, pivots).
+    """
+    a = np.array(a, dtype=np.int64) % q
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + nz[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        # the pivot row is zero left of c, so only columns c onward change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), q - 2, q)) % q
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
 # ---------------------------------------------------------------------------
 # reference linear algebra over F_{q^2n}: lists of lists of FF2n, one field
 # operation at a time, the form src/ replaced with packed arrays

@@ -731,6 +731,31 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     assert calls == []
 
 
+def test_rank_tests_build_no_reduced_form(code5, code341, monkeypatch):
+    # fq_rank is the forward pass alone and takes no inverse, so drawing an
+    # error and a successful decode, on the plain and on the boundary route,
+    # never reach fq_rref: every F_q test on their path is a rank test
+    import tzcode.linalg as linalg
+
+    inverted = []
+    monkeypatch.setattr(linalg, "fq_reciprocal",
+                        lambda x, q, _orig=linalg.fq_reciprocal: inverted.append(q) or _orig(x, q))
+
+    def refused(*args):
+        raise AssertionError("fq_rref reached")
+
+    monkeypatch.setattr(linalg, "fq_rref", refused)
+    rng = rng_for(99)
+    for a in (rng.integers(0, 3, (11, 24)), rng.integers(0, 7, (24, 24)), np.zeros((4, 6))):
+        fq_rank(a, 7)
+    assert inverted == []
+    for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
+        for _ in range(3):
+            _, cw, e, _, r = plant(code, t, rng, subfield=subfield)
+            out = decode(code, r)
+            assert out.codeword == cw and out.error == e
+
+
 @pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 2, 2), (3, 6, 4)])
 def test_only_a_reported_failure_counts_roots(q, n, k, monkeypatch):
     # the theorem decode's order rests on: the span of an error that passes

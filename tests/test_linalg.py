@@ -16,10 +16,11 @@ from tzcode.linalg import (
     fq_rank,
     fq_rank_batch,
     fq_reciprocal,
+    fq_rref,
     fq_solve,
 )
 
-from conftest import ff_kernel, qvan, ref_mat_mul, rng_for
+from conftest import ff_kernel, qvan, ref_fq_rref, ref_mat_mul, rng_for
 
 
 def _identity(ctx, t):
@@ -143,6 +144,54 @@ def test_fq_solve_and_kernel_random():
             assert not ((a @ row) % q).any()
 
 
+def _fq_cases(q, rng):
+    """F_q matrices for every exit of the forward pass: full rank, products of
+    rank below min(rows, cols) with and without zero columns, zero, one row
+    or one column, more rows than columns, and entries outside [0, q)."""
+    for rows, cols in ((6, 9), (9, 6), (7, 7), (1, 8), (5, 1), (12, 4)):
+        yield rng.integers(0, q, (rows, cols))
+        for r in range(1, min(rows, cols)):
+            a = (rng.integers(0, q, (rows, r)) @ rng.integers(0, q, (r, cols))) % q
+            yield a
+            a = a.copy()
+            a[:, rng.integers(0, cols, 2)] = 0
+            yield a
+        yield np.zeros((rows, cols), dtype=np.int64)
+        yield rng.integers(-3 * q, 3 * q, (rows, cols))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 10007])
+def test_fq_rref_matches_gauss_jordan(q):
+    # the forward pass and back sweep give the unique reduced form that
+    # Gauss-Jordan gives, and the pass alone gives its rank
+    rng = rng_for(38, q)
+    for a in _fq_cases(q, rng):
+        ref_rows, ref_pivots = ref_fq_rref(a, q)
+        for arg in (a, a.tolist()):
+            rows, pivots = fq_rref(arg, q)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, ref_rows) and pivots == ref_pivots
+            assert fq_rank(arg, q) == len(ref_pivots)
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 2), (7, 4)])
+def test_digits_and_their_elements_have_one_rank(q, n):
+    # random_error ranks a subfield draw by its digits: the map from digits
+    # to elements is F_q-linear and injective, so every draw keeps its rank
+    # and its accept or reject.  t = n + 1 is always deficient; at t <= n
+    # small q rejects draws too, as random_error does
+    ctx = FieldCtx(q, n)
+    rng = rng_for(39, q * n)
+    rejected = 0
+    for t in range(1, n + 2):
+        for _ in range(30):
+            d = rng.integers(0, q, (t, n))
+            rank = fq_rank(d, q)
+            assert rank == fq_rank(ctx._from_digits(d), q)
+            rejected += rank < t <= n
+    assert rejected
+
+
 def test_fq_solve_inconsistent():
     with pytest.raises(NoSolution):
         fq_solve(np.array([[1, 1], [2, 2]]), np.array([0, 1]), 5)
@@ -197,7 +246,7 @@ def test_fq_kernel_reduced_echelon_order():
 
 
 def test_elimination_at_large_primes():
-    # pivots are inverted by pow, with no per-q state, at any q FieldCtx admits
+    # pivots are inverted by fq_reciprocal, with no per-q state, at any q FieldCtx admits
     primes = [p for p in range(100_003, 101_000, 2) if all(p % d for d in range(3, 400, 2))]
     rng = rng_for(36)
     for p in primes:
