@@ -24,7 +24,7 @@ from .construct import (
 )
 from .decoder import DecodeOutcome, decode, syndrome
 from .field import FF2n, Basis, FieldCtx, rank_weight
-from .linpoly import LinPoly, root_space
+from .linpoly import LinPoly
 from .oracle import OracleResult, brute_force_decode, min_distance_bruteforce
 from .paramfile import load_params, save_params
 
@@ -37,7 +37,6 @@ __all__ = [
     "Basis",
     "rank_weight",
     "LinPoly",
-    "root_space",
     "TZCode",
     "build_code",
     "find_gamma",

@@ -3,11 +3,12 @@
 The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
 syndrome matrix S^(u_max) once and read both the error rank t and the error
 span polynomial Lambda off the eliminated matrix (solve_span); recover the error
-in the transform domain (error_from_span); check that its rank is t.  The
-packed corrected word then passes the code's single membership test once,
-which also reads its message digits off (TZCode._message_digits).  Only
-a failure that decode reports counts Lambda's independent roots
-(root_space), to name it.
+in the transform domain (error_from_span).  One finishing step (_finish)
+then makes the two residual checks in order, and a failure is named after
+the first that fails: the error must have rank t (else ErrorRankMismatch),
+and the packed corrected word must pass the code's single membership test,
+which also reads its message digits off (TZCode._message_digits; else
+NotACodeword).
 
 The odd syndrome entries are the error's transform sigma_1..sigma_(2n-k-1);
 error_from_span extends them by Lambda's q-recurrence and inverts the
@@ -50,14 +51,14 @@ from dataclasses import dataclass
 from .construct import TZCode
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
 from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve, fq_rank
-from .linpoly import LinPoly, _term_matrices, root_space
+from .linpoly import LinPoly, _term_matrices
 
 __all__ = [
     "SPAN_DIM_MISMATCH",
-    "ROOT_COUNT_MISMATCH",
+    "ERROR_RANK_MISMATCH",
     "LAMBDA_NOT_IN_SUBFIELD",
     "NO_RANK_FOUND",
-    "LOCATOR_SYSTEM_INCONSISTENT",
+    "NOT_A_CODEWORD",
     "FAILURE_REASONS",
     "DecodeOutcome",
     "syndrome",
@@ -73,18 +74,18 @@ __all__ = [
 ]
 
 SPAN_DIM_MISMATCH = "SpanDimMismatch"
-ROOT_COUNT_MISMATCH = "RootCountMismatch"
+ERROR_RANK_MISMATCH = "ErrorRankMismatch"
 LAMBDA_NOT_IN_SUBFIELD = "LambdaNotInSubfield"
 NO_RANK_FOUND = "NoRankFound"
-LOCATOR_SYSTEM_INCONSISTENT = "LocatorSystemInconsistent"
+NOT_A_CODEWORD = "NotACodeword"
 
-# What each reason means in decode (which solves no locator system)
+# What each reason means in decode
 FAILURE_REASONS = (
     SPAN_DIM_MISMATCH,  # rank t, but the pivots are not the columns 0..t-1
-    ROOT_COUNT_MISMATCH,  # the error failed the check below, and the span has other than t roots
+    ERROR_RANK_MISMATCH,  # the error read off the span has rank other than t
     LAMBDA_NOT_IN_SUBFIELD,  # the boundary span has coefficients outside F_(q^n)
     NO_RANK_FOUND,  # S^(u_max) has rank 0, or u_max is 0
-    LOCATOR_SYSTEM_INCONSISTENT,  # the error read off the span has rank != t or leaves no codeword
+    NOT_A_CODEWORD,  # that error has rank t, but the word minus it is not a codeword
 )
 
 
@@ -252,29 +253,19 @@ def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
     return ff_mat_vec(code._N_work, down[(m - k - 1 - np.arange(m)) % m], ctx)
 
 
-def _accepted(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome | None:
-    """The outcome on the packed word r if the error read off span passes, else None."""
+def _finish(code: TZCode, r, err, t: int) -> DecodeOutcome:
+    """The corrected outcome on the packed word r, or the failure of the first check err fails.
+
+    The residual check keeps the bounded-distance promise: the error must
+    have rank t, and the corrected word r - err must be a codeword.
+    """
     ctx = code.ctx
-    err = error_from_span(code, s, span)
-    # residual check keeps the bounded-distance promise: the error rank must
-    # match the estimate, and the corrected word must be a codeword
-    return _corrected(code, (r - err) % ctx.q, err, t) if fq_rank(err, ctx.q) == t else None
-
-
-def _finish(code: TZCode, r, s, span: LinPoly, t: int) -> DecodeOutcome:
-    """_accepted's outcome, or the failure that the span's root count names."""
-    # every span the residual check accepts splits into t independent roots
-    # (module docstring), so only a failure counts them
-    return _accepted(code, r, s, span, t) or DecodeOutcome.fail(
-        ROOT_COUNT_MISMATCH if len(root_space(span)) != t else LOCATOR_SYSTEM_INCONSISTENT)
-
-
-def _corrected(code: TZCode, cw, err, t: int) -> DecodeOutcome | None:
-    """The outcome for the packed corrected word cw and error err, or None off the code."""
+    if fq_rank(err, ctx.q) != t:
+        return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
+    cw = (r - err) % ctx.q
     digits = code._message_digits(cw)
     if digits is None:
-        return None
-    ctx = code.ctx
+        return DecodeOutcome.fail(NOT_A_CODEWORD)
     return DecodeOutcome.ok(ctx.unpack(cw), ctx.unpack(err), ctx.subfield_elements(digits), t)
 
 
@@ -292,7 +283,7 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
     packed = code.pack_word(r)
     s = syndrome(code, packed)
     if not ctx.trace(s).any():
-        return _corrected(code, packed, np.zeros_like(packed), 0)
+        return _finish(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
         # S_exp is 2t x (t+1), so rank t leaves a kernel line: with leading
@@ -305,10 +296,10 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
             if span is None:
                 reason = SPAN_DIM_MISMATCH
             elif np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
-                # only strict mode reports this branch's failure, so only it names one
-                out = (_finish if strict_alg1 else _accepted)(code, packed, s, span, t)
-                if out is not None:
+                out = _finish(code, packed, error_from_span(code, s, span), t)
+                if out.success:
                     return out
+                reason = out.failure_reason
             else:
                 reason = LAMBDA_NOT_IN_SUBFIELD
         if strict_alg1 and reason is not None:
@@ -319,4 +310,4 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, packed, s, span, t)
+    return _finish(code, packed, error_from_span(code, s, span), t)

@@ -47,4 +47,4 @@ class OracleBudgetExceeded(TZError):
 
 
 class LocatorSystemInconsistent(TZError):
-    """Locator system has no solution, signalling a wrong span estimate."""
+    """The reference locator system (solve_locators) has no solution; decode never raises it."""

@@ -5,7 +5,7 @@ F_{q^2n}.  LinPoly holds its coefficients as one packed (d+1, 2n) array
 (field.py), row i the coefficient of x^(q^i).  Since x^(q^2n) = x on the
 field, 2n+1 coefficients (q-degree 2n, as the subspace polynomial of the
 whole field needs) are the most it takes.  root_space returns the kernel
-packed as well; the decoder counts it only to name a failed decode.
+packed as well; decode never calls it, only tests that count a span's roots.
 """
 
 from __future__ import annotations

@@ -6,20 +6,28 @@ breaks the benchmark without breaking any other test.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import tzcode
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from conftest import plant, rng_for
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tracer():
+    return _load("perfbench_tracer", TRACER)
 
 
 def test_traced_methods_are_defined_on_their_classes():
@@ -65,3 +73,27 @@ def test_public_names_the_load_generator_calls():
     for name in ("FieldCtx", "build_code", "ChannelSpec", "trial_rng", "random_message",
                  "random_error", "decode", "simulate"):
         assert callable(getattr(tzcode, name)), name
+
+
+@pytest.mark.parametrize("q, n, k, t, subfield, route", [
+    (3, 4, 1, 0, False, "zero"),
+    (3, 4, 1, 3, False, "plain"),
+    (3, 4, 2, 3, True, "boundary"),
+    (3, 6, 4, 2, False, "fallback"),
+])
+def test_traced_decode_shows_its_route(q, n, k, t, subfield, route, monkeypatch):
+    # the benchmark's route gate reads the route off the spans of
+    # decoder.build_S_exp and decoder.estimate_rank, so decode must reach
+    # both through the decoder module's globals, where the tracer wraps them.
+    # layers.py imports its names from the module `tracer`, as run.py loads it
+    tracer_mod = _load("tracer", TRACER)
+    monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
+    layers = _load("layers", PERFBENCH / "layers.py")
+    code = tzcode.build_code(tzcode.FieldCtx(q, n), k)
+    _, cw, e, _, r = plant(code, t, rng_for(96, t), subfield=subfield)
+    tracer = tracer_mod.Tracer(tzcode)
+    with tracer.installed():
+        out, (lo, hi) = tracer.run(0, lambda: tzcode.decode(code, r))
+    assert out.codeword == cw and out.error == e
+    assert layers.route_of({tracer.spans[j][tracer_mod.NAME] for j in range(lo, hi)}) == route
+    assert not tracer_mod.wrappers_present(tzcode)

@@ -12,6 +12,7 @@ from tzcode.channel import (
     simulate,
     trial_rng,
 )
+from tzcode.decoder import FAILURE_REASONS
 from tzcode.errors import InvalidParameter
 from tzcode.linalg import fq_rank
 
@@ -94,13 +95,7 @@ def test_simulate_accounting_beyond_radius(code321):
     assert report.successes == 0  # a within-radius decode can never equal the plant
     assert report.failures_by_reason  # something must have been tallied
     for reason in report.failures_by_reason:
-        assert reason == MISCORRECTION or reason in (
-            "SpanDimMismatch",
-            "RootCountMismatch",
-            "LambdaNotInSubfield",
-            "NoRankFound",
-            "LocatorSystemInconsistent",
-        )
+        assert reason == MISCORRECTION or reason in FAILURE_REASONS
 
 
 def test_simulate_within_radius_all_parameter_sets(code321, code332):

@@ -8,9 +8,10 @@ import pytest
 from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.channel import ChannelSpec, random_error, random_message
 from tzcode.decoder import (
-    LOCATOR_SYSTEM_INCONSISTENT,
+    ERROR_RANK_MISMATCH,
+    LAMBDA_NOT_IN_SUBFIELD,
     NO_RANK_FOUND,
-    ROOT_COUNT_MISMATCH,
+    NOT_A_CODEWORD,
     SPAN_DIM_MISMATCH,
     build_S,
     build_S_exp,
@@ -357,8 +358,8 @@ def test_solve_locators_single_equation_case(code321):
 
 def test_solve_locators_inconsistent_for_wrong_span(code341):
     # the t-row system always has a solution, so a deliberately wrong
-    # one-dimensional span is caught after it: the rebuilt error's rank and
-    # the corrected word's membership reject it
+    # one-dimensional span is caught after it: the error read off it fails
+    # decode's first residual check, its rank
     import tzcode.decoder as dec
 
     ctx = code341.ctx
@@ -370,8 +371,8 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
         _, _, _, _, r = plant(code341, 2, rng)  # rank-1 guess against a rank-2 error
         s = syndrome(code341, r)
         assert solve_locators(code341, one, s).shape == (1, ctx.m)
-        out = dec._finish(code341, code341.pack_word(r), s, wrong, 1)
-        assert out.failure_reason == LOCATOR_SYSTEM_INCONSISTENT
+        out = dec._finish(code341, code341.pack_word(r), error_from_span(code341, s, wrong), 1)
+        assert out.failure_reason == ERROR_RANK_MISMATCH
 
 
 def test_solve_locators_rejects_dependent_roots(code341):
@@ -690,11 +691,11 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     import tzcode.decoder as dec
     from tzcode.field import FF2n
 
-    # and the error comes from the transform domain: no locator system, no
-    # second elimination over F_{q^2n}, and no root space on a success
+    # and the error comes from the transform domain: no locator system and no
+    # second elimination over F_{q^2n}
     import tzcode.linalg as linalg
 
-    stages = ("syndrome", "estimate_rank", "solve_span", "root_space", "error_from_span")
+    stages = ("syndrome", "estimate_rank", "solve_span", "error_from_span")
     inside, entered, calls = [], set(), []
     for holder, name in ((dec, "solve_locators"), (dec, "ff_solve"), (linalg, "ff_solve")):
         def refused(*args, _name=name):
@@ -727,7 +728,7 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
         finally:
             inside.pop()
         assert out.codeword == cw and out.error == e
-    assert entered == set(stages) - {"root_space"}
+    assert entered == set(stages)
     assert calls == []
 
 
@@ -756,45 +757,92 @@ def test_rank_tests_build_no_reduced_form(code5, code341, monkeypatch):
             assert out.codeword == cw and out.error == e
 
 
-@pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 2, 2), (3, 6, 4)])
-def test_only_a_reported_failure_counts_roots(q, n, k, monkeypatch):
-    # the theorem decode's order rests on: the span of an error that passes
-    # the residual check vanishes on its t column elements, and a monic span
+@pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 2, 2), (3, 6, 4), (3, 2, 1)])
+def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
+    # decode names a failure after the first residual check that the error
+    # read off the last span fails: ErrorRankMismatch when its rank is not
+    # the span's q-degree t, NotACodeword when it is but the word minus the
+    # error is not a codeword.  Decode counts no roots: root_space raises.
+    # The theorem the residual check rests on still holds: the span of an
+    # error that passes vanishes on its t column elements, and a monic span
     # of q-degree t has at most t independent roots, so the span that decoded
-    # splits into exactly t.  So decode counts roots only to name a failure
-    # it reports, once, on the last span it read: never on a success, and
-    # never for a boundary attempt that the default mode drops before the
-    # plain branch (at (3,6,4) generic rank-2 errors take that fallback).
-    # Generic rank-3 errors at (3,4,2) read RootCountMismatch, as in the
-    # golden reports
+    # splits into exactly t.  At (3,6,4) generic rank-2 errors take the
+    # default mode's fallback, generic rank-3 errors at (3,4,2) read
+    # ErrorRankMismatch, as in the golden reports, and (3,2,1) reaches
+    # NotACodeword at t = 2
     import tzcode.decoder as dec
+    import tzcode.linpoly as linpoly
 
     code = build_code(FieldCtx(q, n), k)
-    spans, counted = [], []
+    ctx = code.ctx
+    read = []
     monkeypatch.setattr(dec, "error_from_span",
-                        lambda *a: spans.append(a[-1]) or error_from_span(*a))
-    monkeypatch.setattr(dec, "root_space", lambda f: counted.append(f) or root_space(f))
-    successes = named = 0
+                        lambda *a: read.append((a[-1], error_from_span(*a))) or read[-1][1])
+
+    def refused(f):
+        raise AssertionError("decode counted roots")
+
+    for mod in (dec, linpoly):
+        monkeypatch.setattr(mod, "root_space", refused, raising=False)
+    successes = 0
+    named = set()
     for t in range(1, code.radius + 2):
         for subfield in (False, True) if t <= n else (False,):
             rng = rng_for(94, t)
             for _ in range(10):
                 *_, r = plant(code, t, rng, subfield=subfield)
                 for strict in (False, True):
-                    spans.clear()
-                    counted.clear()
+                    read.clear()
                     out = decode(code, r, strict_alg1=strict)
                     if (q, n, k, t, subfield) == (3, 4, 2, 3, False):
-                        assert out.failure_reason == ROOT_COUNT_MISMATCH
+                        assert out.failure_reason == ERROR_RANK_MISMATCH
                     if out.success:
                         successes += 1
-                        assert counted == [] and len(root_space(spans[-1])) == out.t
-                    elif out.failure_reason in (ROOT_COUNT_MISMATCH, LOCATOR_SYSTEM_INCONSISTENT):
-                        named += 1
-                        assert counted == spans[-1:] != []
-                    else:
-                        assert counted == []
-    assert successes > 0 and named > 0
+                        assert len(root_space(read[-1][0])) == out.t
+                    elif out.failure_reason in (ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
+                        named.add(out.failure_reason)
+                        span, err = read[-1]
+                        rank_t = fq_rank(err, ctx.q) == len(span.coeffs) - 1
+                        assert rank_t == (out.failure_reason == NOT_A_CODEWORD)
+                        if rank_t:
+                            assert not code.is_codeword(ctx.unpack((ctx.pack(r) - err) % ctx.q))
+    assert successes > 0 and ERROR_RANK_MISMATCH in named
+    assert NOT_A_CODEWORD in named or (q, n, k) != (3, 2, 1)
+
+
+def test_boundary_span_outside_the_subfield(code342, monkeypatch):
+    # a boundary span with a coefficient outside F_(q^n): strict mode reports
+    # LambdaNotInSubfield, and the default mode falls through to the plain
+    # branch, which decodes the generic rank-2 plant.  No drawn word in the
+    # golden grid reaches this branch, so the boundary call of solve_span,
+    # the first, returns a planted monic span of q-degree t = 3
+    import tzcode.decoder as dec
+
+    ctx = code342.ctx
+    t = ctx.n - code342.k // 2
+    rng = rng_for(95)
+    line = rng.integers(0, ctx.q, (t + 1, ctx.m), dtype=np.int64)
+    line[t] = ctx.one.coeffs
+    assert not np.array_equal(ctx.frob(line, ctx.n), line)
+    solved, scanned = [], []
+
+    def planted(S, c):
+        solved.append(S.shape)
+        return (t, LinPoly(ctx, line)) if len(solved) == 1 else solve_span(S, c)
+
+    monkeypatch.setattr(dec, "solve_span", planted)
+    monkeypatch.setattr(dec, "estimate_rank",
+                        lambda *a: scanned.append(1) or estimate_rank(*a))
+    for _ in range(10):
+        _, cw, e, _, r = plant(code342, 2, rng)
+        for strict in (True, False):
+            solved.clear()
+            scanned.clear()
+            out = decode(code342, r, strict_alg1=strict)
+            if strict:
+                assert out.failure_reason == LAMBDA_NOT_IN_SUBFIELD and scanned == []
+            else:
+                assert scanned == [1] and out.codeword == cw and out.error == e
 
 
 def test_decode_fallback_rescues_misrouted_strict_errors(code342):

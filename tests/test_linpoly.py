@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tzcode import FieldCtx, LinPoly, rank_weight, root_space
+from tzcode import FieldCtx, LinPoly, rank_weight
+from tzcode.linpoly import root_space
 
 from conftest import (
     DependentSpan,

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tzcode import FieldCtx, LinPoly, build_code, decode, random_message, root_space
+from tzcode import FieldCtx, LinPoly, build_code, decode, random_message
 from tzcode.construct import is_valid_gamma
 from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
 from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
+from tzcode.linpoly import root_space
 
 from conftest import (elements, encode_by_rows, ff_kernel, plant, qvan, ref_kernel, ref_mat_vec,
                       ref_rref, ref_solve, rng_for)
