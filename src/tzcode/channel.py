@@ -142,8 +142,7 @@ class TrialReport:
         return out
 
 
-def simulate(code: TZCode, spec: ChannelSpec, trials: int,
-             strict_alg1: bool = False) -> TrialReport:
+def simulate(code: TZCode, spec: ChannelSpec, trials: int) -> TrialReport:
     """Seeded campaign: encode, corrupt, decode, compare against the plant.
 
     A trial counts as a success only when the decoder returns the planted
@@ -162,7 +161,7 @@ def simulate(code: TZCode, spec: ChannelSpec, trials: int,
         e, _ = random_error(code, spec, rng)
         r = tuple(x + y for x, y in zip(cw, e))
         t0 = time.perf_counter()
-        out = decode(code, r, strict_alg1=strict_alg1)
+        out = decode(code, r)
         times.append(time.perf_counter() - t0)
         if out.success and out.codeword == cw and out.message == msg and out.error == e:
             successes += 1
@@ -185,7 +184,6 @@ def simulate(code: TZCode, spec: ChannelSpec, trials: int,
         "subfield_only": spec.subfield_only,
         "seed": spec.seed,
         "rng": RNG_NAME,
-        "strict_alg1": strict_alg1,
     }
     failures = {k: v for k, v in counts.items() if v}
     return TrialReport(params, trials, successes, failures, timing)

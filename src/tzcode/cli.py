@@ -57,7 +57,7 @@ def _cmd_decode(args) -> int:
     failures = 0
     lines = []
     for r in received:
-        out = decode(code, r, strict_alg1=args.strict_alg1)
+        out = decode(code, r)
         if out.success:
             lines.append(paramfile.format_vector(out.codeword))
         else:
@@ -72,7 +72,7 @@ def _cmd_decode(args) -> int:
 def _cmd_simulate(args) -> int:
     code = paramfile.load_params(args.params)
     spec = ChannelSpec(t=args.t, subfield_only=args.subfield_only, seed=args.seed)
-    report = simulate(code, spec, args.trials, strict_alg1=args.strict_alg1)
+    report = simulate(code, spec, args.trials)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 
@@ -115,21 +115,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="decode received vectors")
+    p = sub.add_parser("decode", help="decode received vectors: every error of rank "
+                       "<= (2n-k-1)//2, and at even k errors over F_(q^n) of rank n-k/2")
     p.add_argument("--params", required=True)
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict-alg1", action="store_true",
-                   help="no fallback when the boundary branch fails")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="seeded error-channel campaign")
     p.add_argument("--params", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--subfield-only", action="store_true")
+    p.add_argument("--subfield-only", action="store_true",
+                   help="error entries in F_(q^n), which rank n-k/2 needs at even k")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict-alg1", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="reproduce the published q=5 instance")

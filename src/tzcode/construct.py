@@ -160,6 +160,8 @@ class TZCode:
         m, q = ctx.m, ctx.q
         self.length = m
         self.min_distance = m - k + 1
+        # (d-1)//2: odd k reaches it with any error; even k only with errors
+        # over F_(q^n), generic ones decoding up to (2n-k-1)//2 = radius - 1
         self.radius = (m - k) // 2
 
         # x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at lam

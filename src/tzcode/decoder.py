@@ -25,11 +25,14 @@ same error.  A monic Lambda of q-degree t has at most t independent roots,
 so every span decode accepts has exactly t.
 
 Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
-everything.  At the boundary 2t + k = 2n (k even) the plain system loses a
-row and the matrix is augmented with relative-trace rows (S_exp), which
-pins the solution space back to dimension one provided the error entries
-lie in the subfield of linearity.  The same reader, solve_span, takes the
-rank and the span off one elimination of S_exp.
+everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
+boundary 2t + k = 2n (k even) the plain system loses a row and the matrix
+is augmented with relative-trace rows (S_exp), which pins the solution
+space back to dimension one provided the error entries lie in the subfield
+F_(q^n); so at even k errors over F_(q^n) of rank n - k/2 decode as well.
+The same reader, solve_span, takes the rank and the span off one
+elimination of S_exp.  A boundary attempt whose error fails _finish falls
+through to S^(u_max).
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
@@ -56,7 +59,6 @@ from .linpoly import LinPoly, _term_matrices
 __all__ = [
     "SPAN_DIM_MISMATCH",
     "ERROR_RANK_MISMATCH",
-    "LAMBDA_NOT_IN_SUBFIELD",
     "NO_RANK_FOUND",
     "NOT_A_CODEWORD",
     "FAILURE_REASONS",
@@ -75,7 +77,6 @@ __all__ = [
 
 SPAN_DIM_MISMATCH = "SpanDimMismatch"
 ERROR_RANK_MISMATCH = "ErrorRankMismatch"
-LAMBDA_NOT_IN_SUBFIELD = "LambdaNotInSubfield"
 NO_RANK_FOUND = "NoRankFound"
 NOT_A_CODEWORD = "NotACodeword"
 
@@ -83,7 +84,6 @@ NOT_A_CODEWORD = "NotACodeword"
 FAILURE_REASONS = (
     SPAN_DIM_MISMATCH,  # rank t, but the pivots are not the columns 0..t-1
     ERROR_RANK_MISMATCH,  # the error read off the span has rank other than t
-    LAMBDA_NOT_IN_SUBFIELD,  # the boundary span has coefficients outside F_(q^n)
     NO_RANK_FOUND,  # S^(u_max) has rank 0, or u_max is 0
     NOT_A_CODEWORD,  # that error has rank t, but the word minus it is not a codeword
 )
@@ -269,15 +269,16 @@ def _finish(code: TZCode, r, err, t: int) -> DecodeOutcome:
     return DecodeOutcome.ok(ctx.unpack(cw), ctx.unpack(err), ctx.subfield_elements(digits), t)
 
 
-def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
+def decode(code: TZCode, r) -> DecodeOutcome:
     """Bounded-minimum-distance decoding of a received word.
 
-    With strict_alg1 the boundary branch declares failure the moment its
-    hypotheses break.  By default a failed boundary attempt falls through to
-    the generic branch instead: a plain error whose span is not defined over
-    the subfield can make the augmented matrix reach full rank spuriously,
-    and the fallback strictly enlarges the set of corrected words without
-    changing behaviour on boundary-conforming errors.
+    Every generic error of rank t <= (2n-k-1)//2 decodes: S^(u_max) reads
+    its rank and span.  At even k an error of the boundary rank n - k/2 with
+    entries in F_(q^n) decodes as well, from S_exp.  At even k decode tries
+    S_exp first; an attempt that reads no span of q-degree n - k/2, or whose
+    error fails _finish, falls through to S^(u_max).  Whatever passes _finish
+    is within rank distance t <= (d-1)/2 of r, so it is the unique such
+    codeword, and the fall-through can only turn a failure into a decode.
     """
     ctx = code.ctx
     packed = code.pack_word(r)
@@ -286,24 +287,12 @@ def decode(code: TZCode, r, strict_alg1: bool = False) -> DecodeOutcome:
         return _finish(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
-        # S_exp is 2t x (t+1), so rank t leaves a kernel line: with leading
-        # pivots it is the span, otherwise its top coefficient is zero.  A
-        # rank other than t leaves reason None and falls through in both modes.
         t = ctx.n - code.k // 2
         rank, span = solve_span(build_S_exp(code, s), ctx)
-        reason = None
-        if rank == t:
-            if span is None:
-                reason = SPAN_DIM_MISMATCH
-            elif np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs):
-                out = _finish(code, packed, error_from_span(code, s, span), t)
-                if out.success:
-                    return out
-                reason = out.failure_reason
-            else:
-                reason = LAMBDA_NOT_IN_SUBFIELD
-        if strict_alg1 and reason is not None:
-            return DecodeOutcome.fail(reason)
+        if rank == t and span is not None:
+            out = _finish(code, packed, error_from_span(code, s, span), t)
+            if out.success:
+                return out
 
     t, span = estimate_rank(code, s)
     if t is None:

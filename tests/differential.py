@@ -9,10 +9,10 @@ for membership: one line per received word with is_codeword, and the
 unmapped message when the word is a codeword.  The grid is q in {3, 5, 7},
 n in {2, 3, 4}, every k, t from 0 to one past the unique radius, generic
 errors and (where t <= n) subfield errors, TRIALS seeded trials each,
-every received word decoded in both strict_alg1 modes.  A third line hashes
+every received word decoded once.  A third line hashes
 the decode lines of a wider grid at larger n: (q, n) in {(3, 6), (5, 5),
 (3, 8), (7, 6)}, every third k from 1, t in {1, radius-1, ..., radius+2},
-generic errors, WIDE_TRIALS trials each, both modes.  Run it on two trees
+generic errors, WIDE_TRIALS trials each.  Run it on two trees
 of the library: equal hashes mean that a change kept every outcome.  It
 uses only the public API, so it runs unchanged on earlier trees.  With
 --check it also compares its three lines with the committed
@@ -20,7 +20,7 @@ differential.expected beside it and exits 1 on any difference; a change
 that alters outcomes on purpose re-records that file and says why.
 
 tests/test_differential.py runs the same comparison in the pytest suite.
-It takes about 12-20 s on one core of a 2-vCPU x86-64 host.
+It takes about 8 s on one core of a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ def _coeffs(vec) -> str:
     return "" if vec is None else ";".join(",".join(map(str, e.coeffs.tolist())) for e in vec)
 
 
-def _decode_lines(code, r, head):
-    for strict in (False, True):
-        out = decode(code, r, strict_alg1=strict)
-        yield (f"{head} {int(strict)} {int(out.success)} {out.failure_reason} {out.t} "
-               f"{_coeffs(out.codeword)} {_coeffs(out.message)}")
+def _decode_line(code, r, head):
+    out = decode(code, r)
+    return (f"{head} {int(out.success)} {out.failure_reason} {out.t} "
+            f"{_coeffs(out.codeword)} {_coeffs(out.message)}")
 
 
 def _received(code, spec, seed, trial):
@@ -73,9 +72,8 @@ def outcome_lines():
                             yield "member", (
                                 f"{q} {n} {k} {t} {int(subfield)} {trial} {int(member)} "
                                 f"{_coeffs(code.unmap(r) if member else None)}")
-                            for line in _decode_lines(
-                                    code, r, f"{q} {n} {k} {t} {int(subfield)} {trial}"):
-                                yield "decode", line
+                            yield "decode", _decode_line(
+                                code, r, f"{q} {n} {k} {t} {int(subfield)} {trial}")
                         seed += 1
     for q, n in WIDE_FIELDS:
         ctx = FieldCtx(q, n)
@@ -85,8 +83,7 @@ def outcome_lines():
                 spec = ChannelSpec(t=t, seed=seed)
                 for trial in range(WIDE_TRIALS):
                     r = _received(code, spec, seed, trial)
-                    for line in _decode_lines(code, r, f"{q} {n} {k} {t} 0 {trial}"):
-                        yield "wide", line
+                    yield "wide", _decode_line(code, r, f"{q} {n} {k} {t} 0 {trial}")
                 seed += 1
 
 
@@ -98,7 +95,7 @@ def summary_lines():
     for kind, line in outcome_lines():
         digests[kind].update(line.encode() + b"\n")
         counts[kind][0] += 1
-        counts[kind][1] += line.split()[6 if kind == "member" else 7] == "1"
+        counts[kind][1] += line.split()[6] == "1"
     decodes, successes = counts["decode"]
     words, codewords = counts["member"]
     wide, wide_successes = counts["wide"]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from tzcode.channel import ChannelSpec, random_error, random_message, simulate, trial_rng
 from tzcode.cli import EXIT_BAD_PARAMS, main
+from tzcode.paramfile import load_params, read_vectors, write_vectors
 
 
 def test_selftest_passes(capsys):
@@ -52,3 +54,27 @@ def test_mindist_over_budget_is_a_bad_parameter(tmp_path, capsys):
     capsys.readouterr()
     assert main(["mindist", "--params", str(path), "--budget", "1"]) == EXIT_BAD_PARAMS
     assert capsys.readouterr().err == "error: 81 codewords exceed the budget of 1\n"
+
+
+def test_gen_encode_decode_simulate_end_to_end(tmp_path, capsys):
+    # messages encoded by the CLI, hit by rank-1 errors and decoded by it come
+    # back as the encoded words; simulate prints the library's report
+    path = tmp_path / "p.json"
+    assert main(["gen", "--q", "3", "--n", "2", "--k", "1", "--out", str(path)]) == 0
+    code = load_params(path)
+    rng = trial_rng(7, 0)
+    write_vectors(tmp_path / "msg.txt", [random_message(code, rng) for _ in range(5)])
+    files = {name: str(tmp_path / f"{name}.txt") for name in ("msg", "cw", "rx", "dec")}
+    assert main(["encode", "--params", str(path), "--msg", files["msg"], "--out", files["cw"]]) == 0
+    codewords = read_vectors(files["cw"], code.ctx)
+    spec = ChannelSpec(1, False, 7)
+    write_vectors(files["rx"], [tuple(x + y for x, y in zip(cw, random_error(code, spec, rng)[0]))
+                                for cw in codewords])
+    assert main(["decode", "--params", str(path), "--in", files["rx"], "--out", files["dec"]]) == 0
+    assert read_vectors(files["dec"], code.ctx) == codewords
+    capsys.readouterr()
+    argv = ["simulate", "--params", str(path), "--t", "1", "--seed", "7", "--trials", "5"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert report == simulate(code, spec, 5).canonical()

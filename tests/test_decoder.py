@@ -9,7 +9,6 @@ from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.channel import ChannelSpec, random_error, random_message
 from tzcode.decoder import (
     ERROR_RANK_MISMATCH,
-    LAMBDA_NOT_IN_SUBFIELD,
     NO_RANK_FOUND,
     NOT_A_CODEWORD,
     SPAN_DIM_MISMATCH,
@@ -193,8 +192,7 @@ def test_estimate_rank_no_span_off_the_leading_pivots():
     s = syndrome(code, e)
     assert ff_rref(build_S(code, s, 2), ctx)[1] == [0, 2]
     assert estimate_rank(code, s) == (2, None)
-    for strict in (False, True):
-        assert decode(code, ctx.unpack(e), strict_alg1=strict).failure_reason == SPAN_DIM_MISMATCH
+    assert decode(code, ctx.unpack(e)).failure_reason == SPAN_DIM_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -567,32 +565,34 @@ def test_decode_round_trips_all_regimes():
             assert out.t == t
 
 
-def test_decode_strict_flag_on_misrouted_boundary(code332):
-    # strict-case rank-1 errors at even k often drive the augmented matrix to
-    # full rank spuriously; the literal algorithm then declares failure where
-    # the fallback still decodes
-    t_lim = code332.ctx.n - code332.k // 2
-    rng = rng_for(83)
-    misrouted = 0
+@pytest.mark.parametrize("q, n, k, t", [(3, 3, 2, 1), (5, 3, 2, 1), (3, 4, 4, 1), (3, 4, 2, 2)])
+def test_decode_falls_through_a_failed_boundary_attempt(q, n, k, t):
+    # generic errors of rank t <= (2n-k-1)//2 at even k: S_exp, whose trace
+    # rows factor only for errors over F_(q^n), often reads a span of
+    # q-degree n - k/2 whose error fails the residual check.  decode then
+    # falls through to S^(u_max), and every plant inside the generic
+    # guarantee decodes
+    code = build_code(FieldCtx(q, n), k)
+    ctx = code.ctx
+    assert t <= (ctx.m - k - 1) // 2
+    rng = rng_for(83, t)
+    failed_attempts = 0
     for _ in range(30):
-        msg, cw, e, _, r = plant(code332, 1, rng)
-        s = syndrome(code332, r)
-        engaged = ff_rank(build_S_exp(code332, s), code332.ctx) == t_lim
-        strict = decode(code332, r, strict_alg1=True)
-        relaxed = decode(code332, r)
-        assert relaxed.success and relaxed.codeword == cw and relaxed.error == e
-        if engaged:
-            misrouted += 1
-            assert not strict.success
-        else:
-            assert strict.success and strict.codeword == cw
-    assert misrouted > 0  # the scenario the fallback exists for
+        msg, cw, e, _, r = plant(code, t, rng)
+        s = syndrome(code, r)
+        rank, span = solve_span(build_S_exp(code, s), ctx)
+        if rank == ctx.n - k // 2 and span is not None:
+            failed_attempts += 1
+        out = decode(code, r)
+        assert out.success and out.t == t
+        assert out.codeword == cw and out.error == e and out.message == msg
+    assert failed_attempts > 0  # the case the fall-through exists for
 
 
 def test_decode_beyond_guarantee_fails_identically(code5):
     # rank-1 errors outside the subfield at (5,2,2) are beyond the decoder's
-    # promise whenever the augmented matrix keeps full column rank; both
-    # modes then run out of material and report the same reason
+    # promise whenever the augmented matrix keeps full column rank; decode
+    # then runs out of material and reports NoRankFound every time
     ctx = code5.ctx
     t_lim = ctx.n - code5.k // 2
     rng = rng_for(87)
@@ -604,8 +604,6 @@ def test_decode_beyond_guarantee_fails_identically(code5):
         if ff_rank(build_S_exp(code5, s), ctx) != t_lim:
             blocked += 1
             assert not out.success and out.failure_reason == NO_RANK_FOUND
-            strict = decode(code5, r, strict_alg1=True)
-            assert strict.failure_reason == NO_RANK_FOUND
         elif out.success:
             # all-trace rows make the span subfield-rational, so the pipeline
             # can legitimately finish even off the guaranteed error model
@@ -616,22 +614,20 @@ def test_decode_beyond_guarantee_fails_identically(code5):
 
 def test_boundary_rank_t_off_the_leading_pivots(code322):
     # S_exp of this word has rank t = 1 with its pivot in column 1: the kernel
-    # line (1, 0) has a zero top coefficient, so no span is read.  Strict mode
-    # reports SpanDimMismatch; the default falls through to the plain branch
+    # line (1, 0) has a zero top coefficient, so no span is read and decode
+    # falls through to the plain branch, where u_max = 0 finds no rank
     ctx = code322.ctx
     r = np.array([[0, 0, 1, 1], [2, 1, 2, 0], [1, 2, 0, 2], [1, 1, 0, 0]])
     S = build_S_exp(code322, syndrome(code322, r))
     assert ff_rref(S, ctx)[1] == [1]
     assert solve_span(S, ctx) == (1, None)
-    assert decode(code322, ctx.unpack(r), strict_alg1=True).failure_reason == SPAN_DIM_MISMATCH
     assert decode(code322, ctx.unpack(r)).failure_reason == NO_RANK_FOUND
 
 
-def test_decode_boundary_same_under_both_flags(code5):
+def test_decode_boundary_subfield_plants(code5):
     rng = rng_for(84)
     for _ in range(25):
         _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
-        assert decode(code5, r, strict_alg1=True).codeword == cw
         assert decode(code5, r).codeword == cw
 
 
@@ -766,10 +762,12 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
     # The theorem the residual check rests on still holds: the span of an
     # error that passes vanishes on its t column elements, and a monic span
     # of q-degree t has at most t independent roots, so the span that decoded
-    # splits into exactly t.  At (3,6,4) generic rank-2 errors take the
-    # default mode's fallback, generic rank-3 errors at (3,4,2) read
+    # splits into exactly t.  At (3,6,4) generic rank-2 errors fall through
+    # a failed boundary attempt, generic rank-3 errors at (3,4,2) read
     # ErrorRankMismatch, as in the golden reports, and (3,2,1) reaches
-    # NotACodeword at t = 2
+    # NotACodeword at t = 2.  At (5,2,2) u_max is 0, so a failed boundary
+    # attempt falls through to NoRankFound and ErrorRankMismatch is never
+    # reported there
     import tzcode.decoder as dec
     import tzcode.linpoly as linpoly
 
@@ -791,31 +789,30 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
             rng = rng_for(94, t)
             for _ in range(10):
                 *_, r = plant(code, t, rng, subfield=subfield)
-                for strict in (False, True):
-                    read.clear()
-                    out = decode(code, r, strict_alg1=strict)
-                    if (q, n, k, t, subfield) == (3, 4, 2, 3, False):
-                        assert out.failure_reason == ERROR_RANK_MISMATCH
-                    if out.success:
-                        successes += 1
-                        assert len(root_space(read[-1][0])) == out.t
-                    elif out.failure_reason in (ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
-                        named.add(out.failure_reason)
-                        span, err = read[-1]
-                        rank_t = fq_rank(err, ctx.q) == len(span.coeffs) - 1
-                        assert rank_t == (out.failure_reason == NOT_A_CODEWORD)
-                        if rank_t:
-                            assert not code.is_codeword(ctx.unpack((ctx.pack(r) - err) % ctx.q))
-    assert successes > 0 and ERROR_RANK_MISMATCH in named
+                read.clear()
+                out = decode(code, r)
+                if (q, n, k, t, subfield) == (3, 4, 2, 3, False):
+                    assert out.failure_reason == ERROR_RANK_MISMATCH
+                if out.success:
+                    successes += 1
+                    assert len(root_space(read[-1][0])) == out.t
+                elif out.failure_reason in (ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
+                    named.add(out.failure_reason)
+                    span, err = read[-1]
+                    rank_t = fq_rank(err, ctx.q) == len(span.coeffs) - 1
+                    assert rank_t == (out.failure_reason == NOT_A_CODEWORD)
+                    if rank_t:
+                        assert not code.is_codeword(ctx.unpack((ctx.pack(r) - err) % ctx.q))
+    assert successes > 0
+    assert ERROR_RANK_MISMATCH in named or (q, n, k) == (5, 2, 2)
     assert NOT_A_CODEWORD in named or (q, n, k) != (3, 2, 1)
 
 
 def test_boundary_span_outside_the_subfield(code342, monkeypatch):
-    # a boundary span with a coefficient outside F_(q^n): strict mode reports
-    # LambdaNotInSubfield, and the default mode falls through to the plain
-    # branch, which decodes the generic rank-2 plant.  No drawn word in the
-    # golden grid reaches this branch, so the boundary call of solve_span,
-    # the first, returns a planted monic span of q-degree t = 3
+    # a boundary span with a coefficient outside F_(q^n): its error fails the
+    # residual check, decode falls through to the plain branch, and that
+    # decodes the generic rank-2 plant.  The boundary call of solve_span, the
+    # first, returns a planted monic span of q-degree t = 3
     import tzcode.decoder as dec
 
     ctx = code342.ctx
@@ -824,40 +821,25 @@ def test_boundary_span_outside_the_subfield(code342, monkeypatch):
     line = rng.integers(0, ctx.q, (t + 1, ctx.m), dtype=np.int64)
     line[t] = ctx.one.coeffs
     assert not np.array_equal(ctx.frob(line, ctx.n), line)
-    solved, scanned = [], []
+    solved, scanned, finished = [], [], []
 
     def planted(S, c):
         solved.append(S.shape)
         return (t, LinPoly(ctx, line)) if len(solved) == 1 else solve_span(S, c)
 
     monkeypatch.setattr(dec, "solve_span", planted)
+    monkeypatch.setattr(dec, "_finish",
+                        lambda *a, f=dec._finish: finished.append(f(*a)) or finished[-1])
     monkeypatch.setattr(dec, "estimate_rank",
                         lambda *a: scanned.append(1) or estimate_rank(*a))
     for _ in range(10):
         _, cw, e, _, r = plant(code342, 2, rng)
-        for strict in (True, False):
-            solved.clear()
-            scanned.clear()
-            out = decode(code342, r, strict_alg1=strict)
-            if strict:
-                assert out.failure_reason == LAMBDA_NOT_IN_SUBFIELD and scanned == []
-            else:
-                assert scanned == [1] and out.codeword == cw and out.error == e
-
-
-def test_decode_fallback_rescues_misrouted_strict_errors(code342):
-    # k even with a strict-case rank: the boundary branch sometimes engages
-    # spuriously, and the fallback must still correct every plant
-    rng = rng_for(85)
-    strict_failures = 0
-    for _ in range(50):
-        _, cw, e, _, r = plant(code342, 2, rng)
+        solved.clear()
+        scanned.clear()
+        finished.clear()
         out = decode(code342, r)
-        assert out.success and out.codeword == cw and out.error == e
-        if not decode(code342, r, strict_alg1=True).success:
-            strict_failures += 1
-    # the flag exists precisely because this can happen; count is seed-stable
-    assert strict_failures > 0
+        assert [f.t for f in finished] == [None, 2] and not finished[0].success
+        assert scanned == [1] and out.codeword == cw and out.error == e
 
 
 def test_decode_beyond_radius_keeps_contract(code321):

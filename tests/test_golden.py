@@ -1,8 +1,8 @@
 """Canonical simulate reports pinned byte for byte.
 
-The grid reaches every failure reason and a miscorrection, in both
-strict_alg1 modes, so any change to encoding, membership, decoding or the
-random draws that alters one trial's outcome shows here.
+The grid reaches every failure reason and a miscorrection, so any change
+to encoding, membership, decoding or the random draws that alters one
+trial's outcome shows here.
 """
 
 import functools
@@ -12,48 +12,30 @@ import pytest
 
 from tzcode import FieldCtx, build_code
 from tzcode.channel import MISCORRECTION, ChannelSpec, simulate
-from tzcode.decoder import FAILURE_REASONS, LAMBDA_NOT_IN_SUBFIELD
+from tzcode.decoder import FAILURE_REASONS
 
 TRIALS, SEED = 40, 7
 
-# (q, n, k, t, subfield_only, strict_alg1) -> canonical_json()
+# (q, n, k, t, subfield_only) -> canonical_json()
 GOLDEN = [
-    ((3, 2, 1, 1, False, False),
-     '{"failures_by_reason":{},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":1},"successes":40,"trials":40}'),
-    ((3, 2, 1, 1, False, True),
-     '{"failures_by_reason":{},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":1},"successes":40,"trials":40}'),
-    ((3, 2, 1, 2, True, False),
-     '{"failures_by_reason":{"ErrorRankMismatch":17,"NotACodeword":23},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":true,"t":2},"successes":0,"trials":40}'),
-    ((3, 2, 1, 2, True, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":17,"NotACodeword":23},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":true,"t":2},"successes":0,"trials":40}'),
-    ((5, 2, 2, 1, True, False),
-     '{"failures_by_reason":{},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":true,"t":1},"successes":40,"trials":40}'),
-    ((5, 2, 2, 1, True, True),
-     '{"failures_by_reason":{},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":true,"t":1},"successes":40,"trials":40}'),
-    ((5, 2, 2, 2, False, False),
-     '{"failures_by_reason":{"Miscorrection":1,"NoRankFound":39},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
-    ((5, 2, 2, 2, False, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":1,"Miscorrection":1,"NoRankFound":38},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
-    ((3, 3, 2, 2, False, False),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
-    ((3, 3, 2, 2, False, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
-    ((3, 4, 2, 3, True, False),
-     '{"failures_by_reason":{},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":true,"t":3},"successes":40,"trials":40}'),
-    ((3, 4, 2, 3, True, True),
-     '{"failures_by_reason":{},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":true,"t":3},"successes":40,"trials":40}'),
-    ((3, 4, 2, 3, False, False),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
-    ((3, 4, 2, 3, False, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
-    ((3, 4, 1, 4, False, False),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":1,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":4},"successes":0,"trials":40}'),
-    ((3, 4, 1, 4, False, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":1,"n":4,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":4},"successes":0,"trials":40}'),
-    ((3, 3, 1, 3, False, False),
-     '{"failures_by_reason":{"ErrorRankMismatch":39,"SpanDimMismatch":1},"params":{"k":1,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":false,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
-    ((3, 3, 1, 3, False, True),
-     '{"failures_by_reason":{"ErrorRankMismatch":39,"SpanDimMismatch":1},"params":{"k":1,"n":3,"q":3,"rng":"philox4x64","seed":7,"strict_alg1":true,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+    ((3, 2, 1, 1, False),
+     '{"failures_by_reason":{},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"subfield_only":false,"t":1},"successes":40,"trials":40}'),
+    ((3, 2, 1, 2, True),
+     '{"failures_by_reason":{"ErrorRankMismatch":17,"NotACodeword":23},"params":{"k":1,"n":2,"q":3,"rng":"philox4x64","seed":7,"subfield_only":true,"t":2},"successes":0,"trials":40}'),
+    ((5, 2, 2, 1, True),
+     '{"failures_by_reason":{},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"subfield_only":true,"t":1},"successes":40,"trials":40}'),
+    ((5, 2, 2, 2, False),
+     '{"failures_by_reason":{"Miscorrection":1,"NoRankFound":39},"params":{"k":2,"n":2,"q":5,"rng":"philox4x64","seed":7,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((3, 3, 2, 2, False),
+     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":3,"q":3,"rng":"philox4x64","seed":7,"subfield_only":false,"t":2},"successes":0,"trials":40}'),
+    ((3, 4, 2, 3, True),
+     '{"failures_by_reason":{},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"subfield_only":true,"t":3},"successes":40,"trials":40}'),
+    ((3, 4, 2, 3, False),
+     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":2,"n":4,"q":3,"rng":"philox4x64","seed":7,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
+    ((3, 4, 1, 4, False),
+     '{"failures_by_reason":{"ErrorRankMismatch":40},"params":{"k":1,"n":4,"q":3,"rng":"philox4x64","seed":7,"subfield_only":false,"t":4},"successes":0,"trials":40}'),
+    ((3, 3, 1, 3, False),
+     '{"failures_by_reason":{"ErrorRankMismatch":39,"SpanDimMismatch":1},"params":{"k":1,"n":3,"q":3,"rng":"philox4x64","seed":7,"subfield_only":false,"t":3},"successes":0,"trials":40}'),
 ]
 
 
@@ -64,19 +46,13 @@ def _code(q, n, k):
 
 @pytest.mark.parametrize("case, expected", GOLDEN, ids=[str(c) for c, _ in GOLDEN])
 def test_canonical_report_is_byte_identical(case, expected):
-    q, n, k, t, subfield, strict = case
-    report = simulate(_code(q, n, k), ChannelSpec(t, subfield, SEED), TRIALS, strict_alg1=strict)
+    q, n, k, t, subfield = case
+    report = simulate(_code(q, n, k), ChannelSpec(t, subfield, SEED), TRIALS)
     assert report.canonical_json() == expected
 
 
 def test_grid_reaches_every_outcome():
-    # LambdaNotInSubfield is the one reason no report reaches.  S_exp's last
-    # t+1 rows are relative traces, in F_(q^n), and when they alone have rank
-    # t its kernel line, the span, lies over F_(q^n).  At boundary rank t = 1
-    # S_exp has no other rows, so the branch is unreachable; at larger t the
-    # trace rows must lose rank, which no trial here draws.  test_decoder
-    # covers the branch with a planted span
     reasons = set()
     for _, expected in GOLDEN:
         reasons.update(json.loads(expected)["failures_by_reason"])
-    assert reasons == (set(FAILURE_REASONS) | {MISCORRECTION}) - {LAMBDA_NOT_IN_SUBFIELD}
+    assert reasons == set(FAILURE_REASONS) | {MISCORRECTION}
