@@ -1,9 +1,9 @@
 """Syndrome-based bounded-minimum-distance decoding.
 
-The pipeline: compute the syndrome s = r H^T; eliminate the largest shifted
-syndrome matrix S^(u_max) once and read both the error rank t and the error
-span polynomial Lambda off the eliminated matrix (solve_span); recover the error
-in the transform domain (error_from_span).  One finishing step (_finish)
+The pipeline: compute the syndrome s = r H^T; eliminate one syndrome
+matrix (S^(u_max) at odd k, S_exp at even k) once and read both the error
+rank t and the error span polynomial Lambda off it; recover the error in
+the transform domain (error_from_span).  One finishing step (_finish)
 then makes the two residual checks in order, and a failure is named after
 the first that fails: the error must have rank t (else ErrorRankMismatch),
 and the packed corrected word must pass the code's single membership test,
@@ -24,15 +24,13 @@ Lambda to vanish on its column elements, and the locator system gives the
 same error.  A monic Lambda of q-degree t has at most t independent roots,
 so every span decode accepts has exactly t.
 
-Two regimes exist.  While 2t + k < 2n the syndrome matrices S^(u) decide
-everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
-boundary 2t + k = 2n (k even) the plain system loses a row and the matrix
-is augmented with relative-trace rows (S_exp), which pins the solution
-space back to dimension one provided the error entries lie in the subfield
-F_(q^n); so at even k errors over F_(q^n) of rank n - k/2 decode as well.
-The same reader, solve_span, takes the rank and the span off one
-elimination of S_exp.  A boundary attempt whose error fails _finish falls
-through to S^(u_max).
+Two regimes exist.  While 2t + k < 2n the plain windows of the transform
+decide everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
+boundary 2t + k = 2n (k even) the t-1 plain rows of S_exp leave a pencil of
+spans, and its trace rows pin one member when the error lies over F_(q^n),
+so such errors of rank n - k/2 decode as well.  One elimination of S_exp
+(_block_spans) reads that member, tried first, and the plain span, which
+serves below the boundary as S^(u_max) does at odd k.
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
@@ -84,7 +82,7 @@ NOT_A_CODEWORD = "NotACodeword"
 FAILURE_REASONS = (
     SPAN_DIM_MISMATCH,  # rank t, but the pivots are not the columns 0..t-1
     ERROR_RANK_MISMATCH,  # the error read off the span has rank other than t
-    NO_RANK_FOUND,  # S^(u_max) has rank 0, or u_max is 0
+    NO_RANK_FOUND,  # S^(u_max) or the block of S_exp has rank 0, or u_max is 0
     NOT_A_CODEWORD,  # that error has rank t, but the word minus it is not a codeword
 )
 
@@ -130,7 +128,7 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
 
 
 def estimate_rank(code: TZCode, s):
-    """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span.
+    """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span, at odd k.
 
     For an error of rank t <= u_max, S^(u_max) is the u_max x t Moore matrix
     of the locators' q-powers times the t x (u_max+1) Moore matrix of the
@@ -186,10 +184,36 @@ def solve_span(S, ctx):
     if rank == cols or pivots != list(range(rank)):
         return rank, None
     diag = np.arange(rank)
-    line = np.empty((rank + 1, ctx.m), dtype=np.int64)
-    line[:rank] = ctx._mod(-ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag])))
-    line[rank] = ctx.one.coeffs
-    return rank, LinPoly(ctx, line)
+    return rank, _monic(ctx, ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag])))
+
+
+def _monic(ctx, neg) -> LinPoly:
+    """The monic span polynomial whose coefficients below the top are -neg, |neg| < q."""
+    return LinPoly(ctx, np.concatenate([-neg, ctx.one.coeffs[None]]).astype(np.int64) % ctx.q)
+
+
+def _block_spans(S, ctx):
+    """(rank, plain, boundary): the two spans of the packed S_exp, from one elimination.
+
+    Pivots come from the first t-1 rows (the block) only; plain is its first
+    kernel line if they lead.  At rank t-1 with t free the kernel is L_t +
+    lam L_f; the first reduced trace row (x, y) at (f, t) with x != 0 fixes
+    lam = -y/x, and if every trace row vanishes on that member it is S_exp's span.
+    """
+    t = S.shape[1] - 1
+    a, pivots = _eliminate(ctx, S, rows=t - 1)
+    rank, free = len(pivots), min(set(range(t + 1)) - set(pivots))
+    hit = np.flatnonzero(a[t - 1 :, free].any(axis=1))[: int(rank == t - 1 and t not in pivots)]
+    piv = a[[*range(rank), *(hit + (t - 1))]]  # the block's pivot rows, then the trace row
+    inv = ctx.inv(piv[np.arange(len(piv)), pivots + [free] * len(hit)])
+    ratio = ctx.mul(np.concatenate([piv[:, free], piv[:, t]]), np.concatenate([inv, inv]))
+    fr, tr = ratio.reshape(2, len(piv), ctx.m)  # columns f, t over each pivot; tr[rank] = -lam
+    plain = _monic(ctx, fr[:rank]) if free == rank else None
+    if hit.size:
+        scaled = ctx.outer(np.concatenate([fr[:rank], a[t - 1 :, free]]), tr[rank:])[:, 0]
+        if np.array_equal(a[t - 1 :, t], scaled[rank:]):
+            return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+    return rank, plain, None
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
@@ -272,13 +296,10 @@ def _finish(code: TZCode, r, err, t: int) -> DecodeOutcome:
 def decode(code: TZCode, r) -> DecodeOutcome:
     """Bounded-minimum-distance decoding of a received word.
 
-    Every generic error of rank t <= (2n-k-1)//2 decodes: S^(u_max) reads
-    its rank and span.  At even k an error of the boundary rank n - k/2 with
-    entries in F_(q^n) decodes as well, from S_exp.  At even k decode tries
-    S_exp first; an attempt that reads no span of q-degree n - k/2, or whose
-    error fails _finish, falls through to S^(u_max).  Whatever passes _finish
-    is within rank distance t <= (d-1)/2 of r, so it is the unique such
-    codeword, and the fall-through can only turn a failure into a decode.
+    Every generic error of rank t <= (2n-k-1)//2 decodes, and at even k so
+    does one of rank n - k/2 over F_(q^n), from the boundary span tried first.
+    Whatever passes _finish is within rank distance t <= (d-1)/2 of r, so it
+    is the unique such codeword, and the plain span only turns failures into decodes.
     """
     ctx = code.ctx
     packed = code.pack_word(r)
@@ -287,15 +308,14 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return _finish(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
-        t = ctx.n - code.k // 2
-        rank, span = solve_span(build_S_exp(code, s), ctx)
-        if rank == t and span is not None:
-            out = _finish(code, packed, error_from_span(code, s, span), t)
+        t, span, boundary = _block_spans(build_S_exp(code, s), ctx)
+        if boundary is not None:
+            out = _finish(code, packed, error_from_span(code, s, boundary), ctx.n - code.k // 2)
             if out.success:
                 return out
-
-    t, span = estimate_rank(code, s)
-    if t is None:
+    else:
+        t, span = estimate_rank(code, s)
+    if not t:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)

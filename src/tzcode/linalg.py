@@ -32,7 +32,7 @@ matrix, built once for the whole matrix, and f pivot_row is one batched
 product.  No inverse is taken per pivot; one batched inverse of the pivots
 normalises the rows at the end, which gives the same unique reduced form.
 All of it runs in the field's work dtype (field.py), and ff_rref hands the
-rows back as int64.
+rows back as int64.  _eliminate can seek pivots in the leading rows only.
 """
 
 from __future__ import annotations
@@ -94,20 +94,20 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     return ctx.fold(conv).astype(np.int64)
 
 
-def _eliminate(ctx, a):
-    """Fraction-free Gauss-Jordan on a copy of a packed matrix.
+def _eliminate(ctx, a, rows=None):
+    """Fraction-free Gauss-Jordan on a copy of a packed matrix, pivots from its first rows rows.
 
     Returns the eliminated matrix in ctx._work, whose pivot rows still carry
-    their pivots rather than ones, and the pivot columns.
+    their pivots rather than ones, and the pivot columns.  Every row is reduced.
     """
     a = a.astype(ctx._work)  # a copy, exact in the work dtype (FieldCtx)
-    rows, cols = a.shape[:2]
+    rows = len(a) if rows is None else rows
     pivots = []
-    for c in range(cols):
+    for c in range(a.shape[1]):
         r = len(pivots)
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c].any(axis=1))
+        nz = np.flatnonzero(a[r:rows, c].any(axis=1))
         if nz.size == 0:
             continue
         if nz[0]:

@@ -79,12 +79,14 @@ def test_public_names_the_load_generator_calls():
     (3, 4, 1, 0, False, "zero"),
     (3, 4, 1, 3, False, "plain"),
     (3, 4, 2, 3, True, "boundary"),
-    (3, 6, 4, 2, False, "fallback"),
+    (3, 6, 4, 2, False, "boundary"),
 ])
 def test_traced_decode_shows_its_route(q, n, k, t, subfield, route, monkeypatch):
     # the benchmark's route gate reads the route off the spans of
     # decoder.build_S_exp and decoder.estimate_rank, so decode must reach
     # both through the decoder module's globals, where the tracer wraps them.
+    # Even k builds S_exp only, below the boundary rank too, so the frozen
+    # route_of reads "boundary" there and its "fallback" label is unreachable.
     # layers.py imports its names from the module `tracer`, as run.py loads it
     tracer_mod = _load("tracer", TRACER)
     monkeypatch.setitem(sys.modules, "tracer", tracer_mod)

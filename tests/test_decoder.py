@@ -12,6 +12,8 @@ from tzcode.decoder import (
     NO_RANK_FOUND,
     NOT_A_CODEWORD,
     SPAN_DIM_MISMATCH,
+    _block_spans,
+    _finish,
     build_S,
     build_S_exp,
     decode,
@@ -567,11 +569,11 @@ def test_decode_round_trips_all_regimes():
 
 @pytest.mark.parametrize("q, n, k, t", [(3, 3, 2, 1), (5, 3, 2, 1), (3, 4, 4, 1), (3, 4, 2, 2)])
 def test_decode_falls_through_a_failed_boundary_attempt(q, n, k, t):
-    # generic errors of rank t <= (2n-k-1)//2 at even k: S_exp, whose trace
+    # generic errors of rank t = n - k/2 - 1 at even k: S_exp, whose trace
     # rows factor only for errors over F_(q^n), often reads a span of
     # q-degree n - k/2 whose error fails the residual check.  decode then
-    # falls through to S^(u_max), and every plant inside the generic
-    # guarantee decodes
+    # finishes on the plain span of the same elimination, and every plant
+    # inside the generic guarantee decodes
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
     assert t <= (ctx.m - k - 1) // 2
@@ -614,14 +616,38 @@ def test_decode_beyond_guarantee_fails_identically(code5):
 
 def test_boundary_rank_t_off_the_leading_pivots(code322):
     # S_exp of this word has rank t = 1 with its pivot in column 1: the kernel
-    # line (1, 0) has a zero top coefficient, so no span is read and decode
-    # falls through to the plain branch, where u_max = 0 finds no rank
+    # line (1, 0) has a zero top coefficient, so no span is read.  The plain
+    # block is empty, and no trace row is nonzero in column 0 to fix lam
     ctx = code322.ctx
     r = np.array([[0, 0, 1, 1], [2, 1, 2, 0], [1, 2, 0, 2], [1, 1, 0, 0]])
     S = build_S_exp(code322, syndrome(code322, r))
     assert ff_rref(S, ctx)[1] == [1]
     assert solve_span(S, ctx) == (1, None)
+    rank, _, boundary = _block_spans(S, ctx)
+    assert (rank, boundary) == (0, None)
     assert decode(code322, ctx.unpack(r)).failure_reason == NO_RANK_FOUND
+
+
+def test_boundary_pencil_off_the_leading_pivots():
+    # the plain block of this subfield rank-2 plant at (3,3,2) is one row
+    # whose first entry is zero, so its pivot is column 1 and its free columns
+    # are 0 and t = 2.  The pencil L_2 + lam L_0 still holds S_exp's span
+    # (pivots 0, 1), and decode reads the boundary span there
+    code = build_code(FieldCtx(3, 3), 2)
+    ctx = code.ctx
+    r = np.array([[0, 1, 2, 1, 2, 1], [1, 0, 2, 1, 2, 0], [0, 1, 0, 2, 1, 1],
+                  [1, 1, 1, 0, 2, 1], [2, 1, 1, 2, 0, 2], [0, 1, 1, 1, 1, 2]])
+    S = build_S_exp(code, syndrome(code, r))
+    assert _eliminate(ctx, S, rows=1)[1] == [1]
+    rank, plain, boundary = _block_spans(S, ctx)
+    assert (rank, plain) == (1, None) and boundary == solve_span(S, ctx)[1]
+    out = decode(code, ctx.unpack(r))
+    assert out.success and out.t == 2 and rank_weight(out.error) == 2
+    assert code.is_codeword(out.codeword)
+    # a block with its pivot at column t leaves no member of q-degree t
+    one, zero = ctx.one.coeffs, np.zeros(ctx.m, dtype=np.int64)
+    S = np.array([[zero, zero, one], [one, zero, zero], [zero, one, zero], [one, one, one]])
+    assert _block_spans(S, ctx) == (1, None, None)
 
 
 def test_decode_boundary_subfield_plants(code5):
@@ -632,17 +658,27 @@ def test_decode_boundary_subfield_plants(code5):
 
 
 def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
-    # one elimination of S_exp tells the rank and the span polynomial; no
-    # other elimination runs in decode itself
+    # one elimination of S_exp tells the rank and the span polynomial, for
+    # subfield errors at the boundary and for generic errors below it; no
+    # other elimination runs in decode itself, and even k never reaches
+    # S^(u_max)
     import tzcode.decoder as dec
 
     calls = []
-    monkeypatch.setattr(dec, "_eliminate", lambda *a: calls.append("rref") or _eliminate(*a))
+    monkeypatch.setattr(dec, "_eliminate",
+                        lambda *a, **kw: calls.append("rref") or _eliminate(*a, **kw))
+    for name in ("estimate_rank", "build_S"):
+        monkeypatch.setattr(dec, name, lambda *a, _name=name: calls.append(_name))
     rng = rng_for(85)
-    for _ in range(5):
-        _, cw, _, _, r = plant(code5, 1, rng, subfield=True)
+    plants = [(code5, 1, True)] * 5
+    for q, n, k in ((3, 4, 2), (5, 3, 2), (3, 6, 4)):
+        code = build_code(FieldCtx(q, n), k)
+        plants += [(code, t, False) for t in range(1, n - k // 2) for _ in range(3)]
+    for code, t, subfield in plants:
+        _, cw, _, _, r = plant(code, t, rng, subfield=subfield)
         calls.clear()
-        assert decode(code5, r).codeword == cw
+        out = decode(code, r)
+        assert out.codeword == cw and out.t == t
         assert calls == ["rref"]
 
 
@@ -691,7 +727,7 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     # second elimination over F_{q^2n}
     import tzcode.linalg as linalg
 
-    stages = ("syndrome", "estimate_rank", "solve_span", "error_from_span")
+    stages = ("syndrome", "estimate_rank", "solve_span", "_block_spans", "error_from_span")
     inside, entered, calls = [], set(), []
     for holder, name in ((dec, "solve_locators"), (dec, "ff_solve"), (linalg, "ff_solve")):
         def refused(*args, _name=name):
@@ -762,12 +798,13 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
     # The theorem the residual check rests on still holds: the span of an
     # error that passes vanishes on its t column elements, and a monic span
     # of q-degree t has at most t independent roots, so the span that decoded
-    # splits into exactly t.  At (3,6,4) generic rank-2 errors fall through
-    # a failed boundary attempt, generic rank-3 errors at (3,4,2) read
+    # splits into exactly t.  At (3,6,4) generic rank-2 errors often give
+    # S_exp a span, but their plain block has rank 2 < t - 1, so decode makes
+    # no boundary attempt; generic rank-3 errors at (3,4,2) read
     # ErrorRankMismatch, as in the golden reports, and (3,2,1) reaches
-    # NotACodeword at t = 2.  At (5,2,2) u_max is 0, so a failed boundary
-    # attempt falls through to NoRankFound and ErrorRankMismatch is never
-    # reported there
+    # NotACodeword at t = 2.  At (5,2,2) the plain block is empty,
+    # so a failed boundary attempt ends in NoRankFound and ErrorRankMismatch
+    # is never reported there
     import tzcode.decoder as dec
     import tzcode.linpoly as linpoly
 
@@ -810,9 +847,10 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
 
 def test_boundary_span_outside_the_subfield(code342, monkeypatch):
     # a boundary span with a coefficient outside F_(q^n): its error fails the
-    # residual check, decode falls through to the plain branch, and that
-    # decodes the generic rank-2 plant.  The boundary call of solve_span, the
-    # first, returns a planted monic span of q-degree t = 3
+    # residual check, and decode finishes on the plain span of the same
+    # elimination, which decodes the generic rank-2 plant with no second
+    # elimination and no S^(u_max).  The block of a rank-2 plant has rank
+    # t - 1 = 2, and the planted boundary span has q-degree t = 3
     import tzcode.decoder as dec
 
     ctx = code342.ctx
@@ -821,25 +859,67 @@ def test_boundary_span_outside_the_subfield(code342, monkeypatch):
     line = rng.integers(0, ctx.q, (t + 1, ctx.m), dtype=np.int64)
     line[t] = ctx.one.coeffs
     assert not np.array_equal(ctx.frob(line, ctx.n), line)
-    solved, scanned, finished = [], [], []
+    eliminated, scanned, finished = [], [], []
 
     def planted(S, c):
-        solved.append(S.shape)
-        return (t, LinPoly(ctx, line)) if len(solved) == 1 else solve_span(S, c)
+        rank, plain, _ = _block_spans(S, c)
+        return rank, plain, LinPoly(ctx, line)
 
-    monkeypatch.setattr(dec, "solve_span", planted)
+    monkeypatch.setattr(dec, "_block_spans", planted)
+    monkeypatch.setattr(dec, "_eliminate",
+                        lambda *a, **kw: eliminated.append(1) or _eliminate(*a, **kw))
     monkeypatch.setattr(dec, "_finish",
                         lambda *a, f=dec._finish: finished.append(f(*a)) or finished[-1])
-    monkeypatch.setattr(dec, "estimate_rank",
-                        lambda *a: scanned.append(1) or estimate_rank(*a))
+    monkeypatch.setattr(dec, "estimate_rank", lambda *a: scanned.append(1))
     for _ in range(10):
         _, cw, e, _, r = plant(code342, 2, rng)
-        solved.clear()
-        scanned.clear()
+        eliminated.clear()
         finished.clear()
         out = decode(code342, r)
         assert [f.t for f in finished] == [None, 2] and not finished[0].success
-        assert scanned == [1] and out.codeword == cw and out.error == e
+        assert eliminated == [1] and out.codeword == cw and out.error == e
+    assert scanned == []
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 2), (3, 4, 2), (5, 3, 2), (3, 6, 4)])
+def test_block_spans_match_the_reference(q, n, k):
+    # the reader of the plain block against the full eliminations it
+    # replaces, at the boundary rank t = n - k/2 (subfield), below it and one
+    # past it (generic).  Below the boundary the block's pivots lead and its
+    # plain span is S^(u_max)'s.  From the boundary on, the block and
+    # S^(u_max) hold different windows and their spans may differ, but no
+    # plain span can pass the residual check there: its codeword would lie
+    # within t - 1 of r and so within 2t < d of the plant.  Whenever S_exp has
+    # rank t with a span, the pencil's boundary member is that span, unless
+    # the block's rank is below t - 1; then that span fails the residual
+    # check, since the block of an error of rank t has rank t - 1
+    code = build_code(FieldCtx(q, n), k)
+    ctx = code.ctx
+    tb = n - k // 2
+    ones = np.ones((2 * (ctx.m - k), ctx.m), dtype=np.int64)
+    assert _eliminate(ctx, build_S_exp(code, ones), rows=0)[1] == []
+    pencils = 0
+    for t, subfield in [(tb, True), *((t, False) for t in range(1, tb)), (tb + 1, False)]:
+        rng = rng_for(101, t)
+        for _ in range(10):
+            *_, r = plant(code, t, rng, subfield=subfield)
+            s = syndrome(code, r)
+            S = build_S_exp(code, s)
+            rank, plain, boundary = _block_spans(S, ctx)
+            if t < tb:
+                assert (rank, plain) == estimate_rank(code, s)
+            elif rank and plain is not None:
+                assert not _finish(code, ctx.pack(r), error_from_span(code, s, plain), rank).success
+            s_rank, s_span = solve_span(S, ctx)
+            if rank < tb - 1 and s_rank == tb and s_span is not None:
+                err = error_from_span(code, s, s_span)
+                assert not _finish(code, ctx.pack(r), err, tb).success
+            elif s_rank == tb:
+                assert boundary == s_span
+            else:
+                assert boundary is None
+            pencils += boundary is not None
+    assert pencils > 0
 
 
 def test_decode_beyond_radius_keeps_contract(code321):
