@@ -149,6 +149,8 @@ def simulate(code: TZCode, spec: ChannelSpec, trials: int) -> TrialReport:
     codeword, message, and error vector; a decoder success that recovers a
     different codeword is tallied as a miscorrection.
     """
+    if trials < 0:
+        raise InvalidParameter(f"trials must be at least 0, got {trials}")
     spec.validate(code)
     counts = {reason: 0 for reason in FAILURE_REASONS}
     counts[MISCORRECTION] = 0

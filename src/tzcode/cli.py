@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 decoding failure (decode subcommand) or a failed
-selftest, 2 invalid parameters, 3 I/O error.
+selftest, 2 invalid parameters (a malformed parameter or vector file too),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
     except (TZError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

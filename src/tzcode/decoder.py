@@ -28,18 +28,19 @@ Two regimes exist.  While 2t + k < 2n the plain windows of the transform
 decide everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
 boundary 2t + k = 2n (k even) the t-1 plain rows of S_exp leave a pencil of
 spans, and its trace rows pin one member when the error lies over F_(q^n),
-so such errors of rank n - k/2 decode as well.  One elimination of S_exp
-(_block_spans) reads that member, tried first, and the plain span, which
-serves below the boundary as S^(u_max) does at odd k.
+so such errors of rank n - k/2 decode as well.  solve_span eliminates S_exp
+once, pivots from its plain rows only, and reads that member, tried first,
+and the plain span, which serves below the boundary as S^(u_max) does at odd k.
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
 syndrome matrices are (rows, cols, 2n) arrays built by gathering syndrome
 entries and applying their Frobenius powers in one batched matmul, and
 linalg eliminates them one numpy step per pivot.  The span polynomial is a
-packed LinPoly; each recurrence step is one F_q product and the inverse
-transform one ff_mat_vec.  FF2n appears only where decode hands results
-back: the corrected word, the error and the message in DecodeOutcome.
+packed (t+1, 2n) array, row i its coefficient of x^(q^i); each recurrence
+step is one F_q product and the inverse transform one ff_mat_vec.  FF2n
+appears only where decode hands results back: the corrected word, the
+error and the message in DecodeOutcome.
 
 Decoding failures are returned as values, never raised.
 """
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from .construct import TZCode
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
 from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve, fq_rank
-from .linpoly import LinPoly, _term_matrices
+from .linpoly import _term_matrices
 
 __all__ = [
     "SPAN_DIM_MISMATCH",
@@ -128,20 +129,20 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
 
 
 def estimate_rank(code: TZCode, s):
-    """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span, at odd k.
+    """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span's plain read, at odd k.
 
     For an error of rank t <= u_max, S^(u_max) is the u_max x t Moore matrix
     of the locators' q-powers times the t x (u_max+1) Moore matrix of the
     error's column elements, whose first t columns are independent.  So t is
     the rank, the pivots are the columns 0..t-1, and solve_span's kernel line
-    is the span polynomial: it annihilates every window of the q-Toeplitz
-    array the rows are cut from.  Other pivots (an error beyond the radius)
-    give span None; t is None if u_max or the rank is 0.
+    is the span polynomial, packed (t+1, 2n): it annihilates every window of
+    the q-Toeplitz array the rows are cut from.  Other pivots (an error beyond
+    the radius) give span None; t is None if u_max or the rank is 0.
     """
     u_max = (code.ctx.m - (code.k + 1)) // 2
     if not u_max:
         return None, None
-    t, span = solve_span(build_S(code, s, u_max), code.ctx)
+    t, span, _ = solve_span(build_S(code, s, u_max), code.ctx)
     return (t, span) if t else (None, None)
 
 
@@ -167,53 +168,46 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
     return np.concatenate([_shifted(ctx, s, t, range(1, t), t + 1), trace_rows, last[None]])
 
 
-def solve_span(S, ctx):
-    """(rank, span) of the packed syndrome matrix S from one elimination.
+def solve_span(S, ctx, rows=None):
+    """(rank, plain, boundary): the spans of the packed S from one elimination.
 
-    When the pivots are the columns 0..rank-1 and a column is left free, the
-    first reduced-echelon kernel line is one at column rank and zero after
-    it: cut to rank+1 entries it is the monic span polynomial of q-degree
-    rank.  Otherwise the span is None.  Fraction-free elimination leaves
-    pivot row i as a_ii times its reduced row, so the line needs only
-    column rank: -a_i,rank / a_ii at each pivot, from one batched inverse of
-    the rank pivots, and no row is normalised.
+    Pivots come from the first rows rows only (all by default); a span that
+    cannot be read is None.  If the pivots are the columns 0..rank-1 and a
+    column is free, plain is the first reduced kernel line cut to rank+1
+    entries, the monic span of q-degree rank.  Fraction-free pivot row i is
+    a_ii times its reduced row, so the line is -a_i,rank / a_ii at each
+    pivot: one batched inverse, and no row is normalised.  With t = cols-1,
+    at rank t-1 with column t free the pivot rows' kernel is the pencil
+    L_t + lam L_f (f the first free column); boundary is the member that
+    the rows below the bound fix: the first reduced one that is (x, y) at
+    (f, t) with x != 0 gives lam = -y/x, and all of them must vanish on it.
     """
     ctx, S = _packed(S, ctx)
-    a, pivots = _eliminate(ctx, S)
-    rank, cols = len(pivots), a.shape[1]
-    if rank == cols or pivots != list(range(rank)):
-        return rank, None
-    diag = np.arange(rank)
-    return rank, _monic(ctx, ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag])))
-
-
-def _monic(ctx, neg) -> LinPoly:
-    """The monic span polynomial whose coefficients below the top are -neg, |neg| < q."""
-    return LinPoly(ctx, np.concatenate([-neg, ctx.one.coeffs[None]]).astype(np.int64) % ctx.q)
-
-
-def _block_spans(S, ctx):
-    """(rank, plain, boundary): the two spans of the packed S_exp, from one elimination.
-
-    Pivots come from the first t-1 rows (the block) only; plain is its first
-    kernel line if they lead.  At rank t-1 with t free the kernel is L_t +
-    lam L_f; the first reduced trace row (x, y) at (f, t) with x != 0 fixes
-    lam = -y/x, and if every trace row vanishes on that member it is S_exp's span.
-    """
-    t = S.shape[1] - 1
-    a, pivots = _eliminate(ctx, S, rows=t - 1)
-    rank, free = len(pivots), min(set(range(t + 1)) - set(pivots))
-    hit = np.flatnonzero(a[t - 1 :, free].any(axis=1))[: int(rank == t - 1 and t not in pivots)]
-    piv = a[[*range(rank), *(hit + (t - 1))]]  # the block's pivot rows, then the trace row
-    inv = ctx.inv(piv[np.arange(len(piv)), pivots + [free] * len(hit)])
+    a, pivots = _eliminate(ctx, S, rows)
+    rank, t = len(pivots), a.shape[1] - 1
+    free = next((c for c, p in enumerate(pivots) if p != c), rank)
+    hit = []
+    if rows is not None and rank == t - 1 and t not in pivots:  # rows is 0 at (3,2,2)
+        hit = (rows + np.flatnonzero(a[rows:, free].any(axis=1))[:1]).tolist()
+    if not hit:  # the plain read alone: one inverse of the diagonal, one product
+        if rank > t or free < rank:
+            return rank, None, None
+        diag = np.arange(rank)
+        return rank, _monic(ctx, ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag]))), None
+    piv = a[[*range(rank), *hit]]  # the pivot rows, then the row that fixes lam
+    inv = ctx.inv(piv[np.arange(rank + 1), pivots + [free]])
     ratio = ctx.mul(np.concatenate([piv[:, free], piv[:, t]]), np.concatenate([inv, inv]))
-    fr, tr = ratio.reshape(2, len(piv), ctx.m)  # columns f, t over each pivot; tr[rank] = -lam
+    fr, tr = ratio.reshape(2, rank + 1, ctx.m)  # columns f, t over each pivot; tr[rank] = -lam
     plain = _monic(ctx, fr[:rank]) if free == rank else None
-    if hit.size:
-        scaled = ctx.outer(np.concatenate([fr[:rank], a[t - 1 :, free]]), tr[rank:])[:, 0]
-        if np.array_equal(a[t - 1 :, t], scaled[rank:]):
-            return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
-    return rank, plain, None
+    scaled = ctx.outer(np.concatenate([fr[:rank], a[rows:, free]]), tr[rank:])[:, 0]
+    if not np.array_equal(a[rows:, t], scaled[rank:]):
+        return rank, plain, None
+    return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+
+
+def _monic(ctx, neg) -> np.ndarray:
+    """The packed monic span polynomial whose coefficients below the top are -neg, |neg| < q."""
+    return np.concatenate([-neg, ctx.one.coeffs[None]]).astype(np.int64) % ctx.q
 
 
 def solve_locators(code: TZCode, a, s) -> np.ndarray:
@@ -250,14 +244,14 @@ def error_from_decomposition(a, B, ctx) -> np.ndarray:
     return (B.T @ a) % ctx.q
 
 
-def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
+def error_from_span(code: TZCode, s, span) -> np.ndarray:
     """The packed error whose transform extends the syndrome by the span's recurrence.
 
     The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)) over
     i in Z_2n; the odd syndrome entries s_(2i-1), i < 2n-k, are
-    sigma_1..sigma_(2n-k-1).  With e = sum_l B_l a_l,
-    sigma_i = sum_l a_l d_l^(q^i), and the monic span Lambda of q-degree t
-    kills every a_l, so sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.
+    sigma_1..sigma_(2n-k-1).  With e = sum_l B_l a_l, sigma_i =
+    sum_l a_l d_l^(q^i), and the monic span Lambda of q-degree t, packed
+    (t+1, 2n), kills every a_l, so sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.
     Stepping j down from t, each step reads sigma_(j-t) off the window
     sigma_j..sigma_(j-t+1): one F_q product of its t 2n digits with
     W = stack_c(-F^c M(Lambda_c) F^-t).  k+1 steps fill sigma_0,
@@ -268,8 +262,8 @@ def error_from_span(code: TZCode, s, span: LinPoly) -> np.ndarray:
     bound for the work dtype.
     """
     ctx, k, m = code.ctx, code.k, code.ctx.m
-    t = len(span.coeffs) - 1
-    W = ctx._dot(_term_matrices(span)[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
+    t = len(span) - 1
+    W = ctx._dot(_term_matrices(ctx, span)[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
     down = np.empty((m, m), dtype=ctx._work)  # down[p] = sigma_(2n-k-1-p)
     down[: m - k - 1] = s[-3::-2]
     for p in range(m - k - 1, m):
@@ -308,9 +302,10 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return _finish(code, packed, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
-        t, span, boundary = _block_spans(build_S_exp(code, s), ctx)
+        t_b = ctx.n - code.k // 2
+        t, span, boundary = solve_span(build_S_exp(code, s), ctx, t_b - 1)
         if boundary is not None:
-            out = _finish(code, packed, error_from_span(code, s, boundary), ctx.n - code.k // 2)
+            out = _finish(code, packed, error_from_span(code, s, boundary), t_b)
             if out.success:
                 return out
     else:

@@ -4,8 +4,9 @@ A q-polynomial sum_i f_i x^(q^i) acts as an F_q-linear endomorphism of
 F_{q^2n}.  LinPoly holds its coefficients as one packed (d+1, 2n) array
 (field.py), row i the coefficient of x^(q^i).  Since x^(q^2n) = x on the
 field, 2n+1 coefficients (q-degree 2n, as the subspace polynomial of the
-whole field needs) are the most it takes.  root_space returns the kernel
-packed as well; decode never calls it, only tests that count a span's roots.
+whole field needs) are the most it takes.  decode keeps its spans as bare
+arrays of that shape, acting through _term_matrices; root_space returns the
+kernel packed too, for tests that count a span's roots (decode never does).
 """
 
 from __future__ import annotations
@@ -58,16 +59,15 @@ class LinPoly:
         return f"LinPoly({self.coeffs.tolist()})"
 
 
-def _term_matrices(f: LinPoly) -> np.ndarray:
+def _term_matrices(ctx, coeffs) -> np.ndarray:
     """The (d+1, 2n, 2n) F_q matrices F^i M(f_i), reduced, in the field's work dtype.
 
-    F^i holds the rows of the q^i-th power map and M(f_i) multiplication by
-    f_i, so x @ F^i @ M(f_i) = f_i x^(q^i) on a coefficient row x; each
-    entry sums 2n products of reduced entries.
+    f is given by its packed coefficients, F^i holds the rows of the q^i-th
+    power map and M(f_i) multiplication by f_i, so x @ F^i @ M(f_i) =
+    f_i x^(q^i) on a coefficient row x; each entry sums 2n products.
     """
-    ctx = f.ctx
-    frob = ctx._frob_rows[np.arange(len(f.coeffs)) % ctx.m]  # F^(2n) is F^0
-    return ctx._mod(frob @ ctx.mul_matrix(np.asarray(f.coeffs, ctx._work)))
+    frob = ctx._frob_rows[np.arange(len(coeffs)) % ctx.m]  # F^(2n) is F^0
+    return ctx._mod(frob @ ctx.mul_matrix(np.asarray(coeffs, ctx._work)))
 
 
 def root_space(f: LinPoly) -> np.ndarray:
@@ -78,5 +78,5 @@ def root_space(f: LinPoly) -> np.ndarray:
     q-degree of f for its dimension.  The sum adds at most 2n+1 reduced
     matrices, inside the work dtype's bound.
     """
-    action = f.ctx._mod(_term_matrices(f).sum(axis=0))
+    action = f.ctx._mod(_term_matrices(f.ctx, f.coeffs).sum(axis=0))
     return fq_kernel(action.T, f.ctx.q)

@@ -122,6 +122,11 @@ def ff_kernel(a, ctx=None) -> np.ndarray:
     return _kernel_of_rref(*ff_rref(a, ctx), a.shape[1], ctx.one.coeffs, ctx.q)
 
 
+def same_span(a, b) -> bool:
+    """Both None, or equal packed span polynomials."""
+    return a is b is None or a is not None and b is not None and np.array_equal(a, b)
+
+
 def elements(ctx):
     """All q^2n elements in index order.  Only sensible for tiny fields."""
     return (ctx.element_from_index(idx) for idx in range(ctx.q**ctx.m))

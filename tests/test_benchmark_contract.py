@@ -99,3 +99,25 @@ def test_traced_decode_shows_its_route(q, n, k, t, subfield, route, monkeypatch)
     assert out.codeword == cw and out.error == e
     assert layers.route_of({tracer.spans[j][tracer_mod.NAME] for j in range(lo, hi)}) == route
     assert not tracer_mod.wrappers_present(tzcode)
+
+
+def test_traced_boundary_decode_times_its_span_read(monkeypatch):
+    # even k reads S_exp's spans through decoder.solve_span, looked up in the
+    # decoder module's globals, so a traced boundary decode shows that span
+    # under decoder.decode and layers.trial_values gives decoder.span_ms a
+    # nonzero time on the boundary route
+    tracer_mod = _load("tracer", TRACER)
+    monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
+    layers = _load("layers", PERFBENCH / "layers.py")
+    code = tzcode.build_code(tzcode.FieldCtx(3, 4), 2)
+    _, cw, _, _, r = plant(code, 3, rng_for(97), subfield=True)
+    tracer = tracer_mod.Tracer(tzcode)
+    with tracer.installed():
+        out, (lo, hi) = tracer.run(0, lambda: tzcode.decode(code, r))
+    assert out.codeword == cw
+    name, parent = tracer_mod.NAME, tracer_mod.PARENT
+    parents = [tracer.spans[span[parent]][name] for span in tracer.spans[lo:hi]
+               if span[name] == "decoder.solve_span"]
+    assert parents == ["decoder.decode"]
+    route, _, values = layers.trial_values(tracer, lo, hi)
+    assert route == "boundary" and values["decoder.span_ms"] > 0

@@ -72,6 +72,12 @@ def test_error_draw_is_reproducible(code5):
     assert d1.a == d2.a and np.array_equal(d1.B, d2.B)
 
 
+def test_simulate_rejects_a_negative_trial_count(code321):
+    with pytest.raises(InvalidParameter, match="trials"):
+        simulate(code321, ChannelSpec(t=1, seed=3), -1)
+    assert simulate(code321, ChannelSpec(t=1, seed=3), 0).trials == 0
+
+
 def test_simulate_error_free_channel(code321):
     report = simulate(code321, ChannelSpec(t=0, seed=3), 50)
     assert report.successes == 50

@@ -78,3 +78,19 @@ def test_gen_encode_decode_simulate_end_to_end(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     del report["timing"]
     assert report == simulate(code, spec, 5).canonical()
+
+
+def test_simulate_rejects_a_negative_trial_count(tmp_path, capsys):
+    path = _params(tmp_path)
+    capsys.readouterr()
+    argv = ["simulate", "--params", str(path), "--t", "1", "--trials", "-1"]
+    assert main(argv) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err == "error: trials must be at least 0, got -1\n"
+
+
+def test_a_truncated_parameter_file_is_a_bad_parameter(tmp_path, capsys):
+    path = _params(tmp_path)
+    path.write_text(path.read_text()[:-10])
+    capsys.readouterr()
+    assert main(["mindist", "--params", str(path)]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err.startswith("error: ")

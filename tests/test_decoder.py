@@ -12,7 +12,6 @@ from tzcode.decoder import (
     NO_RANK_FOUND,
     NOT_A_CODEWORD,
     SPAN_DIM_MISMATCH,
-    _block_spans,
     _finish,
     build_S,
     build_S_exp,
@@ -30,7 +29,7 @@ from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_r
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import ff_kernel, plant, ref_rank_scan, rng_for
+from conftest import ff_kernel, plant, ref_rank_scan, rng_for, same_span
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +177,8 @@ def test_estimate_rank_span_is_the_kernel_of_S_t(q, n, k):
             assert span is not None
         if span is not None:
             kernel = ff_kernel(build_S(code, s, t), code.ctx)
-            assert len(kernel) == 1 and np.array_equal(span.coeffs, kernel[0])
-            assert span.qdegree == t
+            assert len(kernel) == 1 and np.array_equal(span, kernel[0])
+            assert np.array_equal(span[t], code.ctx.one.coeffs)
 
 
 def test_estimate_rank_no_span_off_the_leading_pivots():
@@ -272,9 +271,9 @@ def test_solve_span_recovers_planted_span(code341):
         for _ in range(20):
             _, _, _, decomp, r = plant(code341, t, rng)
             s = syndrome(code341, r)
-            rank, span = solve_span(build_S(code341, s, t), code341.ctx)
-            assert rank == t
-            roots = root_space(span)
+            rank, span, boundary = solve_span(build_S(code341, s, t), code341.ctx)
+            assert rank == t and boundary is None
+            roots = root_space(LinPoly(code341.ctx, span))
             assert roots.shape == (t, code341.ctx.m)
             assert rank_weight(code341.ctx.unpack(roots) + decomp.a) == t
 
@@ -284,10 +283,10 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
     ctx = code5.ctx
     for _ in range(30):
         _, _, _, _, r = plant(code5, 1, rng, subfield=True)
-        rank, span = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
+        rank, span, _ = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
         assert rank == 1
-        assert np.array_equal(ctx.frob(span.coeffs, ctx.n), span.coeffs)
-        assert ctx.unpack(span.coeffs[-1]) == ctx.one
+        assert np.array_equal(ctx.frob(span, ctx.n), span)
+        assert ctx.unpack(span[-1]) == ctx.one
 
 
 def test_solve_span_inverts_only_the_rank_pivots(code5, code341, monkeypatch):
@@ -309,10 +308,10 @@ def test_solve_span_inverts_only_the_rank_pivots(code5, code341, monkeypatch):
         s = syndrome(code, r)
         S = build_S_exp(code, s) if subfield else build_S(code, s, t)
         calls.clear()
-        rank, span = solve_span(S, code.ctx)
+        rank, span, _ = solve_span(S, code.ctx)
         assert calls == [(t, code.ctx.m)] and rank == t
-        assert np.array_equal(span.coeffs[-1], code.ctx.one.coeffs)
-        assert np.array_equal(span.coeffs, ff_kernel(S, code.ctx)[0, : t + 1])
+        assert np.array_equal(span[-1], code.ctx.one.coeffs)
+        assert np.array_equal(span, ff_kernel(S, code.ctx)[0, : t + 1])
 
 
 def test_solve_span_rejects_fat_kernel(ctx5):
@@ -320,7 +319,9 @@ def test_solve_span_rejects_fat_kernel(ctx5):
     degenerate = [[ctx5.zero, ctx5.zero, ctx5.zero], [ctx5.zero, ctx5.zero, ctx5.zero]]
     assert solve_span(degenerate, ctx5)[0] == 0  # kernel dimension 3
     # a line with a zero top coefficient, spanned by (1, 0), gives no span
-    assert solve_span([[ctx5.zero, ctx5.one]], ctx5) == (1, None)
+    assert solve_span([[ctx5.zero, ctx5.one]], ctx5) == (1, None, None)
+    # and full column rank leaves no span at all
+    assert solve_span([[ctx5.one, ctx5.zero], [ctx5.zero, ctx5.one]], ctx5) == (2, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,8 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
     ctx = code341.ctx
     rng = rng_for(78)
     one = ctx.pack([ctx.one])
-    wrong = LinPoly(ctx, np.stack([(-one[0]) % 3, one[0]]))  # x^q - x, roots F_q
-    assert np.array_equal(root_space(wrong), one)
+    wrong = np.stack([(-one[0]) % 3, one[0]])  # x^q - x, roots F_q
+    assert np.array_equal(root_space(LinPoly(ctx, wrong)), one)
     for _ in range(200):
         _, _, _, _, r = plant(code341, 2, rng)  # rank-1 guess against a rank-2 error
         s = syndrome(code341, r)
@@ -461,7 +462,7 @@ def _spans(code, s):
     """(t, span) from the plain branch and, at even k, from S_exp."""
     yield estimate_rank(code, s)
     if code.k % 2 == 0:
-        yield solve_span(build_S_exp(code, s), code.ctx)
+        yield solve_span(build_S_exp(code, s), code.ctx)[:2]
 
 
 def _passes_residual_check(code, r, err, t):
@@ -489,7 +490,7 @@ def test_transform_error_matches_the_locator_system(q, n, k):
                 r = ctx.pack(r)
                 s = syndrome(code, r)
                 for rank, span in _spans(code, s):
-                    roots = None if span is None else root_space(span)
+                    roots = None if span is None else root_space(LinPoly(ctx, span))
                     if roots is None or len(roots) != rank:
                         continue
                     d = solve_locators(code, roots, s)
@@ -582,7 +583,7 @@ def test_decode_falls_through_a_failed_boundary_attempt(q, n, k, t):
     for _ in range(30):
         msg, cw, e, _, r = plant(code, t, rng)
         s = syndrome(code, r)
-        rank, span = solve_span(build_S_exp(code, s), ctx)
+        rank, span, _ = solve_span(build_S_exp(code, s), ctx)
         if rank == ctx.n - k // 2 and span is not None:
             failed_attempts += 1
         out = decode(code, r)
@@ -622,8 +623,8 @@ def test_boundary_rank_t_off_the_leading_pivots(code322):
     r = np.array([[0, 0, 1, 1], [2, 1, 2, 0], [1, 2, 0, 2], [1, 1, 0, 0]])
     S = build_S_exp(code322, syndrome(code322, r))
     assert ff_rref(S, ctx)[1] == [1]
-    assert solve_span(S, ctx) == (1, None)
-    rank, _, boundary = _block_spans(S, ctx)
+    assert solve_span(S, ctx) == (1, None, None)
+    rank, _, boundary = solve_span(S, ctx, 0)  # t_b - 1 = 0 plain rows
     assert (rank, boundary) == (0, None)
     assert decode(code322, ctx.unpack(r)).failure_reason == NO_RANK_FOUND
 
@@ -639,15 +640,15 @@ def test_boundary_pencil_off_the_leading_pivots():
                   [1, 1, 1, 0, 2, 1], [2, 1, 1, 2, 0, 2], [0, 1, 1, 1, 1, 2]])
     S = build_S_exp(code, syndrome(code, r))
     assert _eliminate(ctx, S, rows=1)[1] == [1]
-    rank, plain, boundary = _block_spans(S, ctx)
-    assert (rank, plain) == (1, None) and boundary == solve_span(S, ctx)[1]
+    rank, plain, boundary = solve_span(S, ctx, 1)
+    assert (rank, plain) == (1, None) and np.array_equal(boundary, solve_span(S, ctx)[1])
     out = decode(code, ctx.unpack(r))
     assert out.success and out.t == 2 and rank_weight(out.error) == 2
     assert code.is_codeword(out.codeword)
     # a block with its pivot at column t leaves no member of q-degree t
     one, zero = ctx.one.coeffs, np.zeros(ctx.m, dtype=np.int64)
     S = np.array([[zero, zero, one], [one, zero, zero], [zero, one, zero], [one, one, one]])
-    assert _block_spans(S, ctx) == (1, None, None)
+    assert solve_span(S, ctx, 1) == (1, None, None)
 
 
 def test_decode_boundary_subfield_plants(code5):
@@ -657,18 +658,23 @@ def test_decode_boundary_subfield_plants(code5):
         assert decode(code5, r).codeword == cw
 
 
-def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
-    # one elimination of S_exp tells the rank and the span polynomial, for
-    # subfield errors at the boundary and for generic errors below it; no
-    # other elimination runs in decode itself, and even k never reaches
-    # S^(u_max)
+def _count_decode_steps(monkeypatch):
+    """Record the rank, span and elimination steps decode itself calls."""
     import tzcode.decoder as dec
 
     calls = []
-    monkeypatch.setattr(dec, "_eliminate",
-                        lambda *a, **kw: calls.append("rref") or _eliminate(*a, **kw))
-    for name in ("estimate_rank", "build_S"):
-        monkeypatch.setattr(dec, name, lambda *a, _name=name: calls.append(_name))
+    for name in ("estimate_rank", "build_S", "solve_span", "_eliminate"):
+        monkeypatch.setattr(dec, name, lambda *a, _orig=getattr(dec, name), _name=name, **kw:
+                            calls.append(_name) or _orig(*a, **kw))
+    return calls
+
+
+def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
+    # one elimination of S_exp, made by solve_span, tells the rank and the
+    # span polynomial, for subfield errors at the boundary and for generic
+    # errors below it; no other elimination runs in decode itself, and even
+    # k never reaches S^(u_max)
+    calls = _count_decode_steps(monkeypatch)
     rng = rng_for(85)
     plants = [(code5, 1, True)] * 5
     for q, n, k in ((3, 4, 2), (5, 3, 2), (3, 6, 4)):
@@ -679,23 +685,22 @@ def test_boundary_decode_eliminates_s_exp_once(code5, monkeypatch):
         calls.clear()
         out = decode(code, r)
         assert out.codeword == cw and out.t == t
-        assert calls == ["rref"]
+        assert calls == ["solve_span", "_eliminate"]
 
 
 def test_plain_decode_ranks_one_syndrome_matrix(code341, monkeypatch):
-    # u_max = 3: one elimination of S^(3) tells t and the span polynomial,
-    # at every t; no other elimination runs in decode itself
-    import tzcode.decoder as dec
-
-    calls = []
-    monkeypatch.setattr(dec, "_eliminate", lambda *a: calls.append("rref") or _eliminate(*a))
+    # u_max = 3: one elimination of S^(3), made by solve_span, tells t and
+    # the span polynomial, at every t; no other elimination runs in decode
+    # itself
+    calls = _count_decode_steps(monkeypatch)
     rng = rng_for(89)
     for t in (1, 2, 3):
         for _ in range(3):
             _, cw, _, _, r = plant(code341, t, rng)
             calls.clear()
-            assert decode(code341, r).codeword == cw
-            assert calls == ["rref"]
+            out = decode(code341, r)
+            assert out.codeword == cw and out.t == t
+            assert calls == ["estimate_rank", "build_S", "solve_span", "_eliminate"]
 
 
 def test_a_decode_builds_one_element_per_entry(code5, code341, monkeypatch):
@@ -727,7 +732,7 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     # second elimination over F_{q^2n}
     import tzcode.linalg as linalg
 
-    stages = ("syndrome", "estimate_rank", "solve_span", "_block_spans", "error_from_span")
+    stages = ("syndrome", "estimate_rank", "solve_span", "error_from_span")
     inside, entered, calls = [], set(), []
     for holder, name in ((dec, "solve_locators"), (dec, "ff_solve"), (linalg, "ff_solve")):
         def refused(*args, _name=name):
@@ -832,11 +837,11 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
                     assert out.failure_reason == ERROR_RANK_MISMATCH
                 if out.success:
                     successes += 1
-                    assert len(root_space(read[-1][0])) == out.t
+                    assert len(root_space(LinPoly(ctx, read[-1][0]))) == out.t
                 elif out.failure_reason in (ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
                     named.add(out.failure_reason)
                     span, err = read[-1]
-                    rank_t = fq_rank(err, ctx.q) == len(span.coeffs) - 1
+                    rank_t = fq_rank(err, ctx.q) == len(span) - 1
                     assert rank_t == (out.failure_reason == NOT_A_CODEWORD)
                     if rank_t:
                         assert not code.is_codeword(ctx.unpack((ctx.pack(r) - err) % ctx.q))
@@ -861,11 +866,11 @@ def test_boundary_span_outside_the_subfield(code342, monkeypatch):
     assert not np.array_equal(ctx.frob(line, ctx.n), line)
     eliminated, scanned, finished = [], [], []
 
-    def planted(S, c):
-        rank, plain, _ = _block_spans(S, c)
-        return rank, plain, LinPoly(ctx, line)
+    def planted(S, c, rows=None):
+        rank, plain, _ = solve_span(S, c, rows)
+        return rank, plain, line
 
-    monkeypatch.setattr(dec, "_block_spans", planted)
+    monkeypatch.setattr(dec, "solve_span", planted)
     monkeypatch.setattr(dec, "_eliminate",
                         lambda *a, **kw: eliminated.append(1) or _eliminate(*a, **kw))
     monkeypatch.setattr(dec, "_finish",
@@ -883,16 +888,17 @@ def test_boundary_span_outside_the_subfield(code342, monkeypatch):
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 2), (3, 4, 2), (5, 3, 2), (3, 6, 4)])
 def test_block_spans_match_the_reference(q, n, k):
-    # the reader of the plain block against the full eliminations it
-    # replaces, at the boundary rank t = n - k/2 (subfield), below it and one
-    # past it (generic).  Below the boundary the block's pivots lead and its
-    # plain span is S^(u_max)'s.  From the boundary on, the block and
-    # S^(u_max) hold different windows and their spans may differ, but no
-    # plain span can pass the residual check there: its codeword would lie
-    # within t - 1 of r and so within 2t < d of the plant.  Whenever S_exp has
-    # rank t with a span, the pencil's boundary member is that span, unless
-    # the block's rank is below t - 1; then that span fails the residual
-    # check, since the block of an error of rank t has rank t - 1
+    # the spans solve_span reads off S_exp with pivots from its t_b - 1 plain
+    # rows (the block) against the full eliminations they replace, at the
+    # boundary rank t_b = n - k/2 (subfield), below it and one past it
+    # (generic).  Below the boundary the block's pivots lead and its plain
+    # span is S^(u_max)'s.  From the boundary on, the block and S^(u_max)
+    # hold different windows and their spans may differ, but no plain span
+    # can pass the residual check there: its codeword would lie within t - 1
+    # of r and so within 2t < d of the plant.  Whenever S_exp has rank t_b
+    # with a span, the pencil's boundary member is that span, unless the
+    # block's rank is below t_b - 1; then that span fails the residual
+    # check, since the block of an error of rank t_b has rank t_b - 1
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
     tb = n - k // 2
@@ -905,17 +911,19 @@ def test_block_spans_match_the_reference(q, n, k):
             *_, r = plant(code, t, rng, subfield=subfield)
             s = syndrome(code, r)
             S = build_S_exp(code, s)
-            rank, plain, boundary = _block_spans(S, ctx)
+            rank, plain, boundary = solve_span(S, ctx, tb - 1)
             if t < tb:
-                assert (rank, plain) == estimate_rank(code, s)
+                e_rank, e_span = estimate_rank(code, s)
+                assert rank == e_rank and same_span(plain, e_span)
             elif rank and plain is not None:
                 assert not _finish(code, ctx.pack(r), error_from_span(code, s, plain), rank).success
-            s_rank, s_span = solve_span(S, ctx)
+            s_rank, s_span, s_boundary = solve_span(S, ctx)
+            assert s_boundary is None  # no rows below the default bound
             if rank < tb - 1 and s_rank == tb and s_span is not None:
                 err = error_from_span(code, s, s_span)
                 assert not _finish(code, ctx.pack(r), err, tb).success
             elif s_rank == tb:
-                assert boundary == s_span
+                assert same_span(boundary, s_span)
             else:
                 assert boundary is None
             pencils += boundary is not None

@@ -3,8 +3,8 @@
 The batched kernels (FieldCtx.mul, outer, frob, inv) are checked against the
 scalar FF2n operations and against schoolbook products in Python ints; the
 packed elimination (ff_rref, ff_rank, ff_solve, the conftest ff_kernel and
-the decoder's span reader solve_span) against the list-of-FF2n reference in
-conftest.  Each check runs in int64 and, where the field allows it, in the
+the decoder's span reader solve_span, whose spans are packed (rank+1, 2n)
+arrays) against the list-of-FF2n reference in conftest.  Each check runs in int64 and, where the field allows it, in the
 float64 work dtype the decoder eliminates in.  At the largest q each dtype
 admits, the code's F_q maps, the root space and decoding are checked for
 exactness; and whatever runs in the work dtype inside, every array and
@@ -24,7 +24,7 @@ from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 from tzcode.linpoly import root_space
 
 from conftest import (elements, encode_by_rows, ff_kernel, plant, qvan, ref_kernel, ref_mat_vec,
-                      ref_rref, ref_solve, rng_for)
+                      ref_rref, ref_solve, rng_for, same_span)
 
 
 def _fold_bound(q, n):
@@ -198,9 +198,10 @@ def test_results_leave_as_int64(q, n, k):
         assert hash(out.codeword[0]) == hash(ctx.elem(cw[0].coeffs.tolist()))
     s = syndrome(code, ctx.pack(r))
     S = build_S_exp(code, s) if k % 2 == 0 else build_S(code, s, (ctx.m - k - 1) // 2)
-    rank, span = solve_span(S, ctx)
+    rank, span, _ = solve_span(S, ctx)
     assert rank == t
-    for arr in (s, ff_rref(S, ctx)[0], root_space(span), code._message_digits(ctx.pack(cw))):
+    for arr in (s, ff_rref(S, ctx)[0], span, root_space(LinPoly(ctx, span)),
+                code._message_digits(ctx.pack(cw))):
         assert arr.dtype == np.int64
 
 
@@ -232,10 +233,13 @@ def _check_elimination(ctx, mat, rhs=None):
         # the field's one at the free column and zeros after it: cut after
         # its free column a line is monic, which solve_span relies on
         assert np.array_equal(vec[f], ctx.one.coeffs) and not vec[f + 1 :].any()
-    rank, span = solve_span(mat, ctx)
-    assert rank == len(pivots)
+    rank, span, boundary = solve_span(mat, ctx)
+    assert rank == len(pivots) and boundary is None
+    # a bound at the full height leaves no row below it: the same read
+    bounded = solve_span(mat, ctx, len(mat))
+    assert bounded[::2] == (rank, None) and same_span(bounded[1], span)
     if pivots == list(range(rank)) and rank < mat.shape[1]:
-        assert np.array_equal(span.coeffs, kernel[0, : rank + 1])
+        assert np.array_equal(span, kernel[0, : rank + 1])
         assert not kernel[0, rank + 1 :].any()
     else:
         assert span is None
