@@ -2,6 +2,12 @@
 
 Construction, encoding, syndrome decoding at the full unique radius,
 channel simulation, and brute-force oracles for desk-scale verification.
+
+The hot kernels multiply small float64 matrices through BLAS (field.py).
+They were tuned with BLAS pinned to one thread, as the benchmark runs them;
+on a few cores the default thread pool can make each product slower, so a
+caller that times or serves decodes should set OPENBLAS_NUM_THREADS=1 (or
+its BLAS's equivalent) before numpy is imported.
 """
 
 from . import errors

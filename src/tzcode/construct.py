@@ -186,11 +186,10 @@ class TZCode:
         xi_inv = ctx.inv(xi.frobenius(m - k).coeffs)
         nu = ctx.frob(ctx.mul(xi_inv, lam_elems), k)
         # N[j, i] = nu_j^(q^i) inverts the decoder's transform: one product of
-        # nu with the 2n power maps side by side.  mu^(q^k) by columns plants
+        # nu with the field's Frobenius-power table.  mu^(q^k) by columns plants
         # the locators d = B mu^(q^k), and the coordinates of x in that basis
         # are Tr(x nu_j), which rebuild B from the locators
-        powers = ctx._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
-        self._N_work = ctx._dot(np.asarray(nu, ctx._work), powers).reshape(m, m, m)
+        self._N_work = ctx.frob_powers(np.asarray(nu, ctx._work))
         self.N = np.asarray(self._N_work, np.int64)
         self.mu_k = (ctx._frob_pows[k] @ mu.expansion) % q
         self.mu_k_coords = nu @ _trace_form(ctx) % q

@@ -34,13 +34,14 @@ and the plain span, which serves below the boundary as S^(u_max) does at odd k.
 
 decode packs the received word once, and every stage from there on works
 on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
-syndrome matrices are (rows, cols, 2n) arrays built by gathering syndrome
-entries and applying their Frobenius powers in one batched matmul, and
-linalg eliminates them one numpy step per pivot.  The span polynomial is a
-packed (t+1, 2n) array, row i its coefficient of x^(q^i); each recurrence
-step is one F_q product and the inverse transform one ff_mat_vec.  FF2n
-appears only where decode hands results back: the corrected word, the
-error and the message in DecodeOutcome.
+syndrome matrices are (rows, cols, 2n) arrays gathered from every power
+s_j^(q^c) of the odd syndrome entries, which one product with the field's
+Frobenius-power table gives, and linalg eliminates them one numpy step per
+pivot.  The span polynomial is a packed (t+1, 2n) array, row i its
+coefficient of x^(q^i); each recurrence step is one F_q product, and the
+syndrome and the inverse transform are one ff_mat_vec each.  FF2n appears
+only where decode hands results back: the corrected word, the error and
+the message in DecodeOutcome.
 
 Decoding failures are returned as values, never raised.
 """
@@ -113,11 +114,18 @@ def syndrome(code: TZCode, r) -> np.ndarray:
     return ff_mat_vec(code._H_work, r, code.ctx)
 
 
-def _shifted(ctx, s, top: int, rows, cols: int) -> np.ndarray:
-    """Rows j of s[2 (top + j - c) - 1]^(q^c), c < cols: the q-Toeplitz shape of S^(u)."""
+def _odd_powers(ctx, s) -> np.ndarray:
+    """[x, c] = s_(2x+1)^(q^c), c < 2n, in the work dtype: the odd entries under every power map."""
+    return ctx.frob_powers(np.asarray(s[1::2], ctx._work))
+
+
+def _shifted(pw, top: int, rows, cols: int) -> np.ndarray:
+    """Rows j of s_(2 (top + j - c) - 1)^(q^c), c < cols, gathered from _odd_powers.
+
+    The q-Toeplitz shape of S^(u).  Index -1 wraps to the final entry.
+    """
     c = np.arange(cols)
-    idx = 2 * (top + np.asarray(rows, dtype=np.int64)[:, None] - c) - 1
-    return ctx.frob(s[idx], c)
+    return pw[top + np.asarray(rows, dtype=np.int64)[:, None] - c - 1, c]
 
 
 def build_S(code: TZCode, s, u: int) -> np.ndarray:
@@ -125,7 +133,7 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
     m, k = code.ctx.m, code.k
     if not 1 <= u <= (m - (k + 1)) // 2:
         raise IndexError(f"u must satisfy 1 <= u <= {(m - (k + 1)) // 2}, got {u}")
-    return _shifted(code.ctx, s, u + 1, range(u), u + 1)
+    return _shifted(_odd_powers(code.ctx, s), u + 1, range(u), u + 1).astype(np.int64)
 
 
 def estimate_rank(code: TZCode, s):
@@ -159,13 +167,16 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
     if k % 2 != 0:
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
-    st = ctx.trace(s)
-    trace_rows = _shifted(ctx, st, t, range(t), t + 1)
-    trace_rows[0, t] = ctx.frob(st[4 * t - 1], t)  # the final entry, not an odd shift
-    g2t = ctx.frob(code.gamma.coeffs, 2 * t)
-    twisted = ctx.mul(g2t, _shifted(ctx, s, 2 * t, [0], t + 1)[0, 1:])
-    last = np.concatenate([st[:1], ctx.trace(twisted)])
-    return np.concatenate([_shifted(ctx, s, t, range(1, t), t + 1), trace_rows, last[None]])
+    ps = _odd_powers(ctx, s)
+    # (s + s^(q^n))^(q^c) = s^(q^c) + s^(q^(c+n)): the trace's powers are the
+    # powers of s rolled by n.  At shift 0 the trace row's last index is -1,
+    # which wraps to the final entry s_(4t-1)
+    trace_rows = _shifted(ctx._mod(ps + np.roll(ps, ctx.n, axis=1)), t, range(t), t + 1)
+    g2t = ctx.frob(np.asarray(code.gamma.coeffs, ctx._work), 2 * t)
+    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0, 1:], ctx.mul_matrix(g2t))
+    last = np.concatenate([ctx.trace(s[:1]), ctx.trace(twisted)])
+    plain_rows = _shifted(ps, t, range(1, t), t + 1)
+    return np.concatenate([plain_rows, trace_rows, last[None]]).astype(np.int64)
 
 
 def solve_span(S, ctx, rows=None):
@@ -199,7 +210,7 @@ def solve_span(S, ctx, rows=None):
     ratio = ctx.mul(np.concatenate([piv[:, free], piv[:, t]]), np.concatenate([inv, inv]))
     fr, tr = ratio.reshape(2, rank + 1, ctx.m)  # columns f, t over each pivot; tr[rank] = -lam
     plain = _monic(ctx, fr[:rank]) if free == rank else None
-    scaled = ctx.outer(np.concatenate([fr[:rank], a[rows:, free]]), tr[rank:])[:, 0]
+    scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx.mul_matrix(tr[rank]))
     if not np.array_equal(a[rows:, t], scaled[rank:]):
         return rank, plain, None
     return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))

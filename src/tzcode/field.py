@@ -18,31 +18,36 @@ FieldCtx kernels broadcast over the leading axes:
 * mul: stacked convolution (each a against the Toeplitz blocks of b, one
   batched matmul), then a fold through the reduction table, the rows
   x^d mod f for d <= 4n-2;
-* outer: all products a_i b_j, one matmul against the Toeplitz blocks of b
-  shared by every a_i, then the fold;
-* mul_matrix: the 2n x 2n matrix of multiplication by an element, worth
-  building only when one factor meets a whole row of others;
+* mul_matrix: the 2n x 2n matrices M(a) with v M(a) = a v, one matmul of
+  a with the multiplication table, whose row d holds M(x^d) (row u of it
+  is x^(d+u) mod f).  Products of one element with many others go through
+  it: each elimination pivot, the matrix-vector product and the span read;
 * frob: a^(q^i) as one matmul with the stacked Frobenius powers, whose
   columns are (x^q)^j with x^q mod f found by square-and-multiply;
+* frob_powers: every a^(q^i), i < 2n, as one matmul with the
+  Frobenius-power table, which lays those powers side by side; it serves
+  the syndrome matrices and the code's transform table;
 * inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
   addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
   a^-1 = b N(a)^-1; the absolute norm is the same a b.
 
 The reduction table also serves the Rabin irreducibility test of each
-candidate modulus.  Every fold stays exact in int64 only while
-2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; every
-kernel keeps its running sums inside that bound by reducing mod q before
-it sums further.  The kernels compute in the dtype they are given.  The
-callers with long eliminations or large products hand them FieldCtx._work,
-which is float64 whenever the bound times q stays below 2^53: every value
-is then an exact integer, and BLAS multiplies float64 matrices many times
-faster than numpy multiplies int64 ones.  Those callers are the
-eliminations of linalg (ff_rref's pivot normalisation included),
-ff_mat_vec, the code's membership and encode maps, which TZCode holds in
-the work dtype, and linpoly.root_space's action matrix.  Each casts its
-result back to int64 once, so every array and element the library hands
-out holds int64.  Where the bound keeps the work dtype int64 the casts are
-no-ops.
+candidate modulus.  FieldCtx builds the multiplication and Frobenius-power
+tables once, as (2n, 4n^2) F_q matrices.  Every fold stays exact in int64
+only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first;
+every kernel keeps its running sums inside that bound by reducing mod q
+before it sums further.  The kernels compute in the dtype they are given.
+The callers with long eliminations or large products hand them
+FieldCtx._work, which is float64 whenever the bound times q stays below
+2^53: every value is then an exact integer, and BLAS multiplies float64
+matrices many times faster than numpy multiplies int64 ones.  Those
+callers are the eliminations of linalg (ff_rref's pivot normalisation
+included), ff_mat_vec, the code's membership and encode maps, which TZCode
+holds in the work dtype, and linpoly.root_space's action matrix.  Each
+casts its result back to int64 once, so every array and element the
+library hands out holds int64.  Where the bound keeps the work dtype int64
+the casts are no-ops.  The two tables are held in the work dtype, and a
+kernel given another dtype casts them to it.
 """
 
 from __future__ import annotations
@@ -196,7 +201,7 @@ def default_modulus(q, m):
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """The tower F_q < F_{q^n} < F_{q^2n} with its precomputed Frobenius tables.
+    """The tower F_q < F_{q^n} < F_{q^2n} with its precomputed F_q tables.
 
     Immutable after construction and safe to share across threads.
     """
@@ -249,6 +254,14 @@ class FieldCtx:
         # float64 products are small and were tuned single-threaded, the way
         # the benchmark runs them with BLAS pinned to one thread.
         self._work = np.dtype(np.float64 if bound * q < 2**53 else np.int64)
+        # the two F_q tables, held in the work dtype, that the hot kernels
+        # multiply by: row d of _mul_tensor is M(x^d), whose row u is
+        # x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u of M(a);
+        # row r of _frob_tensor is x^r under the 2n power maps side by side,
+        # so a @ _frob_tensor lays out a^(q^i) for every i
+        power = np.arange(m)
+        self._mul_tensor = self._red[power[:, None] + power].reshape(m, m * m).astype(self._work)
+        self._frob_tensor = self._frob_rows.transpose(1, 0, 2).reshape(m, m * m).astype(self._work)
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
         self.one = FF2n(self, self._red[0].copy())
@@ -387,20 +400,23 @@ class FieldCtx:
         """Entrywise products of two broadcasting packed arrays."""
         return self.fold(_convolve(a, b))
 
-    def outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The (len a, len b, 2n) products a_i b_j of two packed vectors.
+    def _by_table(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """(..., 2n, 2n): a times a (2n, 4n^2) table, reduced, in a's dtype.
 
-        One matmul against b's Toeplitz blocks, shared by every a_i, then the fold.
+        The tables are held in the work dtype; an a of another dtype casts its table.
         """
-        blocks = _toeplitz(b).transpose(1, 0, 2).reshape(self.m, -1)
-        return self.fold(self._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
+        return self._dot(a, table.astype(a.dtype, copy=False)).reshape(a.shape + (self.m,))
 
     def mul_matrix(self, a: np.ndarray) -> np.ndarray:
         """(..., 2n, 2n) matrices M with v @ M = a v, one per entry of a.
 
-        Row k is a x^k: the Toeplitz block row k, folded.
+        Row u is a x^u: one product of a with the multiplication table.
         """
-        return self.fold(_toeplitz(a))
+        return self._by_table(a, self._mul_tensor)
+
+    def frob_powers(self, a: np.ndarray) -> np.ndarray:
+        """(..., 2n, 2n) powers a^(q^i), i < 2n, per entry of a, from the power table."""
+        return self._by_table(a, self._frob_tensor)
 
     def frob(self, a: np.ndarray, i) -> np.ndarray:
         """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries."""

@@ -27,10 +27,13 @@ reduced form is unique, so this is the same form a Gauss-Jordan loop gives.
 
 Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one numpy step per
 pivot: every row becomes p row - f pivot_row, with p the pivot and f the
-row's entry in the pivot column.  p row goes through p's multiplication
-matrix, built once for the whole matrix, and f pivot_row is one batched
-product.  No inverse is taken per pivot; one batched inverse of the pivots
-normalises the rows at the end, which gives the same unique reduced form.
+row's entry in the pivot column.  One product with the field's
+multiplication table gives the multiplication matrix of every entry of
+the pivot row (FieldCtx.mul_matrix).  The first, p's, scales the whole
+matrix in one product; laid side by side, they give every f pivot_row in
+one more; and one reduction mod q follows.  No inverse is taken per
+pivot; one batched inverse of the pivots normalises the rows at the end,
+which gives the same unique reduced form.
 All of it runs in the field's work dtype (field.py), and ff_rref hands the
 rows back as int64.  _eliminate can seek pivots in the leading rows only.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolution, SingularMatrix
-from .field import FF2n, _toeplitz
+from .field import FF2n
 
 __all__ = [
     "ff_mat_vec",
@@ -76,22 +79,21 @@ def _packed(a, ctx):
 def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     """The packed vector a v.
 
-    Each block of 2n columns of a meets the stacked Toeplitz blocks of its
-    entries of v in one matmul, and the raw products are folded once at the
-    end.  A block adds at most (2n)^2 products of reduced entries, inside
-    FieldCtx's bound, so the running sum is reduced after every block.  A
-    matrix already in the work dtype, as TZCode holds H and N, is not cast.
+    Entry j of v meets column j of a through its multiplication matrix
+    (FieldCtx.mul_matrix), so a v is one F_q product of a's coefficient rows
+    with those matrices stacked.  A block of 2n columns adds at most (2n)^2
+    products of reduced entries, inside FieldCtx's bound, so the product runs
+    in blocks of 2n columns and the running sum is reduced after every block.
+    A matrix already in the work dtype, as TZCode holds H and N, is not cast.
     """
     ctx, a = _packed(a, ctx)
     w, m = ctx._work, ctx.m
-    a = a.astype(w, copy=False)
-    v = ctx.pack(v).astype(w, copy=False)
-    rows = a.shape[0]
-    conv = np.zeros((rows, 2 * m - 1), dtype=w)
-    for i in range(0, a.shape[1], m):
-        blocks = _toeplitz(v[i : i + m]).reshape(-1, 2 * m - 1)
-        conv = ctx._mod(conv + a[:, i : i + m].reshape(rows, -1) @ blocks)
-    return ctx.fold(conv).astype(np.int64)
+    a = a.astype(w, copy=False).reshape(len(a), -1)
+    by = ctx.mul_matrix(ctx.pack(v).astype(w, copy=False)).reshape(-1, m)  # row j 2n + u: v_j x^u
+    out = np.zeros((len(a), m), dtype=w)
+    for i in range(0, a.shape[1], m * m):
+        out = ctx._mod(out + ctx._dot(a[:, i : i + m * m], by[i : i + m * m], reduce=False))
+    return out.astype(np.int64)
 
 
 def _eliminate(ctx, a, rows=None):
@@ -102,6 +104,7 @@ def _eliminate(ctx, a, rows=None):
     """
     a = a.astype(ctx._work)  # a copy, exact in the work dtype (FieldCtx)
     rows = len(a) if rows is None else rows
+    m = ctx.m
     pivots = []
     for c in range(a.shape[1]):
         r = len(pivots)
@@ -114,10 +117,13 @@ def _eliminate(ctx, a, rows=None):
             a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         f = a[:, c].copy()
         f[r] = 0
-        pivot_row = a[r, c:].copy()
-        # every row becomes p row - f pivot_row; the pivot row is zero left of c
-        a = ctx._dot(a, ctx.mul_matrix(pivot_row[0]), reduce=False)
-        a[:, c:] -= ctx.outer(f, pivot_row)
+        # every row becomes p row - f pivot_row; the pivot row is zero left of c.
+        # by[j] multiplies by the pivot row's entry j, by[0] by the pivot p;
+        # side by side, f @ by gives f times every entry of the pivot row
+        by = ctx.mul_matrix(a[r, c:])
+        side_by_side = by.transpose(1, 0, 2).reshape(m, -1)
+        a = ctx._dot(a, by[0], reduce=False)
+        a[:, c:] -= ctx._dot(f, side_by_side, reduce=False).reshape(a[:, c:].shape)
         a = ctx._mod(a)
         pivots.append(c)
     return a, pivots

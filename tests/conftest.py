@@ -11,6 +11,7 @@ from tzcode.channel import (
     trial_rng,
 )
 from tzcode.decoder import build_S, error_from_decomposition
+from tzcode.field import _toeplitz
 from tzcode.linalg import _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank, fq_solve
 from tzcode.selftest import GAMMA, MODULUS, XI
 
@@ -231,6 +232,22 @@ def is_codeword_by_trace(code, v) -> bool:
         if not code.ctx.trace_rel(acc).is_zero():
             return False
     return True
+
+
+def ref_mul_matrix(ctx, a) -> np.ndarray:
+    """(..., 2n, 2n) multiplication matrices by a Toeplitz fold: row u is the
+    raw product a x^u reduced through the table, the form src/ replaced with
+    one product of a with FieldCtx's multiplication table."""
+    return ctx.fold(_toeplitz(a))
+
+
+def outer(ctx, a, b) -> np.ndarray:
+    """The (len a, len b, 2n) products a_i b_j of two packed vectors: one
+    matmul against b's Toeplitz blocks, shared by every a_i, then the fold;
+    src/ takes products of one element with many from its multiplication
+    matrix instead."""
+    blocks = _toeplitz(b).transpose(1, 0, 2).reshape(ctx.m, -1)
+    return ctx.fold(ctx._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
 
 
 def ref_fq_rref(a, q):

@@ -1,15 +1,21 @@
 """Packed F_{q^2n} kernels and elimination against element-by-element references.
 
-The batched kernels (FieldCtx.mul, outer, frob, inv) are checked against the
-scalar FF2n operations and against schoolbook products in Python ints; the
-packed elimination (ff_rref, ff_rank, ff_solve, the conftest ff_kernel and
-the decoder's span reader solve_span, whose spans are packed (rank+1, 2n)
-arrays) against the list-of-FF2n reference in conftest.  Each check runs in int64 and, where the field allows it, in the
+The batched kernels (FieldCtx.mul, mul_matrix, frob, frob_powers, inv, and
+ff_mat_vec) are checked against the scalar FF2n operations and against
+schoolbook products in Python ints, and mul_matrix against the Toeplitz
+fold in conftest; the packed elimination (ff_rref, ff_rank, ff_solve, the
+conftest ff_kernel and the decoder's span reader solve_span, whose spans
+are packed (rank+1, 2n) arrays) against the list-of-FF2n reference in
+conftest.  Each check runs in int64 and, where the field allows it, in the
 float64 work dtype the decoder eliminates in.  At the largest q each dtype
 admits, the code's F_q maps, the root space and decoding are checked for
 exactness; and whatever runs in the work dtype inside, every array and
-element the library hands back holds int64.
+element the library hands back holds int64.  The numbers of table products
+and reductions per elimination pivot are pinned, so that a change that adds
+a fold back fails here and not only in a noisy timing.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,11 +26,11 @@ from tzcode.construct import is_valid_gamma
 from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
-from tzcode.linalg import ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
+from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 from tzcode.linpoly import root_space
 
-from conftest import (elements, encode_by_rows, ff_kernel, plant, qvan, ref_kernel, ref_mat_vec,
-                      ref_rref, ref_solve, rng_for, same_span)
+from conftest import (elements, encode_by_rows, ff_kernel, outer, plant, qvan, ref_kernel,
+                      ref_mat_vec, ref_mul_matrix, ref_rref, ref_solve, rng_for, same_span)
 
 
 def _fold_bound(q, n):
@@ -77,22 +83,35 @@ def _dtypes(ctx):
 
 
 def _check_kernels(ctx, a, b):
-    """Batched mul, outer, frob and inv of packed a, b against the scalar ops."""
+    """mul, mul_matrix, outer, frob, frob_powers, inv and ff_mat_vec on packed a, b against
+    the scalar ops."""
     ea, eb = ctx.unpack(a), ctx.unpack(b)
+    products = tuple(x * y for x, y in zip(ea, eb))
+    cols = min(len(b), 2 * ctx.m + 1)  # wider than 2n columns: ff_mat_vec sums two blocks or more
+    rows = min(3, len(a) // cols)
+    mat_vec = tuple(ref_mat_vec([ea[i * cols : (i + 1) * cols] for i in range(rows)], eb[:cols]))
     for dt in _dtypes(ctx):
         wa, wb = a.astype(dt), b.astype(dt)
         prod = ctx.mul(wa, wb)
         assert prod.dtype == dt
-        assert ctx.unpack(prod) == tuple(x * y for x, y in zip(ea, eb))
-        assert ctx.unpack(ctx.outer(wa[:5], wb[:7])) == tuple(
+        assert ctx.unpack(prod) == products
+        by = ctx.mul_matrix(wa)
+        assert by.dtype == dt and np.array_equal(by, ref_mul_matrix(ctx, wa))
+        assert ctx.unpack(ctx._dot(wb[:, None], by)[:, 0]) == products
+        assert ctx.unpack(outer(ctx, wa[:5], wb[:7])) == tuple(
             tuple(x * y for y in eb[:7]) for x in ea[:5])
         for i in (1, ctx.n, -1):
             assert ctx.unpack(ctx.frob(wa, i)) == tuple(x.frobenius(i) for x in ea)
         powers = np.arange(len(a)) % ctx.m
         assert ctx.unpack(ctx.frob(wa, powers)) == tuple(
             x.frobenius(int(i)) for x, i in zip(ea, powers))
+        every = ctx.frob_powers(wa[:7])
+        assert every.dtype == dt and ctx.unpack(every) == tuple(
+            tuple(x.frobenius(i) for i in range(ctx.m)) for x in ea[:7])
         nonzero = [i for i, x in enumerate(ea) if not x.is_zero()]
         assert ctx.unpack(ctx.inv(wa[nonzero])) == tuple(ea[i].inverse() for i in nonzero)
+        mv = ff_mat_vec(wa[: rows * cols].reshape(rows, cols, ctx.m), wb[:cols], ctx)
+        assert mv.dtype == np.int64 and ctx.unpack(mv) == mat_vec
 
 
 def test_batched_kernels_match_scalar_ops_exhaustively():
@@ -129,9 +148,17 @@ def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
     a[:4] = q - 1  # the largest raw products
     b[:4] = q - 1
     work = (a.astype(ctx._work), b.astype(ctx._work))
-    for prod in (ctx.mul(a, b), ctx.mul(*work), ctx.outer(*work)[np.arange(40), np.arange(40)]):
+    for prod in (ctx.mul(a, b), ctx.mul(*work), outer(ctx, *work)[np.arange(40), np.arange(40)],
+                 ctx._dot(b[:, None], ctx.mul_matrix(a))[:, 0],
+                 ctx._dot(work[1][:, None], ctx.mul_matrix(work[0]))[:, 0]):
         for x, y, z in zip(a, b, prod):
             assert [int(v) for v in z] == int_mulmod(ctx, x, y)
+    # every coefficient q-1, over more than one block of 2n columns
+    full = np.full((2, 2 * ctx.m + 1, ctx.m), q - 1)
+    entry = int_mulmod(ctx, full[0, 0], full[0, 0])
+    for mat in (full, full.astype(ctx._work)):
+        expected = [v * (2 * ctx.m + 1) % q for v in entry]
+        assert ff_mat_vec(mat, full[0], ctx).tolist() == [expected] * 2
     one = ctx.mul(work[0], ctx.inv(work[0]))
     assert np.array_equal(one, np.broadcast_to(ctx.one.coeffs, one.shape))
     mat = rng.integers(0, q, (3, 4, ctx.m))
@@ -200,9 +227,34 @@ def test_results_leave_as_int64(q, n, k):
     S = build_S_exp(code, s) if k % 2 == 0 else build_S(code, s, (ctx.m - k - 1) // 2)
     rank, span, _ = solve_span(S, ctx)
     assert rank == t
-    for arr in (s, ff_rref(S, ctx)[0], span, root_space(LinPoly(ctx, span)),
+    for arr in (s, S, ff_rref(S, ctx)[0], span, root_space(LinPoly(ctx, span)),
                 code._message_digits(ctx.pack(cw))):
         assert arr.dtype == np.int64
+
+
+@pytest.mark.parametrize("k, t, subfield", [(2, 11, True), (1, 6, False)],
+                         ids=["S_exp-bounded", "S_umax"])
+def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
+    """Each pivot: one table product for mul_matrix, two row products, and one
+    reduction each; the syndrome: one table product and one block product."""
+    ctx = FieldCtx(3, 12)
+    code = build_code(ctx, k)
+    r = ctx.pack(plant(code, t, rng_for(260 + k), subfield=subfield)[-1])
+    calls = Counter()
+    for name in ("_dot", "_mod"):
+        def counted(self, *args, _name=name, _kernel=getattr(FieldCtx, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(self, *args, **kwargs)
+        monkeypatch.setattr(FieldCtx, name, counted)
+    s = syndrome(code, r)
+    assert calls == {"_dot": 2, "_mod": 2}
+    # the boundary S_exp pivots from its t-1 plain rows, S^(u_max) has rank t
+    S, rows, rank = ((build_S_exp(code, s), t - 1, t - 1) if k % 2 == 0
+                     else (build_S(code, s, (ctx.m - k - 1) // 2), None, t))
+    calls.clear()
+    pivots = _eliminate(ctx, S, rows)[1]
+    assert pivots == list(range(rank))
+    assert calls == {"_dot": 3 * rank, "_mod": 2 * rank}
 
 
 def test_inverse_of_zero_raises_in_a_batch(ctx5):
