@@ -1,6 +1,7 @@
 """Rank-metric MRD codes over F_{q^2n}, linear over the subfield F_{q^n}.
 
-Construction, encoding, syndrome decoding at the full unique radius,
+Construction, encoding, syndrome decoding of every error of rank
+<= (2n-k-1)//2 and, at even k, of errors over F_(q^n) of rank n-k/2,
 channel simulation, and brute-force oracles for desk-scale verification.
 
 The hot kernels multiply small float64 matrices through BLAS (field.py).

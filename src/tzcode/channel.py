@@ -16,11 +16,8 @@ map to: the map from digits to elements is F_q-linear and injective, so the
 two ranks agree, every draw is accepted or rejected as before, and the
 stream is unchanged.
 
-A planted error e = a . B comes with its locators d = B mu^(q^k), taken from
-the code's expansion of mu^(q^k), where mu = xi^(q^(2n-k)) lambda* is the
-trace almost dual basis.  simulate accepts a decode only when it returns the
-plant; the decoder has by then run the corrected word through the code's
-single membership test.
+simulate accepts a decode only when it returns the plant; the decoder has
+by then run the corrected word through the code's single membership test.
 """
 
 from __future__ import annotations
@@ -73,11 +70,11 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """A planted decomposition e = a . B with its locator vector d."""
+    """A planted decomposition e = a . B: a packs the t column elements, (t, 2n),
+    and B is the (t, 2n) F_q row-space matrix."""
 
-    a: tuple
+    a: np.ndarray
     B: np.ndarray
-    d: tuple
 
 
 def random_message(code: TZCode, rng) -> tuple:
@@ -109,9 +106,7 @@ def random_error(code: TZCode, spec: ChannelSpec, rng):
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:
             break
-    e = ctx.unpack(error_from_decomposition(a, B, ctx))
-    d = ctx.unpack((B @ code.mu_k.T) % ctx.q)
-    return e, ErrorDecomposition(ctx.unpack(a), B, d)
+    return ctx.unpack(error_from_decomposition(a, B, ctx)), ErrorDecomposition(a, B)
 
 
 @dataclass

@@ -31,10 +31,9 @@ The decoder recovers an error e from its transform
 sigma_i = sum_j e_j (mu_j^(q^k))^(q^i), i in Z_2n.  nu = lam^(q^k) xi^-1 is
 the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
 sum_i nu_j^(q^i) sigma_i = sum_l e_l Tr(nu_j mu_l^(q^k)) = e_j: TZCode
-holds the packed table N[j, i] = nu_j^(q^i), and N sigma is the error.  The
-same duality gives the coordinates of an element x in the basis mu^(q^k),
-Tr(x nu_j), with no inversion (mu_k_coords).  lam*, which the left inverse
-reads, and nu share the one inverse of xi^(q^(2n-k)).
+holds the packed table N[j, i] = nu_j^(q^i), and N sigma is the error.
+lam*, which the left inverse reads, and nu share the one inverse of
+xi^(q^(2n-k)).
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def find_xi(ctx: FieldCtx, gamma: FF2n) -> FF2n:
     """
     if gamma.is_zero():
         raise InvalidParameter("gamma must be nonzero")
-    trace_map = (ctx._frob_pows[ctx.n] + ctx._frob_pows[0]) % ctx.q
+    trace_map = (ctx._frob_rows[ctx.n] + ctx._frob_rows[0]).T % ctx.q
     kernel = fq_kernel(trace_map, ctx.q)
     eta = FF2n(ctx, kernel[0].copy())
     return eta / gamma
@@ -91,12 +90,12 @@ def _trace_form(ctx: FieldCtx) -> np.ndarray:
     Tr(alpha^d) for d <= 4n-2: the absolute trace lies in F_q, so it is the
     constant coefficient of the sum of all Frobenius images.
     """
-    tr = (ctx._red @ sum(ctx._frob_pows)[0]) % ctx.q
+    tr = (ctx._red @ ctx._frob_rows[:, :, 0].sum(axis=0)) % ctx.q
     power = np.arange(ctx.m)
     return tr[power[:, None] + power[None, :]]
 
 
-def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
+def trace_almost_dual(ctx: FieldCtx, lam: Basis, xi: FF2n, k: int) -> Basis:
     """The unique basis mu with sum_j lam_j^(q^i) mu_j = xi^(q^(2n-k)) if i = 0, else 0.
 
     The trace-dual basis lam* (Tr(lam_i lam*_j) = delta_ij) satisfies
@@ -107,7 +106,7 @@ def trace_almost_dual(ctx: FieldCtx, lam, xi: FF2n, k: int) -> Basis:
     if xi.is_zero():
         raise InvalidParameter("xi must be nonzero")
     q, m = ctx.q, ctx.m
-    expansion = np.stack([e.coeffs for e in lam], axis=1)
+    expansion = lam.expansion
     gram = (expansion.T @ _trace_form(ctx) % q @ expansion) % q
     dual = (expansion @ fq_inv(gram, q)) % q  # T is symmetric, so is T^-1
     return Basis(ctx.unpack(ctx.mul(xi.frobenius(m - k).coeffs, dual.T)))
@@ -134,7 +133,7 @@ def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, dual: np.ndarray) 
     conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
     to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
     to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
-    to_digits = np.stack([to_a, to_b], axis=1) @ ctx._subfield_coords % q  # [row, (a, b), digit]
+    to_digits = ctx.subfield_digits(np.stack([to_a, to_b], axis=1))  # [row, (a, b), digit]
     ab = ctx._dot(f, to_digits.reshape(m, 2 * n)).reshape(k + 1, m, m, 2, n)
     ab = ab.transpose(1, 2, 0, 3, 4).reshape(m * m, 2 * k + 2, n)  # [j r, i (a, b), digit]
     keep = np.r_[0, 2:2 * k, 2 * k + 1]  # drop b_0 and a_k
@@ -157,7 +156,7 @@ class TZCode:
         self.xi = xi
         self.mu = mu
 
-        m, q = ctx.m, ctx.q
+        m = ctx.m
         self.length = m
         self.min_distance = m - k + 1
         # (d-1)//2: odd k reaches it with any error; even k only with errors
@@ -186,13 +185,9 @@ class TZCode:
         xi_inv = ctx.inv(xi.frobenius(m - k).coeffs)
         nu = ctx.frob(ctx.mul(xi_inv, lam_elems), k)
         # N[j, i] = nu_j^(q^i) inverts the decoder's transform: one product of
-        # nu with the field's Frobenius-power table.  mu^(q^k) by columns plants
-        # the locators d = B mu^(q^k), and the coordinates of x in that basis
-        # are Tr(x nu_j), which rebuild B from the locators
+        # nu with the field's Frobenius-power table
         self._N_work = ctx.frob_powers(np.asarray(nu, ctx._work))
         self.N = np.asarray(self._N_work, np.int64)
-        self.mu_k = (ctx._frob_pows[k] @ mu.expansion) % q
-        self.mu_k_coords = nu @ _trace_form(ctx) % q
 
         # the code as one F_q map: row i*n + j holds the coefficients of the
         # codeword of the message with subfield_basis[j] at entry i, zero
@@ -200,7 +195,7 @@ class TZCode:
         # element, which every entry of G shares.  Both maps are held once, in
         # the work dtype: a product with either sums at most 4n^2 products of
         # reduced entries, inside FieldCtx's bound
-        by_basis = ctx.mul_matrix(np.asarray(ctx.pack(ctx.subfield_basis), ctx._work))
+        by_basis = ctx.mul_matrix(np.asarray(ctx._subfield_mat, ctx._work))
         self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
         dual = np.asarray(ctx.mul(xi_inv, mu_elems), ctx._work)
         self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, dual)

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .construct import TZCode
+from .construct import TZCode, _trace_form
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
 from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve, fq_rank
 from .linpoly import _term_matrices
@@ -242,8 +242,15 @@ def solve_locators(code: TZCode, a, s) -> np.ndarray:
 
 
 def recover_B(code: TZCode, d) -> np.ndarray:
-    """Row l holds the coordinates of the packed locator d_l in the basis mu^(q^k)."""
-    return (d @ code.mu_k_coords.T) % code.ctx.q
+    """Row l holds the coordinates of the packed locator d_l in the basis mu^(q^k).
+
+    nu, read off the code's table N[j, i] = nu_j^(q^i), is the trace-dual
+    basis of mu^(q^k), so the coordinates of x are Tr(x nu_j), with no
+    inversion.
+    """
+    ctx = code.ctx
+    coords = code.N[:, 0] @ _trace_form(ctx) % ctx.q
+    return (d @ coords.T) % ctx.q
 
 
 def error_from_decomposition(a, B, ctx) -> np.ndarray:

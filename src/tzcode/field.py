@@ -22,8 +22,9 @@ FieldCtx kernels broadcast over the leading axes:
   a with the multiplication table, whose row d holds M(x^d) (row u of it
   is x^(d+u) mod f).  Products of one element with many others go through
   it: each elimination pivot, the matrix-vector product and the span read;
-* frob: a^(q^i) as one matmul with the stacked Frobenius powers, whose
-  columns are (x^q)^j with x^q mod f found by square-and-multiply;
+* frob: a^(q^i) as one matmul with the i-th of the stacked Frobenius
+  powers, the powers of the map whose row j is (x^q)^j, with x^q mod f
+  found by square-and-multiply;
 * frob_powers: every a^(q^i), i < 2n, as one matmul with the
   Frobenius-power table, which lays those powers side by side; it serves
   the syndrome matrices and the code's transform table;
@@ -32,11 +33,14 @@ FieldCtx kernels broadcast over the leading axes:
   a^-1 = b N(a)^-1; the absolute norm is the same a b.
 
 The reduction table also serves the Rabin irreducibility test of each
-candidate modulus.  FieldCtx builds the multiplication and Frobenius-power
-tables once, as (2n, 4n^2) F_q matrices.  Every fold stays exact in int64
-only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first;
-every kernel keeps its running sums inside that bound by reducing mod q
-before it sums further.  The kernels compute in the dtype they are given.
+candidate modulus.  FieldCtx builds each table once: the reduction table,
+the stacked Frobenius powers, the multiplication and Frobenius-power tables
+as (2n, 4n^2) F_q matrices, and the reduced-echelon basis of F_{q^n} with
+the columns at which an element of F_{q^n} holds its digits in that basis
+(subfield_digits).  Every fold stays exact in int64 only while
+2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; every
+kernel keeps its running sums inside that bound by reducing mod q before it
+sums further.  The kernels compute in the dtype they are given.
 The callers with long eliminations or large products hand them
 FieldCtx._work, which is float64 whenever the bound times q stays below
 2^53: every value is then an exact integer, and BLAS multiplies float64
@@ -46,8 +50,8 @@ included), ff_mat_vec, the code's membership and encode maps, which TZCode
 holds in the work dtype, and linpoly.root_space's action matrix.  Each
 casts its result back to int64 once, so every array and element the
 library hands out holds int64.  Where the bound keeps the work dtype int64
-the casts are no-ops.  The two tables are held in the work dtype, and a
-kernel given another dtype casts them to it.
+the casts are no-ops.  The multiplication and Frobenius-power tables are
+held in the work dtype, and a kernel given another dtype casts them to it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
+from .linalg import fq_kernel, fq_rank, fq_reciprocal
 
 __all__ = [
     "FieldCtx",
@@ -136,8 +141,6 @@ def _rabin(q, coeffs):
     full-rank test of g's multiplication matrix: its Toeplitz rows g x^j,
     folded through the table.
     """
-    from .linalg import fq_rank  # local import avoids a cycle
-
     m = len(coeffs) - 1
     if coeffs[0] == 0:
         return None  # divisible by x
@@ -239,13 +242,11 @@ class FieldCtx:
             raise InvalidParameter("modulus is not irreducible over F_q")
         self.modulus = tuple(modulus)
         self._red, frob = tables
-        pows = [np.eye(m, dtype=np.int64)]
+        # _frob_rows[i] maps the rows of a packed array to those of a^(q^i)
+        rows = [np.eye(m, dtype=np.int64)]
         for _ in range(m - 1):
-            pows.append((frob @ pows[-1]) % q)
-        # _frob_pows[i] maps coefficient columns to those of a^(q^i); its
-        # transpose maps the rows of a packed array
-        self._frob_pows = np.stack(pows)
-        self._frob_rows = self._frob_pows.transpose(0, 2, 1)
+            rows.append((rows[-1] @ frob.T) % q)
+        self._frob_rows = np.stack(rows)
         # Below 2^53 every integer is exact in float64, and BLAS multiplies
         # float64 matrices many times faster than numpy multiplies int64 ones;
         # below 2^53 / q, floor(x / q) is exact too (_mod).  So long
@@ -267,15 +268,15 @@ class FieldCtx:
         self.one = FF2n(self, self._red[0].copy())
         self.alpha = FF2n(self, self._red[1].copy())
 
-        from .linalg import fq_kernel, fq_solve  # local import avoids a cycle
-
-        # echelon-canonical F_q-basis of F_{q^n} inside F_{q^2n}, and a right
-        # inverse that reads an element's digits in that basis back off
-        sub = fq_kernel((pows[n] - pows[0]) % q, q)
+        # the reduced-echelon F_q-basis of F_{q^n}, the kernel of a -> a^(q^n) - a.
+        # Line j is one at its free column, the last it does not vanish at,
+        # and every other line is zero there, so an element's digits in this
+        # basis are its entries at those columns
+        sub = fq_kernel((self._frob_rows[n] - self._frob_rows[0]).T % q, q)
         if sub.shape[0] != n:
             raise InvalidParameter("subfield of the stated degree not found")
         self._subfield_mat = sub
-        self._subfield_coords = fq_solve(sub, np.eye(n, dtype=np.int64), q)
+        self._subfield_cols = np.array([np.flatnonzero(line)[-1] for line in sub])
         self.subfield_basis = self.subfield_elements(np.eye(n, dtype=np.int64))
 
     # -- element constructors ------------------------------------------------
@@ -326,12 +327,13 @@ class FieldCtx:
         return (digits @ self._subfield_mat) % self.q
 
     def subfield_digits(self, elems) -> np.ndarray:
-        """(len(elems), n) digits in subfield_basis; the inverse of subfield_elements.
+        """(..., n) digits in subfield_basis; the inverse of subfield_elements.
 
-        elems is a sequence of elements or their packed array.  Valid only
-        for elements of F_{q^n}.
+        elems is a sequence of elements or their packed array, whose entries
+        at the basis's free columns are the digits.  Valid only for elements
+        of F_{q^n}.
         """
-        return (self.pack(elems) @ self._subfield_coords) % self.q
+        return self.pack(elems)[..., self._subfield_cols]
 
     @property
     def power_basis(self) -> "Basis":
@@ -449,8 +451,6 @@ class FieldCtx:
         """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q."""
         if not a.any(axis=-1).all():
             raise DivisionByZero("inverse of zero")
-        from .linalg import fq_reciprocal  # local import avoids a cycle
-
         b = self._conorm(a)
         norm = self.mul(a, b)[..., :1]
         return self._mod(b * fq_reciprocal(norm, self.q))
@@ -557,8 +557,6 @@ class Basis:
         if len(elems) != ctx.m:
             raise InvalidParameter(f"basis needs {ctx.m} elements, got {len(elems)}")
         expansion = np.stack([e.coeffs for e in elems], axis=1) % ctx.q
-        from .linalg import fq_rank  # local import avoids a cycle
-
         if fq_rank(expansion, ctx.q) != ctx.m:
             raise InvalidParameter("elements are not an F_q-basis")
         self.ctx = ctx
@@ -586,7 +584,5 @@ def rank_weight(x) -> int:
     x = list(x)
     if not x:
         return 0
-    from .linalg import fq_rank
-
     stack = np.stack([v.coeffs for v in x])
     return fq_rank(stack, x[0].ctx.q)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolution, SingularMatrix
-from .field import FF2n
 
 __all__ = [
     "ff_mat_vec",
@@ -65,12 +64,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _packed(a, ctx):
-    """(ctx, packed array) from a packed array and its field, or from nested FF2n."""
+    """(ctx, packed array) from a packed array and its field, or from nested FF2n.
+
+    The field is read off the first item, descending until one has a ctx.
+    """
     if ctx is None:
         if isinstance(a, np.ndarray):
             raise TypeError("a packed matrix needs its FieldCtx")
         first = a
-        while not isinstance(first, FF2n):
+        while not hasattr(first, "ctx"):
             first = first[0]
         ctx = first.ctx
     return ctx, ctx.pack(a)

@@ -93,9 +93,8 @@ def ref_random_error(code, spec, rng):
         B = rng.integers(0, ctx.q, (t, ctx.m), dtype=np.int64)
         if fq_rank(B, ctx.q) == t:
             break
-    e = ctx.unpack(error_from_decomposition(ctx.pack(a), B, ctx))
-    d = ctx.unpack((B @ code.mu_k.T) % ctx.q)
-    return e, ErrorDecomposition(tuple(a), B, d)
+    a = ctx.pack(a)
+    return ctx.unpack(error_from_decomposition(a, B, ctx)), ErrorDecomposition(a, B)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +102,19 @@ def ref_random_error(code, spec, rng):
 # with F_q matrix forms, kept here so tests can compare the two, and the
 # Moore matrix and coordinate maps that only tests use
 # ---------------------------------------------------------------------------
+
+def locators(code, B) -> np.ndarray:
+    """The packed locators d = B mu^(q^k)^T of a planted decomposition's B."""
+    ctx = code.ctx
+    return (B @ ctx.frob(ctx.pack(code.mu), code.k)) % ctx.q
+
+
+def ref_subfield_coords(ctx) -> np.ndarray:
+    """A (2n, n) right inverse of the subfield basis found by F_q elimination:
+    an element of F_{q^n} times it gives its digits, the form src/ replaced
+    with a read of the basis's free columns."""
+    return fq_solve(ctx._subfield_mat, np.eye(ctx.n, dtype=np.int64), ctx.q)
+
 
 def ref_rank_scan(code, s):
     """Largest u with S^(u) of full rank, scanning u_max, u_max - 1, ..., 1; None if none."""

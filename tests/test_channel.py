@@ -16,14 +16,14 @@ from tzcode.decoder import FAILURE_REASONS
 from tzcode.errors import InvalidParameter
 from tzcode.linalg import fq_rank
 
-from conftest import in_subfield, ref_random_error, ref_random_message
+from conftest import in_subfield, locators, ref_random_error, ref_random_message
 
 
 def test_zero_rank_error_is_zero_vector(code5):
     rng = trial_rng(0, 0)
     e, decomp = random_error(code5, ChannelSpec(t=0), rng)
     assert all(x.is_zero() for x in e)
-    assert decomp.a == () and decomp.B.shape == (0, 4)
+    assert decomp.a.shape == (0, 4) and decomp.B.shape == (0, 4)
 
 
 def test_error_rank_matches_target(code5, code332):
@@ -40,20 +40,21 @@ def test_subfield_errors_fixed_by_half_power(code5):
     for _ in range(25):
         e, decomp = random_error(code5, ChannelSpec(t=2, subfield_only=True), rng)
         assert all(x.frobenius(code5.ctx.n) == x for x in e)
-        assert all(in_subfield(a) for a in decomp.a)
+        assert all(in_subfield(a) for a in code5.ctx.unpack(decomp.a))
 
 
 def test_planted_locators_match_definition(code5):
-    # d^T = B mu^(q^k)^T, entry by entry
+    # the locators helper against d^T = B mu^(q^k)^T, entry by entry
     rng = trial_rng(3, 0)
     for _ in range(10):
         _, decomp = random_error(code5, ChannelSpec(t=2), rng)
+        d = code5.ctx.unpack(locators(code5, decomp.B))
         mu_k = [x.frobenius(code5.k) for x in code5.mu]
         for l in range(2):
             acc = code5.ctx.zero
             for j in range(4):
                 acc = acc + mu_k[j].scale(int(decomp.B[l, j]))
-            assert decomp.d[l] == acc
+            assert d[l] == acc
 
 
 def test_spec_validation(code5):
@@ -69,7 +70,7 @@ def test_error_draw_is_reproducible(code5):
     e1, d1 = random_error(code5, spec, trial_rng(7, 5))
     e2, d2 = random_error(code5, spec, trial_rng(7, 5))
     assert e1 == e2
-    assert d1.a == d2.a and np.array_equal(d1.B, d2.B)
+    assert np.array_equal(d1.a, d2.a) and np.array_equal(d1.B, d2.B)
 
 
 def test_simulate_rejects_a_negative_trial_count(code321):
@@ -149,13 +150,40 @@ def test_one_draw_per_word_keeps_the_stream(q, n):
                 new.sizes.clear()
                 (e, decomp), (e_ref, decomp_ref) = (
                     random_error(code, spec, new), ref_random_error(code, spec, ref))
-                assert e == e_ref and decomp.a == decomp_ref.a and decomp.d == decomp_ref.d
+                assert e == e_ref and np.array_equal(decomp.a, decomp_ref.a)
                 assert np.array_equal(decomp.B, decomp_ref.B)
                 assert np.array_equal(new.rng.integers(0, q, 5), ref.integers(0, q, 5))
                 assert np.array_equal(new.rng.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
                 rejected += len(new.sizes) > 2
     if (q, n) == (3, 2):
         assert rejected >= 20
+
+
+def test_error_draw_builds_only_the_error(monkeypatch):
+    # random_error unpacks the error and nothing else: it hands a back packed
+    # and plants no locators, so it never reads the code's locator tables
+    code = build_code(FieldCtx(3, 3), 2)
+    unpacked = []
+    monkeypatch.setattr(FieldCtx, "unpack", lambda self, arr, _orig=FieldCtx.unpack:
+                        unpacked.append(1) or _orig(self, arr))
+
+    class Reads:
+        """The code, logging the name of every attribute read off it."""
+
+        def __init__(self):
+            self.names = []
+
+        def __getattr__(self, name):
+            self.names.append(name)
+            return getattr(code, name)
+
+    for t, subfield in ((0, False), (2, False), (3, True), (6, False)):
+        reads = Reads()
+        unpacked.clear()
+        e, decomp = random_error(reads, ChannelSpec(t=t, subfield_only=subfield), trial_rng(4, t))
+        assert unpacked == [1] and "mu_k" not in reads.names
+        assert decomp.a.dtype == np.int64 and decomp.a.shape == (t, code.ctx.m)
+        assert rank_weight(e) == t
 
 
 def test_each_word_is_one_draw(monkeypatch):

@@ -20,10 +20,10 @@ from tzcode.errors import (
     NotACodeword,
 )
 from tzcode.channel import random_message
-from tzcode.decoder import decode
+from tzcode.decoder import decode, recover_B
 from tzcode.field import Basis
 from tzcode.paramfile import params_from_dict
-from tzcode.linalg import fq_inv, fq_kernel
+from tzcode.linalg import fq_kernel
 from tzcode.oracle import brute_force_decode
 from tzcode.selftest import G, GHT_CORNER_00, GHT_CORNER_33, H, MU, run_selftest
 
@@ -374,9 +374,9 @@ def test_closed_form_left_inverse_at_random_lambda_and_gamma(q, n, k):
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4), (3, 6, 7)])
 def test_closed_form_mu_k_coords_invert_mu_k(q, n, k):
-    # Tr(alpha^r nu_j), nu the trace-dual basis of mu^(q^k), against the
-    # eliminated inverse of mu^(q^k)'s expansion, at the default and at
-    # random lambda and gamma
+    # recover_B's coordinates Tr(x nu_j), nu the trace-dual basis of
+    # mu^(q^k), map the rows of mu^(q^k) to the identity, at the default and
+    # at random lambda and gamma
     ctx = FieldCtx(q, n)
     rng = rng_for(59)
     codes = [build_code(ctx, k)]
@@ -385,7 +385,8 @@ def test_closed_form_mu_k_coords_invert_mu_k(q, n, k):
         codes.append(build_code(ctx, k, lam=_random_basis(ctx, rng), gamma=gamma,
                                 xi=find_xi(ctx, gamma)))
     for code in codes:
-        assert np.array_equal(code.mu_k_coords, fq_inv(code.mu_k, q))
+        mu_k = ctx.frob(ctx.pack(code.mu), k)
+        assert np.array_equal(recover_B(code, mu_k), np.eye(ctx.m, dtype=np.int64))
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4)])

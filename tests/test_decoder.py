@@ -29,7 +29,7 @@ from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_r
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import ff_kernel, plant, ref_rank_scan, rng_for, same_span
+from conftest import ff_kernel, locators, plant, ref_rank_scan, rng_for, same_span
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_syndrome_entries_match_locator_form(code332):
         s = ctx.unpack(syndrome(code332, e))
         for i in range(1, ctx.m - code332.k):
             acc = ctx.zero
-            for a_l, d_l in zip(decomp.a, decomp.d):
+            for a_l, d_l in zip(ctx.unpack(decomp.a), ctx.unpack(locators(code332, decomp.B))):
                 acc = acc + a_l * d_l.frobenius(i)
             assert s[2 * i - 1] == acc
 
@@ -245,18 +245,19 @@ def test_trace_identities_for_boundary_plants(code5, code332):
         for _ in range(20):
             e, decomp = random_error(code, ChannelSpec(t=t, subfield_only=True), rng)
             st = ctx.unpack(ctx.trace(syndrome(code, e)))
+            a, d = ctx.unpack(decomp.a), ctx.unpack(locators(code, decomp.B))
             for i in range(1, 2 * t):
                 acc = ctx.zero
-                for a_l, d_l in zip(decomp.a, decomp.d):
+                for a_l, d_l in zip(a, d):
                     acc = acc + a_l * ctx.trace_rel(d_l.frobenius(i))
                 assert st[2 * i - 1] == acc
             g2t = code.gamma.frobenius(2 * t)
             acc = ctx.zero
-            for a_l, d_l in zip(decomp.a, decomp.d):
+            for a_l, d_l in zip(a, d):
                 acc = acc + a_l * ctx.trace_rel(g2t * d_l.frobenius(2 * t))
             assert st[0] == acc
             acc = ctx.zero
-            for a_l, d_l in zip(decomp.a, decomp.d):
+            for a_l, d_l in zip(a, d):
                 acc = acc + a_l * ctx.trace_rel(d_l)
             assert st[4 * t - 1] == acc
 
@@ -275,7 +276,7 @@ def test_solve_span_recovers_planted_span(code341):
             assert rank == t and boundary is None
             roots = root_space(LinPoly(code341.ctx, span))
             assert roots.shape == (t, code341.ctx.m)
-            assert rank_weight(code341.ctx.unpack(roots) + decomp.a) == t
+            assert rank_weight(code341.ctx.unpack(np.concatenate([roots, decomp.a]))) == t
 
 
 def test_solve_span_boundary_coefficients_in_subfield(code5):
@@ -335,9 +336,9 @@ def test_solve_locators_matches_planted_locators(code332):
         for _ in range(20):
             _, _, _, decomp, r = plant(code332, t, rng, subfield=(t == 2))
             s = syndrome(code332, r)
-            d = code332.ctx.unpack(solve_locators(code332, code332.ctx.pack(decomp.a), s))
-            assert d == decomp.d
-            assert rank_weight(d) == t  # locators are always independent
+            d = solve_locators(code332, decomp.a, s)
+            assert np.array_equal(d, locators(code332, decomp.B))
+            assert rank_weight(code332.ctx.unpack(d)) == t  # locators are always independent
 
 
 def test_solve_locators_single_equation_case(code321):
@@ -406,7 +407,7 @@ def test_recover_B_round_trip(code332):
     for t in (1, 2):
         _, _, e, decomp, r = plant(code332, t, rng, subfield=(t == 2))
         s = syndrome(code332, r)
-        a = code332.ctx.pack(decomp.a)
+        a = decomp.a
         d = solve_locators(code332, a, s)
         B = recover_B(code332, d)
         assert np.array_equal(B, decomp.B)
@@ -424,7 +425,7 @@ def test_error_invariant_under_redecomposition(code332):
             M = rng.integers(0, 3, (2, 2), dtype=np.int64)
             if fq_rank(M, 3) == 2:
                 break
-        a_prime = (M.T @ ctx.pack(decomp.a)) % 3  # a'_j = sum_l M[l, j] a_l
+        a_prime = (M.T @ decomp.a) % 3  # a'_j = sum_l M[l, j] a_l
         d_prime = solve_locators(code332, a_prime, s)
         B_prime = recover_B(code332, d_prime)
         minv = fq_inv(M, 3)

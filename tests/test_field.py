@@ -18,6 +18,7 @@ from conftest import (
     index_of,
     plant,
     qvan,
+    ref_subfield_coords,
     rng_for,
     trace_abs,
 )
@@ -409,6 +410,36 @@ def test_subfield_digit_map_round_trip(ctx5, ctx33):
         assert np.array_equal(ctx.subfield_digits(elems), digits)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 10007])
+def test_subfield_digits_are_a_column_read(q, monkeypatch):
+    # FieldCtx solves no F_q system for the digit map: an element's digits
+    # are its entries at the basis's free columns.  On F_(q^n) they agree
+    # with the solved right inverse, in both work dtypes (float64 below
+    # q = 10007, int64 at it), and so does the message left inverse read
+    # through either
+    import tzcode.linalg as linalg
+
+    def refused(*args):
+        raise AssertionError("fq_solve reached")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "fq_solve", refused)
+        ctx = FieldCtx(q, 2)
+    assert ctx._work == (np.int64 if q == 10007 else np.float64)
+    coords = ref_subfield_coords(ctx)
+    digits = rng_for(23).integers(0, q, (40, ctx.n))
+    elems = ctx._from_digits(digits)
+    for packed in (elems, elems.astype(ctx._work)):
+        assert np.array_equal(ctx.subfield_digits(packed), digits)
+        assert np.array_equal(packed @ coords % q, digits)
+    codes = [build_code(ctx, k) for k in (1, 2)]
+    monkeypatch.setattr(FieldCtx, "subfield_digits",
+                        lambda self, elems: self.pack(elems) @ ref_subfield_coords(self) % self.q)
+    for code in codes:
+        solved = build_code(ctx, code.k).msg_left_inverse
+        assert solved.dtype == ctx._work and np.array_equal(solved, code.msg_left_inverse)
+
+
 def test_basis_rejects_dependent_elements(ctx5):
     with pytest.raises(InvalidParameter):
         Basis([ctx5.one, ctx5.alpha, ctx5.alpha.scale(2), ctx5.alpha**3])
@@ -430,8 +461,8 @@ def test_handed_out_elements_compare_by_bytes(ctx5):
         msg, cw, e, decomp, r = plant(code, t, rng, subfield=subfield)
         out = decode(code, r)
         assert out.success
-        for word in (msg, cw, e, decomp.a, decomp.d, out.codeword, out.error, out.message,
-                     code.unmap(cw)):
+        assert decomp.a.dtype == np.int64 and decomp.a.shape == (t, ctx5.m)
+        for word in (msg, cw, e, out.codeword, out.error, out.message, code.unmap(cw)):
             elems.extend(word)
     for x in elems:
         assert x.coeffs.dtype == np.int64 and x.coeffs.shape == (ctx5.m,)

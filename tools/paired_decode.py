@@ -1,17 +1,20 @@
-"""Paired timing of decode in two source trees of tzcode, in one process.
+"""Paired timing of set-up and decode in two source trees of tzcode, in one process.
 
     python3 tools/paired_decode.py PARENT_SRC CHANGE_SRC --q 3 --n 12 --k 2 --t 11 --subfield
 
 Each SRC is a directory that holds a tzcode package, such as a checkout's
 src/.  Both are imported under distinct package names, which works because
-every import inside tzcode is relative.  The same planted words are decoded
-by both sides, word by word, and the side that runs first alternates from
-word to word, so that both see the same host speed; a paired run resolves
-changes that the swing of absolute times between runs hides.  Every pair of
-outcomes must be equal.  The syndrome, the syndrome-matrix build and
-solve_span are timed apart from the whole decode.  The table gives each
-side's p50 per stage in ms and the ratio change/parent; exit code 1 means
-two outcomes differed.  BLAS runs on one thread, as in perfbench.
+every import inside tzcode is relative.  First both trees build FieldCtx
+and the code on SETUP_PAIRS pairs, and every pair of codes must hold equal
+TABLES, in dtype, shape and bytes.  Then the same planted words are decoded
+by both sides, word by word.  The side that runs first alternates from pair
+to pair and from word to word, so that both see the same host speed; a
+paired run resolves changes that the swing of absolute times between runs
+hides.  Every pair of outcomes must be equal.  Set-up is one row of the
+table; the syndrome, the syndrome-matrix build and solve_span are timed
+apart from the whole decode.  The table gives each side's p50 per stage in
+ms and the ratio change/parent; exit code 1 means two tables or two
+outcomes differed.  BLAS runs on one thread, as in perfbench.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from pathlib import Path
 # numpy reads these when it is imported, so main sets them before the import
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS")
-STAGES = ("syndrome", "build", "solve_span", "decode")
+STAGES = ("setup", "syndrome", "build", "solve_span", "decode")
+SETUP_PAIRS = 10
+# the tables of a code that both trees must build alike
+TABLES = ("G", "H", "_H_work", "_N_work", "_enc_mat", "msg_left_inverse")
 
 
 def load(name: str, src: str):
@@ -71,9 +77,28 @@ class Side:
         t3 = clock()
         out = dec.decode(code, r)
         t4 = clock()
-        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        for stage, dt in zip(STAGES[1:], (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             self.times[stage].append(dt * 1e3)
         return out
+
+
+def check_setup(sides, q: int, n: int, k: int):
+    """Time FieldCtx and build_code in both trees on SETUP_PAIRS pairs.
+
+    The tree that builds first alternates from pair to pair.  Returns the
+    first of TABLES in which the two codes of a pair differ, or None.
+    """
+    for i in range(SETUP_PAIRS):
+        codes = {}
+        for side in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            codes[id(side)] = side.tz.build_code(side.tz.FieldCtx(q, n), k)
+            side.times["setup"].append((time.perf_counter() - t0) * 1e3)
+        for name in TABLES:
+            a, b = (getattr(codes[id(side)], name) for side in sides)
+            if (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape, b.tobytes()):
+                return name
+    return None
 
 
 def comparable(out):
@@ -116,10 +141,15 @@ def main(argv=None) -> int:
     sides = [Side(load(name, src), args.q, args.n, args.k)
              for name, src in (("tzcode_parent", args.parent_src),
                                ("tzcode_change", args.change_src))]
+    differs = check_setup(sides, args.q, args.n, args.k)
+    if differs:
+        print(f"setup: the codes differ in {differs}", file=sys.stderr)
+        return 1
     words = planted_words(sides[0], args.t, args.subfield, args.words, args.seed)
     for side in sides:  # one untimed decode each, so that neither pays first-call costs
         side.run(words[0])
-        side.times = {stage: [] for stage in STAGES}
+        for stage in STAGES[1:]:
+            side.times[stage].clear()
     for i, word in enumerate(words):
         order = sides if i % 2 == 0 else sides[::-1]
         outs = {id(side): comparable(side.run(word)) for side in order}
@@ -128,7 +158,7 @@ def main(argv=None) -> int:
             return 1
 
     print(f"q={args.q} n={args.n} k={args.k} t={args.t} subfield={args.subfield} "
-          f"words={args.words} seed={args.seed}: every outcome equal")
+          f"words={args.words} seed={args.seed}: every table and every outcome equal")
     print(f"{'stage':<12}{'parent p50 ms':>15}{'change p50 ms':>15}{'ratio':>8}")
     for stage in STAGES:
         p50 = [statistics.median(side.times[stage]) for side in sides]
