@@ -68,13 +68,17 @@ class ChannelSpec:
             raise InvalidParameter("subfield-only errors exist only for t <= n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorDecomposition:
     """A planted decomposition e = a . B: a packs the t column elements, (t, 2n),
-    and B is the (t, 2n) F_q row-space matrix."""
+    and B is the (t, 2n) F_q row-space matrix.  Two are equal when both arrays are."""
 
     a: np.ndarray
     B: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, ErrorDecomposition)
+                and np.array_equal(self.a, other.a) and np.array_equal(self.B, other.B))
 
 
 def random_message(code: TZCode, rng) -> tuple:

@@ -62,8 +62,9 @@ def is_valid_gamma(ctx: FieldCtx, g: FF2n) -> bool:
 
 
 def find_gamma(ctx: FieldCtx) -> FF2n:
-    """First element with non-square norm, in coefficient-lexicographic order."""
-    for idx in range(ctx.q**ctx.m):
+    """First element with non-square norm, in coefficient-lexicographic order past the
+    q scalars, whose norms c^(2n) are squares."""
+    for idx in range(ctx.q, ctx.q**ctx.m):
         g = ctx.element_from_index(idx)
         if is_valid_gamma(ctx, g):
             return g
@@ -128,11 +129,11 @@ def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, dual: np.ndarray) 
     message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
     """
     q, n, m = ctx.q, ctx.n, ctx.m
-    f = ctx.mul_matrix(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
+    f = ctx._mul_factor(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
     eye = np.eye(m, dtype=np.int64)
     conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
-    to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
-    to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
+    to_b = (eye - ctx._frob_rows[n]) @ ctx._mul_factor(conj_gap) % q
+    to_a = (eye - to_b @ ctx._mul_factor(gamma.coeffs)) % q
     to_digits = ctx.subfield_digits(np.stack([to_a, to_b], axis=1))  # [row, (a, b), digit]
     ab = ctx._dot(f, to_digits.reshape(m, 2 * n)).reshape(k + 1, m, m, 2, n)
     ab = ab.transpose(1, 2, 0, 3, 4).reshape(m * m, 2 * k + 2, n)  # [j r, i (a, b), digit]
@@ -195,7 +196,7 @@ class TZCode:
         # element, which every entry of G shares.  Both maps are held once, in
         # the work dtype: a product with either sums at most 4n^2 products of
         # reduced entries, inside FieldCtx's bound
-        by_basis = ctx.mul_matrix(np.asarray(ctx._subfield_mat, ctx._work))
+        by_basis = ctx._mul_factor(np.asarray(ctx._subfield_mat, ctx._work))
         self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
         dual = np.asarray(ctx.mul(xi_inv, mu_elems), ctx._work)
         self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, dual)

@@ -114,9 +114,9 @@ def syndrome(code: TZCode, r) -> np.ndarray:
     return ff_mat_vec(code._H_work, r, code.ctx)
 
 
-def _odd_powers(ctx, s) -> np.ndarray:
-    """[x, c] = s_(2x+1)^(q^c), c < 2n, in the work dtype: the odd entries under every power map."""
-    return ctx.frob_powers(np.asarray(s[1::2], ctx._work))
+def _odd_powers(ctx, s, count=None) -> np.ndarray:
+    """[x, c] = s_(2x+1)^(q^c), c < count (2n by default), in the work dtype: the odd entries."""
+    return ctx.frob_powers(np.asarray(s[1::2], ctx._work), count)
 
 
 def _shifted(pw, top: int, rows, cols: int) -> np.ndarray:
@@ -133,7 +133,7 @@ def build_S(code: TZCode, s, u: int) -> np.ndarray:
     m, k = code.ctx.m, code.k
     if not 1 <= u <= (m - (k + 1)) // 2:
         raise IndexError(f"u must satisfy 1 <= u <= {(m - (k + 1)) // 2}, got {u}")
-    return _shifted(_odd_powers(code.ctx, s), u + 1, range(u), u + 1).astype(np.int64)
+    return _shifted(_odd_powers(code.ctx, s, u + 1), u + 1, range(u), u + 1).astype(np.int64)
 
 
 def estimate_rank(code: TZCode, s):
@@ -173,7 +173,7 @@ def build_S_exp(code: TZCode, s) -> np.ndarray:
     # which wraps to the final entry s_(4t-1)
     trace_rows = _shifted(ctx._mod(ps + np.roll(ps, ctx.n, axis=1)), t, range(t), t + 1)
     g2t = ctx.frob(np.asarray(code.gamma.coeffs, ctx._work), 2 * t)
-    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0, 1:], ctx.mul_matrix(g2t))
+    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0, 1:], ctx._mul_factor(g2t))
     last = np.concatenate([ctx.trace(s[:1]), ctx.trace(twisted)])
     plain_rows = _shifted(ps, t, range(1, t), t + 1)
     return np.concatenate([plain_rows, trace_rows, last[None]]).astype(np.int64)
@@ -210,7 +210,7 @@ def solve_span(S, ctx, rows=None):
     ratio = ctx.mul(np.concatenate([piv[:, free], piv[:, t]]), np.concatenate([inv, inv]))
     fr, tr = ratio.reshape(2, rank + 1, ctx.m)  # columns f, t over each pivot; tr[rank] = -lam
     plain = _monic(ctx, fr[:rank]) if free == rank else None
-    scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx.mul_matrix(tr[rank]))
+    scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx._mul_factor(tr[rank]))
     if not np.array_equal(a[rows:, t], scaled[rank:]):
         return rank, plain, None
     return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))

@@ -15,36 +15,42 @@ library builds holds a read-only int64 array of shape (2n,), reduced into
 their coefficient bytes are, which is also what an element hashes.  The
 FieldCtx kernels broadcast over the leading axes:
 
-* mul: stacked convolution (each a against the Toeplitz blocks of b, one
-  batched matmul), then a fold through the reduction table, the rows
-  x^d mod f for d <= 4n-2;
 * mul_matrix: the 2n x 2n matrices M(a) with v M(a) = a v, one matmul of
   a with the multiplication table, whose row d holds M(x^d) (row u of it
-  is x^(d+u) mod f).  Products of one element with many others go through
-  it: each elimination pivot, the matrix-vector product and the span read;
+  is x^(d+u) mod f).  Every product goes through it: each elimination
+  pivot, the matrix-vector product, the span read and the span's term
+  matrices;
+* mul: a b as a M(b), M taken of the operand with fewer entries: one table
+  product, one batched row product and one reduction;
 * frob: a^(q^i) as one matmul with the i-th of the stacked Frobenius
   powers, the powers of the map whose row j is (x^q)^j, with x^q mod f
   found by square-and-multiply;
-* frob_powers: every a^(q^i), i < 2n, as one matmul with the
-  Frobenius-power table, which lays those powers side by side; it serves
-  the syndrome matrices and the code's transform table;
+* frob_powers: the a^(q^i), i < count, as one matmul with the first count
+  blocks of the Frobenius-power table, which lays the 2n powers side by
+  side; it serves the syndrome matrices and the code's transform table;
 * inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
   addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
   a^-1 = b N(a)^-1; the absolute norm is the same a b.
 
-The reduction table also serves the Rabin irreducibility test of each
-candidate modulus.  FieldCtx builds each table once: the reduction table,
-the stacked Frobenius powers, the multiplication and Frobenius-power tables
-as (2n, 4n^2) F_q matrices, and the reduced-echelon basis of F_{q^n} with
-the columns at which an element of F_{q^n} holds its digits in that basis
-(subfield_digits).  Every fold stays exact in int64 only while
-2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; every
-kernel keeps its running sums inside that bound by reducing mod q before it
-sums further.  The kernels compute in the dtype they are given.
+The reduction table, the rows x^d mod f for d <= 4n-2, folds the raw
+products of the Rabin irreducibility test of each candidate modulus.
+FieldCtx builds each table once: the reduction table, the stacked
+Frobenius powers, the multiplication and Frobenius-power tables as
+(2n, 4n^2) F_q matrices, and the reduced-echelon basis of F_{q^n} with the
+columns at which an element of F_{q^n} holds its digits in that basis
+(subfield_digits).  A fold stays exact in int64 only while
+2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; so does
+any product of reduced rows with reduced tables or matrices.  A
+multiplication matrix that feeds one more product enters it unreduced
+(FieldCtx._mul_factor), that product taking the only reduction, wherever
+the largest sum it then meets, an ff_mat_vec block below 8n^3(q-1)^3 + q,
+stays exact in the work dtype: FieldCtx works this out once from q and n
+(FieldCtx._lazy), and elsewhere the same kernels reduce the matrix first.
+The kernels compute in the dtype they are given, mul in the work dtype.
 The callers with long eliminations or large products hand them
-FieldCtx._work, which is float64 whenever the bound times q stays below
-2^53: every value is then an exact integer, and BLAS multiplies float64
-matrices many times faster than numpy multiplies int64 ones.  Those
+FieldCtx._work, which is float64 whenever the admitted bound times q stays
+below 2^53: every value is then an exact integer, and BLAS multiplies
+float64 matrices many times faster than numpy multiplies int64 ones.  Those
 callers are the eliminations of linalg (ff_rref's pivot normalisation
 included), ff_mat_vec, the code's membership and encode maps, which TZCode
 holds in the work dtype, and linpoly.root_space's action matrix.  Each
@@ -108,8 +114,8 @@ def _toeplitz(b) -> np.ndarray:
     """(..., m, 2m-1) Toeplitz blocks of a (..., m) array: [j, d] = b_(d-j).
 
     Row j holds the coefficients of b x^j before reduction, so a convolution
-    a * b is a @ _toeplitz(b), and many products against one b share it.
-    The blocks are a strided view of one padded copy of b.
+    a * b is a @ _toeplitz(b).  The blocks are a strided view of one padded
+    copy of b.
     """
     m = b.shape[-1]
     pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
@@ -119,15 +125,6 @@ def _toeplitz(b) -> np.ndarray:
     windows = np.ndarray(b.shape[:-1] + (m, 2 * m - 1), b.dtype, r, 0,
                          r.strides[:-1] + (step, step))
     return windows[..., ::-1]
-
-
-def _convolve(a, b) -> np.ndarray:
-    """Raw products of two broadcasting (..., m) coefficient arrays, length 2m-1."""
-    if a.ndim == b.ndim == 1:
-        return np.convolve(a, b)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    return (a[..., None, :] @ _toeplitz(b))[..., 0, :]
 
 
 def _rabin(q, coeffs):
@@ -147,7 +144,7 @@ def _rabin(q, coeffs):
     red = _reduction_table(q, coeffs)
 
     def mul(a, b):
-        return (_convolve(a, b) @ red) % q
+        return (np.convolve(a, b) @ red) % q
 
     x = red[1]
     xq = x
@@ -212,16 +209,14 @@ class FieldCtx:
     def __init__(self, q: int, n: int, modulus=None):
         if n < 1:
             raise InvalidParameter(f"n must be positive, got {n}")
-        # mul folds a raw product c = a*b (entries < q) through the table:
-        # with m = 2n, c_d sums at most min(d+1, 2m-1-d) terms below (q-1)^2;
-        # output i takes c_i itself (d < m, at most m (q-1)^2) plus
-        # c_d * (x^d mod f)_i for d = m .. 2m-2, at most
-        # (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  All of it stays in int64
-        # only while 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63.  For q >= 3 that sum is
-        # at least m^2 (q-1)^2, so any sum of m^2 products of two reduced
-        # entries is safe too: the matrix kernels (a row against m x m
-        # multiplication or Frobenius matrices, 2n products of 2n terms in a
-        # matrix-vector convolution) reduce mod q before they sum further.
+        # The admitted bound is the largest sum in a raw product folded
+        # through the reduction table, as _rabin folds it: with m = 2n, raw
+        # entry d sums at most min(d+1, 2m-1-d) terms below (q-1)^2, and an
+        # output takes one of them (at most m (q-1)^2) plus the raw entries
+        # d = m .. 2m-2 times table entries, at most
+        # (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  For q >= 3 it is at
+        # least m^2 (q-1)^2, so any product of reduced rows with reduced
+        # tables or matrices, m^2 terms at most, stays inside it.
         bound = 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
         if bound >= 2**63:
             raise InvalidParameter(f"q={q}, n={n} overflows int64 field arithmetic")
@@ -255,6 +250,15 @@ class FieldCtx:
         # float64 products are small and were tuned single-threaded, the way
         # the benchmark runs them with BLAS pinned to one thread.
         self._work = np.dtype(np.float64 if bound * q < 2**53 else np.int64)
+        # A multiplication matrix M(b) = b @ _mul_tensor that feeds one more
+        # product may enter it unreduced, that product taking the only
+        # reduction, while the largest such sum stays exact in the work
+        # dtype: an unreduced entry of M(b) is below 2n(q-1)^2, a reduced
+        # row times M(b) below 4n^2(q-1)^3, and ff_mat_vec's block of 2n
+        # columns plus its reduced running sum below 8n^3(q-1)^3 + q.  Where
+        # that sum is not exact, _mul_factor reduces M(b) first.
+        unreduced = 8 * n**3 * (q - 1) ** 3 + q
+        self._lazy = unreduced * q < 2**53 if self._work.kind == "f" else unreduced < 2**63
         # the two F_q tables, held in the work dtype, that the hot kernels
         # multiply by: row d of _mul_tensor is M(x^d), whose row u is
         # x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u of M(a);
@@ -371,7 +375,7 @@ class FieldCtx:
         return build(arr)
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
-        """x mod q entrywise, for int64 or for work-dtype x below the fold bound.
+        """x mod q entrywise, for int64 x or for float x whose magnitude times q is below 2^53.
 
         A float x is overwritten.
         """
@@ -384,7 +388,7 @@ class FieldCtx:
         return x
 
     def _dot(self, a: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
-        """a @ b, mod q unless reduce is False; exact while its sums stay within the fold bound.
+        """a @ b, mod q unless reduce is False; exact while its sums stay inside the dtype's bound.
 
         A stack of rows against one matrix is a single matrix product.
         """
@@ -394,20 +398,26 @@ class FieldCtx:
             out = a @ b
         return self._mod(out) if reduce else out
 
-    def fold(self, conv: np.ndarray) -> np.ndarray:
-        """Reduce (..., 4n-1) raw products, each no larger than one product's, mod f."""
-        return self._dot(conv, self._red)
-
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entrywise products of two broadcasting packed arrays."""
-        return self.fold(_convolve(a, b))
+        """Entrywise products of broadcasting packed arrays: a M(b) in the work dtype, reduced once.
 
-    def _by_table(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """(..., 2n, 2n): a times a (2n, 4n^2) table, reduced, in a's dtype.
-
-        The tables are held in the work dtype; an a of another dtype casts its table.
+        M is of the operand with fewer entries; the products leave in the operands' dtype.
         """
-        return self._dot(a, table.astype(a.dtype, copy=False)).reshape(a.shape + (self.m,))
+        dtype = np.result_type(a, b)
+        if a[..., 0].size < b[..., 0].size:
+            a, b = b, a
+        by = self._mul_factor(np.asarray(b, self._work))
+        out = self._dot(np.asarray(a, self._work)[..., None, :], by, False)[..., 0, :]
+        return self._mod(out.astype(dtype, copy=False))
+
+    def _by_table(self, a: np.ndarray, table: np.ndarray, reduce: bool = True) -> np.ndarray:
+        """(..., blocks, 2n): a times a (2n, blocks 2n) table, reduced unless reduce is False.
+
+        The product runs in a's dtype: the tables are held in the work dtype, and
+        an a of another dtype casts its table.
+        """
+        out = self._dot(a, table.astype(a.dtype, copy=False), reduce)
+        return out.reshape(a.shape[:-1] + (table.shape[1] // self.m, self.m))
 
     def mul_matrix(self, a: np.ndarray) -> np.ndarray:
         """(..., 2n, 2n) matrices M with v @ M = a v, one per entry of a.
@@ -416,9 +426,13 @@ class FieldCtx:
         """
         return self._by_table(a, self._mul_tensor)
 
-    def frob_powers(self, a: np.ndarray) -> np.ndarray:
-        """(..., 2n, 2n) powers a^(q^i), i < 2n, per entry of a, from the power table."""
-        return self._by_table(a, self._frob_tensor)
+    def _mul_factor(self, a: np.ndarray) -> np.ndarray:
+        """mul_matrix(a) for one more product that reduces: unreduced wherever _lazy allows."""
+        return self._by_table(a, self._mul_tensor, not self._lazy)
+
+    def frob_powers(self, a: np.ndarray, count=None) -> np.ndarray:
+        """(..., count, 2n) powers a^(q^i), i < count (2n by default), from the power table."""
+        return self._by_table(a, self._frob_tensor[:, : (count or self.m) * self.m])
 
     def frob(self, a: np.ndarray, i) -> np.ndarray:
         """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries."""

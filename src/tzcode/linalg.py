@@ -29,9 +29,11 @@ Over F_{q^2n} elimination is fraction-free Gauss-Jordan, one numpy step per
 pivot: every row becomes p row - f pivot_row, with p the pivot and f the
 row's entry in the pivot column.  One product with the field's
 multiplication table gives the multiplication matrix of every entry of
-the pivot row (FieldCtx.mul_matrix).  The first, p's, scales the whole
-matrix in one product; laid side by side, they give every f pivot_row in
-one more; and one reduction mod q follows.  No inverse is taken per
+the pivot row (FieldCtx.mul_matrix), unreduced where FieldCtx._lazy
+allows.  The first, p's, scales the whole matrix in one product; laid side
+by side, they give every f pivot_row in one more; and the one reduction
+mod q follows (a second reduces the matrices first where they may not
+stay unreduced).  The scan stops as over F_q.  No inverse is taken per
 pivot; one batched inverse of the pivots normalises the rows at the end,
 which gives the same unique reduced form.
 All of it runs in the field's work dtype (field.py), and ff_rref hands the
@@ -83,15 +85,15 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
 
     Entry j of v meets column j of a through its multiplication matrix
     (FieldCtx.mul_matrix), so a v is one F_q product of a's coefficient rows
-    with those matrices stacked.  A block of 2n columns adds at most (2n)^2
-    products of reduced entries, inside FieldCtx's bound, so the product runs
-    in blocks of 2n columns and the running sum is reduced after every block.
-    A matrix already in the work dtype, as TZCode holds H and N, is not cast.
+    with those matrices stacked, unreduced where FieldCtx._lazy allows.  It
+    runs in blocks of 2n columns, whose sums FieldCtx keeps exact, and the
+    running sum is reduced after every block.  A matrix already in the work
+    dtype, as TZCode holds H and N, is not cast.
     """
     ctx, a = _packed(a, ctx)
     w, m = ctx._work, ctx.m
     a = a.astype(w, copy=False).reshape(len(a), -1)
-    by = ctx.mul_matrix(ctx.pack(v).astype(w, copy=False)).reshape(-1, m)  # row j 2n + u: v_j x^u
+    by = ctx._mul_factor(ctx.pack(v).astype(w, copy=False)).reshape(-1, m)  # row j 2n + u: v_j x^u
     out = np.zeros((len(a), m), dtype=w)
     for i in range(0, a.shape[1], m * m):
         out = ctx._mod(out + ctx._dot(a[:, i : i + m * m], by[i : i + m * m], reduce=False))
@@ -114,6 +116,8 @@ def _eliminate(ctx, a, rows=None):
             break
         nz = np.flatnonzero(a[r:rows, c].any(axis=1))
         if nz.size == 0:
+            if not a[r:rows, c:].any():
+                break
             continue
         if nz[0]:
             a[[r, r + nz[0]]] = a[[r + nz[0], r]]
@@ -122,7 +126,7 @@ def _eliminate(ctx, a, rows=None):
         # every row becomes p row - f pivot_row; the pivot row is zero left of c.
         # by[j] multiplies by the pivot row's entry j, by[0] by the pivot p;
         # side by side, f @ by gives f times every entry of the pivot row
-        by = ctx.mul_matrix(a[r, c:])
+        by = ctx._mul_factor(a[r, c:])
         side_by_side = by.transpose(1, 0, 2).reshape(m, -1)
         a = ctx._dot(a, by[0], reduce=False)
         a[:, c:] -= ctx._dot(f, side_by_side, reduce=False).reshape(a[:, c:].shape)

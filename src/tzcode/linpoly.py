@@ -64,10 +64,11 @@ def _term_matrices(ctx, coeffs) -> np.ndarray:
 
     f is given by its packed coefficients, F^i holds the rows of the q^i-th
     power map and M(f_i) multiplication by f_i, so x @ F^i @ M(f_i) =
-    f_i x^(q^i) on a coefficient row x; each entry sums 2n products.
+    f_i x^(q^i) on a coefficient row x; each entry sums 2n products of
+    F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy allows.
     """
     frob = ctx._frob_rows[np.arange(len(coeffs)) % ctx.m]  # F^(2n) is F^0
-    return ctx._mod(frob @ ctx.mul_matrix(np.asarray(coeffs, ctx._work)))
+    return ctx._mod(frob @ ctx._mul_factor(np.asarray(coeffs, ctx._work)))
 
 
 def root_space(f: LinPoly) -> np.ndarray:

@@ -246,11 +246,19 @@ def is_codeword_by_trace(code, v) -> bool:
     return True
 
 
+def fold(ctx, conv) -> np.ndarray:
+    """Reduce (..., 4n-1) raw products, each no larger than one product's,
+    mod the field's modulus through its reduction table: how FieldCtx.mul
+    finished a product before it became a product with a multiplication
+    matrix."""
+    return ctx._dot(conv, ctx._red)
+
+
 def ref_mul_matrix(ctx, a) -> np.ndarray:
     """(..., 2n, 2n) multiplication matrices by a Toeplitz fold: row u is the
     raw product a x^u reduced through the table, the form src/ replaced with
     one product of a with FieldCtx's multiplication table."""
-    return ctx.fold(_toeplitz(a))
+    return fold(ctx, _toeplitz(a))
 
 
 def outer(ctx, a, b) -> np.ndarray:
@@ -259,7 +267,7 @@ def outer(ctx, a, b) -> np.ndarray:
     src/ takes products of one element with many from its multiplication
     matrix instead."""
     blocks = _toeplitz(b).transpose(1, 0, 2).reshape(ctx.m, -1)
-    return ctx.fold(ctx._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
+    return fold(ctx, ctx._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
 
 
 def ref_fq_rref(a, q):

@@ -26,6 +26,14 @@ def test_zero_rank_error_is_zero_vector(code5):
     assert decomp.a.shape == (0, 4) and decomp.B.shape == (0, 4)
 
 
+def test_decompositions_compare_by_value(code5):
+    spec = ChannelSpec(t=2)
+    first, again, other = (random_error(code5, spec, trial_rng(seed, 0))[1] for seed in (7, 7, 8))
+    assert first is not again and first == again and not first != again
+    assert first != other
+    assert first != (first.a, first.B)
+
+
 def test_error_rank_matches_target(code5, code332):
     for code in (code5, code332):
         for t in range(0, code.ctx.m + 1):

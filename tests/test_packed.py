@@ -16,6 +16,7 @@ a fold back fails here and not only in a noisy timing.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tzcode.construct import is_valid_gamma
 from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
+from tzcode import linalg
 from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 from tzcode.linpoly import root_space
 
@@ -35,6 +37,12 @@ from conftest import (elements, encode_by_rows, ff_kernel, outer, plant, qvan, r
 
 def _fold_bound(q, n):
     return 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
+
+
+def _unreduced_bound(q, n):
+    """The largest sum an unreduced multiplication matrix enters: ff_mat_vec's
+    block of 2n columns, below 8n^3(q-1)^3, plus its reduced running sum."""
+    return 8 * n**3 * (q - 1) ** 3 + q
 
 
 def _largest_prime(ok):
@@ -55,9 +63,17 @@ def _edge_q(edge):
     return _largest_prime(lambda v: _fold_bound(v, 2) * v < 2**53)
 
 
+def _unreduced_edge_q(edge):
+    """The largest q at n = 2 whose multiplication matrices still enter their
+    next product unreduced in the work dtype edge."""
+    if edge == "int64":
+        return _largest_prime(lambda v: _unreduced_bound(v, 2) < 2**63)
+    return _largest_prime(lambda v: _unreduced_bound(v, 2) * v < 2**53)
+
+
 def _code_with_random_gamma(ctx, k, rng):
-    """A code whose gamma is drawn at random: at large q the default search
-    would first scan all q scalars, whose norms are squares."""
+    """A code whose gamma is drawn at random rather than taken from the
+    default search."""
     while True:
         gamma = ctx.random_element(rng)
         if is_valid_gamma(ctx, gamma):
@@ -165,6 +181,40 @@ def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
     _check_elimination(ctx, mat)
 
 
+@pytest.mark.parametrize("above", [False, True], ids=["unreduced", "reduced"])
+@pytest.mark.parametrize("edge", ["int64", "float64"])
+def test_products_at_the_unreduced_budget_edge(edge, above):
+    """At the largest q whose multiplication matrices enter their next product
+    unreduced, and at the next q, where they are reduced first, every kernel
+    that multiplies by one matches the Python-int products on operands whose
+    coefficients are all q-1."""
+    q = _unreduced_edge_q(edge)
+    if above:
+        q = next(p for p in range(q + 1, 2 * q) if _is_prime(p) and p % 4 == 1)
+    ctx = FieldCtx(q, 2)
+    assert (ctx._work, ctx._lazy) == (np.dtype(edge), not above)
+    m = ctx.m
+    full = np.full(m, q - 1)
+    square = int_mulmod(ctx, full, full)
+    for dt in _dtypes(ctx):
+        x = full.astype(dt)
+        batch = np.tile(x, (3, 1))
+        for prod in (ctx.mul(x, x)[None], ctx.mul(batch, batch), ctx.mul(batch, x),
+                     ctx.mul(x, batch)):
+            assert prod.dtype == dt and prod.tolist() == [square] * len(prod)
+        assert ctx.mul_matrix(x).tolist() == [int_mulmod(ctx, full, unit) for unit in np.eye(m)]
+        assert all(int_mulmod(ctx, full, y) == ctx.one.coeffs.tolist() for y in ctx.inv(batch))
+    # every row becomes p row - f pivot_row with p = f: the pivot row turns
+    # into p row, the other row into zero, and the scan stops at column 1
+    mat = np.full((2, 2 * m + 1, m), q - 1)
+    rows, pivots = _eliminate(ctx, mat)
+    assert pivots == [0]
+    assert rows.tolist() == [[square] * (2 * m + 1), [[0] * m] * (2 * m + 1)]
+    # over more than one block of 2n columns
+    for a in (mat, mat.astype(ctx._work)):
+        assert ff_mat_vec(a, mat[0], ctx).tolist() == [[v * (2 * m + 1) % q for v in square]] * 2
+
+
 @pytest.mark.parametrize("edge", ["int64", "float64"])
 def test_code_maps_and_decoding_at_the_largest_q_each_dtype_admits(edge):
     ctx = FieldCtx(_edge_q(edge), 2)
@@ -232,29 +282,73 @@ def test_results_leave_as_int64(q, n, k):
         assert arr.dtype == np.int64
 
 
-@pytest.mark.parametrize("k, t, subfield", [(2, 11, True), (1, 6, False)],
-                         ids=["S_exp-bounded", "S_umax"])
-def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
-    """Each pivot: one table product for mul_matrix, two row products, and one
-    reduction each; the syndrome: one table product and one block product."""
-    ctx = FieldCtx(3, 12)
-    code = build_code(ctx, k)
-    r = ctx.pack(plant(code, t, rng_for(260 + k), subfield=subfield)[-1])
+def _count_kernels(monkeypatch) -> Counter:
+    """Count the calls of FieldCtx._dot (one product each) and FieldCtx._mod
+    (one reduction each) from here on."""
     calls = Counter()
     for name in ("_dot", "_mod"):
         def counted(self, *args, _name=name, _kernel=getattr(FieldCtx, name), **kwargs):
             calls[_name] += 1
             return _kernel(self, *args, **kwargs)
         monkeypatch.setattr(FieldCtx, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, t, subfield", [(2, 11, True), (1, 6, False)],
+                         ids=["S_exp-bounded", "S_umax"])
+def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
+    """Each pivot: one table product for the unreduced multiplication matrices,
+    two row products, and one reduction; the syndrome: one table product and
+    one block product, and one reduction."""
+    ctx = FieldCtx(3, 12)
+    assert ctx._lazy
+    code = build_code(ctx, k)
+    r = ctx.pack(plant(code, t, rng_for(260 + k), subfield=subfield)[-1])
+    calls = _count_kernels(monkeypatch)
     s = syndrome(code, r)
-    assert calls == {"_dot": 2, "_mod": 2}
+    assert calls == {"_dot": 2, "_mod": 1}
     # the boundary S_exp pivots from its t-1 plain rows, S^(u_max) has rank t
     S, rows, rank = ((build_S_exp(code, s), t - 1, t - 1) if k % 2 == 0
                      else (build_S(code, s, (ctx.m - k - 1) // 2), None, t))
     calls.clear()
     pivots = _eliminate(ctx, S, rows)[1]
     assert pivots == list(range(rank))
-    assert calls == {"_dot": 3 * rank, "_mod": 2 * rank}
+    assert calls == {"_dot": 3 * rank, "_mod": rank}
+
+
+def test_elimination_stops_below_the_last_pivot(monkeypatch):
+    """The 11 x 12 S^(u_max) at (3,12,1) of a rank-6 error has its rows below
+    the sixth pivot zero from column 6 on, so the scan ends at column 6 and
+    never reaches columns 7..11.  Each scanned column seeks its pivot with one
+    np.flatnonzero in linalg."""
+    ctx = FieldCtx(3, 12)
+    code = build_code(ctx, 1)
+    s = syndrome(code, ctx.pack(plant(code, 6, rng_for(265))[-1]))
+    S = build_S(code, s, 11)
+    assert S.shape[:2] == (11, 12)
+    scans = []
+
+    def flatnonzero(x):
+        scans.append(len(x))
+        return np.flatnonzero(x)
+
+    monkeypatch.setattr(linalg, "np", SimpleNamespace(**{**vars(np), "flatnonzero": flatnonzero}))
+    assert _eliminate(ctx, S)[1] == list(range(6))
+    assert len(scans) == 7  # columns 0..6
+
+
+def test_kernel_calls_per_inverse(monkeypatch):
+    """ctx.inv at 2n = 24: the conorm's addition chain follows the bits 0111
+    of 23 after the leading one, 4 doublings and 3 increments, each one
+    Frobenius map (a product and a reduction) and one field product (a table
+    product, a row product and one reduction); then the last Frobenius map,
+    the norm product and the scaling by the norm's reciprocal."""
+    ctx = FieldCtx(3, 12)
+    a = rng_for(266).integers(0, 3, (6, ctx.m)).astype(ctx._work)
+    a[:, 0] = 1
+    calls = _count_kernels(monkeypatch)
+    ctx.inv(a)
+    assert calls == {"_dot": 7 * 3 + 1 + 2, "_mod": 7 * 2 + 1 + 1 + 1}
 
 
 def test_inverse_of_zero_raises_in_a_batch(ctx5):

@@ -31,7 +31,8 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS")
 STAGES = ("setup", "syndrome", "build", "solve_span", "decode")
-SETUP_PAIRS = 10
+# 40 pairs resolve a set-up ratio to a few percent; 10 left it at about +-12%
+SETUP_PAIRS = 40
 # the tables of a code that both trees must build alike
 TABLES = ("G", "H", "_H_work", "_N_work", "_enc_mat", "msg_left_inverse")
 
