@@ -11,29 +11,27 @@ G and H are packed (rows, 2n, 2n) arrays (field.py), built by batched
 Frobenius maps and products.
 
 The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
-of a message to the 4n^2 coefficients of its codeword.  encode multiplies by
-it.  Its left inverse, msg_left_inverse, is not found by elimination: it is
-read off the trace-dual basis lambda* in closed form.  A codeword is
-c_j = f(lambda_j) for the linearized polynomial f = sum_i f_i x^(q^i) of its
-message, and sum_j lambda_j^(q^i) lambda*_j = delta_i0 gives
-f_i = sum_j c_j (lambda*_j)^(q^i); splitting f_i = a_i + gamma b_i over
-F_{q^n} gives the message entries.  The single membership test reads a
-packed word's digits off that left inverse and accepts the word when
-re-applying _enc_mat gives it back; unmap, is_codeword and the decoder all
-use it, on words that pack_word has checked for length and field.  Both
-maps are held once, in the field's work dtype (FieldCtx._work), so their
-products run through BLAS wherever that dtype is float64; digits and
-codewords leave them as int64.  H and the decoder's table N are held twice,
-as the public int64 arrays and as private work-dtype copies that the
-decoder's products take uncast.
+of a message to the 4n^2 coefficients of its codeword, which encode and the
+exhaustive oracles multiply by; no inverse of it is held.  For any word w,
+sum_j lambda_j^(q^i) lambda*_j = delta_i0 makes F_i(w) = sum_j w_j (lambda*_j)^(q^i)
+the coefficients of the q-polynomial that interpolates w on lambda.  With
+F_i = a_i + gamma b_i split over F_{q^n}, w is a codeword exactly when F_i = 0
+for k < i < 2n, b_0 = 0 and a_k = 0, and a_0, a_1, b_1, ..., b_k are its
+message.  One read table, H over mu^(q^i) for i <= k, gives a word's
+syndrome and its sigma_(i-k) = xi^(q^(i-k)) F_i; k+1 F_q maps split these.
+unmap tests membership as is_codeword does, by the code's definition (zero
+relative trace of the syndrome), and splits the k+1 entries; the decoder's
+corrected word has F_i = 0 for k < i < 2n by construction, so it tests b_0
+and a_k alone.  Every table is held in the field's work dtype
+(FieldCtx._work), so products run through BLAS wherever it is float64;
+H and N are also held as public int64 arrays.
 
 The decoder recovers an error e from its transform
 sigma_i = sum_j e_j (mu_j^(q^k))^(q^i), i in Z_2n.  nu = lam^(q^k) xi^-1 is
 the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
 sum_i nu_j^(q^i) sigma_i = sum_l e_l Tr(nu_j mu_l^(q^k)) = e_j: TZCode
 holds the packed table N[j, i] = nu_j^(q^i), and N sigma is the error.
-lam*, which the left inverse reads, and nu share the one inverse of
-xi^(q^(2n-k)).
+The split maps and nu share the one inverse of xi^(q^(2n-k)).
 """
 
 from __future__ import annotations
@@ -119,26 +117,17 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
     return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
 
 
-def _message_left_inverse(ctx: FieldCtx, k: int, gamma: FF2n, dual: np.ndarray) -> np.ndarray:
-    """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits, in ctx._work.
+def _split_maps(ctx: FieldCtx, gamma: FF2n, twists: np.ndarray) -> np.ndarray:
+    """(len twists, 2n, 4n) F_q maps in ctx._work: map i takes x to (a | b), a + gamma b = tw_i x.
 
-    dual is lam* packed in ctx._work.  The unit word alpha^r at entry j has
-    f_i = alpha^r (lam*_j)^(q^i), row r of the multiplication matrix of
-    (lam*_j)^(q^i).  b = (f - f^(q^n)) / (gamma - gamma^(q^n)) and a = f - gamma b
-    are F_q maps on coefficient rows, folded into the subfield digit map; the
-    message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
+    a, b lie in F_(q^n): b = (f - f^(q^n)) / (gamma - gamma^(q^n)), a = f - gamma b, f = tw_i x.
     """
-    q, n, m = ctx.q, ctx.n, ctx.m
-    f = ctx._mul_factor(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
-    eye = np.eye(m, dtype=np.int64)
+    q, n = ctx.q, ctx.n
+    eye = np.eye(ctx.m, dtype=np.int64)
     conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
-    to_b = (eye - ctx._frob_rows[n]) @ ctx._mul_factor(conj_gap) % q
-    to_a = (eye - to_b @ ctx._mul_factor(gamma.coeffs)) % q
-    to_digits = ctx.subfield_digits(np.stack([to_a, to_b], axis=1))  # [row, (a, b), digit]
-    ab = ctx._dot(f, to_digits.reshape(m, 2 * n)).reshape(k + 1, m, m, 2, n)
-    ab = ab.transpose(1, 2, 0, 3, 4).reshape(m * m, 2 * k + 2, n)  # [j r, i (a, b), digit]
-    keep = np.r_[0, 2:2 * k, 2 * k + 1]  # drop b_0 and a_k
-    return ab[:, keep].reshape(m * m, 2 * k * n)
+    to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
+    to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
+    return ctx._dot(ctx.mul_matrix(twists), np.concatenate([to_a, to_b], axis=1)).astype(ctx._work)
 
 
 class TZCode:
@@ -177,9 +166,10 @@ class TZCode:
             _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
             ctx.frob(mu_elems, k)[None],
         ])
-        # H and N (below) are also held in the work dtype, in which the
-        # decoder's syndrome and inverse transform multiply by them
-        self._H_work = np.asarray(self.H, ctx._work)
+        # the read table: H, then mu^(q^i) for i <= k; H's work copy is a view
+        tail = ctx.frob(mu_elems, np.arange(k + 1)[:, None])
+        self._HM_work = np.concatenate([self.H, tail]).astype(ctx._work)
+        self._H_work = self._HM_work[: len(self.H)]
 
         # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
         # trace-dual basis of mu^(q^k): one inverse serves both
@@ -189,33 +179,24 @@ class TZCode:
         # nu with the field's Frobenius-power table
         self._N_work = ctx.frob_powers(np.asarray(nu, ctx._work))
         self.N = np.asarray(self._N_work, np.int64)
+        # F_i = xi^(-q^(i-k)) sigma_(i-k), split into (a_i | b_i)
+        self._split_work = _split_maps(ctx, gamma, ctx.frob(xi_inv, np.arange(k + 1)))
 
         # the code as one F_q map: row i*n + j holds the coefficients of the
         # codeword of the message with subfield_basis[j] at entry i, zero
         # elsewhere: G's row i through the multiplication matrix of that basis
-        # element, which every entry of G shares.  Both maps are held once, in
-        # the work dtype: a product with either sums at most 4n^2 products of
-        # reduced entries, inside FieldCtx's bound
+        # element, which every entry of G shares.  Held in the work dtype: a
+        # product with it sums at most 2kn <= 4n^2 products of reduced
+        # entries, inside FieldCtx's bound
         by_basis = ctx._mul_factor(np.asarray(ctx._subfield_mat, ctx._work))
         self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
-        dual = np.asarray(ctx.mul(xi_inv, mu_elems), ctx._work)
-        self.msg_left_inverse = _message_left_inverse(ctx, k, gamma, dual)
-
-    def check_context(self, vec):
-        """Raise InvalidParameter unless every entry is an element of the code's field."""
-        ctx = self.ctx
-        for e in vec:
-            if not isinstance(e, FF2n):
-                raise InvalidParameter(f"entry {e!r} is not a field element")
-            if e.ctx is not ctx and e.ctx != ctx:
-                raise InvalidParameter(f"entry {e!r} lies in {e.ctx!r}, not in {ctx!r}")
 
     def validate_message(self, msg) -> np.ndarray:
         """The packed (2k, 2n) message; MessageNotInSubfield unless it is 2k elements of F_(q^n)."""
         msg = tuple(msg)
         if len(msg) != 2 * self.k:
             raise MessageNotInSubfield(f"message needs {2 * self.k} entries, got {len(msg)}")
-        self.check_context(msg)
+        self.ctx.check_elements(msg, "entry")
         packed = self.ctx.pack(msg)
         moved = (self.ctx.frob(packed, self.ctx.n) != packed).any(axis=1)
         if moved.any():
@@ -235,31 +216,35 @@ class TZCode:
         v = tuple(v)
         if len(v) != self.length:
             raise ValueError(f"word must have length {self.length}, got {len(v)}")
-        self.check_context(v)
+        self.ctx.check_elements(v, "entry")
         return self.ctx.pack(v)
 
-    def _message_digits(self, packed):
-        """Digits of the message encoding to a packed word, or None when it is not a codeword.
+    def _read(self, packed):
+        """(syndrome, sigma_(i-k) for i <= k) of a packed word: one product with the read table."""
+        read = ff_mat_vec(self._HM_work, packed, self.ctx)
+        return read[: len(self.H)], read[len(self.H) :]
 
-        Both products run in the work dtype of the maps; the digits leave as int64.
+    def _message(self, sigma):
+        """The packed message of the word with these sigma_(i-k), i <= k; None unless b_0 = a_k = 0.
+
+        sigma's entries lie in (-q, q): one batched product, 2n terms a sum.
         """
-        ctx = self.ctx
-        flat = packed.reshape(-1)
-        digits = ctx._mod(flat @ self.msg_left_inverse)
-        if not np.array_equal(ctx._mod(digits @ self._enc_mat), flat):
+        ctx, k = self.ctx, self.k
+        ab = ctx._dot(np.asarray(sigma, ctx._work)[:, None], self._split_work).reshape(-1, ctx.m)
+        if ab[1].any() or ab[2 * k].any():
             return None
-        return np.asarray(digits, np.int64)
+        return np.concatenate([ab[:1], ab[2 : 2 * k], ab[2 * k + 1 :]]).astype(np.int64)
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""
-        digits = self._message_digits(self.pack_word(cw))
-        if digits is None:
+        s, sigma = self._read(self.pack_word(cw))
+        if self.ctx.trace(s).any():
             raise NotACodeword("vector is not in the code")
-        return self.ctx.subfield_elements(digits)
+        return self.ctx.unpack(self._message(sigma))
 
     def is_codeword(self, v) -> bool:
-        """Membership: v is the encoding of the digits its left inverse reads off."""
-        return self._message_digits(self.pack_word(v)) is not None
+        """Membership: every entry of v H^T has zero relative trace."""
+        return not self.ctx.trace(ff_mat_vec(self._H_work, self.pack_word(v), self.ctx)).any()
 
     def __repr__(self):
         return (
@@ -287,8 +272,8 @@ def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
                xi: FF2n | None = None) -> TZCode:
     """Instantiate a code, filling in any of lam, gamma, xi that were omitted.
 
-    Supplied values are validated against their invariants; the structure of
-    G H^T is checked before the instance is returned.
+    Supplied values must lie in ctx and satisfy their invariants, else
+    InvalidParameter names them; G H^T's structure is checked before return.
     """
     if not 1 <= k <= ctx.m - 1:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {ctx.m - 1}, got {k}")
@@ -296,6 +281,9 @@ def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
         lam = ctx.power_basis
     elif not isinstance(lam, Basis):
         lam = Basis(lam)
+    for name, value, kind in (("lam", lam, Basis), ("gamma", gamma, FF2n), ("xi", xi, FF2n)):
+        if value is not None and not (isinstance(value, kind) and value.ctx == ctx):
+            raise InvalidParameter(f"{name} ({value!r}) does not lie in {ctx!r}")
     if gamma is None:
         gamma = find_gamma(ctx)
     elif not is_valid_gamma(ctx, gamma):

@@ -6,9 +6,10 @@ rank t and the error span polynomial Lambda off it; recover the error in
 the transform domain (error_from_span).  One finishing step (_finish)
 then makes the two residual checks in order, and a failure is named after
 the first that fails: the error must have rank t (else ErrorRankMismatch),
-and the packed corrected word must pass the code's single membership test,
-which also reads its message digits off (TZCode._message_digits; else
-NotACodeword).
+and the corrected word r - err must be a codeword (else NotACodeword).
+It reads r - err's transform entries sigma_(i-k), i <= k (construct.py):
+r's, which TZCode._read gives with the syndrome, less the k+1 values the
+recurrence filled; its higher entries vanish by construction.
 
 The odd syndrome entries are the error's transform sigma_1..sigma_(2n-k-1);
 error_from_span extends them by Lambda's q-recurrence and inverts the
@@ -39,9 +40,8 @@ s_j^(q^c) of the odd syndrome entries, which one product with the field's
 Frobenius-power table gives, and linalg eliminates them one numpy step per
 pivot.  The span polynomial is a packed (t+1, 2n) array, row i its
 coefficient of x^(q^i); each recurrence step is one F_q product, and the
-syndrome and the inverse transform are one ff_mat_vec each.  FF2n appears
-only where decode hands results back: the corrected word, the error and
-the message in DecodeOutcome.
+syndrome with the finish's k+1 entries, and the inverse transform, are one
+ff_mat_vec each.  FF2n appears only where decode hands results back.
 
 Decoding failures are returned as values, never raised.
 """
@@ -262,8 +262,8 @@ def error_from_decomposition(a, B, ctx) -> np.ndarray:
     return (B.T @ a) % ctx.q
 
 
-def error_from_span(code: TZCode, s, span) -> np.ndarray:
-    """The packed error whose transform extends the syndrome by the span's recurrence.
+def error_from_span(code: TZCode, s, span):
+    """(err, filled): the packed error whose transform extends s by the span's recurrence.
 
     The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)) over
     i in Z_2n; the odd syndrome entries s_(2i-1), i < 2n-k, are
@@ -277,7 +277,7 @@ def error_from_span(code: TZCode, s, span) -> np.ndarray:
     N sigma (TZCode.N).  The steps run on sigma in descending order,
     sigma_(2n-k-1) first, so that every window is one contiguous row block;
     a step sums t 2n <= 2n^2 products of reduced entries, inside FieldCtx's
-    bound for the work dtype.
+    bound for the work dtype.  filled is what the steps fill: sigma_(i-k), i <= k.
     """
     ctx, k, m = code.ctx, code.k, code.ctx.m
     t = len(span) - 1
@@ -286,23 +286,23 @@ def error_from_span(code: TZCode, s, span) -> np.ndarray:
     down[: m - k - 1] = s[-3::-2]
     for p in range(m - k - 1, m):
         down[p] = ctx._dot(down[p - t : p].reshape(-1), W)
-    return ff_mat_vec(code._N_work, down[(m - k - 1 - np.arange(m)) % m], ctx)
+    return ff_mat_vec(code._N_work, down[(m - k - 1 - np.arange(m)) % m], ctx), down[::-1][: k + 1]
 
 
-def _finish(code: TZCode, r, err, t: int) -> DecodeOutcome:
+def _finish(code: TZCode, r, sigma, t: int, err, filled) -> DecodeOutcome:
     """The corrected outcome on the packed word r, or the failure of the first check err fails.
 
-    The residual check keeps the bounded-distance promise: the error must
-    have rank t, and the corrected word r - err must be a codeword.
+    sigma is r's sigma_(i-k), i <= k, and filled err's (error_from_span).  The
+    residual check keeps the bounded-distance promise: err must have rank t,
+    and r - err must be a codeword.
     """
     ctx = code.ctx
     if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
-    cw = (r - err) % ctx.q
-    digits = code._message_digits(cw)
-    if digits is None:
+    msg = code._message(sigma - filled)
+    if msg is None:
         return DecodeOutcome.fail(NOT_A_CODEWORD)
-    return DecodeOutcome.ok(ctx.unpack(cw), ctx.unpack(err), ctx.subfield_elements(digits), t)
+    return DecodeOutcome.ok(ctx.unpack((r - err) % ctx.q), ctx.unpack(err), ctx.unpack(msg), t)
 
 
 def decode(code: TZCode, r) -> DecodeOutcome:
@@ -315,15 +315,15 @@ def decode(code: TZCode, r) -> DecodeOutcome:
     """
     ctx = code.ctx
     packed = code.pack_word(r)
-    s = syndrome(code, packed)
+    s, sigma = code._read(packed)
     if not ctx.trace(s).any():
-        return _finish(code, packed, np.zeros_like(packed), 0)
+        return _finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
         t_b = ctx.n - code.k // 2
         t, span, boundary = solve_span(build_S_exp(code, s), ctx, t_b - 1)
         if boundary is not None:
-            out = _finish(code, packed, error_from_span(code, s, boundary), t_b)
+            out = _finish(code, packed, sigma, t_b, *error_from_span(code, s, boundary))
             if out.success:
                 return out
     else:
@@ -332,4 +332,4 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, packed, error_from_span(code, s, span), t)
+    return _finish(code, packed, sigma, t, *error_from_span(code, s, span))

@@ -52,8 +52,8 @@ FieldCtx._work, which is float64 whenever the admitted bound times q stays
 below 2^53: every value is then an exact integer, and BLAS multiplies
 float64 matrices many times faster than numpy multiplies int64 ones.  Those
 callers are the eliminations of linalg (ff_rref's pivot normalisation
-included), ff_mat_vec, the code's membership and encode maps, which TZCode
-holds in the work dtype, and linpoly.root_space's action matrix.  Each
+included), ff_mat_vec, the decoder's recurrence, the tables TZCode holds
+(construct.py) and linpoly.root_space's action matrix.  Each
 casts its result back to int64 once, so every array and element the
 library hands out holds int64.  Where the bound keeps the work dtype int64
 the casts are no-ops.  The multiplication and Frobenius-power tables are
@@ -307,6 +307,12 @@ class FieldCtx:
     def random_element(self, rng) -> "FF2n":
         return FF2n(self, rng.integers(0, self.q, self.m, dtype=np.int64))
 
+    def check_elements(self, elems, what: str):
+        """InvalidParameter, naming what and the index at fault, unless all lie in this field."""
+        for j, e in enumerate(elems):
+            if not isinstance(e, FF2n) or e.ctx is not self and e.ctx != self:
+                raise InvalidParameter(f"{what} {j} ({e!r}) is not an element of {self!r}")
+
     # -- maps ------------------------------------------------------------------
 
     def frobenius(self, a: "FF2n", i: int) -> "FF2n":
@@ -488,7 +494,8 @@ class FF2n:
     """One element of F_{q^2n} as a coefficient vector in the power basis.
 
     Element arithmetic does not check that operands share a field; TZCode's
-    entry points (encode, decode, unmap, is_codeword) check every entry once.
+    entry points (encode, decode, unmap, is_codeword), Basis and build_code
+    check every element once (FieldCtx.check_elements).
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -567,7 +574,10 @@ class Basis:
         elems = tuple(elems)
         if not elems:
             raise InvalidParameter("a basis needs at least one element")
+        if not isinstance(elems[0], FF2n):
+            raise InvalidParameter(f"basis entry 0 ({elems[0]!r}) is not a field element")
         ctx = elems[0].ctx
+        ctx.check_elements(elems, "basis entry")
         if len(elems) != ctx.m:
             raise InvalidParameter(f"basis needs {ctx.m} elements, got {len(elems)}")
         expansion = np.stack([e.coeffs for e in elems], axis=1) % ctx.q

@@ -136,7 +136,7 @@ def ff_kernel(a, ctx=None) -> np.ndarray:
 
 
 def same_span(a, b) -> bool:
-    """Both None, or equal packed span polynomials."""
+    """Both None, or equal arrays: packed span polynomials, or message digits."""
     return a is b is None or a is not None and b is not None and np.array_equal(a, b)
 
 
@@ -233,6 +233,46 @@ def encode_by_rows(code, msg) -> tuple:
 def ref_msg_left_inverse(code) -> np.ndarray:
     """A left inverse of the code map found by F_q elimination, the form src/ replaced."""
     return fq_solve(code._enc_mat, np.eye(code._enc_mat.shape[0], dtype=np.int64), code.ctx.q)
+
+
+def message_left_inverse(code) -> np.ndarray:
+    """The (4n^2, 2kn) F_q map from a word's coefficients to its message digits, in closed form.
+
+    src/ once held it and read every membership and message through it; it
+    now splits the k+1 transform entries F_i instead.  lam* = xi^(-q^(2n-k)) mu
+    is the trace-dual basis of lam.  The unit word alpha^r at entry j has
+    f_i = alpha^r (lam*_j)^(q^i), row r of the multiplication matrix of
+    (lam*_j)^(q^i).  b = (f - f^(q^n)) / (gamma - gamma^(q^n)) and a = f - gamma b
+    are F_q maps on coefficient rows, folded into the subfield digit map; the
+    message is a_0, a_1, b_1, ..., a_(k-1), b_(k-1), b_k.
+    """
+    ctx, k, gamma = code.ctx, code.k, code.gamma
+    q, n, m = ctx.q, ctx.n, ctx.m
+    dual = ctx.mul(ctx.inv(code.xi.frobenius(m - k).coeffs), ctx.pack(code.mu))
+    f = ctx.mul_matrix(ctx.frob(dual, np.arange(k + 1)[:, None]))  # [i, j, r]: row r of f_i
+    eye = np.eye(m, dtype=np.int64)
+    conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
+    to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
+    to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
+    to_digits = ctx.subfield_digits(np.stack([to_a, to_b], axis=1))  # [row, (a, b), digit]
+    ab = (f @ to_digits.reshape(m, 2 * n) % q).reshape(k + 1, m, m, 2, n)
+    ab = ab.transpose(1, 2, 0, 3, 4).reshape(m * m, 2 * k + 2, n)  # [j r, i (a, b), digit]
+    keep = np.r_[0, 2:2 * k, 2 * k + 1]  # drop b_0 and a_k
+    return ab[:, keep].reshape(m * m, 2 * k * n)
+
+
+def ref_message_digits(code, v, left_inverse=None):
+    """The digits of the message encoding to the word v, or None when v is not a codeword.
+
+    The membership test src/ replaced: v is the encoding of the digits a
+    left inverse of the code map (message_left_inverse by default) reads off.
+    """
+    q = code.ctx.q
+    inverse = message_left_inverse(code) if left_inverse is None else left_inverse
+    enc = np.asarray(code._enc_mat, np.int64)
+    flat = code.ctx.pack(v).reshape(-1)
+    digits = flat @ inverse % q
+    return digits if np.array_equal(digits @ enc % q, flat) else None
 
 
 def is_codeword_by_trace(code, v) -> bool:

@@ -36,8 +36,11 @@ from conftest import (
     moore_mu,
     plant,
     random_subfield_element,
+    message_left_inverse,
+    ref_message_digits,
     ref_msg_left_inverse,
     rng_for,
+    same_span,
 )
 
 
@@ -351,7 +354,7 @@ def _random_gamma(ctx, rng):
 
 def _is_left_inverse(code):
     eye = np.eye(code._enc_mat.shape[0], dtype=np.int64)
-    return np.array_equal(code._enc_mat @ code.msg_left_inverse % code.ctx.q, eye)
+    return np.array_equal(code._enc_mat @ message_left_inverse(code) % code.ctx.q, eye)
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4),
@@ -389,23 +392,36 @@ def test_closed_form_mu_k_coords_invert_mu_k(q, n, k):
         assert np.array_equal(recover_B(code, mu_k), np.eye(ctx.m, dtype=np.int64))
 
 
-@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4)])
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4),
+                                     (5, 2, 1), (7, 2, 2), (3, 3, 2), (5, 3, 3)])
 def test_membership_agrees_with_eliminated_left_inverse(q, n, k):
+    # is_codeword (a zero relative trace of the syndrome) and unmap (a split
+    # of k+1 transform entries) against the eliminated and the closed-form
+    # left inverse and the entrywise trace test, on codewords, on codewords
+    # plus gamma x or x^(q^k) at lam (b_0 or a_k nonzero, every higher F_i
+    # zero), on corrupted codewords and on noise
     ctx = FieldCtx(q, n)
     code = build_code(ctx, k)
-    ref = ref_msg_left_inverse(code)
+    eliminated, closed = ref_msg_left_inverse(code), message_left_inverse(code)
+    off_by_b0 = ctx.pack([code.gamma * x for x in code.lam])
+    off_by_ak = ctx.frob(ctx.pack(code.lam), k)
     rng = rng_for(58)
     for _ in range(20):
         msg, cw, _, _, r = plant(code, 1, rng)
         noise = tuple(ctx.random_element(rng) for _ in range(code.length))
-        for v in (cw, r, noise):
-            flat = ctx.pack(v).reshape(-1)
-            digits = flat @ ref % q
-            member = np.array_equal(digits @ code._enc_mat % q, flat)
-            assert code.is_codeword(v) == member
+        near = [ctx.unpack((ctx.pack(cw) + off) % q) for off in (off_by_b0, off_by_ak)]
+        for v in (cw, r, noise, *near):
+            digits = ref_message_digits(code, v, eliminated)
+            assert same_span(digits, ref_message_digits(code, v, closed))
+            member = digits is not None
+            assert code.is_codeword(v) == member == is_codeword_by_trace(code, v)
             if member:
                 assert code.unmap(v) == ctx.subfield_elements(digits)
+            else:
+                with pytest.raises(NotACodeword):
+                    code.unmap(v)
         assert code.unmap(cw) == msg
+        assert not any(code.is_codeword(v) for v in near)
 
 
 @pytest.mark.parametrize("other", [(5, 2, None), (3, 2, [2, 2, 0, 0, 1]), None],
@@ -425,6 +441,38 @@ def test_words_from_another_field_are_rejected(code321, other):
         brute_force_decode(code321, word)
     with pytest.raises(InvalidParameter):
         code321.encode((stranger, ctx.zero))
+
+
+@pytest.mark.parametrize("other", [(5, 2, None), (3, 2, [2, 2, 0, 0, 1]), None],
+                         ids=["foreign-q", "foreign-modulus", "not-a-field-element"])
+def test_mixed_fields_are_rejected_at_construction(ctx3, other):
+    # a basis, lam, gamma or xi from another field is refused up front, and
+    # the message names the argument or the entry at fault
+    foreign = FieldCtx(*other) if other else None
+    stranger = foreign.alpha if foreign else 0
+    mixed = [*ctx3.power_basis][:3] + [stranger]
+    with pytest.raises(InvalidParameter, match="basis entry 3"):
+        Basis(mixed)
+    with pytest.raises(InvalidParameter, match="basis entry 3"):
+        build_code(ctx3, 1, lam=mixed)
+    # a basis takes its field from its first entry
+    with pytest.raises(InvalidParameter, match=f"basis entry {1 if foreign else 0}"):
+        Basis([stranger, *[*ctx3.power_basis][1:]])
+    if foreign is None:
+        with pytest.raises(InvalidParameter, match="gamma"):
+            build_code(ctx3, 1, gamma=1)
+        return
+    with pytest.raises(InvalidParameter, match="lam"):
+        build_code(ctx3, 1, lam=foreign.power_basis)
+    with pytest.raises(InvalidParameter, match="lam"):
+        build_code(ctx3, 1, lam=[*foreign.power_basis])
+    gamma = find_gamma(foreign)
+    with pytest.raises(InvalidParameter, match="gamma"):
+        build_code(ctx3, 1, gamma=gamma)
+    with pytest.raises(InvalidParameter, match="xi"):
+        build_code(ctx3, 1, xi=find_xi(foreign, gamma))
+    # the same values in their own field build a code
+    build_code(foreign, 1, lam=foreign.power_basis, gamma=gamma, xi=find_xi(foreign, gamma))
 
 
 @pytest.mark.parametrize("length", [3, 5])

@@ -1,6 +1,7 @@
 """Syndrome machinery and the full decoding pipeline."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_r
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import ff_kernel, locators, plant, ref_rank_scan, rng_for, same_span
+from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_message_digits,
+                      ref_rank_scan, rng_for, same_span)
+
+
+def _finish_span(code, r, s, span, t):
+    """decode's finish of the packed word r on the error read off span."""
+    return _finish(code, r, code._read(r)[1], t, *error_from_span(code, s, span))
 
 
 @pytest.fixture(scope="module")
@@ -362,8 +369,6 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
     # the t-row system always has a solution, so a deliberately wrong
     # one-dimensional span is caught after it: the error read off it fails
     # decode's first residual check, its rank
-    import tzcode.decoder as dec
-
     ctx = code341.ctx
     rng = rng_for(78)
     one = ctx.pack([ctx.one])
@@ -373,7 +378,7 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
         _, _, _, _, r = plant(code341, 2, rng)  # rank-1 guess against a rank-2 error
         s = syndrome(code341, r)
         assert solve_locators(code341, one, s).shape == (1, ctx.m)
-        out = dec._finish(code341, code341.pack_word(r), error_from_span(code341, s, wrong), 1)
+        out = _finish_span(code341, code341.pack_word(r), s, wrong, 1)
         assert out.failure_reason == ERROR_RANK_MISMATCH
 
 
@@ -467,8 +472,8 @@ def _spans(code, s):
 
 
 def _passes_residual_check(code, r, err, t):
-    q = code.ctx.q
-    return fq_rank(err, q) == t and code._message_digits((r - err) % q) is not None
+    ctx = code.ctx
+    return fq_rank(err, ctx.q) == t and code.is_codeword(ctx.unpack((r - err) % ctx.q))
 
 
 @pytest.mark.parametrize("q, n, k", [(5, 2, 2), (3, 3, 2), (3, 4, 1), (3, 4, 2)])
@@ -496,7 +501,7 @@ def test_transform_error_matches_the_locator_system(q, n, k):
                         continue
                     d = solve_locators(code, roots, s)
                     ref = error_from_decomposition(roots, recover_B(code, d), ctx)
-                    err = error_from_span(code, s, span)
+                    err = error_from_span(code, s, span)[0]
                     if np.array_equal(err, ref):
                         equal += 1
                     else:
@@ -733,7 +738,9 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     # second elimination over F_{q^2n}
     import tzcode.linalg as linalg
 
-    stages = ("syndrome", "estimate_rank", "solve_span", "error_from_span")
+    # decode reads the syndrome with the transform entries of its finish
+    # (TZCode._read), not through syndrome()
+    stages = ("estimate_rank", "solve_span", "error_from_span")
     inside, entered, calls = [], set(), []
     for holder, name in ((dec, "solve_locators"), (dec, "ff_solve"), (linalg, "ff_solve")):
         def refused(*args, _name=name):
@@ -818,7 +825,7 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
     ctx = code.ctx
     read = []
     monkeypatch.setattr(dec, "error_from_span",
-                        lambda *a: read.append((a[-1], error_from_span(*a))) or read[-1][1])
+                        lambda *a: read.append((a[-1], *error_from_span(*a))) or read[-1][1:])
 
     def refused(f):
         raise AssertionError("decode counted roots")
@@ -841,7 +848,7 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
                     assert len(root_space(LinPoly(ctx, read[-1][0]))) == out.t
                 elif out.failure_reason in (ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
                     named.add(out.failure_reason)
-                    span, err = read[-1]
+                    span, err, _ = read[-1]
                     rank_t = fq_rank(err, ctx.q) == len(span) - 1
                     assert rank_t == (out.failure_reason == NOT_A_CODEWORD)
                     if rank_t:
@@ -917,18 +924,58 @@ def test_block_spans_match_the_reference(q, n, k):
                 e_rank, e_span = estimate_rank(code, s)
                 assert rank == e_rank and same_span(plain, e_span)
             elif rank and plain is not None:
-                assert not _finish(code, ctx.pack(r), error_from_span(code, s, plain), rank).success
+                assert not _finish_span(code, ctx.pack(r), s, plain, rank).success
             s_rank, s_span, s_boundary = solve_span(S, ctx)
             assert s_boundary is None  # no rows below the default bound
             if rank < tb - 1 and s_rank == tb and s_span is not None:
-                err = error_from_span(code, s, s_span)
-                assert not _finish(code, ctx.pack(r), err, tb).success
+                assert not _finish_span(code, ctx.pack(r), s, s_span, tb).success
             elif s_rank == tb:
                 assert same_span(boundary, s_span)
             else:
                 assert boundary is None
             pencils += boundary is not None
     assert pencils > 0
+
+
+def test_finish_matches_the_left_inverse_reference_beyond_the_radius(monkeypatch):
+    # every finish decode makes on words one to three ranks past the radius,
+    # the failed boundary attempts at even k included: the verdict, the
+    # failure reason and the message equal those of the reference finish,
+    # which tests the rank of the error and then reads r - err through the
+    # closed-form left inverse; at least 500 words are not codewords
+    import tzcode.decoder as dec
+
+    finished = []
+
+    def recorded(code, r, sigma, t, err, filled, _finish=dec._finish):
+        out = _finish(code, r, sigma, t, err, filled)
+        finished.append((r, err, t, out))
+        return out
+
+    monkeypatch.setattr(dec, "_finish", recorded)
+    reasons = Counter()
+    for q, n, k in [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (5, 3, 3), (3, 4, 2), (3, 4, 5)]:
+        code = build_code(FieldCtx(q, n), k)
+        ctx = code.ctx
+        inverse = message_left_inverse(code)
+        for t in range(code.radius + 1, min(code.radius + 3, ctx.m) + 1):
+            rng = rng_for(96, t)
+            for _ in range(120):
+                finished.clear()
+                out = decode(code, plant(code, t, rng)[-1])
+                if out.failure_reason in (None, ERROR_RANK_MISMATCH, NOT_A_CODEWORD):
+                    assert finished[-1][-1] == out
+                for r, err, rank, got in finished:
+                    digits = ref_message_digits(code, (r - err) % q, inverse)
+                    if fq_rank(err, q) != rank:
+                        expected = (False, ERROR_RANK_MISMATCH, None)
+                    elif digits is None:
+                        expected = (False, NOT_A_CODEWORD, None)
+                    else:
+                        expected = (True, None, ctx.subfield_elements(digits))
+                    assert (got.success, got.failure_reason, got.message) == expected
+                    reasons[got.failure_reason] += 1
+    assert reasons[NOT_A_CODEWORD] >= 500 and reasons[ERROR_RANK_MISMATCH] and reasons[None]
 
 
 def test_decode_beyond_radius_keeps_contract(code321):

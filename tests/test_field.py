@@ -415,8 +415,7 @@ def test_subfield_digits_are_a_column_read(q, monkeypatch):
     # FieldCtx solves no F_q system for the digit map: an element's digits
     # are its entries at the basis's free columns.  On F_(q^n) they agree
     # with the solved right inverse, in both work dtypes (float64 below
-    # q = 10007, int64 at it), and so does the message left inverse read
-    # through either
+    # q = 10007, int64 at it), and so does encoding through either
     import tzcode.linalg as linalg
 
     def refused(*args):
@@ -433,11 +432,12 @@ def test_subfield_digits_are_a_column_read(q, monkeypatch):
         assert np.array_equal(ctx.subfield_digits(packed), digits)
         assert np.array_equal(packed @ coords % q, digits)
     codes = [build_code(ctx, k) for k in (1, 2)]
+    digits = rng_for(24).integers(0, q, (4, ctx.n))
+    msgs = [ctx.subfield_elements(digits[: 2 * code.k]) for code in codes]
+    read = [code.encode(msg) for code, msg in zip(codes, msgs)]
     monkeypatch.setattr(FieldCtx, "subfield_digits",
                         lambda self, elems: self.pack(elems) @ ref_subfield_coords(self) % self.q)
-    for code in codes:
-        solved = build_code(ctx, code.k).msg_left_inverse
-        assert solved.dtype == ctx._work and np.array_equal(solved, code.msg_left_inverse)
+    assert [code.encode(msg) for code, msg in zip(codes, msgs)] == read
 
 
 def test_basis_rejects_dependent_elements(ctx5):

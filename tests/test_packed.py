@@ -11,8 +11,8 @@ float64 work dtype the decoder eliminates in.  At the largest q each dtype
 admits, the code's F_q maps, the root space and decoding are checked for
 exactness; and whatever runs in the work dtype inside, every array and
 element the library hands back holds int64.  The numbers of table products
-and reductions per elimination pivot are pinned, so that a change that adds
-a fold back fails here and not only in a noisy timing.
+and reductions per elimination pivot and per decode are pinned, so that a
+change that adds a fold back fails here and not only in a noisy timing.
 """
 
 from collections import Counter
@@ -31,8 +31,9 @@ from tzcode import linalg
 from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 from tzcode.linpoly import root_space
 
-from conftest import (elements, encode_by_rows, ff_kernel, outer, plant, qvan, ref_kernel,
-                      ref_mat_vec, ref_mul_matrix, ref_rref, ref_solve, rng_for, same_span)
+from conftest import (elements, encode_by_rows, ff_kernel, message_left_inverse, outer, plant, qvan,
+                      ref_kernel, ref_mat_vec, ref_mul_matrix, ref_rref, ref_solve, rng_for,
+                      same_span)
 
 
 def _fold_bound(q, n):
@@ -223,11 +224,13 @@ def test_code_maps_and_decoding_at_the_largest_q_each_dtype_admits(edge):
     rng = rng_for(240)
     for k in (1, 2):
         code = _code_with_random_gamma(ctx, k, rng)
-        # the maps hold reduced integers, and their product is checked in Python ints
-        enc, inv = (np.asarray(x, np.int64) for x in (code._enc_mat, code.msg_left_inverse))
-        for exact, held in ((enc, code._enc_mat), (inv, code.msg_left_inverse)):
+        # the maps hold reduced integers, and the code map's product with the
+        # closed-form left inverse is checked in Python ints
+        for held in (code._enc_mat, code._split_work, code._HM_work):
+            exact = np.asarray(held, np.int64)
             assert np.array_equal(exact, held) and exact.min() >= 0 and exact.max() < q
-        assert np.array_equal(enc.astype(object) @ inv.astype(object) % q,
+        enc = np.asarray(code._enc_mat, np.int64)
+        assert np.array_equal(enc.astype(object) @ message_left_inverse(code).astype(object) % q,
                               np.eye(len(enc), dtype=np.int64))
         for _ in range(4):
             msg = random_message(code, rng)
@@ -278,7 +281,7 @@ def test_results_leave_as_int64(q, n, k):
     rank, span, _ = solve_span(S, ctx)
     assert rank == t
     for arr in (s, S, ff_rref(S, ctx)[0], span, root_space(LinPoly(ctx, span)),
-                code._message_digits(ctx.pack(cw))):
+                code._message(code._read(ctx.pack(cw))[1])):
         assert arr.dtype == np.int64
 
 
@@ -314,6 +317,42 @@ def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
     pivots = _eliminate(ctx, S, rows)[1]
     assert pivots == list(range(rank))
     assert calls == {"_dot": 3 * rank, "_mod": rank}
+
+
+@pytest.mark.parametrize("q, k, t, subfield, expected", [
+    (3, 1, 0, False, {"_dot": 4, "_mod": 4}),
+    (3, 1, 6, False, {"_dot": 55, "_mod": 34}),
+    (3, 2, 0, False, {"_dot": 4, "_mod": 4}),
+    (3, 2, 11, True, {"_dot": 75, "_mod": 47}),
+    (3, 2, 6, False, {"_dot": 61, "_mod": 42}),
+    (7, 19, 0, False, {"_dot": 4, "_mod": 4}),
+    (7, 19, 2, False, {"_dot": 61, "_mod": 48}),
+], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
+def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
+    """One fixed word per route at the three benchmark codes: the products and
+    reductions of the whole decode, and of its finishing step, which reads the
+    message off k+1 transform entries with one batched product and one
+    reduction at every k.  The zero route is the read of the syndrome with
+    those entries (two products, one reduction), the syndrome's trace (a
+    product and two reductions) and the finish."""
+    import tzcode.decoder as dec
+
+    code = build_code(FieldCtx(q, 12), k)
+    _, cw, _, _, r = plant(code, max(t, 1), rng_for(270 + k), subfield=subfield)
+    calls = _count_kernels(monkeypatch)
+    finished = []
+
+    def counted(*args, _finish=dec._finish):
+        before = Counter(calls)
+        out = _finish(*args)
+        finished.append(dict(calls - before))
+        return out
+
+    monkeypatch.setattr(dec, "_finish", counted)
+    out = decode(code, r if t else cw)
+    assert out.success and out.t == t
+    assert dict(calls) == expected
+    assert finished == [{"_dot": 1, "_mod": 1}]
 
 
 def test_elimination_stops_below_the_last_pivot(monkeypatch):

@@ -6,7 +6,8 @@ Each SRC is a directory that holds a tzcode package, such as a checkout's
 src/.  Both are imported under distinct package names, which works because
 every import inside tzcode is relative.  First both trees build FieldCtx
 and the code on SETUP_PAIRS pairs, and every pair of codes must hold equal
-TABLES, in dtype, shape and bytes.  Then the same planted words are decoded
+TABLES, in dtype, shape and bytes, wherever both trees hold the table; the
+names of the tables that only one tree holds are printed.  Then the same planted words are decoded
 by both sides, word by word.  The side that runs first alternates from pair
 to pair and from word to word, so that both see the same host speed; a
 paired run resolves changes that the swing of absolute times between runs
@@ -33,8 +34,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 STAGES = ("setup", "syndrome", "build", "solve_span", "decode")
 # 40 pairs resolve a set-up ratio to a few percent; 10 left it at about +-12%
 SETUP_PAIRS = 40
-# the tables of a code that both trees must build alike
-TABLES = ("G", "H", "_H_work", "_N_work", "_enc_mat", "msg_left_inverse")
+# the tables of a code that two trees holding them must build alike;
+# msg_left_inverse is held only by trees that finish a decode through it
+TABLES = ("G", "H", "_H_work", "_HM_work", "_N_work", "_split_work", "_enc_mat",
+          "msg_left_inverse")
 
 
 def load(name: str, src: str):
@@ -83,19 +86,26 @@ class Side:
         return out
 
 
+def held(code) -> list:
+    """The names of TABLES that code holds."""
+    return [name for name in TABLES if hasattr(code, name)]
+
+
 def check_setup(sides, q: int, n: int, k: int):
     """Time FieldCtx and build_code in both trees on SETUP_PAIRS pairs.
 
     The tree that builds first alternates from pair to pair.  Returns the
-    first of TABLES in which the two codes of a pair differ, or None.
+    first of the TABLES both codes hold in which the two codes of a pair
+    differ, or None.
     """
+    shared = [name for name in held(sides[0].code) if name in held(sides[1].code)]
     for i in range(SETUP_PAIRS):
         codes = {}
         for side in sides if i % 2 == 0 else sides[::-1]:
             t0 = time.perf_counter()
             codes[id(side)] = side.tz.build_code(side.tz.FieldCtx(q, n), k)
             side.times["setup"].append((time.perf_counter() - t0) * 1e3)
-        for name in TABLES:
+        for name in shared:
             a, b = (getattr(codes[id(side)], name) for side in sides)
             if (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape, b.tobytes()):
                 return name
@@ -142,6 +152,10 @@ def main(argv=None) -> int:
     sides = [Side(load(name, src), args.q, args.n, args.k)
              for name, src in (("tzcode_parent", args.parent_src),
                                ("tzcode_change", args.change_src))]
+    for side, other, label in ((sides[0], sides[1], "parent"), (sides[1], sides[0], "change")):
+        lone = [name for name in held(side.code) if name not in held(other.code)]
+        if lone:
+            print(f"tables held by the {label} tree only: {', '.join(lone)}")
     differs = check_setup(sides, args.q, args.n, args.k)
     if differs:
         print(f"setup: the codes differ in {differs}", file=sys.stderr)
@@ -159,7 +173,7 @@ def main(argv=None) -> int:
             return 1
 
     print(f"q={args.q} n={args.n} k={args.k} t={args.t} subfield={args.subfield} "
-          f"words={args.words} seed={args.seed}: every table and every outcome equal")
+          f"words={args.words} seed={args.seed}: every shared table and every outcome equal")
     print(f"{'stage':<12}{'parent p50 ms':>15}{'change p50 ms':>15}{'ratio':>8}")
     for stage in STAGES:
         p50 = [statistics.median(side.times[stage]) for side in sides]
