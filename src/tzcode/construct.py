@@ -10,28 +10,26 @@ a word is a codeword exactly when its syndrome has zero relative trace.
 G and H are packed (rows, 2n, 2n) arrays (field.py), built by batched
 Frobenius maps and products.
 
-The code is also one F_q-linear map, _enc_mat, from the 2kn subfield digits
-of a message to the 4n^2 coefficients of its codeword, which encode and the
-exhaustive oracles multiply by; no inverse of it is held.  For any word w,
-sum_j lambda_j^(q^i) lambda*_j = delta_i0 makes F_i(w) = sum_j w_j (lambda*_j)^(q^i)
-the coefficients of the q-polynomial that interpolates w on lambda.  With
-F_i = a_i + gamma b_i split over F_{q^n}, w is a codeword exactly when F_i = 0
-for k < i < 2n, b_0 = 0 and a_k = 0, and a_0, a_1, b_1, ..., b_k are its
-message.  One read table, H over mu^(q^i) for i <= k, gives a word's
-syndrome and its sigma_(i-k) = xi^(q^(i-k)) F_i; k+1 F_q maps split these.
-unmap tests membership as is_codeword does, by the code's definition (zero
-relative trace of the syndrome), and splits the k+1 entries; the decoder's
-corrected word has F_i = 0 for k < i < 2n by construction, so it tests b_0
-and a_k alone.  Every table is held in the field's work dtype
-(FieldCtx._work), so products run through BLAS wherever it is float64;
-H and N are also held as public int64 arrays.
+A word w has the transform sigma_i = sum_j w_j (mu_j^(q^k))^(q^i), i in Z_2n:
+one product with the table TZCode holds (TZCode._read).  H's rows are rows
+1..2n-k-1 of that table and their gamma multiples, gamma^(q^(2n-k)) times
+row 2n-k, and row 0, so the syndrome holds nothing sigma does not.  As
+sum_j lambda_j^(q^i) lambda*_j = delta_i0, F_i(w) = sum_j w_j (lambda*_j)^(q^i)
+are the coefficients of the q-polynomial that interpolates w on lambda, and
+sigma_i = xi^(q^i) F_(k+i).  Split F_i = a_i + gamma b_i over F_{q^n}: w is
+a codeword exactly when sigma_1..sigma_(2n-k-1) = 0, b_0 = 0 and a_k = 0,
+and a_0, a_1, b_1, ..., b_k are its message.  TZCode._message tests this
+and splits sigma_(i-k), i <= k, with k+1 F_q maps: it is the one membership
+test, which is_codeword, unmap and the decoder read.
 
-The decoder recovers an error e from its transform
-sigma_i = sum_j e_j (mu_j^(q^k))^(q^i), i in Z_2n.  nu = lam^(q^k) xi^-1 is
+The code is also one F_q map, _enc_mat, from the 2kn subfield digits of a
+message to the 4n^2 coefficients of its codeword, which encode and the
+exhaustive oracles multiply by.  Every table is held in the field's work
+dtype (FieldCtx._work), so products run through BLAS wherever it is
+float64; N is also held as a public int64 array.  nu = lam^(q^k) xi^-1 is
 the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
-sum_i nu_j^(q^i) sigma_i = sum_l e_l Tr(nu_j mu_l^(q^k)) = e_j: TZCode
-holds the packed table N[j, i] = nu_j^(q^i), and N sigma is the error.
-The split maps and nu share the one inverse of xi^(q^(2n-k)).
+sum_i nu_j^(q^i) sigma_i = e_j: the table N[j, i] = nu_j^(q^i) inverts the
+transform.  The split maps and nu share the one inverse of xi^(q^(2n-k)).
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ def _split_maps(ctx: FieldCtx, gamma: FF2n, twists: np.ndarray) -> np.ndarray:
 
 
 class TZCode:
-    """A fully instantiated code: parameters, G, H, the transform table N, encoding helpers.
+    """A fully instantiated code: parameters, G, H, the transform tables, encoding helpers.
 
     Instances are immutable after construction: nothing, the exhaustive
     oracles included, attaches state to one, so it is safe for concurrent
@@ -166,10 +164,9 @@ class TZCode:
             _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
             ctx.frob(mu_elems, k)[None],
         ])
-        # the read table: H, then mu^(q^i) for i <= k; H's work copy is a view
-        tail = ctx.frob(mu_elems, np.arange(k + 1)[:, None])
-        self._HM_work = np.concatenate([self.H, tail]).astype(ctx._work)
-        self._H_work = self._HM_work[: len(self.H)]
+        # the transform table: row i is (mu^(q^k))^(q^i), one frob_powers
+        powers = ctx.frob_powers(np.asarray(ctx.frob(mu_elems, k), ctx._work))
+        self._transform_work = np.ascontiguousarray(powers.swapaxes(0, 1))
 
         # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
         # trace-dual basis of mu^(q^k): one inverse serves both
@@ -219,32 +216,35 @@ class TZCode:
         self.ctx.check_elements(v, "entry")
         return self.ctx.pack(v)
 
-    def _read(self, packed):
-        """(syndrome, sigma_(i-k) for i <= k) of a packed word: one product with the read table."""
-        read = ff_mat_vec(self._HM_work, packed, self.ctx)
-        return read[: len(self.H)], read[len(self.H) :]
+    def _read(self, packed) -> np.ndarray:
+        """The packed transform sigma_i, i in Z_2n, of a packed word: one product with the table."""
+        return ff_mat_vec(self._transform_work, packed, self.ctx)
 
     def _message(self, sigma):
-        """The packed message of the word with these sigma_(i-k), i <= k; None unless b_0 = a_k = 0.
+        """The packed message of the word with transform sigma; None unless it is a codeword.
 
-        sigma's entries lie in (-q, q): one batched product, 2n terms a sum.
+        A codeword has sigma_1..sigma_(2n-k-1) = 0 and b_0 = a_k = 0 in the split of its
+        sigma_(i-k), i <= k.  sigma's entries lie in (-q, q): one product, 2n terms a sum.
         """
         ctx, k = self.ctx, self.k
-        ab = ctx._dot(np.asarray(sigma, ctx._work)[:, None], self._split_work).reshape(-1, ctx.m)
+        if sigma[1 : ctx.m - k].any():
+            return None
+        low = np.asarray(sigma[np.arange(-k, 1)], ctx._work)
+        ab = ctx._dot(low[:, None], self._split_work).reshape(-1, ctx.m)
         if ab[1].any() or ab[2 * k].any():
             return None
         return np.concatenate([ab[:1], ab[2 : 2 * k], ab[2 * k + 1 :]]).astype(np.int64)
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""
-        s, sigma = self._read(self.pack_word(cw))
-        if self.ctx.trace(s).any():
+        msg = self._message(self._read(self.pack_word(cw)))
+        if msg is None:
             raise NotACodeword("vector is not in the code")
-        return self.ctx.unpack(self._message(sigma))
+        return self.ctx.unpack(msg)
 
     def is_codeword(self, v) -> bool:
-        """Membership: every entry of v H^T has zero relative trace."""
-        return not self.ctx.trace(ff_mat_vec(self._H_work, self.pack_word(v), self.ctx)).any()
+        """Membership, read off the transform of v (_message)."""
+        return self._message(self._read(self.pack_word(v))) is not None
 
     def __repr__(self):
         return (
@@ -255,7 +255,7 @@ class TZCode:
 
 def gh_product(code: TZCode) -> np.ndarray:
     """G H^T, packed: row i is the syndrome H g_i of G's row i."""
-    return np.stack([ff_mat_vec(code._H_work, g, code.ctx) for g in code.G])
+    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G])
 
 
 def _check_gh_structure(code: TZCode):

@@ -1,17 +1,19 @@
-"""Syndrome-based bounded-minimum-distance decoding.
+"""Syndrome-based bounded-minimum-distance decoding, read off the transform.
 
-The pipeline: compute the syndrome s = r H^T; eliminate one syndrome
-matrix (S^(u_max) at odd k, S_exp at even k) once and read both the error
-rank t and the error span polynomial Lambda off it; recover the error in
-the transform domain (error_from_span).  One finishing step (_finish)
-then makes the two residual checks in order, and a failure is named after
-the first that fails: the error must have rank t (else ErrorRankMismatch),
-and the corrected word r - err must be a codeword (else NotACodeword).
-It reads r - err's transform entries sigma_(i-k), i <= k (construct.py):
-r's, which TZCode._read gives with the syndrome, less the k+1 values the
-recurrence filled; its higher entries vanish by construction.
+The pipeline: read the received word's transform
+sigma_i = sum_j r_j (mu_j^(q^k))^(q^i), i in Z_2n, with one product
+(TZCode._read), of which every syndrome entry is a value or a gamma
+multiple (construct.py); eliminate one syndrome matrix over it (S^(u_max)
+at odd k, S_exp at even k) once and read both the error rank t and the
+error span polynomial Lambda off it; recover the error in the transform
+domain (error_from_span).  One finishing step (_finish) then makes the two
+residual checks in order, and a failure is named after the first that
+fails: the error must have rank t (else ErrorRankMismatch), and r - err
+must be a codeword (else NotACodeword), by the code's membership test
+(TZCode._message) on r's transform less the error's, which also gives the
+message.  A word that passes that test as read takes the zero route.
 
-The odd syndrome entries are the error's transform sigma_1..sigma_(2n-k-1);
+A codeword's sigma_1..sigma_(2n-k-1) vanish, so those of r are the error's;
 error_from_span extends them by Lambda's q-recurrence and inverts the
 transform with the code's table N, as Gabidulin decoders do (Silva and
 Kschischang, ISIT 2009), so no second elimination runs.  The t x t locator
@@ -33,17 +35,13 @@ so such errors of rank n - k/2 decode as well.  solve_span eliminates S_exp
 once, pivots from its plain rows only, and reads that member, tried first,
 and the plain span, which serves below the boundary as S^(u_max) does at odd k.
 
-decode packs the received word once, and every stage from there on works
-on packed arrays (field.py): the syndrome is a (4n-2k, 2n) array, the
-syndrome matrices are (rows, cols, 2n) arrays gathered from every power
-s_j^(q^c) of the odd syndrome entries, which one product with the field's
-Frobenius-power table gives, and linalg eliminates them one numpy step per
-pivot.  The span polynomial is a packed (t+1, 2n) array, row i its
-coefficient of x^(q^i); each recurrence step is one F_q product, and the
-syndrome with the finish's k+1 entries, and the inverse transform, are one
-ff_mat_vec each.  FF2n appears only where decode hands results back.
-
-Decoding failures are returned as values, never raised.
+Every stage works on packed arrays (field.py): the transform is (2n, 2n),
+the syndrome matrices (rows, cols, 2n) gathered from the powers
+sigma_i^(q^c), i <= 2n-k, that one product with the field's Frobenius-power
+table gives, and the span polynomial (t+1, 2n), row i its coefficient of
+x^(q^i).  The transform and its inverse are one ff_mat_vec each, each
+recurrence step one F_q product, and FF2n appears only where decode hands
+results back.  Decoding failures are returned as values, never raised.
 """
 
 from __future__ import annotations
@@ -111,32 +109,25 @@ class DecodeOutcome:
 
 def syndrome(code: TZCode, r) -> np.ndarray:
     """s = r H^T, packed; entrywise relative trace vanishes exactly on codewords."""
-    return ff_mat_vec(code._H_work, r, code.ctx)
-
-
-def _odd_powers(ctx, s, count=None) -> np.ndarray:
-    """[x, c] = s_(2x+1)^(q^c), c < count (2n by default), in the work dtype: the odd entries."""
-    return ctx.frob_powers(np.asarray(s[1::2], ctx._work), count)
+    return ff_mat_vec(code.H, r, code.ctx)
 
 
 def _shifted(pw, top: int, rows, cols: int) -> np.ndarray:
-    """Rows j of s_(2 (top + j - c) - 1)^(q^c), c < cols, gathered from _odd_powers.
-
-    The q-Toeplitz shape of S^(u).  Index -1 wraps to the final entry.
-    """
+    """Rows j of sigma_(top+j-c)^(q^c), c < cols, from pw[i, c] = sigma_i^(q^c): S^(u)'s shape."""
     c = np.arange(cols)
-    return pw[top + np.asarray(rows, dtype=np.int64)[:, None] - c - 1, c]
+    return pw[top + np.asarray(rows, dtype=np.int64)[:, None] - c, c]
 
 
-def build_S(code: TZCode, s, u: int) -> np.ndarray:
-    """The packed u x (u+1) shifted syndrome matrix over the odd-index entries."""
+def build_S(code: TZCode, sigma, u: int) -> np.ndarray:
+    """The packed u x (u+1) shifted syndrome matrix [j, c] = sigma_(u+1+j-c)^(q^c)."""
     m, k = code.ctx.m, code.k
     if not 1 <= u <= (m - (k + 1)) // 2:
         raise IndexError(f"u must satisfy 1 <= u <= {(m - (k + 1)) // 2}, got {u}")
-    return _shifted(_odd_powers(code.ctx, s, u + 1), u + 1, range(u), u + 1).astype(np.int64)
+    pw = code.ctx.frob_powers(np.asarray(sigma[: 2 * u + 1], code.ctx._work), u + 1)
+    return _shifted(pw, u + 1, range(u), u + 1).astype(np.int64)
 
 
-def estimate_rank(code: TZCode, s):
+def estimate_rank(code: TZCode, sigma):
     """(t, span) read off S^(u_max), u_max = (2n-k-1)//2, by solve_span's plain read, at odd k.
 
     For an error of rank t <= u_max, S^(u_max) is the u_max x t Moore matrix
@@ -150,33 +141,29 @@ def estimate_rank(code: TZCode, s):
     u_max = (code.ctx.m - (code.k + 1)) // 2
     if not u_max:
         return None, None
-    t, span, _ = solve_span(build_S(code, s, u_max), code.ctx)
+    t, span, _ = solve_span(build_S(code, sigma, u_max), code.ctx)
     return (t, span) if t else (None, None)
 
 
-def build_S_exp(code: TZCode, s) -> np.ndarray:
+def build_S_exp(code: TZCode, sigma) -> np.ndarray:
     """Packed trace-augmented 2t x (t+1) span system for the boundary rank t = n - k/2.
 
-    Rows: the t-1 plain shifted rows, then the trace rows.  The trace row at
-    shift 0 borrows the final syndrome entry (whose message part dies under
-    the trace), and the closing row twists by gamma^(q^2t) so that the whole
-    matrix factors through the locator q-powers with exponent 2t.
+    Rows: the t-1 plain shifted rows, then the trace rows Tr(sigma_(t+j-c)^(q^c)),
+    j < t, which reach sigma_0, and the closing row Tr(gamma^(q^2t) sigma_(2t-c)^(q^c)).
+    The message part of sigma_0 and sigma_2t dies under the trace, and the twist
+    makes the whole matrix factor through the locator q-powers with exponent 2t.
     """
-    ctx = code.ctx
-    k = code.k
+    ctx, k = code.ctx, code.k
     if k % 2 != 0:
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
-    ps = _odd_powers(ctx, s)
-    # (s + s^(q^n))^(q^c) = s^(q^c) + s^(q^(c+n)): the trace's powers are the
-    # powers of s rolled by n.  At shift 0 the trace row's last index is -1,
-    # which wraps to the final entry s_(4t-1)
+    ps = ctx.frob_powers(np.asarray(sigma[: 2 * t + 1], ctx._work))
+    # Tr(x)^(q^c) = x^(q^c) + x^(q^(c+n)): the trace's powers are the powers rolled by n
     trace_rows = _shifted(ctx._mod(ps + np.roll(ps, ctx.n, axis=1)), t, range(t), t + 1)
     g2t = ctx.frob(np.asarray(code.gamma.coeffs, ctx._work), 2 * t)
-    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0, 1:], ctx._mul_factor(g2t))
-    last = np.concatenate([ctx.trace(s[:1]), ctx.trace(twisted)])
+    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0], ctx._mul_factor(g2t))
     plain_rows = _shifted(ps, t, range(1, t), t + 1)
-    return np.concatenate([plain_rows, trace_rows, last[None]]).astype(np.int64)
+    return np.concatenate([plain_rows, trace_rows, ctx.trace(twisted)[None]]).astype(np.int64)
 
 
 def solve_span(S, ctx, rows=None):
@@ -221,20 +208,20 @@ def _monic(ctx, neg) -> np.ndarray:
     return np.concatenate([-neg, ctx.one.coeffs[None]]).astype(np.int64) % ctx.q
 
 
-def solve_locators(code: TZCode, a, s) -> np.ndarray:
+def solve_locators(code: TZCode, a, sigma) -> np.ndarray:
     """The packed locator vector d solving the t x t inverse-Frobenius Moore system.
 
     The reference for error_from_span, which decode uses instead: the error
     a B, B = recover_B(d), equals error_from_span's whenever either passes
     the residual checks.  a is the packed (t, 2n) root basis.  Row i = 1..t
-    pairs a^(q^-i) against s_(2i-1)^(q^-i); with independent a the matrix is
+    pairs a^(q^-i) against sigma_i^(q^-i); with independent a the matrix is
     invertible and the solution unique.  Dependent a with no solution raises
     LocatorSystemInconsistent.
     """
     ctx = code.ctx
     powers = -np.arange(1, len(a) + 1)[:, None]
     rows = ctx.frob(a[None], powers)
-    rhs = ctx.frob(s[1 : 2 * len(a) : 2], powers[:, 0])
+    rhs = ctx.frob(sigma[1 : len(a) + 1], powers[:, 0])
     try:
         return ff_solve(rows, rhs, ctx)
     except NoSolution:
@@ -262,44 +249,41 @@ def error_from_decomposition(a, B, ctx) -> np.ndarray:
     return (B.T @ a) % ctx.q
 
 
-def error_from_span(code: TZCode, s, span):
-    """(err, filled): the packed error whose transform extends s by the span's recurrence.
+def error_from_span(code: TZCode, sigma, span):
+    """(err, its transform): the packed error whose transform extends sigma by Lambda's recurrence.
 
-    The transform of an error e is sigma_i = sum_j e_j mu_j^(q^(k+i)) over
-    i in Z_2n; the odd syndrome entries s_(2i-1), i < 2n-k, are
-    sigma_1..sigma_(2n-k-1).  With e = sum_l B_l a_l, sigma_i =
-    sum_l a_l d_l^(q^i), and the monic span Lambda of q-degree t, packed
-    (t+1, 2n), kills every a_l, so sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.
-    Stepping j down from t, each step reads sigma_(j-t) off the window
-    sigma_j..sigma_(j-t+1): one F_q product of its t 2n digits with
-    W = stack_c(-F^c M(Lambda_c) F^-t).  k+1 steps fill sigma_0,
-    sigma_(2n-1), ..., sigma_(2n-k), and the error is the inverse transform
-    N sigma (TZCode.N).  The steps run on sigma in descending order,
-    sigma_(2n-k-1) first, so that every window is one contiguous row block;
-    a step sums t 2n <= 2n^2 products of reduced entries, inside FieldCtx's
-    bound for the work dtype.  filled is what the steps fill: sigma_(i-k), i <= k.
+    A received word's sigma_1..sigma_(2n-k-1) are its error's.  With
+    e = sum_l B_l a_l, sigma_i = sum_l a_l d_l^(q^i), and the monic span
+    Lambda of q-degree t, packed (t+1, 2n), kills every a_l, so
+    sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.  Stepping j down from
+    t, each step reads sigma_(j-t) off the window sigma_j..sigma_(j-t+1):
+    one F_q product of its t 2n digits with W = stack_c(-F^c M(Lambda_c) F^-t).
+    k+1 steps fill sigma_0, sigma_(2n-1), ..., sigma_(2n-k), and the error is
+    the inverse transform N sigma.  The steps run in descending order, so
+    that every window is one contiguous row block; a step sums t 2n <= 2n^2
+    products of reduced entries, inside FieldCtx's bound for the work dtype.
     """
     ctx, k, m = code.ctx, code.k, code.ctx.m
     t = len(span) - 1
     W = ctx._dot(_term_matrices(ctx, span)[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
     down = np.empty((m, m), dtype=ctx._work)  # down[p] = sigma_(2n-k-1-p)
-    down[: m - k - 1] = s[-3::-2]
+    down[: m - k - 1] = sigma[m - k - 1 : 0 : -1]
     for p in range(m - k - 1, m):
         down[p] = ctx._dot(down[p - t : p].reshape(-1), W)
-    return ff_mat_vec(code._N_work, down[(m - k - 1 - np.arange(m)) % m], ctx), down[::-1][: k + 1]
+    sigma_e = down[(m - k - 1 - np.arange(m)) % m]
+    return ff_mat_vec(code._N_work, sigma_e, ctx), sigma_e
 
 
-def _finish(code: TZCode, r, sigma, t: int, err, filled) -> DecodeOutcome:
+def _finish(code: TZCode, r, sigma, t: int, err, sigma_err) -> DecodeOutcome:
     """The corrected outcome on the packed word r, or the failure of the first check err fails.
 
-    sigma is r's sigma_(i-k), i <= k, and filled err's (error_from_span).  The
-    residual check keeps the bounded-distance promise: err must have rank t,
-    and r - err must be a codeword.
+    sigma is r's transform and sigma_err err's.  The residual check keeps the
+    bounded-distance promise: err must have rank t, and r - err must be a codeword.
     """
     ctx = code.ctx
     if fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
-    msg = code._message(sigma - filled)
+    msg = code._message(sigma - sigma_err)
     if msg is None:
         return DecodeOutcome.fail(NOT_A_CODEWORD)
     return DecodeOutcome.ok(ctx.unpack((r - err) % ctx.q), ctx.unpack(err), ctx.unpack(msg), t)
@@ -315,21 +299,21 @@ def decode(code: TZCode, r) -> DecodeOutcome:
     """
     ctx = code.ctx
     packed = code.pack_word(r)
-    s, sigma = code._read(packed)
-    if not ctx.trace(s).any():
+    sigma = code._read(packed)
+    if code._message(sigma) is not None:
         return _finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
 
     if code.k % 2 == 0:
         t_b = ctx.n - code.k // 2
-        t, span, boundary = solve_span(build_S_exp(code, s), ctx, t_b - 1)
+        t, span, boundary = solve_span(build_S_exp(code, sigma), ctx, t_b - 1)
         if boundary is not None:
-            out = _finish(code, packed, sigma, t_b, *error_from_span(code, s, boundary))
+            out = _finish(code, packed, sigma, t_b, *error_from_span(code, sigma, boundary))
             if out.success:
                 return out
     else:
-        t, span = estimate_rank(code, s)
+        t, span = estimate_rank(code, sigma)
     if not t:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, packed, sigma, t, *error_from_span(code, s, span))
+    return _finish(code, packed, sigma, t, *error_from_span(code, sigma, span))

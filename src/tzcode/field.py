@@ -27,7 +27,7 @@ FieldCtx kernels broadcast over the leading axes:
   found by square-and-multiply;
 * frob_powers: the a^(q^i), i < count, as one matmul with the first count
   blocks of the Frobenius-power table, which lays the 2n powers side by
-  side; it serves the syndrome matrices and the code's transform table;
+  side; it serves the syndrome matrices and the code's transform tables;
 * inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
   addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
   a^-1 = b N(a)^-1; the absolute norm is the same a b.
@@ -53,7 +53,8 @@ below 2^53: every value is then an exact integer, and BLAS multiplies
 float64 matrices many times faster than numpy multiplies int64 ones.  Those
 callers are the eliminations of linalg (ff_rref's pivot normalisation
 included), ff_mat_vec, the decoder's recurrence, the tables TZCode holds
-(construct.py) and linpoly.root_space's action matrix.  Each
+(construct.py: the transform table, N, the split maps and the code map) and
+linpoly.root_space's action matrix.  Each
 casts its result back to int64 once, so every array and element the
 library hands out holds int64.  Where the bound keeps the work dtype int64
 the casts are no-ops.  The multiplication and Frobenius-power tables are
@@ -448,8 +449,8 @@ class FieldCtx:
         return self._dot(a[..., None, :], rows)[..., 0, :]
 
     def trace(self, a: np.ndarray) -> np.ndarray:
-        """Relative trace onto F_{q^n} entrywise: a + a^(q^n)."""
-        return self._mod(a + self._dot(a, self._frob_rows[self.n]))
+        """Relative trace onto F_{q^n} entrywise: a + a^(q^n), one reduction of 2n + 1 terms."""
+        return self._mod(a + self._dot(a, self._frob_rows[self.n], reduce=False))
 
     def _conorm(self, a: np.ndarray) -> np.ndarray:
         """a^(q + q^2 + ... + q^(2n-1)) entrywise, by the Itoh-Tsujii addition chain.

@@ -88,7 +88,7 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     with those matrices stacked, unreduced where FieldCtx._lazy allows.  It
     runs in blocks of 2n columns, whose sums FieldCtx keeps exact, and the
     running sum is reduced after every block.  A matrix already in the work
-    dtype, as TZCode holds H and N, is not cast.
+    dtype, as TZCode holds its transform table and N, is not cast.
     """
     ctx, a = _packed(a, ctx)
     w, m = ctx._work, ctx.m

@@ -3,7 +3,7 @@
 Field elements serialize as coefficient arrays in the power basis, low
 degree first, values in [0, q).  A vector file holds one word per line,
 elements separated by commas, each element in square brackets; parsing is
-exact and round trips bit for bit.
+exact and round trips bit for bit.  Only JSON integers are read, coefficients in [0, q).
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ __all__ = [
     "write_vectors",
     "read_vectors",
 ]
+
+def _coeffs(value, q: int, what: str) -> list:
+    """value if it is a list of JSON integers in [0, q), else InvalidParameter naming what."""
+    if not isinstance(value, list) or any(type(c) is not int or not 0 <= c < q for c in value):
+        raise InvalidParameter(f"{what} must be a list of integers in [0, {q}), got {value!r}")
+    return value
+
 
 def _elem_list(e) -> list:
     return [int(c) for c in e.coeffs]
@@ -47,12 +54,16 @@ def params_dict(code: TZCode) -> dict:
 
 def params_from_dict(data: dict) -> TZCode:
     try:
-        ctx = FieldCtx(int(data["q"]), int(data["n"]), data["modulus"])
-        k = int(data["k"])
-        lam = Basis([ctx.elem(e) for e in data["lambda"]])
-        gamma = ctx.elem(data["gamma"])
-        xi = ctx.elem(data["xi"])
-        stored_mu = [ctx.elem(e) for e in data["mu"]]
+        for key in ("q", "n", "k"):
+            if type(data[key]) is not int:  # not a bool, a float or a string
+                raise InvalidParameter(f"{key} must be an integer, got {data[key]!r}")
+        q, n, k = data["q"], data["n"], data["k"]
+        ctx = FieldCtx(q, n, _coeffs(data["modulus"], q, "modulus"))
+        lam = Basis([ctx.elem(_coeffs(e, q, f"lambda entry {j}"))
+                     for j, e in enumerate(data["lambda"])])
+        gamma = ctx.elem(_coeffs(data["gamma"], q, "gamma"))
+        xi = ctx.elem(_coeffs(data["xi"], q, "xi"))
+        stored_mu = [ctx.elem(_coeffs(e, q, f"mu entry {j}")) for j, e in enumerate(data["mu"])]
     except KeyError as exc:
         raise InvalidParameter(f"parameter file is missing key {exc}") from None
     except TypeError as exc:
@@ -80,9 +91,10 @@ def format_vector(vec) -> str:
 
 def parse_vector(line: str, ctx: FieldCtx) -> tuple:
     try:
-        return tuple(ctx.elem(e) for e in json.loads("[" + line.strip() + "]"))
-    except (json.JSONDecodeError, TypeError):
+        entries = json.loads("[" + line.strip() + "]")
+    except json.JSONDecodeError:
         raise InvalidParameter(f"malformed vector line: {line!r}") from None
+    return tuple(ctx.elem(_coeffs(e, ctx.q, f"vector line {line.strip()!r}")) for e in entries)
 
 
 def write_vectors(path, vectors):

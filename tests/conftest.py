@@ -109,6 +109,15 @@ def locators(code, B) -> np.ndarray:
     return (B @ ctx.frob(ctx.pack(code.mu), code.k)) % ctx.q
 
 
+def transform(code, r) -> np.ndarray:
+    """The packed transform sigma_i = sum_j r_j (mu_j^(q^k))^(q^i), i in Z_2n, of a word r
+    (packed or a sequence of elements), entry by entry from the basis mu: what
+    TZCode._read gives, and what the syndrome builders and the span read take."""
+    ctx = code.ctx
+    rows = ctx.frob(ctx.pack(code.mu), (code.k + np.arange(ctx.m))[:, None])  # [i, j]
+    return ctx.mul(rows, ctx.pack(r)[None]).sum(axis=1) % ctx.q
+
+
 def ref_subfield_coords(ctx) -> np.ndarray:
     """A (2n, n) right inverse of the subfield basis found by F_q elimination:
     an element of F_{q^n} times it gives its digits, the form src/ replaced
@@ -116,11 +125,11 @@ def ref_subfield_coords(ctx) -> np.ndarray:
     return fq_solve(ctx._subfield_mat, np.eye(ctx.n, dtype=np.int64), ctx.q)
 
 
-def ref_rank_scan(code, s):
+def ref_rank_scan(code, sigma):
     """Largest u with S^(u) of full rank, scanning u_max, u_max - 1, ..., 1; None if none."""
     u_max = (code.ctx.m - (code.k + 1)) // 2
     for u in range(u_max, 0, -1):
-        if ff_rank(build_S(code, s, u), code.ctx) == u:
+        if ff_rank(build_S(code, sigma, u), code.ctx) == u:
             return u
     return None
 

@@ -31,22 +31,40 @@ def _params(tmp_path, **fields):
     return path
 
 
-@pytest.mark.parametrize("fields", [{"q": None}, {"gamma": 5}])
+@pytest.mark.parametrize("fields", [
+    {"q": None}, {"gamma": 5},
+    # only JSON integers, and coefficients in [0, q): nothing is coerced
+    {"q": 3.7}, {"q": True}, {"n": "2"}, {"k": 1.0},
+    {"gamma": [1.5, 0, 0, 0]}, {"gamma": [1e30, 0, 0, 0]}, {"xi": [3, 0, 0, 0]},
+    {"modulus": [1.0, 0, 0, 0, 1]},
+    {"lambda": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1"]]},
+])
 def test_a_parameter_of_the_wrong_type_is_a_bad_parameter(tmp_path, capsys, fields):
     path = _params(tmp_path, **fields)
     capsys.readouterr()
     assert main(["mindist", "--params", str(path)]) == EXIT_BAD_PARAMS
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(fields))} ")  # names the key
+    assert "integer" in err or "list" in err
 
 
 def test_a_vector_of_the_wrong_type_is_a_bad_parameter(tmp_path, capsys):
-    words = tmp_path / "in.txt"
-    words.write_text("5\n")
-    out = tmp_path / "out.txt"
-    argv = ["decode", "--params", str(_params(tmp_path)), "--in", str(words), "--out", str(out)]
-    assert main(argv) == EXIT_BAD_PARAMS
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    # an entry that is not a list of JSON integers in [0, q) is named with its
+    # line, and is neither coerced nor a crash
+    params = str(_params(tmp_path))
+    for line in ("5", "[1.5,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]",
+                 "[true,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]",
+                 '["2",0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]',
+                 "[1e30,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]",
+                 "[3,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]"):
+        words = tmp_path / "in.txt"
+        words.write_text(line + "\n")
+        out = tmp_path / "out.txt"
+        argv = ["decode", "--params", params, "--in", str(words), "--out", str(out)]
+        assert main(argv) == EXIT_BAD_PARAMS, line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(line) in err
+        assert not out.exists()
 
 
 def test_mindist_over_budget_is_a_bad_parameter(tmp_path, capsys):

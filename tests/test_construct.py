@@ -395,9 +395,9 @@ def test_closed_form_mu_k_coords_invert_mu_k(q, n, k):
 @pytest.mark.parametrize("q, n, k", [(3, 2, 1), (5, 2, 2), (3, 4, 3), (7, 3, 4),
                                      (5, 2, 1), (7, 2, 2), (3, 3, 2), (5, 3, 3)])
 def test_membership_agrees_with_eliminated_left_inverse(q, n, k):
-    # is_codeword (a zero relative trace of the syndrome) and unmap (a split
-    # of k+1 transform entries) against the eliminated and the closed-form
-    # left inverse and the entrywise trace test, on codewords, on codewords
+    # is_codeword and unmap (the transform's membership test and its split of
+    # k+1 entries) against the eliminated and the closed-form left inverse
+    # and the entrywise trace of the syndrome, on codewords, on codewords
     # plus gamma x or x^(q^k) at lam (b_0 or a_k nonzero, every higher F_i
     # zero), on corrupted codewords and on noise
     ctx = FieldCtx(q, n)

@@ -25,18 +25,18 @@ from tzcode.decoder import (
     solve_span,
     syndrome,
 )
-from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent
+from tzcode.errors import LimitCaseInapplicable, LocatorSystemInconsistent, NotACodeword
 from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_rank
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
 from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_message_digits,
-                      ref_rank_scan, rng_for, same_span)
+                      ref_rank_scan, rng_for, same_span, transform)
 
 
-def _finish_span(code, r, s, span, t):
-    """decode's finish of the packed word r on the error read off span."""
-    return _finish(code, r, code._read(r)[1], t, *error_from_span(code, s, span))
+def _finish_span(code, r, sigma, span, t):
+    """decode's finish of the packed word r, of transform sigma, on the error read off span."""
+    return _finish(code, r, sigma, t, *error_from_span(code, sigma, span))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,23 @@ def test_syndrome_entries_match_locator_form(code332):
             assert s[2 * i - 1] == acc
 
 
+@pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 3, 2), (3, 6, 4), (7, 3, 5),
+                                     (5, 2, 1), (7, 2, 2)])
+def test_parity_check_rows_are_transform_rows(q, n, k):
+    # row i of the code's read table is (mu^(q^k))^(q^i), and H's rows are
+    # its rows 1..2n-k-1 and their gamma multiples, then gamma^(q^(2n-k))
+    # times row 2n-k, then row 0: every syndrome entry is a transform value
+    # or a gamma multiple of one, so decode needs the transform alone
+    code = build_code(FieldCtx(q, n), k)
+    ctx, m = code.ctx, code.ctx.m
+    rows = np.asarray(code._transform_work, np.int64)
+    assert np.array_equal(rows, ctx.frob(ctx.pack(code.mu), (k + np.arange(m))[:, None]))
+    mid = rows[1 : m - k]
+    twisted = np.stack([mid, ctx.mul(code.gamma.coeffs, mid)], axis=1).reshape(-1, m, m)
+    first = ctx.mul(code.gamma.frobenius(m - k).coeffs, rows[m - k])
+    assert np.array_equal(code.H, np.concatenate([first[None], twisted, rows[:1]]))
+
+
 # ---------------------------------------------------------------------------
 # rank estimation
 # ---------------------------------------------------------------------------
@@ -102,18 +119,19 @@ def test_syndrome_entries_match_locator_form(code332):
 def test_build_S_smallest_case(code321):
     rng = rng_for(63)
     _, _, _, _, r = plant(code321, 1, rng)
-    s = syndrome(code321, r)
-    entries = code321.ctx.unpack(s)
-    assert code321.ctx.unpack(build_S(code321, s, 1)) == ((entries[3], entries[1].frobenius(1)),)
+    sigma = transform(code321, r)
+    entries = code321.ctx.unpack(sigma)
+    expected = ((entries[2], entries[1].frobenius(1)),)  # [0, c] = sigma_(2-c)^(q^c)
+    assert code321.ctx.unpack(build_S(code321, sigma, 1)) == expected
 
 
 def test_build_S_index_bounds(code321):
     rng = rng_for(64)
-    s = syndrome(code321, [code321.ctx.random_element(rng) for _ in range(4)])
+    sigma = transform(code321, [code321.ctx.random_element(rng) for _ in range(4)])
     with pytest.raises(IndexError):
-        build_S(code321, s, 0)
+        build_S(code321, sigma, 0)
     with pytest.raises(IndexError):
-        build_S(code321, s, 2)
+        build_S(code321, sigma, 2)
 
 
 def test_rank_of_syndrome_matrix_lemma(code341):
@@ -125,9 +143,9 @@ def test_rank_of_syndrome_matrix_lemma(code341):
     for t in (1, 2, 3):
         for _ in range(40):
             _, _, _, _, r = plant(code341, t, rng)
-            s = syndrome(code341, r)
+            sigma = transform(code341, r)
             for u in range(t, u_max + 1):
-                rank = ff_rank(build_S(code341, s, u), code341.ctx)
+                rank = ff_rank(build_S(code341, sigma, u), code341.ctx)
                 assert (rank == u) == (u == t)
                 assert rank == t
 
@@ -136,15 +154,15 @@ def test_estimate_rank_returns_planted_rank(code332, code341):
     rng = rng_for(66)
     for _ in range(25):
         _, _, _, _, r = plant(code332, 1, rng)
-        assert estimate_rank(code332, syndrome(code332, r))[0] == 1
+        assert estimate_rank(code332, transform(code332, r))[0] == 1
     # rank-2 strict errors need k=1 at n=3, where u_max = 2
     code331 = build_code(FieldCtx(3, 3), 1)
     for _ in range(25):
         _, _, _, _, r = plant(code331, 2, rng)
-        assert estimate_rank(code331, syndrome(code331, r))[0] == 2
+        assert estimate_rank(code331, transform(code331, r))[0] == 2
     for t in (1, 2, 3):
         _, _, _, _, r = plant(code341, t, rng)
-        assert estimate_rank(code341, syndrome(code341, r))[0] == t
+        assert estimate_rank(code341, transform(code341, r))[0] == t
 
 
 def _words_of_every_rank(code, rng, per_rank):
@@ -157,7 +175,7 @@ def _words_of_every_rank(code, rng, per_rank):
                 B = rng.integers(0, q, (rank, ctx.m), dtype=np.int64)
                 if fq_rank(a, q) == rank == fq_rank(B, q):
                     break
-            yield rank, syndrome(code, error_from_decomposition(a, B, ctx))
+            yield rank, transform(code, error_from_decomposition(a, B, ctx))
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 3, 1), (3, 4, 1), (3, 4, 2), (5, 3, 1), (3, 5, 2)])
@@ -166,8 +184,8 @@ def test_estimate_rank_matches_the_scan(q, n, k):
     # beyond it the Moore factorization does not apply, and only agreement
     # with the top-down scan pins the rank read off S^(u_max)
     code = build_code(FieldCtx(q, n), k)
-    for _, s in _words_of_every_rank(code, rng_for(69), 50):
-        assert estimate_rank(code, s)[0] == ref_rank_scan(code, s)
+    for _, sigma in _words_of_every_rank(code, rng_for(69), 50):
+        assert estimate_rank(code, sigma)[0] == ref_rank_scan(code, sigma)
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 3, 1), (3, 4, 1), (3, 4, 2), (5, 3, 1), (3, 5, 2)])
@@ -177,13 +195,13 @@ def test_estimate_rank_span_is_the_kernel_of_S_t(q, n, k):
     # radius; leading pivots are guaranteed only inside it
     code = build_code(FieldCtx(q, n), k)
     u_max = (code.ctx.m - (k + 1)) // 2
-    for rank, s in _words_of_every_rank(code, rng_for(90), 50):
-        t, span = estimate_rank(code, s)
-        assert t == ref_rank_scan(code, s)
+    for rank, sigma in _words_of_every_rank(code, rng_for(90), 50):
+        t, span = estimate_rank(code, sigma)
+        assert t == ref_rank_scan(code, sigma)
         if rank <= u_max:
             assert span is not None
         if span is not None:
-            kernel = ff_kernel(build_S(code, s, t), code.ctx)
+            kernel = ff_kernel(build_S(code, sigma, t), code.ctx)
             assert len(kernel) == 1 and np.array_equal(span, kernel[0])
             assert np.array_equal(span[t], code.ctx.one.coeffs)
 
@@ -197,9 +215,9 @@ def test_estimate_rank_no_span_off_the_leading_pivots():
     e = np.array([[0, 0, 2, 2, 1, 0], [1, 1, 1, 2, 0, 0], [0, 0, 0, 1, 0, 0],
                   [2, 0, 0, 1, 2, 0], [1, 2, 0, 1, 2, 1], [2, 2, 0, 1, 0, 1]])
     assert fq_rank(e, 3) == 5
-    s = syndrome(code, e)
-    assert ff_rref(build_S(code, s, 2), ctx)[1] == [0, 2]
-    assert estimate_rank(code, s) == (2, None)
+    sigma = transform(code, e)
+    assert ff_rref(build_S(code, sigma, 2), ctx)[1] == [0, 2]
+    assert estimate_rank(code, sigma) == (2, None)
     assert decode(code, ctx.unpack(e)).failure_reason == SPAN_DIM_MISMATCH
 
 
@@ -210,7 +228,7 @@ def test_estimate_rank_no_span_off_the_leading_pivots():
 def test_S_exp_shape_two_by_two(code5):
     rng = rng_for(67)
     _, _, _, _, r = plant(code5, 1, rng, subfield=True)
-    s_exp = build_S_exp(code5, syndrome(code5, r))
+    s_exp = build_S_exp(code5, transform(code5, r))
     assert len(s_exp) == 2 and len(s_exp[0]) == 2
 
 
@@ -218,7 +236,7 @@ def test_S_exp_needs_even_k(code321):
     rng = rng_for(68)
     _, _, _, _, r = plant(code321, 1, rng)
     with pytest.raises(LimitCaseInapplicable):
-        build_S_exp(code321, syndrome(code321, r))
+        build_S_exp(code321, transform(code321, r))
 
 
 def test_S_exp_rank_and_kernel_dimension(code5, code332):
@@ -228,7 +246,7 @@ def test_S_exp_rank_and_kernel_dimension(code5, code332):
         t = code.ctx.n - code.k // 2
         for _ in range(50):
             _, _, _, _, r = plant(code, t, rng, subfield=True)
-            s_exp = build_S_exp(code, syndrome(code, r))
+            s_exp = build_S_exp(code, transform(code, r))
             assert ff_rank(s_exp, code.ctx) == t
             assert len(ff_kernel(s_exp, code.ctx)) == 1
 
@@ -239,7 +257,7 @@ def test_S_exp_top_block_rank_deficient(code332):
     t = code332.ctx.n - code332.k // 2
     for _ in range(30):
         _, _, _, _, r = plant(code332, t, rng, subfield=True)
-        top = build_S_exp(code332, syndrome(code332, r))[: t - 1]
+        top = build_S_exp(code332, transform(code332, r))[: t - 1]
         assert ff_rank(top, code332.ctx) == t - 1
 
 
@@ -278,8 +296,8 @@ def test_solve_span_recovers_planted_span(code341):
     for t in (1, 2, 3):
         for _ in range(20):
             _, _, _, decomp, r = plant(code341, t, rng)
-            s = syndrome(code341, r)
-            rank, span, boundary = solve_span(build_S(code341, s, t), code341.ctx)
+            sigma = transform(code341, r)
+            rank, span, boundary = solve_span(build_S(code341, sigma, t), code341.ctx)
             assert rank == t and boundary is None
             roots = root_space(LinPoly(code341.ctx, span))
             assert roots.shape == (t, code341.ctx.m)
@@ -291,7 +309,7 @@ def test_solve_span_boundary_coefficients_in_subfield(code5):
     ctx = code5.ctx
     for _ in range(30):
         _, _, _, _, r = plant(code5, 1, rng, subfield=True)
-        rank, span, _ = solve_span(build_S_exp(code5, syndrome(code5, r)), ctx)
+        rank, span, _ = solve_span(build_S_exp(code5, transform(code5, r)), ctx)
         assert rank == 1
         assert np.array_equal(ctx.frob(span, ctx.n), span)
         assert ctx.unpack(span[-1]) == ctx.one
@@ -313,8 +331,8 @@ def test_solve_span_inverts_only_the_rank_pivots(code5, code341, monkeypatch):
     rng = rng_for(76)
     for code, t, subfield in ((code341, 3, False), (code5, 1, True)):
         _, _, _, _, r = plant(code, t, rng, subfield=subfield)
-        s = syndrome(code, r)
-        S = build_S_exp(code, s) if subfield else build_S(code, s, t)
+        sigma = transform(code, r)
+        S = build_S_exp(code, sigma) if subfield else build_S(code, sigma, t)
         calls.clear()
         rank, span, _ = solve_span(S, code.ctx)
         assert calls == [(t, code.ctx.m)] and rank == t
@@ -342,14 +360,14 @@ def test_solve_locators_matches_planted_locators(code332):
     for t in (1, 2):
         for _ in range(20):
             _, _, _, decomp, r = plant(code332, t, rng, subfield=(t == 2))
-            s = syndrome(code332, r)
-            d = solve_locators(code332, decomp.a, s)
+            sigma = transform(code332, r)
+            d = solve_locators(code332, decomp.a, sigma)
             assert np.array_equal(d, locators(code332, decomp.B))
             assert rank_weight(code332.ctx.unpack(d)) == t  # locators are always independent
 
 
 def test_solve_locators_single_equation_case(code321):
-    # a = (1): the only equation reads d^(1/q) = s_1^(1/q)
+    # a = (1): the only equation reads d^(1/q) = sigma_1^(1/q)
     ctx = code321.ctx
     rng = rng_for(77)
     while True:
@@ -359,10 +377,10 @@ def test_solve_locators_single_equation_case(code321):
     e = ctx.unpack(error_from_decomposition(ctx.pack([ctx.one]), B, ctx))
     msg = random_message(code321, rng)
     r = tuple(x + y for x, y in zip(code321.encode(msg), e))
-    s = ctx.unpack(syndrome(code321, r))
-    d = ctx.unpack(solve_locators(code321, ctx.pack([ctx.one]), ctx.pack(s)))
-    assert d[0] == s[1].frobenius(-1)
-    assert d[0].frobenius(1) == s[1]
+    sigma = ctx.unpack(transform(code321, r))
+    d = ctx.unpack(solve_locators(code321, ctx.pack([ctx.one]), ctx.pack(sigma)))
+    assert d[0] == sigma[1].frobenius(-1)
+    assert d[0].frobenius(1) == sigma[1]
 
 
 def test_solve_locators_inconsistent_for_wrong_span(code341):
@@ -376,9 +394,9 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
     assert np.array_equal(root_space(LinPoly(ctx, wrong)), one)
     for _ in range(200):
         _, _, _, _, r = plant(code341, 2, rng)  # rank-1 guess against a rank-2 error
-        s = syndrome(code341, r)
-        assert solve_locators(code341, one, s).shape == (1, ctx.m)
-        out = _finish_span(code341, code341.pack_word(r), s, wrong, 1)
+        sigma = transform(code341, r)
+        assert solve_locators(code341, one, sigma).shape == (1, ctx.m)
+        out = _finish_span(code341, code341.pack_word(r), sigma, wrong, 1)
         assert out.failure_reason == ERROR_RANK_MISMATCH
 
 
@@ -391,7 +409,7 @@ def test_solve_locators_rejects_dependent_roots(code341):
     for _ in range(20):
         _, _, _, _, r = plant(code341, 2, rng)
         try:
-            solve_locators(code341, twice, syndrome(code341, r))
+            solve_locators(code341, twice, transform(code341, r))
         except LocatorSystemInconsistent:
             raised += 1
     assert raised == 20
@@ -411,9 +429,9 @@ def test_recover_B_round_trip(code332):
     rng = rng_for(79)
     for t in (1, 2):
         _, _, e, decomp, r = plant(code332, t, rng, subfield=(t == 2))
-        s = syndrome(code332, r)
+        sigma = transform(code332, r)
         a = decomp.a
-        d = solve_locators(code332, a, s)
+        d = solve_locators(code332, a, sigma)
         B = recover_B(code332, d)
         assert np.array_equal(B, decomp.B)
         assert code332.ctx.unpack(error_from_decomposition(a, B, code332.ctx)) == e
@@ -425,13 +443,13 @@ def test_error_invariant_under_redecomposition(code332):
     ctx = code332.ctx
     for _ in range(20):
         _, _, e, decomp, r = plant(code332, 2, rng)
-        s = syndrome(code332, r)
+        sigma = transform(code332, r)
         while True:
             M = rng.integers(0, 3, (2, 2), dtype=np.int64)
             if fq_rank(M, 3) == 2:
                 break
         a_prime = (M.T @ decomp.a) % 3  # a'_j = sum_l M[l, j] a_l
-        d_prime = solve_locators(code332, a_prime, s)
+        d_prime = solve_locators(code332, a_prime, sigma)
         B_prime = recover_B(code332, d_prime)
         minv = fq_inv(M, 3)
         assert np.array_equal(B_prime, (minv @ decomp.B) % 3)
@@ -442,33 +460,28 @@ def test_error_invariant_under_redecomposition(code332):
 # the error from the transform domain
 # ---------------------------------------------------------------------------
 
-def _transform(code, e):
-    """sigma_i = sum_j e_j mu_j^(q^(k+i)) for i < 2n, from the basis mu itself."""
-    ctx = code.ctx
-    return ff_mat_vec(ctx.frob(ctx.pack(code.mu), (code.k + np.arange(ctx.m))[:, None]), e, ctx)
-
-
 @pytest.mark.parametrize("q, n, k", [(5, 2, 2), (3, 4, 1), (3, 4, 2), (3, 6, 4)])
 def test_transform_round_trip(q, n, k):
-    # N inverts the transform, and the odd syndrome entries 1..2n-k-1 of a
-    # received word c + e are the transform entries sigma_1..sigma_(2n-k-1) of e
+    # N inverts the transform, TZCode._read is the transform, and a codeword
+    # adds nothing to sigma_1..sigma_(2n-k-1), so those of a received word
+    # c + e are the error's
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
     rng = rng_for(92)
     for _ in range(10):
         e = rng.integers(0, q, (ctx.m, ctx.m), dtype=np.int64)
-        sigma = _transform(code, e)
+        sigma = transform(code, e)
+        assert np.array_equal(code._read(e), sigma)
         assert np.array_equal(ff_mat_vec(code.N, sigma, ctx), e)
         c = ctx.pack(code.encode(random_message(code, rng)))
-        s = syndrome(code, (c + e) % q)
-        assert np.array_equal(s[1 : 2 * (ctx.m - k) - 1 : 2], sigma[1 : ctx.m - k])
+        assert np.array_equal(code._read((c + e) % q)[1 : ctx.m - k], sigma[1 : ctx.m - k])
 
 
-def _spans(code, s):
+def _spans(code, sigma):
     """(t, span) from the plain branch and, at even k, from S_exp."""
-    yield estimate_rank(code, s)
+    yield estimate_rank(code, sigma)
     if code.k % 2 == 0:
-        yield solve_span(build_S_exp(code, s), code.ctx)[:2]
+        yield solve_span(build_S_exp(code, sigma), code.ctx)[:2]
 
 
 def _passes_residual_check(code, r, err, t):
@@ -482,8 +495,8 @@ def test_transform_error_matches_the_locator_system(q, n, k):
     # of rank 1 to radius+2, generic and subfield: the error the recurrence
     # and the inverse transform give equals the t x t locator system's bit for
     # bit.  They may differ only where the rows the span was read from leave a
-    # syndrome entry unchecked, beyond the radius (at (q,3,2) the plain
-    # branch's S^(1) never meets s_5), and then neither error passes the
+    # transform entry unchecked, beyond the radius (at (q,3,2) the plain
+    # branch's S^(1) never meets sigma_3), and then neither error passes the
     # residual check
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
@@ -494,14 +507,14 @@ def test_transform_error_matches_the_locator_system(q, n, k):
             for _ in range(15):
                 *_, r = plant(code, t, rng, subfield=subfield)
                 r = ctx.pack(r)
-                s = syndrome(code, r)
-                for rank, span in _spans(code, s):
+                sigma = transform(code, r)
+                for rank, span in _spans(code, sigma):
                     roots = None if span is None else root_space(LinPoly(ctx, span))
                     if roots is None or len(roots) != rank:
                         continue
-                    d = solve_locators(code, roots, s)
+                    d = solve_locators(code, roots, sigma)
                     ref = error_from_decomposition(roots, recover_B(code, d), ctx)
-                    err = error_from_span(code, s, span)[0]
+                    err = error_from_span(code, sigma, span)[0]
                     if np.array_equal(err, ref):
                         equal += 1
                     else:
@@ -588,8 +601,8 @@ def test_decode_falls_through_a_failed_boundary_attempt(q, n, k, t):
     failed_attempts = 0
     for _ in range(30):
         msg, cw, e, _, r = plant(code, t, rng)
-        s = syndrome(code, r)
-        rank, span, _ = solve_span(build_S_exp(code, s), ctx)
+        sigma = transform(code, r)
+        rank, span, _ = solve_span(build_S_exp(code, sigma), ctx)
         if rank == ctx.n - k // 2 and span is not None:
             failed_attempts += 1
         out = decode(code, r)
@@ -608,9 +621,9 @@ def test_decode_beyond_guarantee_fails_identically(code5):
     blocked = recovered = 0
     for _ in range(40):
         msg, cw, e, _, r = plant(code5, 1, rng, subfield=False)
-        s = syndrome(code5, r)
+        sigma = transform(code5, r)
         out = decode(code5, r)
-        if ff_rank(build_S_exp(code5, s), ctx) != t_lim:
+        if ff_rank(build_S_exp(code5, sigma), ctx) != t_lim:
             blocked += 1
             assert not out.success and out.failure_reason == NO_RANK_FOUND
         elif out.success:
@@ -627,7 +640,7 @@ def test_boundary_rank_t_off_the_leading_pivots(code322):
     # block is empty, and no trace row is nonzero in column 0 to fix lam
     ctx = code322.ctx
     r = np.array([[0, 0, 1, 1], [2, 1, 2, 0], [1, 2, 0, 2], [1, 1, 0, 0]])
-    S = build_S_exp(code322, syndrome(code322, r))
+    S = build_S_exp(code322, transform(code322, r))
     assert ff_rref(S, ctx)[1] == [1]
     assert solve_span(S, ctx) == (1, None, None)
     rank, _, boundary = solve_span(S, ctx, 0)  # t_b - 1 = 0 plain rows
@@ -644,7 +657,7 @@ def test_boundary_pencil_off_the_leading_pivots():
     ctx = code.ctx
     r = np.array([[0, 1, 2, 1, 2, 1], [1, 0, 2, 1, 2, 0], [0, 1, 0, 2, 1, 1],
                   [1, 1, 1, 0, 2, 1], [2, 1, 1, 2, 0, 2], [0, 1, 1, 1, 1, 2]])
-    S = build_S_exp(code, syndrome(code, r))
+    S = build_S_exp(code, transform(code, r))
     assert _eliminate(ctx, S, rows=1)[1] == [1]
     rank, plain, boundary = solve_span(S, ctx, 1)
     assert (rank, plain) == (1, None) and np.array_equal(boundary, solve_span(S, ctx)[1])
@@ -738,8 +751,8 @@ def test_hot_stages_make_no_scalar_field_ops(code5, code341, monkeypatch):
     # second elimination over F_{q^2n}
     import tzcode.linalg as linalg
 
-    # decode reads the syndrome with the transform entries of its finish
-    # (TZCode._read), not through syndrome()
+    # decode reads the word's transform (TZCode._read), and never forms
+    # the syndrome
     stages = ("estimate_rank", "solve_span", "error_from_span")
     inside, entered, calls = [], set(), []
     for holder, name in ((dec, "solve_locators"), (dec, "ff_solve"), (linalg, "ff_solve")):
@@ -910,25 +923,25 @@ def test_block_spans_match_the_reference(q, n, k):
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
     tb = n - k // 2
-    ones = np.ones((2 * (ctx.m - k), ctx.m), dtype=np.int64)
+    ones = np.ones((ctx.m, ctx.m), dtype=np.int64)
     assert _eliminate(ctx, build_S_exp(code, ones), rows=0)[1] == []
     pencils = 0
     for t, subfield in [(tb, True), *((t, False) for t in range(1, tb)), (tb + 1, False)]:
         rng = rng_for(101, t)
         for _ in range(10):
             *_, r = plant(code, t, rng, subfield=subfield)
-            s = syndrome(code, r)
-            S = build_S_exp(code, s)
+            sigma = transform(code, r)
+            S = build_S_exp(code, sigma)
             rank, plain, boundary = solve_span(S, ctx, tb - 1)
             if t < tb:
-                e_rank, e_span = estimate_rank(code, s)
+                e_rank, e_span = estimate_rank(code, sigma)
                 assert rank == e_rank and same_span(plain, e_span)
             elif rank and plain is not None:
-                assert not _finish_span(code, ctx.pack(r), s, plain, rank).success
+                assert not _finish_span(code, ctx.pack(r), sigma, plain, rank).success
             s_rank, s_span, s_boundary = solve_span(S, ctx)
             assert s_boundary is None  # no rows below the default bound
             if rank < tb - 1 and s_rank == tb and s_span is not None:
-                assert not _finish_span(code, ctx.pack(r), s, s_span, tb).success
+                assert not _finish_span(code, ctx.pack(r), sigma, s_span, tb).success
             elif s_rank == tb:
                 assert same_span(boundary, s_span)
             else:
@@ -947,8 +960,8 @@ def test_finish_matches_the_left_inverse_reference_beyond_the_radius(monkeypatch
 
     finished = []
 
-    def recorded(code, r, sigma, t, err, filled, _finish=dec._finish):
-        out = _finish(code, r, sigma, t, err, filled)
+    def recorded(code, r, sigma, t, err, sigma_err, _finish=dec._finish):
+        out = _finish(code, r, sigma, t, err, sigma_err)
         finished.append((r, err, t, out))
         return out
 
@@ -976,6 +989,33 @@ def test_finish_matches_the_left_inverse_reference_beyond_the_radius(monkeypatch
                     assert (got.success, got.failure_reason, got.message) == expected
                     reasons[got.failure_reason] += 1
     assert reasons[NOT_A_CODEWORD] >= 500 and reasons[ERROR_RANK_MISMATCH] and reasons[None]
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 4, 1), (3, 4, 2), (5, 3, 2), (3, 6, 4), (7, 3, 5),
+                                     (5, 2, 1), (3, 3, 2), (5, 3, 3), (3, 4, 5), (3, 2, 2)])
+def test_words_off_the_code_by_b0_or_ak_go_to_the_rank_read(q, n, k):
+    # c + w, where w interpolates gamma b x (b_0 = b) or b x^(q^k) (a_k = b)
+    # on lam, b in F_(q^n)^*: its sigma_1..sigma_(2n-k-1) vanish as a
+    # codeword's do, yet it is not one.  The membership test says so, unmap
+    # refuses it, and decode takes no zero route but reads no rank off the
+    # zero windows: NoRankFound at either parity
+    code = build_code(FieldCtx(q, n), k)
+    ctx = code.ctx
+    lam = ctx.pack(code.lam)
+    rng = rng_for(102)
+    for _ in range(3):
+        while True:
+            b = ctx.pack(ctx.subfield_elements(rng.integers(0, q, n)))
+            if b.any():
+                break
+        c = ctx.pack(code.encode(random_message(code, rng)))
+        for w in (ctx.mul(ctx.mul(code.gamma.coeffs, b), lam), ctx.mul(b, ctx.frob(lam, k))):
+            v = ctx.unpack((c + w) % q)
+            assert not transform(code, v)[1 : ctx.m - k].any()
+            assert not code.is_codeword(v)
+            with pytest.raises(NotACodeword):
+                code.unmap(v)
+            assert decode(code, v).failure_reason == NO_RANK_FOUND
 
 
 def test_decode_beyond_radius_keeps_contract(code321):

@@ -11,10 +11,14 @@ float64 work dtype the decoder eliminates in.  At the largest q each dtype
 admits, the code's F_q maps, the root space and decoding are checked for
 exactness; and whatever runs in the work dtype inside, every array and
 element the library hands back holds int64.  The numbers of table products
-and reductions per elimination pivot and per decode are pinned, so that a
-change that adds a fold back fails here and not only in a noisy timing.
+and reductions per elimination pivot and per decode, and of tzcode's own
+function calls per decode, are pinned, so that a change that adds a fold or
+a step back fails here and not only in a noisy timing.
 """
 
+import cProfile
+import os
+import pstats
 from collections import Counter
 from types import SimpleNamespace
 
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tzcode
 from tzcode import FieldCtx, LinPoly, build_code, decode, random_message
 from tzcode.construct import is_valid_gamma
 from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
@@ -226,7 +231,7 @@ def test_code_maps_and_decoding_at_the_largest_q_each_dtype_admits(edge):
         code = _code_with_random_gamma(ctx, k, rng)
         # the maps hold reduced integers, and the code map's product with the
         # closed-form left inverse is checked in Python ints
-        for held in (code._enc_mat, code._split_work, code._HM_work):
+        for held in (code._enc_mat, code._split_work, code._transform_work):
             exact = np.asarray(held, np.int64)
             assert np.array_equal(exact, held) and exact.min() >= 0 and exact.max() < q
         enc = np.asarray(code._enc_mat, np.int64)
@@ -276,12 +281,12 @@ def test_results_leave_as_int64(q, n, k):
         assert out.success and (out.codeword, out.error, out.message) == (cw, err, msg)
         assert _all_int64(out.codeword) and _all_int64(out.error) and _all_int64(out.message)
         assert hash(out.codeword[0]) == hash(ctx.elem(cw[0].coeffs.tolist()))
-    s = syndrome(code, ctx.pack(r))
-    S = build_S_exp(code, s) if k % 2 == 0 else build_S(code, s, (ctx.m - k - 1) // 2)
+    sigma = code._read(ctx.pack(r))
+    S = build_S_exp(code, sigma) if k % 2 == 0 else build_S(code, sigma, (ctx.m - k - 1) // 2)
     rank, span, _ = solve_span(S, ctx)
     assert rank == t
-    for arr in (s, S, ff_rref(S, ctx)[0], span, root_space(LinPoly(ctx, span)),
-                code._message(code._read(ctx.pack(cw))[1])):
+    for arr in (sigma, syndrome(code, ctx.pack(r)), S, ff_rref(S, ctx)[0], span,
+                root_space(LinPoly(ctx, span)), code._message(code._read(ctx.pack(cw)))):
         assert arr.dtype == np.int64
 
 
@@ -301,18 +306,18 @@ def _count_kernels(monkeypatch) -> Counter:
                          ids=["S_exp-bounded", "S_umax"])
 def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
     """Each pivot: one table product for the unreduced multiplication matrices,
-    two row products, and one reduction; the syndrome: one table product and
-    one block product, and one reduction."""
+    two row products, and one reduction; the read of the transform: one table
+    product and one block product, and one reduction."""
     ctx = FieldCtx(3, 12)
     assert ctx._lazy
     code = build_code(ctx, k)
     r = ctx.pack(plant(code, t, rng_for(260 + k), subfield=subfield)[-1])
     calls = _count_kernels(monkeypatch)
-    s = syndrome(code, r)
+    sigma = code._read(r)
     assert calls == {"_dot": 2, "_mod": 1}
     # the boundary S_exp pivots from its t-1 plain rows, S^(u_max) has rank t
-    S, rows, rank = ((build_S_exp(code, s), t - 1, t - 1) if k % 2 == 0
-                     else (build_S(code, s, (ctx.m - k - 1) // 2), None, t))
+    S, rows, rank = ((build_S_exp(code, sigma), t - 1, t - 1) if k % 2 == 0
+                     else (build_S(code, sigma, (ctx.m - k - 1) // 2), None, t))
     calls.clear()
     pivots = _eliminate(ctx, S, rows)[1]
     assert pivots == list(range(rank))
@@ -320,21 +325,22 @@ def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
 
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
-    (3, 1, 0, False, {"_dot": 4, "_mod": 4}),
-    (3, 1, 6, False, {"_dot": 55, "_mod": 34}),
-    (3, 2, 0, False, {"_dot": 4, "_mod": 4}),
-    (3, 2, 11, True, {"_dot": 75, "_mod": 47}),
-    (3, 2, 6, False, {"_dot": 61, "_mod": 42}),
-    (7, 19, 0, False, {"_dot": 4, "_mod": 4}),
-    (7, 19, 2, False, {"_dot": 61, "_mod": 48}),
+    (3, 1, 0, False, {"_dot": 4, "_mod": 3}),
+    (3, 1, 6, False, {"_dot": 54, "_mod": 32}),
+    (3, 2, 0, False, {"_dot": 4, "_mod": 3}),
+    (3, 2, 11, True, {"_dot": 73, "_mod": 42}),
+    (3, 2, 6, False, {"_dot": 59, "_mod": 37}),
+    (7, 19, 0, False, {"_dot": 4, "_mod": 3}),
+    (7, 19, 2, False, {"_dot": 60, "_mod": 46}),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     """One fixed word per route at the three benchmark codes: the products and
     reductions of the whole decode, and of its finishing step, which reads the
     message off k+1 transform entries with one batched product and one
-    reduction at every k.  The zero route is the read of the syndrome with
-    those entries (two products, one reduction), the syndrome's trace (a
-    product and two reductions) and the finish."""
+    reduction at every k.  The zero route is the read of the transform (two
+    products, one reduction), the membership test that finds r a codeword
+    (one product, one reduction) and the finish.  No relative trace is taken
+    but in the closing row of S_exp (one product, one reduction)."""
     import tzcode.decoder as dec
 
     code = build_code(FieldCtx(q, 12), k)
@@ -355,6 +361,32 @@ def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     assert finished == [{"_dot": 1, "_mod": 1}]
 
 
+@pytest.mark.parametrize("q, k, t, subfield, expected", [
+    (3, 1, 0, False, 80),
+    (3, 1, 6, False, 229),
+    (3, 2, 0, False, 82),
+    (3, 2, 11, True, 276),
+    (3, 2, 6, False, 246),
+    (7, 19, 0, False, 116),
+    (7, 19, 2, False, 277),
+], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
+def test_function_calls_per_decode(q, k, t, subfield, expected):
+    """The words of test_kernel_calls_per_decode: the calls, counted by
+    cProfile, of the named functions defined in tzcode's files, so that the
+    count does not move with numpy's internals or with how the interpreter
+    runs comprehensions.  Most are FF2n's constructor, once per element
+    handed back (2n + 2n + 2k), and the kernels pinned above."""
+    code = build_code(FieldCtx(q, 12), k)
+    _, cw, _, _, r = plant(code, max(t, 1), rng_for(270 + k), subfield=subfield)
+    profile = cProfile.Profile()
+    out = profile.runcall(decode, code, r if t else cw)
+    assert out.success and out.t == t
+    root = os.path.dirname(tzcode.__file__) + os.sep
+    stats = pstats.Stats(profile).stats  # (file, line, name) -> (primitive, calls, ...)
+    assert sum(calls for (file, _, name), (_, calls, *_) in stats.items()
+               if file.startswith(root) and not name.startswith("<")) == expected
+
+
 def test_elimination_stops_below_the_last_pivot(monkeypatch):
     """The 11 x 12 S^(u_max) at (3,12,1) of a rank-6 error has its rows below
     the sixth pivot zero from column 6 on, so the scan ends at column 6 and
@@ -362,8 +394,7 @@ def test_elimination_stops_below_the_last_pivot(monkeypatch):
     np.flatnonzero in linalg."""
     ctx = FieldCtx(3, 12)
     code = build_code(ctx, 1)
-    s = syndrome(code, ctx.pack(plant(code, 6, rng_for(265))[-1]))
-    S = build_S(code, s, 11)
+    S = build_S(code, code._read(ctx.pack(plant(code, 6, rng_for(265))[-1])), 11)
     assert S.shape[:2] == (11, 12)
     scans = []
 

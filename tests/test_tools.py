@@ -28,17 +28,18 @@ def test_paired_decode_compares_one_tree_with_itself(capsys, monkeypatch):
 
 
 def test_paired_decode_compares_only_the_tables_both_trees_hold(capsys, monkeypatch, tmp_path):
-    # a tree that still holds the message left inverse, paired with one that
-    # does not: the table is named, not compared, and the run goes on
+    # a tree that holds a table the other does not: the table is named, not
+    # compared, and the run goes on
     tool = _tool("paired_decode")
     for var in tool.THREAD_VARS:
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(tool, "SETUP_PAIRS", 2)
+    monkeypatch.setattr(tool, "TABLES", (*tool.TABLES, "_extra_table"))
     shutil.copytree(ROOT / "src" / "tzcode", tmp_path / "tzcode")
     with open(tmp_path / "tzcode" / "construct.py", "a") as fh:
-        fh.write("\nTZCode.msg_left_inverse = property(lambda self: self._enc_mat.T)\n")
+        fh.write("\nTZCode._extra_table = property(lambda self: self._enc_mat.T)\n")
     args = ["--q", "3", "--n", "2", "--k", "1", "--t", "1", "--words", "4"]
     assert tool.main([str(tmp_path), str(ROOT / "src"), *args]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "tables held by the parent tree only: msg_left_inverse"
+    assert lines[0] == "tables held by the parent tree only: _extra_table"
     assert "every shared table and every outcome equal" in lines[1]

@@ -12,10 +12,13 @@ by both sides, word by word.  The side that runs first alternates from pair
 to pair and from word to word, so that both see the same host speed; a
 paired run resolves changes that the swing of absolute times between runs
 hides.  Every pair of outcomes must be equal.  Set-up is one row of the
-table; the syndrome, the syndrome-matrix build and solve_span are timed
-apart from the whole decode.  The table gives each side's p50 per stage in
-ms and the ratio change/parent; exit code 1 means two tables or two
-outcomes differed.  BLAS runs on one thread, as in perfbench.
+table; the read of a word (TZCode._read, one product with the code's read
+table) is timed apart from the whole decode.  The stages between them are
+not, since what they take depends on what a tree reads: a tree that reads
+the syndrome hands its builders the syndrome, and one that reads the
+transform hands them the transform.  The table gives each side's p50 per
+stage in ms and the ratio change/parent; exit code 1 means two tables or
+two outcomes differed.  BLAS runs on one thread, as in perfbench.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from pathlib import Path
 # numpy reads these when it is imported, so main sets them before the import
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS")
-STAGES = ("setup", "syndrome", "build", "solve_span", "decode")
+STAGES = ("setup", "read", "decode")
 # 40 pairs resolve a set-up ratio to a few percent; 10 left it at about +-12%
 SETUP_PAIRS = 40
-# the tables of a code that two trees holding them must build alike;
-# msg_left_inverse is held only by trees that finish a decode through it
-TABLES = ("G", "H", "_H_work", "_HM_work", "_N_work", "_split_work", "_enc_mat",
-          "msg_left_inverse")
+# the tables of a code that two trees holding them must build alike
+TABLES = ("G", "H", "_transform_work", "_N_work", "_split_work", "_enc_mat")
 
 
 def load(name: str, src: str):
@@ -65,23 +66,16 @@ class Side:
         self.times = {stage: [] for stage in STAGES}
 
     def run(self, word):
-        """Time the stages and the whole decode of one packed word; return the outcome."""
-        dec, code, ctx = self.tz.decoder, self.code, self.ctx
-        r = ctx.unpack(word)
+        """Time the read and the whole decode of one packed word; return the outcome."""
+        code = self.code
+        r = self.ctx.unpack(word)
         clock = time.perf_counter
         t0 = clock()
-        s = dec.syndrome(code, word)
+        code._read(word)
         t1 = clock()
-        if code.k % 2 == 0:
-            S, rows = dec.build_S_exp(code, s), ctx.n - code.k // 2 - 1
-        else:
-            S, rows = dec.build_S(code, s, (ctx.m - code.k - 1) // 2), None
+        out = self.tz.decoder.decode(code, r)
         t2 = clock()
-        dec.solve_span(S, ctx, rows)
-        t3 = clock()
-        out = dec.decode(code, r)
-        t4 = clock()
-        for stage, dt in zip(STAGES[1:], (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        for stage, dt in zip(STAGES[1:], (t1 - t0, t2 - t1)):
             self.times[stage].append(dt * 1e3)
         return out
 
