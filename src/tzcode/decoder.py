@@ -11,7 +11,16 @@ residual checks in order, and a failure is named after the first that
 fails: the error must have rank t (else ErrorRankMismatch), and r - err
 must be a codeword (else NotACodeword), by the code's membership test
 (TZCode._message) on r's transform less the error's, which also gives the
-message.  A word that passes that test as read takes the zero route.
+message.  A word that passes that test as read takes the zero route, whose
+outcome that one test gives.
+
+The rank check takes no F_q elimination where the span's roots certify it
+(_certified).  The pivot rows the span was read from are windows of
+sigma_1..sigma_(2n-k-1), which the error's transform shares, so their rank
+bounds the error's from below; a span of q-degree t that kills every entry
+of the error bounds it by t from above.  One product makes that kill test,
+and fq_rank runs only where the certificate fails, so each failure keeps
+its name.
 
 A codeword's sigma_1..sigma_(2n-k-1) vanish, so those of r are the error's;
 error_from_span extends them by Lambda's q-recurrence and inverts the
@@ -31,9 +40,14 @@ Two regimes exist.  While 2t + k < 2n the plain windows of the transform
 decide everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
 boundary 2t + k = 2n (k even) the t-1 plain rows of S_exp leave a pencil of
 spans, and its trace rows pin one member when the error lies over F_(q^n),
-so such errors of rank n - k/2 decode as well.  solve_span eliminates S_exp
-once, pivots from its plain rows only, and reads that member, tried first,
-and the plain span, which serves below the boundary as S^(u_max) does at odd k.
+so such errors of rank n - k/2 decode as well.  solve_span eliminates the
+plain rows with the first trace row, which pins that member, and checks the
+other t rows on it with one product (where the first pins none, it
+eliminates every row).  It reads that member, tried first, and the plain
+span, which serves below the boundary as S^(u_max) does at odd k.  The
+plain rows there have rank t-1, which admits an error of rank t-1, and the
+plain span, of q-degree t-1, kills exactly such an error; so the boundary's
+certificate also needs the plain span not to kill it.
 
 Every stage works on packed arrays (field.py): the transform is (2n, 2n),
 the syndrome matrices (rows, cols, 2n) gathered from the powers
@@ -157,9 +171,10 @@ def build_S_exp(code: TZCode, sigma) -> np.ndarray:
     if k % 2 != 0:
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
-    ps = ctx.frob_powers(np.asarray(sigma[: 2 * t + 1], ctx._work))
-    # Tr(x)^(q^c) = x^(q^c) + x^(q^(c+n)): the trace's powers are the powers rolled by n
-    trace_rows = _shifted(ctx._mod(ps + np.roll(ps, ctx.n, axis=1)), t, range(t), t + 1)
+    ps = ctx.frob_powers(np.asarray(sigma[: 2 * t + 1], ctx._work), ctx.n + t + 1)
+    # Tr(x)^(q^c) = x^(q^c) + x^(q^(c+n)), c <= t < n: two gathers of the powers
+    trace_rows = ctx._mod(_shifted(ps, t, range(t), t + 1)
+                          + _shifted(ps[:, ctx.n :], t, range(t), t + 1))
     g2t = ctx.frob(np.asarray(code.gamma.coeffs, ctx._work), 2 * t)
     twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0], ctx._mul_factor(g2t))
     plain_rows = _shifted(ps, t, range(1, t), t + 1)
@@ -177,15 +192,22 @@ def solve_span(S, ctx, rows=None):
     pivot: one batched inverse, and no row is normalised.  With t = cols-1,
     at rank t-1 with column t free the pivot rows' kernel is the pencil
     L_t + lam L_f (f the first free column); boundary is the member that
-    the rows below the bound fix: the first reduced one that is (x, y) at
-    (f, t) with x != 0 gives lam = -y/x, and all of them must vanish on it.
+    the rows below the bound fix.  Only the first of them is eliminated
+    with the pivot rows: if it is (x, y) at (f, t) with x != 0, it gives
+    lam = -y/x, and every later row is checked on that member by one
+    product.  A reduced row is a nonzero multiple of its own row less pivot
+    rows, which the member kills, so it vanishes on the member exactly when
+    its row does.  If x = 0, every row is eliminated: the first reduced one
+    with x != 0 fixes lam, and all of them must vanish on the member.
     """
     ctx, S = _packed(S, ctx)
-    a, pivots = _eliminate(ctx, S, rows)
+    a, pivots = _eliminate(ctx, S[: None if rows is None else rows + 1], rows)
     rank, t = len(pivots), a.shape[1] - 1
     free = next((c for c, p in enumerate(pivots) if p != c), rank)
     hit = []
     if rows is not None and rank == t - 1 and t not in pivots:  # rows is 0 at (3,2,2)
+        if not a[rows:, free].any() and len(a) < len(S):  # the first row below fixes no member
+            a = _eliminate(ctx, S, rows)[0]
         hit = (rows + np.flatnonzero(a[rows:, free].any(axis=1))[:1]).tolist()
     if not hit:  # the plain read alone: one inverse of the diagonal, one product
         if rank > t or free < rank:
@@ -200,7 +222,10 @@ def solve_span(S, ctx, rows=None):
     scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx._mul_factor(tr[rank]))
     if not np.array_equal(a[rows:, t], scaled[rank:]):
         return rank, plain, None
-    return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+    boundary = _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+    if len(a) < len(S) and ff_mat_vec(S[len(a) :], boundary, ctx).any():
+        return rank, plain, None
+    return rank, plain, boundary
 
 
 def _monic(ctx, neg) -> np.ndarray:
@@ -274,14 +299,43 @@ def error_from_span(code: TZCode, sigma, span):
     return ff_mat_vec(code._N_work, sigma_e, ctx), sigma_e
 
 
-def _finish(code: TZCode, r, sigma, t: int, err, sigma_err) -> DecodeOutcome:
+def _certified(ctx, err, span, plain=None) -> bool:
+    """Whether span's roots certify that err has rank t, span's q-degree, with no F_q elimination.
+
+    span comes from pivot rows that are windows of sigma_1..sigma_(2n-k-1),
+    which err's transform shares, so err's rank is at least theirs; if span
+    kills every entry of err, it is at most t.  On the plain route the pivot
+    rows have rank t, and that certifies it.  On the boundary route they
+    have rank t-1, and plain is the plain read L_f of the same pivots, of
+    q-degree t-1.  An err of rank t-1 has its subspace polynomial in their
+    kernel with no x^(q^t) term, a multiple of L_f; so L_f kills err exactly
+    when its rank is t-1, and span killing err while plain does not
+    certifies rank t.  A polynomial f acts on coefficient rows as
+    sum_c F^c M(f_c): the Frobenius-power table times the stacked
+    multiplication matrices, one product for both polynomials, a sum of
+    (t+1) 2n < 4n^2 terms with unreduced matrices, inside FieldCtx's bound.
+    One more product applies both actions to err's rows.
+    """
+    m, t = ctx.m, len(span) - 1
+    polys = np.zeros((1 if plain is None else 2, t + 1, m), ctx._work)
+    polys[0] = span
+    if plain is not None:
+        polys[1, :t] = plain
+    by = ctx._mul_factor(polys).transpose(1, 2, 0, 3).reshape((t + 1) * m, -1)  # [c, u][p, v]
+    values = ctx._dot(err, ctx._dot(ctx._frob_tensor[:, : (t + 1) * m], by))
+    return not values[:, :m].any() and (plain is None or values[:, m:].any())
+
+
+def _finish(code: TZCode, r, sigma, t: int, err, sigma_err, certified=False) -> DecodeOutcome:
     """The corrected outcome on the packed word r, or the failure of the first check err fails.
 
     sigma is r's transform and sigma_err err's.  The residual check keeps the
-    bounded-distance promise: err must have rank t, and r - err must be a codeword.
+    bounded-distance promise: err must have rank t, and r - err must be a
+    codeword.  A certified rank (_certified) is t, and only an uncertified
+    one takes the F_q elimination fq_rank.
     """
     ctx = code.ctx
-    if fq_rank(err, ctx.q) != t:
+    if not certified and fq_rank(err, ctx.q) != t:
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
     msg = code._message(sigma - sigma_err)
     if msg is None:
@@ -300,14 +354,18 @@ def decode(code: TZCode, r) -> DecodeOutcome:
     ctx = code.ctx
     packed = code.pack_word(r)
     sigma = code._read(packed)
-    if code._message(sigma) is not None:
-        return _finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
+    msg = code._message(sigma)
+    if msg is not None:  # r is a codeword: the zero route
+        zero = np.zeros_like(packed)
+        return DecodeOutcome.ok(ctx.unpack(packed), ctx.unpack(zero), ctx.unpack(msg), 0)
 
     if code.k % 2 == 0:
         t_b = ctx.n - code.k // 2
         t, span, boundary = solve_span(build_S_exp(code, sigma), ctx, t_b - 1)
         if boundary is not None:
-            out = _finish(code, packed, sigma, t_b, *error_from_span(code, sigma, boundary))
+            err, sigma_err = error_from_span(code, sigma, boundary)
+            certified = span is not None and _certified(ctx, err, boundary, span)
+            out = _finish(code, packed, sigma, t_b, err, sigma_err, certified)
             if out.success:
                 return out
     else:
@@ -316,4 +374,5 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, packed, sigma, t, *error_from_span(code, sigma, span))
+    err, sigma_err = error_from_span(code, sigma, span)
+    return _finish(code, packed, sigma, t, err, sigma_err, _certified(ctx, err, span))

@@ -201,6 +201,28 @@ def default_modulus(q, m):
 # field context and elements
 # ---------------------------------------------------------------------------
 
+def _check_order(q: int, n: int) -> int:
+    """The admitted bound of q and n; InvalidParameter or UnsupportedCharacteristic if they are bad.
+
+    n must be positive, q an odd prime, and the bound below 2^63.  The bound
+    is the largest sum in a raw product folded through the reduction table,
+    as _rabin folds it: with m = 2n, raw entry d sums at most
+    min(d+1, 2m-1-d) terms below (q-1)^2, and an output takes one of them
+    (at most m (q-1)^2) plus the raw entries d = m .. 2m-2 times table
+    entries, at most (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  For q >= 3
+    it is at least m^2 (q-1)^2, so any product of reduced rows with reduced
+    tables or matrices, m^2 terms at most, stays inside it.
+    """
+    if n < 1:
+        raise InvalidParameter(f"n must be positive, got {n}")
+    bound = 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
+    if bound >= 2**63:
+        raise InvalidParameter(f"q={q}, n={n} overflows int64 field arithmetic")
+    if not _is_prime(q) or q == 2:
+        raise UnsupportedCharacteristic(f"q must be an odd prime, got {q}")
+    return bound
+
+
 class FieldCtx:
     """The tower F_q < F_{q^n} < F_{q^2n} with its precomputed F_q tables.
 
@@ -208,21 +230,7 @@ class FieldCtx:
     """
 
     def __init__(self, q: int, n: int, modulus=None):
-        if n < 1:
-            raise InvalidParameter(f"n must be positive, got {n}")
-        # The admitted bound is the largest sum in a raw product folded
-        # through the reduction table, as _rabin folds it: with m = 2n, raw
-        # entry d sums at most min(d+1, 2m-1-d) terms below (q-1)^2, and an
-        # output takes one of them (at most m (q-1)^2) plus the raw entries
-        # d = m .. 2m-2 times table entries, at most
-        # (q-1)^3 (1 + ... + (m-1)) = n(2n-1)(q-1)^3.  For q >= 3 it is at
-        # least m^2 (q-1)^2, so any product of reduced rows with reduced
-        # tables or matrices, m^2 terms at most, stays inside it.
-        bound = 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3
-        if bound >= 2**63:
-            raise InvalidParameter(f"q={q}, n={n} overflows int64 field arithmetic")
-        if not _is_prime(q) or q == 2:
-            raise UnsupportedCharacteristic(f"q must be an odd prime, got {q}")
+        bound = _check_order(q, n)
         self.q = q
         self.n = n
         self.m = m = 2 * n

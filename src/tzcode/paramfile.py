@@ -12,7 +12,7 @@ import json
 
 from .construct import TZCode, build_code
 from .errors import InvalidParameter
-from .field import Basis, FieldCtx
+from .field import Basis, FieldCtx, _check_order
 
 __all__ = [
     "params_dict",
@@ -58,6 +58,7 @@ def params_from_dict(data: dict) -> TZCode:
             if type(data[key]) is not int:  # not a bool, a float or a string
                 raise InvalidParameter(f"{key} must be an integer, got {data[key]!r}")
         q, n, k = data["q"], data["n"], data["k"]
+        _check_order(q, n)  # before q bounds the coefficients
         ctx = FieldCtx(q, n, _coeffs(data["modulus"], q, "modulus"))
         lam = Basis([ctx.elem(_coeffs(e, q, f"lambda entry {j}"))
                      for j, e in enumerate(data["lambda"])])

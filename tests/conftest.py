@@ -10,9 +10,12 @@ from tzcode.channel import (
     random_message,
     trial_rng,
 )
-from tzcode.decoder import build_S, error_from_decomposition
+from tzcode.decoder import (NO_RANK_FOUND, SPAN_DIM_MISMATCH, DecodeOutcome, _finish, _monic,
+                            build_S, build_S_exp, error_from_decomposition, error_from_span,
+                            estimate_rank)
 from tzcode.field import _toeplitz
-from tzcode.linalg import _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank, fq_solve
+from tzcode.linalg import (_eliminate, _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank,
+                           fq_solve)
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -132,6 +135,59 @@ def ref_rank_scan(code, sigma):
         if ff_rank(build_S(code, sigma, u), code.ctx) == u:
             return u
     return None
+
+
+def ref_solve_span(S, ctx, rows=None):
+    """solve_span with every row of S eliminated: the form that decode replaced
+    with the pivot rows and the first row below the bound.  Below the bound,
+    the first reduced row that is (x, y) at (f, t) with x != 0 fixes the
+    pencil's member, and every reduced row must vanish on it."""
+    ctx, S = _packed(S, ctx)
+    a, pivots = _eliminate(ctx, S, rows)
+    rank, t = len(pivots), a.shape[1] - 1
+    free = next((c for c, p in enumerate(pivots) if p != c), rank)
+    hit = []
+    if rows is not None and rank == t - 1 and t not in pivots:
+        hit = (rows + np.flatnonzero(a[rows:, free].any(axis=1))[:1]).tolist()
+    if not hit:
+        if rank > t or free < rank:
+            return rank, None, None
+        diag = np.arange(rank)
+        return rank, _monic(ctx, ctx.mul(a[:rank, rank], ctx.inv(a[diag, diag]))), None
+    piv = a[[*range(rank), *hit]]
+    inv = ctx.inv(piv[np.arange(rank + 1), pivots + [free]])
+    ratio = ctx.mul(np.concatenate([piv[:, free], piv[:, t]]), np.concatenate([inv, inv]))
+    fr, tr = ratio.reshape(2, rank + 1, ctx.m)
+    plain = _monic(ctx, fr[:rank]) if free == rank else None
+    scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx._mul_factor(tr[rank]))
+    if not np.array_equal(a[rows:, t], scaled[rank:]):
+        return rank, plain, None
+    return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+
+
+def ref_decode(code, r) -> DecodeOutcome:
+    """decode as it ran before the span's roots certified the error's rank:
+    S_exp's spans from ref_solve_span, every finish (the zero route's
+    included) through fq_rank, and the same route order."""
+    ctx = code.ctx
+    packed = code.pack_word(r)
+    sigma = code._read(packed)
+    if code._message(sigma) is not None:
+        return _finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
+    if code.k % 2 == 0:
+        t_b = ctx.n - code.k // 2
+        t, span, boundary = ref_solve_span(build_S_exp(code, sigma), ctx, t_b - 1)
+        if boundary is not None:
+            out = _finish(code, packed, sigma, t_b, *error_from_span(code, sigma, boundary))
+            if out.success:
+                return out
+    else:
+        t, span = estimate_rank(code, sigma)
+    if not t:
+        return DecodeOutcome.fail(NO_RANK_FOUND)
+    if span is None:
+        return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
+    return _finish(code, packed, sigma, t, *error_from_span(code, sigma, span))
 
 
 def ff_kernel(a, ctx=None) -> np.ndarray:

@@ -48,6 +48,16 @@ def test_a_parameter_of_the_wrong_type_is_a_bad_parameter(tmp_path, capsys, fiel
     assert "integer" in err or "list" in err
 
 
+@pytest.mark.parametrize("q", [-3, 1, 2, 9])
+def test_a_bad_q_is_named_before_the_modulus(tmp_path, capsys, q):
+    # q is checked as FieldCtx checks it before it bounds the modulus's
+    # coefficients, so a q of 2 or less is not reported as a modulus fault
+    path = _params(tmp_path, q=q)
+    capsys.readouterr()
+    assert main(["mindist", "--params", str(path)]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err == f"error: q must be an odd prime, got {q}\n"
+
+
 def test_a_vector_of_the_wrong_type_is_a_bad_parameter(tmp_path, capsys):
     # an entry that is not a list of JSON integers in [0, q) is named with its
     # line, and is neither coerced nor a crash

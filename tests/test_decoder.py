@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tzcode import FieldCtx, build_code, rank_weight
-from tzcode.channel import ChannelSpec, random_error, random_message
+from tzcode.channel import ChannelSpec, random_error, random_message, trial_rng
 from tzcode.decoder import (
     ERROR_RANK_MISMATCH,
     NO_RANK_FOUND,
@@ -30,8 +30,8 @@ from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_r
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_message_digits,
-                      ref_rank_scan, rng_for, same_span, transform)
+from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_decode,
+                      ref_message_digits, ref_rank_scan, rng_for, same_span, transform)
 
 
 def _finish_span(code, r, sigma, span, t):
@@ -960,8 +960,8 @@ def test_finish_matches_the_left_inverse_reference_beyond_the_radius(monkeypatch
 
     finished = []
 
-    def recorded(code, r, sigma, t, err, sigma_err, _finish=dec._finish):
-        out = _finish(code, r, sigma, t, err, sigma_err)
+    def recorded(code, r, sigma, t, err, sigma_err, certified=False, _finish=dec._finish):
+        out = _finish(code, r, sigma, t, err, sigma_err, certified)
         finished.append((r, err, t, out))
         return out
 
@@ -1016,6 +1016,106 @@ def test_words_off_the_code_by_b0_or_ak_go_to_the_rank_read(q, n, k):
             with pytest.raises(NotACodeword):
                 code.unmap(v)
             assert decode(code, v).failure_reason == NO_RANK_FOUND
+
+
+# ---------------------------------------------------------------------------
+# one trace row eliminated, and the error's rank certified by the span's roots
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 2), (5, 2, 2), (3, 3, 2), (5, 3, 2), (3, 4, 2),
+                                     (3, 6, 4), (3, 2, 1), (3, 4, 1), (5, 3, 3), (3, 4, 5)])
+def test_a_certified_rank_is_the_rank(q, n, k, monkeypatch):
+    # every finish decode makes at t = 1 .. radius + 2, generic and over
+    # F_(q^n): where the span's roots certify the error's rank, fq_rank finds
+    # that rank too, and every outcome equals the reference decode's, which
+    # eliminates every row of S_exp and runs fq_rank on every finish.  The
+    # certificate must hold on the route the guarantee covers: at the plain
+    # route's t and at the boundary rank t_b = n - k/2 over F_(q^n)
+    import tzcode.decoder as dec
+
+    finished = []
+
+    def recorded(code, r, sigma, t, err, sigma_err, certified=False, _finish=dec._finish):
+        finished.append((err, t, certified))
+        return _finish(code, r, sigma, t, err, sigma_err, certified)
+
+    monkeypatch.setattr(dec, "_finish", recorded)
+    code = build_code(FieldCtx(q, n), k)
+    certified_at = Counter()
+    for t in range(1, min(code.radius + 2, 2 * n) + 1):
+        for subfield in (False, True) if t <= n else (False,):
+            rng = rng_for(110, 2 * t + subfield)
+            for _ in range(15):
+                *_, r = plant(code, t, rng, subfield=subfield)
+                finished.clear()
+                assert decode(code, r) == ref_decode(code, r)
+                for err, rank, certified in finished:
+                    if certified:
+                        assert fq_rank(err, q) == rank
+                        certified_at[rank] += 1
+    guaranteed = [(2 * n - k - 1) // 2] + ([] if k % 2 else [n - k // 2])
+    assert all(certified_at[t] for t in guaranteed if t)
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 2), (5, 2, 2)])
+def test_a_first_trace_row_that_fixes_no_member_eliminates_every_row(q, n, k, monkeypatch):
+    # at t_b = 1 the block is empty and the first row below it is S_exp's one
+    # trace row; where its entry in column 0 is zero it fixes no member of the
+    # pencil, and solve_span eliminates every row, as the reference does, so
+    # that the closing row may fix it.  Such words decode as the reference
+    # decodes them
+    import tzcode.decoder as dec
+
+    eliminated = []
+    monkeypatch.setattr(dec, "_eliminate", lambda ctx, a, rows=None:
+                        eliminated.append(len(a)) or _eliminate(ctx, a, rows))
+    code = build_code(FieldCtx(q, n), k)
+    fallbacks = Counter()
+    for subfield in (True, False):
+        rng = rng_for(111, subfield)
+        for _ in range(150):
+            *_, r = plant(code, 1, rng, subfield=subfield)
+            eliminated.clear()
+            out = decode(code, r)
+            assert out == ref_decode(code, r)
+            first_row = build_S_exp(code, transform(code, r))[0, 0]
+            assert eliminated == ([1] if first_row.any() else [1, 2])
+            if not first_row.any():
+                fallbacks[out.success] += 1
+    assert fallbacks[True] > 0
+
+
+def test_the_trace_rows_below_the_first_are_checked(code332):
+    # this generic rank-2 word at (3,3,2) has its first trace row fix a member
+    # of the pencil, but a later trace row does not vanish on it, so solve_span
+    # reads no boundary span, and the plain span's error fails the rank check
+    ctx = code332.ctx
+    rng = trial_rng(11, 432)
+    cw = code332.encode(random_message(code332, rng))
+    e, _ = random_error(code332, ChannelSpec(2, False, 11), rng)
+    r = tuple(x + y for x, y in zip(cw, e))
+    S = build_S_exp(code332, transform(code332, r))
+    rank, _, boundary = solve_span(S, ctx, 1)
+    assert rank == 1 and boundary is None
+    a, pivots = _eliminate(ctx, S[:2], 1)
+    free = next(c for c in range(2) if c not in pivots)
+    assert a[1, free].any()  # the first trace row fixes a member
+    assert decode(code332, r).failure_reason == ERROR_RANK_MISMATCH
+
+
+def test_s_exp_trace_rows_are_the_traced_powers():
+    # row t - 1 + j of S_exp, j < t, is Tr(sigma_(t+j-c))^(q^c): each entry
+    # against the relative trace and the Frobenius map of one element
+    for q, n, k in [(3, 2, 2), (3, 3, 2), (5, 3, 2), (3, 6, 4)]:
+        code = build_code(FieldCtx(q, n), k)
+        ctx = code.ctx
+        t = n - k // 2
+        rng = rng_for(112, n)
+        for subfield in (False, True):
+            sigma = transform(code, plant(code, t, rng, subfield=subfield)[-1])
+            S = build_S_exp(code, sigma)
+            for j, c in itertools.product(range(t), range(t + 1)):
+                assert np.array_equal(S[t - 1 + j, c], ctx.frob(ctx.trace(sigma[t + j - c]), c))
 
 
 def test_decode_beyond_radius_keeps_contract(code321):

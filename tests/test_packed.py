@@ -325,22 +325,26 @@ def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
 
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
-    (3, 1, 0, False, {"_dot": 4, "_mod": 3}),
-    (3, 1, 6, False, {"_dot": 54, "_mod": 32}),
-    (3, 2, 0, False, {"_dot": 4, "_mod": 3}),
-    (3, 2, 11, True, {"_dot": 73, "_mod": 42}),
-    (3, 2, 6, False, {"_dot": 59, "_mod": 37}),
-    (7, 19, 0, False, {"_dot": 4, "_mod": 3}),
-    (7, 19, 2, False, {"_dot": 60, "_mod": 46}),
+    (3, 1, 0, False, {"_dot": 3, "_mod": 2}),
+    (3, 1, 6, False, {"_dot": 57, "_mod": 34}),
+    (3, 2, 0, False, {"_dot": 3, "_mod": 2}),
+    (3, 2, 11, True, {"_dot": 78, "_mod": 45}),
+    (3, 2, 6, False, {"_dot": 62, "_mod": 39}),
+    (7, 19, 0, False, {"_dot": 3, "_mod": 2}),
+    (7, 19, 2, False, {"_dot": 63, "_mod": 48}),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     """One fixed word per route at the three benchmark codes: the products and
     reductions of the whole decode, and of its finishing step, which reads the
     message off k+1 transform entries with one batched product and one
     reduction at every k.  The zero route is the read of the transform (two
-    products, one reduction), the membership test that finds r a codeword
-    (one product, one reduction) and the finish.  No relative trace is taken
-    but in the closing row of S_exp (one product, one reduction)."""
+    products, one reduction) and the one membership test that finds r a
+    codeword and gives its message (one product, one reduction), with no
+    finish.  The certificate of the error's rank is three products and two
+    reductions, and the check of the boundary's trace rows below the first
+    is one matrix-vector product (two products, one reduction).  No relative
+    trace is taken but in the closing row of S_exp (one product, one
+    reduction)."""
     import tzcode.decoder as dec
 
     code = build_code(FieldCtx(q, 12), k)
@@ -358,17 +362,17 @@ def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     out = decode(code, r if t else cw)
     assert out.success and out.t == t
     assert dict(calls) == expected
-    assert finished == [{"_dot": 1, "_mod": 1}]
+    assert finished == ([{"_dot": 1, "_mod": 1}] if t else [])
 
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
-    (3, 1, 0, False, 80),
-    (3, 1, 6, False, 229),
-    (3, 2, 0, False, 82),
-    (3, 2, 11, True, 276),
-    (3, 2, 6, False, 246),
-    (7, 19, 0, False, 116),
-    (7, 19, 2, False, 277),
+    (3, 1, 0, False, 74),
+    (3, 1, 6, False, 235),
+    (3, 2, 0, False, 76),
+    (3, 2, 11, True, 292),
+    (3, 2, 6, False, 253),
+    (7, 19, 0, False, 110),
+    (7, 19, 2, False, 283),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_function_calls_per_decode(q, k, t, subfield, expected):
     """The words of test_kernel_calls_per_decode: the calls, counted by
@@ -385,6 +389,22 @@ def test_function_calls_per_decode(q, k, t, subfield, expected):
     stats = pstats.Stats(profile).stats  # (file, line, name) -> (primitive, calls, ...)
     assert sum(calls for (file, _, name), (_, calls, *_) in stats.items()
                if file.startswith(root) and not name.startswith("<")) == expected
+
+
+def test_boundary_decode_eliminates_the_block_and_one_trace_row(monkeypatch):
+    """The boundary word of test_kernel_calls_per_decode at (3,12,2), t_b = 11:
+    of S_exp's 22 rows, decode eliminates the 10 plain rows and the first
+    trace row, and checks the other 11 rows on the boundary span."""
+    import tzcode.decoder as dec
+
+    code = build_code(FieldCtx(3, 12), 2)
+    *_, r = plant(code, 11, rng_for(272), subfield=True)
+    eliminated = []
+    monkeypatch.setattr(dec, "_eliminate", lambda ctx, a, rows=None:
+                        eliminated.append((len(a), rows)) or _eliminate(ctx, a, rows))
+    out = decode(code, r)
+    assert out.success and out.t == 11
+    assert eliminated == [(11, 10)]
 
 
 def test_elimination_stops_below_the_last_pivot(monkeypatch):
