@@ -30,7 +30,7 @@ import numpy as np
 
 from .construct import TZCode
 from .decoder import FAILURE_REASONS, decode, error_from_decomposition
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _check_integers
 from .linalg import fq_rank
 
 __all__ = [
@@ -62,6 +62,9 @@ class ChannelSpec:
     seed: int = 0
 
     def validate(self, code: TZCode):
+        _check_integers(t=self.t, seed=self.seed)
+        if not 0 <= self.seed < 2**128:  # a Philox key
+            raise InvalidParameter(f"seed must lie in [0, 2^128), got {self.seed}")
         if not 0 <= self.t <= code.ctx.m:
             raise InvalidParameter(f"t must lie in [0, {code.ctx.m}], got {self.t}")
         if self.subfield_only and self.t > code.ctx.n:
@@ -148,6 +151,7 @@ def simulate(code: TZCode, spec: ChannelSpec, trials: int) -> TrialReport:
     codeword, message, and error vector; a decoder success that recovers a
     different codeword is tallied as a miscorrection.
     """
+    _check_integers(trials=trials)
     if trials < 0:
         raise InvalidParameter(f"trials must be at least 0, got {trials}")
     spec.validate(code)

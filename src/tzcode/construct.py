@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, MessageNotInSubfield, NotACodeword
+from .errors import InvalidParameter, MessageNotInSubfield, NotACodeword, _check_integers
 from .field import FF2n, Basis, FieldCtx
 from .linalg import ff_mat_vec, fq_inv, fq_kernel
 
@@ -275,6 +275,7 @@ def build_code(ctx: FieldCtx, k: int, lam=None, gamma: FF2n | None = None,
     Supplied values must lie in ctx and satisfy their invariants, else
     InvalidParameter names them; G H^T's structure is checked before return.
     """
+    _check_integers(k=k)
     if not 1 <= k <= ctx.m - 1:
         raise InvalidParameter(f"k must satisfy 1 <= k <= {ctx.m - 1}, got {k}")
     if lam is None:

@@ -5,36 +5,39 @@ sigma_i = sum_j r_j (mu_j^(q^k))^(q^i), i in Z_2n, with one product
 (TZCode._read), of which every syndrome entry is a value or a gamma
 multiple (construct.py); eliminate one syndrome matrix over it (S^(u_max)
 at odd k, S_exp at even k) once and read both the error rank t and the
-error span polynomial Lambda off it; recover the error in the transform
-domain (error_from_span).  One finishing step (_finish) then makes the two
-residual checks in order, and a failure is named after the first that
+error span polynomial Lambda off it.  One finishing step (_finish) then
+recovers the error in the transform domain (error_from_span) and makes the
+two residual checks in order, and a failure is named after the first that
 fails: the error must have rank t (else ErrorRankMismatch), and r - err
 must be a codeword (else NotACodeword), by the code's membership test
 (TZCode._message) on r's transform less the error's, which also gives the
 message.  A word that passes that test as read takes the zero route, whose
 outcome that one test gives.
 
-The rank check takes no F_q elimination where the span's roots certify it
-(_certified).  The pivot rows the span was read from are windows of
-sigma_1..sigma_(2n-k-1), which the error's transform shares, so their rank
-bounds the error's from below; a span of q-degree t that kills every entry
-of the error bounds it by t from above.  One product makes that kill test,
-and fq_rank runs only where the certificate fails, so each failure keeps
-its name.
+The span's roots decide the rank check exactly, with no F_q elimination.
+With beta = mu^(q^k), an F_q-basis, a window of the error's transform is
+sum_c Lambda_c sigma_err,(j-c)^(q^c) = sum_l Lambda(e_l) beta_l^(q^j); if
+it vanishes at rank(err) consecutive j, the Moore matrix of F_q-independent
+combinations of beta forces every Lambda(e_l) to vanish.  The span meets
+that many windows on every route: at odd k the u_max >= t rows of
+S^(u_max); at even k below the boundary the t_b-1 >= t plain rows of S_exp
+(t_b = n - k/2); at the boundary its t-1 plain rows and the k+1 windows
+error_from_span extends by, of consecutive tops t-k .. 2t-1.  So the span
+kills an error of rank t.  The pivot rows are windows of
+sigma_1..sigma_(2n-k-1), which the error's transform shares, so they factor
+through its column elements and its rank is at least theirs; a monic span
+of q-degree t has at most t independent roots, so one that kills the error
+bounds its rank by t.
 
 A codeword's sigma_1..sigma_(2n-k-1) vanish, so those of r are the error's;
 error_from_span extends them by Lambda's q-recurrence and inverts the
 transform with the code's table N, as Gabidulin decoders do (Silva and
 Kschischang, ISIT 2009), so no second elimination runs.  The t x t locator
 system (solve_locators), recover_B and error_from_decomposition stay as the
-reference that tests compare against, and the outcome is the same.  An error
-the locator path accepts follows the recurrence, so the extension reproduces
-it.  An error this path accepts follows the recurrence on at least t
-consecutive windows (the rows of S^(u_max), or the plain rows of S_exp and
-the k+1 extension windows), so the Moore matrix of its locators forces
-Lambda to vanish on its column elements, and the locator system gives the
-same error.  A monic Lambda of q-degree t has at most t independent roots,
-so every span decode accepts has exactly t.
+reference that tests compare against, and the outcome is the same: an error
+the locator path accepts follows the recurrence, so the extension
+reproduces it, and one this path accepts is killed by Lambda, so the
+locator system gives it too.
 
 Two regimes exist.  While 2t + k < 2n the plain windows of the transform
 decide everything, so every error of rank t <= (2n-k-1)//2 decodes.  At the
@@ -44,10 +47,12 @@ so such errors of rank n - k/2 decode as well.  solve_span eliminates the
 plain rows with the first trace row, which pins that member, and checks the
 other t rows on it with one product (where the first pins none, it
 eliminates every row).  It reads that member, tried first, and the plain
-span, which serves below the boundary as S^(u_max) does at odd k.  The
-plain rows there have rank t-1, which admits an error of rank t-1, and the
-plain span, of q-degree t-1, kills exactly such an error; so the boundary's
-certificate also needs the plain span not to kill it.
+span L_f, which serves below the boundary as S^(u_max) does at odd k.  The
+plain rows there bound the error's rank from below by t-1 only.  An error
+of rank t-1 has its subspace polynomial in their kernel with no x^(q^t)
+term, a multiple of L_f, so L_f kills it; L_f, of q-degree t-1, kills none
+of rank t.  Where L_f cannot be read the pivots do not lead, which no
+error of rank t-1 gives, so the kill test alone decides.
 
 Every stage works on packed arrays (field.py): the transform is (2n, 2n),
 the syndrome matrices (rows, cols, 2n) gathered from the powers
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 
 from .construct import TZCode, _trace_form
 from .errors import LimitCaseInapplicable, LocatorSystemInconsistent, NoSolution
-from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve, fq_rank
+from .linalg import _eliminate, _packed, ff_mat_vec, ff_solve
 from .linpoly import _term_matrices
 
 __all__ = [
@@ -274,12 +279,13 @@ def error_from_decomposition(a, B, ctx) -> np.ndarray:
     return (B.T @ a) % ctx.q
 
 
-def error_from_span(code: TZCode, sigma, span):
+def error_from_span(code: TZCode, sigma, terms):
     """(err, its transform): the packed error whose transform extends sigma by Lambda's recurrence.
 
-    A received word's sigma_1..sigma_(2n-k-1) are its error's.  With
-    e = sum_l B_l a_l, sigma_i = sum_l a_l d_l^(q^i), and the monic span
-    Lambda of q-degree t, packed (t+1, 2n), kills every a_l, so
+    Lambda, the monic span of q-degree t, is given by its (t+1, 2n, 2n) term
+    matrices F^c M(Lambda_c) (linpoly._term_matrices).  A received word's
+    sigma_1..sigma_(2n-k-1) are its error's.  With e = sum_l B_l a_l,
+    sigma_i = sum_l a_l d_l^(q^i), and Lambda kills every a_l, so
     sum_c Lambda_c sigma_(j-c)^(q^c) = 0 for every j.  Stepping j down from
     t, each step reads sigma_(j-t) off the window sigma_j..sigma_(j-t+1):
     one F_q product of its t 2n digits with W = stack_c(-F^c M(Lambda_c) F^-t).
@@ -289,8 +295,8 @@ def error_from_span(code: TZCode, sigma, span):
     products of reduced entries, inside FieldCtx's bound for the work dtype.
     """
     ctx, k, m = code.ctx, code.k, code.ctx.m
-    t = len(span) - 1
-    W = ctx._dot(_term_matrices(ctx, span)[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
+    t = len(terms) - 1
+    W = ctx._dot(terms[:t].reshape(t * m, m), -ctx._frob_rows[-t % m])
     down = np.empty((m, m), dtype=ctx._work)  # down[p] = sigma_(2n-k-1-p)
     down[: m - k - 1] = sigma[m - k - 1 : 0 : -1]
     for p in range(m - k - 1, m):
@@ -299,43 +305,30 @@ def error_from_span(code: TZCode, sigma, span):
     return ff_mat_vec(code._N_work, sigma_e, ctx), sigma_e
 
 
-def _certified(ctx, err, span, plain=None) -> bool:
-    """Whether span's roots certify that err has rank t, span's q-degree, with no F_q elimination.
+def _finish(code: TZCode, r, sigma, span, plain=None) -> DecodeOutcome:
+    """The corrected outcome on the packed word r, or the failure of the first residual check.
 
-    span comes from pivot rows that are windows of sigma_1..sigma_(2n-k-1),
-    which err's transform shares, so err's rank is at least theirs; if span
-    kills every entry of err, it is at most t.  On the plain route the pivot
-    rows have rank t, and that certifies it.  On the boundary route they
-    have rank t-1, and plain is the plain read L_f of the same pivots, of
-    q-degree t-1.  An err of rank t-1 has its subspace polynomial in their
-    kernel with no x^(q^t) term, a multiple of L_f; so L_f kills err exactly
-    when its rank is t-1, and span killing err while plain does not
-    certifies rank t.  A polynomial f acts on coefficient rows as
-    sum_c F^c M(f_c): the Frobenius-power table times the stacked
-    multiplication matrices, one product for both polynomials, a sum of
-    (t+1) 2n < 4n^2 terms with unreduced matrices, inside FieldCtx's bound.
-    One more product applies both actions to err's rows.
+    span, of q-degree t, and plain, the plain read L_f on the boundary
+    route, are read as decode reads them.  One _term_matrices call builds
+    the term matrices F^c M(f_c) of both; error_from_span runs the
+    recurrence off span's, and a polynomial acts on coefficient rows as the
+    sum of its own.  The residual check keeps the bounded-distance promise:
+    err must have rank t, and r - err must be a codeword.  The rank is t
+    exactly when span kills err and L_f does not, which one product with err
+    decides.  span meets at least t consecutive windows of err's transform,
+    so by the Moore matrix it kills an err of rank t; the pivot rows bound
+    the rank below by t, or by t-1 at the boundary, where L_f kills an err
+    of rank t-1 and, of q-degree t-1, none of rank t; where plain is None,
+    no err of rank t-1 exists (the module docstring has the proof).  The
+    product sums (t+1) 2n <= 4n^2 products of reduced entries, inside
+    FieldCtx's bound.
     """
-    m, t = ctx.m, len(span) - 1
-    polys = np.zeros((1 if plain is None else 2, t + 1, m), ctx._work)
-    polys[0] = span
-    if plain is not None:
-        polys[1, :t] = plain
-    by = ctx._mul_factor(polys).transpose(1, 2, 0, 3).reshape((t + 1) * m, -1)  # [c, u][p, v]
-    values = ctx._dot(err, ctx._dot(ctx._frob_tensor[:, : (t + 1) * m], by))
-    return not values[:, :m].any() and (plain is None or values[:, m:].any())
-
-
-def _finish(code: TZCode, r, sigma, t: int, err, sigma_err, certified=False) -> DecodeOutcome:
-    """The corrected outcome on the packed word r, or the failure of the first check err fails.
-
-    sigma is r's transform and sigma_err err's.  The residual check keeps the
-    bounded-distance promise: err must have rank t, and r - err must be a
-    codeword.  A certified rank (_certified) is t, and only an uncertified
-    one takes the F_q elimination fq_rank.
-    """
-    ctx = code.ctx
-    if not certified and fq_rank(err, ctx.q) != t:
+    ctx, t = code.ctx, len(span) - 1
+    polys = span[None] if plain is None else np.stack([span, np.concatenate([plain, 0 * span[:1]])])
+    terms = _term_matrices(ctx, polys)
+    err, sigma_err = error_from_span(code, sigma, terms[0])
+    kills = ~ctx._dot(err, terms.sum(axis=1)).any(axis=(1, 2))
+    if not kills[0] or kills[1:].any():
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
     msg = code._message(sigma - sigma_err)
     if msg is None:
@@ -360,12 +353,9 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return DecodeOutcome.ok(ctx.unpack(packed), ctx.unpack(zero), ctx.unpack(msg), 0)
 
     if code.k % 2 == 0:
-        t_b = ctx.n - code.k // 2
-        t, span, boundary = solve_span(build_S_exp(code, sigma), ctx, t_b - 1)
+        t, span, boundary = solve_span(build_S_exp(code, sigma), ctx, ctx.n - code.k // 2 - 1)
         if boundary is not None:
-            err, sigma_err = error_from_span(code, sigma, boundary)
-            certified = span is not None and _certified(ctx, err, boundary, span)
-            out = _finish(code, packed, sigma, t_b, err, sigma_err, certified)
+            out = _finish(code, packed, sigma, boundary, span)
             if out.success:
                 return out
     else:
@@ -374,5 +364,4 @@ def decode(code: TZCode, r) -> DecodeOutcome:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    err, sigma_err = error_from_span(code, sigma, span)
-    return _finish(code, packed, sigma, t, err, sigma_err, _certified(ctx, err, span))
+    return _finish(code, packed, sigma, span)

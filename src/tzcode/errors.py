@@ -30,6 +30,13 @@ class InvalidParameter(TZError):
     """A supplied code parameter violates one of its invariants."""
 
 
+def _check_integers(**values):
+    """InvalidParameter naming the first of values that is not a Python int (a bool is not one)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 class MessageNotInSubfield(TZError):
     """Message entry does not lie in the subfield of linearity."""
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
+from .errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic, _check_integers
 from .linalg import fq_kernel, fq_rank, fq_reciprocal
 
 __all__ = [
@@ -213,6 +213,7 @@ def _check_order(q: int, n: int) -> int:
     it is at least m^2 (q-1)^2, so any product of reduced rows with reduced
     tables or matrices, m^2 terms at most, stays inside it.
     """
+    _check_integers(q=q, n=n)
     if n < 1:
         raise InvalidParameter(f"n must be positive, got {n}")
     bound = 2 * n * (q - 1) ** 2 + n * (2 * n - 1) * (q - 1) ** 3

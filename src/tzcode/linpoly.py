@@ -60,14 +60,14 @@ class LinPoly:
 
 
 def _term_matrices(ctx, coeffs) -> np.ndarray:
-    """The (d+1, 2n, 2n) F_q matrices F^i M(f_i), reduced, in the field's work dtype.
+    """The (..., d+1, 2n, 2n) F_q matrices F^i M(f_i), reduced, in the field's work dtype.
 
-    f is given by its packed coefficients, F^i holds the rows of the q^i-th
-    power map and M(f_i) multiplication by f_i, so x @ F^i @ M(f_i) =
-    f_i x^(q^i) on a coefficient row x; each entry sums 2n products of
-    F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy allows.
+    f is given by its packed coefficients (..., d+1, 2n), F^i holds the rows
+    of the q^i-th power map and M(f_i) multiplication by f_i, so x @ F^i @
+    M(f_i) = f_i x^(q^i) on a coefficient row x; each entry sums 2n products
+    of F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy allows.
     """
-    frob = ctx._frob_rows[np.arange(len(coeffs)) % ctx.m]  # F^(2n) is F^0
+    frob = ctx._frob_rows[np.arange(np.shape(coeffs)[-2]) % ctx.m]  # F^(2n) is F^0
     return ctx._mod(frob @ ctx._mul_factor(np.asarray(coeffs, ctx._work)))
 
 

@@ -54,11 +54,8 @@ def params_dict(code: TZCode) -> dict:
 
 def params_from_dict(data: dict) -> TZCode:
     try:
-        for key in ("q", "n", "k"):
-            if type(data[key]) is not int:  # not a bool, a float or a string
-                raise InvalidParameter(f"{key} must be an integer, got {data[key]!r}")
         q, n, k = data["q"], data["n"], data["k"]
-        _check_order(q, n)  # before q bounds the coefficients
+        _check_order(q, n)  # as FieldCtx checks them, before q bounds the coefficients
         ctx = FieldCtx(q, n, _coeffs(data["modulus"], q, "modulus"))
         lam = Basis([ctx.elem(_coeffs(e, q, f"lambda entry {j}"))
                      for j, e in enumerate(data["lambda"])])

@@ -10,12 +10,13 @@ from tzcode.channel import (
     random_message,
     trial_rng,
 )
-from tzcode.decoder import (NO_RANK_FOUND, SPAN_DIM_MISMATCH, DecodeOutcome, _finish, _monic,
-                            build_S, build_S_exp, error_from_decomposition, error_from_span,
-                            estimate_rank)
+from tzcode.decoder import (ERROR_RANK_MISMATCH, NO_RANK_FOUND, NOT_A_CODEWORD, SPAN_DIM_MISMATCH,
+                            DecodeOutcome, _monic, build_S, build_S_exp, error_from_decomposition,
+                            error_from_span, estimate_rank)
 from tzcode.field import _toeplitz
 from tzcode.linalg import (_eliminate, _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank,
                            fq_solve)
+from tzcode.linpoly import _term_matrices
 from tzcode.selftest import GAMMA, MODULUS, XI
 
 
@@ -165,20 +166,38 @@ def ref_solve_span(S, ctx, rows=None):
     return rank, plain, _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
 
 
+def ref_error(code, sigma, span):
+    """(err, its transform) read off the packed span by error_from_span."""
+    return error_from_span(code, sigma, _term_matrices(code.ctx, span))
+
+
+def ref_finish(code, r, sigma, t, err, sigma_err) -> DecodeOutcome:
+    """decode's finish with the error's rank found by F_q elimination: fq_rank
+    must give t, and then r - err must pass the membership test."""
+    ctx = code.ctx
+    if fq_rank(err, ctx.q) != t:
+        return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
+    msg = code._message(sigma - sigma_err)
+    if msg is None:
+        return DecodeOutcome.fail(NOT_A_CODEWORD)
+    return DecodeOutcome.ok(ctx.unpack((r - err) % ctx.q), ctx.unpack(err), ctx.unpack(msg), t)
+
+
 def ref_decode(code, r) -> DecodeOutcome:
-    """decode as it ran before the span's roots certified the error's rank:
+    """decode as it ran before the span's roots decided the error's rank:
     S_exp's spans from ref_solve_span, every finish (the zero route's
-    included) through fq_rank, and the same route order."""
+    included) through ref_finish and so through fq_rank, and the same route
+    order."""
     ctx = code.ctx
     packed = code.pack_word(r)
     sigma = code._read(packed)
     if code._message(sigma) is not None:
-        return _finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
+        return ref_finish(code, packed, sigma, 0, np.zeros_like(packed), 0)
     if code.k % 2 == 0:
         t_b = ctx.n - code.k // 2
         t, span, boundary = ref_solve_span(build_S_exp(code, sigma), ctx, t_b - 1)
         if boundary is not None:
-            out = _finish(code, packed, sigma, t_b, *error_from_span(code, sigma, boundary))
+            out = ref_finish(code, packed, sigma, t_b, *ref_error(code, sigma, boundary))
             if out.success:
                 return out
     else:
@@ -187,7 +206,7 @@ def ref_decode(code, r) -> DecodeOutcome:
         return DecodeOutcome.fail(NO_RANK_FOUND)
     if span is None:
         return DecodeOutcome.fail(SPAN_DIM_MISMATCH)
-    return _finish(code, packed, sigma, t, *error_from_span(code, sigma, span))
+    return ref_finish(code, packed, sigma, t, *ref_error(code, sigma, span))
 
 
 def ff_kernel(a, ctx=None) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Error sampling, seeded campaigns, and report determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,29 @@ def test_spec_validation(code5):
     with pytest.raises(InvalidParameter):
         ChannelSpec(t=3, subfield_only=True).validate(code5)
     ChannelSpec(t=2, subfield_only=True).validate(code5)
+
+
+@pytest.mark.parametrize("spec, trials, message", [
+    (ChannelSpec(1, seed=1.5), 1, "seed must be an integer, got 1.5"),
+    (ChannelSpec(t=1.5), 1, "t must be an integer, got 1.5"),
+    (ChannelSpec(t=True), 1, "t must be an integer, got True"),
+    (ChannelSpec(1), 2.5, "trials must be an integer, got 2.5"),
+    (ChannelSpec(1, seed=-1), 1, "seed must lie in [0, 2^128), got -1"),
+    (ChannelSpec(1, seed=2**128), 1, f"seed must lie in [0, 2^128), got {2**128}"),
+])
+def test_simulate_rejects_a_parameter_that_is_no_integer_in_range(code321, spec, trials, message):
+    # a Python int, not a bool, and a seed that is a Philox key: nothing is
+    # coerced, and nothing reaches the draw
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        simulate(code321, spec, trials)
+    if trials == 1:
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            random_error(code321, spec, trial_rng(0, 0))
+
+
+def test_the_largest_seed_is_a_philox_key(code321):
+    report = simulate(code321, ChannelSpec(1, seed=2**128 - 1), 2)
+    assert report.params["seed"] == 2**128 - 1 and report.trials == 2
 
 
 def test_error_draw_is_reproducible(code5):

@@ -116,6 +116,14 @@ def test_simulate_rejects_a_negative_trial_count(tmp_path, capsys):
     assert capsys.readouterr().err == "error: trials must be at least 0, got -1\n"
 
 
+def test_simulate_rejects_a_seed_that_is_no_philox_key(tmp_path, capsys):
+    path = _params(tmp_path)
+    capsys.readouterr()
+    argv = ["simulate", "--params", str(path), "--t", "1", "--seed", "-1"]
+    assert main(argv) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err == "error: seed must lie in [0, 2^128), got -1\n"
+
+
 def test_a_truncated_parameter_file_is_a_bad_parameter(tmp_path, capsys):
     path = _params(tmp_path)
     path.write_text(path.read_text()[:-10])

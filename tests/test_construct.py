@@ -226,6 +226,9 @@ def test_build_code_rejects_bad_parameters(ctx5):
         build_code(ctx5, 0)
     with pytest.raises(InvalidParameter):
         build_code(ctx5, 4)
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidParameter, match=f"^k must be an integer, got {k!r}$"):
+            build_code(ctx5, k)
     with pytest.raises(InvalidParameter):
         build_code(ctx5, 2, gamma=ctx5.one)  # norm 1 is a square
     gamma = ctx5.elem([3, 2, 1, 1])

@@ -30,13 +30,8 @@ from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, fq_inv, fq_r
 from tzcode.linpoly import LinPoly, root_space
 from tzcode.oracle import brute_force_decode
 
-from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_decode,
+from conftest import (ff_kernel, locators, message_left_inverse, plant, ref_decode, ref_error,
                       ref_message_digits, ref_rank_scan, rng_for, same_span, transform)
-
-
-def _finish_span(code, r, sigma, span, t):
-    """decode's finish of the packed word r, of transform sigma, on the error read off span."""
-    return _finish(code, r, sigma, t, *error_from_span(code, sigma, span))
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +391,7 @@ def test_solve_locators_inconsistent_for_wrong_span(code341):
         _, _, _, _, r = plant(code341, 2, rng)  # rank-1 guess against a rank-2 error
         sigma = transform(code341, r)
         assert solve_locators(code341, one, sigma).shape == (1, ctx.m)
-        out = _finish_span(code341, code341.pack_word(r), sigma, wrong, 1)
+        out = _finish(code341, code341.pack_word(r), sigma, wrong)
         assert out.failure_reason == ERROR_RANK_MISMATCH
 
 
@@ -514,7 +509,7 @@ def test_transform_error_matches_the_locator_system(q, n, k):
                         continue
                     d = solve_locators(code, roots, sigma)
                     ref = error_from_decomposition(roots, recover_B(code, d), ctx)
-                    err = error_from_span(code, sigma, span)[0]
+                    err = ref_error(code, sigma, span)[0]
                     if np.array_equal(err, ref):
                         equal += 1
                     else:
@@ -836,9 +831,10 @@ def test_failure_reason_names_the_failed_check(q, n, k, monkeypatch):
 
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
-    read = []
+    read = []  # [span, err, its transform] of each finish
+    monkeypatch.setattr(dec, "_finish", lambda *a, f=dec._finish: read.append([a[3]]) or f(*a))
     monkeypatch.setattr(dec, "error_from_span",
-                        lambda *a: read.append((a[-1], *error_from_span(*a))) or read[-1][1:])
+                        lambda *a: read[-1].extend(error_from_span(*a)) or tuple(read[-1][1:]))
 
     def refused(f):
         raise AssertionError("decode counted roots")
@@ -919,7 +915,9 @@ def test_block_spans_match_the_reference(q, n, k):
     # of r and so within 2t < d of the plant.  Whenever S_exp has rank t_b
     # with a span, the pencil's boundary member is that span, unless the
     # block's rank is below t_b - 1; then that span fails the residual
-    # check, since the block of an error of rank t_b has rank t_b - 1
+    # check, since the block of an error of rank t_b has rank t_b - 1.
+    # decode never finishes such a span, whose rows are not all windows, so
+    # its check ranks the error by fq_rank, not by _finish's kill test
     code = build_code(FieldCtx(q, n), k)
     ctx = code.ctx
     tb = n - k // 2
@@ -937,11 +935,13 @@ def test_block_spans_match_the_reference(q, n, k):
                 e_rank, e_span = estimate_rank(code, sigma)
                 assert rank == e_rank and same_span(plain, e_span)
             elif rank and plain is not None:
-                assert not _finish_span(code, ctx.pack(r), sigma, plain, rank).success
+                assert len(plain) == rank + 1
+                assert not _finish(code, ctx.pack(r), sigma, plain).success
             s_rank, s_span, s_boundary = solve_span(S, ctx)
             assert s_boundary is None  # no rows below the default bound
             if rank < tb - 1 and s_rank == tb and s_span is not None:
-                assert not _finish_span(code, ctx.pack(r), sigma, s_span, tb).success
+                err = ref_error(code, sigma, s_span)[0]
+                assert not _passes_residual_check(code, ctx.pack(r), err, tb)
             elif s_rank == tb:
                 assert same_span(boundary, s_span)
             else:
@@ -958,13 +958,15 @@ def test_finish_matches_the_left_inverse_reference_beyond_the_radius(monkeypatch
     # closed-form left inverse; at least 500 words are not codewords
     import tzcode.decoder as dec
 
-    finished = []
+    errs, finished = [], []
 
-    def recorded(code, r, sigma, t, err, sigma_err, certified=False, _finish=dec._finish):
-        out = _finish(code, r, sigma, t, err, sigma_err, certified)
-        finished.append((r, err, t, out))
+    def recorded(code, r, sigma, span, *plain, _finish=dec._finish):
+        out = _finish(code, r, sigma, span, *plain)
+        finished.append((r, errs[-1][0], len(span) - 1, out))
         return out
 
+    monkeypatch.setattr(dec, "error_from_span",
+                        lambda *a: errs.append(error_from_span(*a)) or errs[-1])
     monkeypatch.setattr(dec, "_finish", recorded)
     reasons = Counter()
     for q, n, k in [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (5, 3, 3), (3, 4, 2), (3, 4, 5)]:
@@ -1019,42 +1021,83 @@ def test_words_off_the_code_by_b0_or_ak_go_to_the_rank_read(q, n, k):
 
 
 # ---------------------------------------------------------------------------
-# one trace row eliminated, and the error's rank certified by the span's roots
+# one trace row eliminated, and the error's rank decided by the span's roots
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 2), (5, 2, 2), (3, 3, 2), (5, 3, 2), (3, 4, 2),
                                      (3, 6, 4), (3, 2, 1), (3, 4, 1), (5, 3, 3), (3, 4, 5)])
 def test_a_certified_rank_is_the_rank(q, n, k, monkeypatch):
     # every finish decode makes at t = 1 .. radius + 2, generic and over
-    # F_(q^n): where the span's roots certify the error's rank, fq_rank finds
-    # that rank too, and every outcome equals the reference decode's, which
+    # F_(q^n): the rank check, which asks only whether the span's roots kill
+    # the error (and at the boundary whether the plain span's do not),
+    # passes exactly where fq_rank finds the error's rank to be the span's
+    # q-degree t, and every outcome equals the reference decode's, which
     # eliminates every row of S_exp and runs fq_rank on every finish.  The
-    # certificate must hold on the route the guarantee covers: at the plain
+    # check must pass on the route the guarantee covers: at the plain
     # route's t and at the boundary rank t_b = n - k/2 over F_(q^n)
     import tzcode.decoder as dec
 
-    finished = []
-
-    def recorded(code, r, sigma, t, err, sigma_err, certified=False, _finish=dec._finish):
-        finished.append((err, t, certified))
-        return _finish(code, r, sigma, t, err, sigma_err, certified)
-
-    monkeypatch.setattr(dec, "_finish", recorded)
+    errs, finished = [], []
+    monkeypatch.setattr(dec, "error_from_span",
+                        lambda *a: errs.append(error_from_span(*a)) or errs[-1])
+    monkeypatch.setattr(dec, "_finish", lambda *a, f=dec._finish:
+                        finished.append((len(a[3]) - 1, f(*a))) or finished[-1][1])
     code = build_code(FieldCtx(q, n), k)
-    certified_at = Counter()
+    passed_at = Counter()
     for t in range(1, min(code.radius + 2, 2 * n) + 1):
         for subfield in (False, True) if t <= n else (False,):
             rng = rng_for(110, 2 * t + subfield)
             for _ in range(15):
                 *_, r = plant(code, t, rng, subfield=subfield)
+                errs.clear()
                 finished.clear()
                 assert decode(code, r) == ref_decode(code, r)
-                for err, rank, certified in finished:
-                    if certified:
-                        assert fq_rank(err, q) == rank
-                        certified_at[rank] += 1
+                assert len(errs) == len(finished)
+                for (err, _), (rank, out) in zip(errs, finished):
+                    passes = out.failure_reason != ERROR_RANK_MISMATCH
+                    assert passes == (fq_rank(err, q) == rank)
+                    passed_at[rank] += passes
     guaranteed = [(2 * n - k - 1) // 2] + ([] if k % 2 else [n - k // 2])
-    assert all(certified_at[t] for t in guaranteed if t)
+    assert all(passed_at[t] for t in guaranteed if t)
+
+
+def test_decode_ranks_no_error_by_elimination(monkeypatch):
+    # with fq_rank raising in the decoder's namespace and in linalg's, words
+    # on every route (no finish, the boundary finish alone, the boundary then
+    # the plain span, the plain span alone) and of every outcome decode as
+    # the reference decode, which runs fq_rank on every finish, did before
+    # the patch.  The routes are read off _finish's calls: the boundary
+    # finish also takes the plain span
+    import tzcode.decoder as dec
+    import tzcode.linalg as linalg
+
+    cases = []
+    for q, n, k in [(3, 4, 1), (3, 2, 1), (3, 4, 2), (5, 2, 2), (3, 3, 2)]:
+        code = build_code(FieldCtx(q, n), k)
+        for t in range(min(code.radius + 2, 2 * n) + 1):
+            for subfield in (False, True) if 1 <= t <= n else (False,):
+                rng = rng_for(112, 2 * t + subfield)
+                for _ in range(6):
+                    _, cw, _, _, r = plant(code, max(t, 1), rng, subfield=subfield)
+                    word = r if t else cw
+                    cases.append((code, word, ref_decode(code, word)))
+
+    def refused(*args):
+        raise AssertionError("decode ran fq_rank")
+
+    for mod in (dec, linalg):
+        monkeypatch.setattr(mod, "fq_rank", refused, raising=False)
+    finishes = []
+    monkeypatch.setattr(dec, "_finish", lambda *a, f=dec._finish: finishes.append(len(a)) or f(*a))
+    routes, reasons = set(), set()
+    for code, word, expected in cases:
+        finishes.clear()
+        out = decode(code, word)
+        assert out == expected
+        routes.add(tuple(finishes))
+        reasons.add(out.failure_reason)
+    assert routes == {(), (5,), (5, 4), (4,)}
+    assert reasons == {None, ERROR_RANK_MISMATCH, NO_RANK_FOUND, NOT_A_CODEWORD, SPAN_DIM_MISMATCH}
 
 
 @pytest.mark.parametrize("q, n, k", [(3, 2, 2), (5, 2, 2)])

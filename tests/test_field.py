@@ -291,6 +291,14 @@ def test_even_q_rejected():
         FieldCtx(4, 2)
 
 
+@pytest.mark.parametrize("q, n, name", [(3.0, 2, "q"), (True, 2, "q"), (3, 2.0, "n"),
+                                        (3, True, "n"), ("3", 2, "q")])
+def test_orders_that_are_no_integers_are_rejected(q, n, name):
+    value = q if name == "q" else n
+    with pytest.raises(InvalidParameter, match=f"^{name} must be an integer, got {value!r}$"):
+        FieldCtx(q, n)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(InvalidParameter):
         FieldCtx(5, 2, [1, 0, 0, 0, 1])  # x^4 + 1 splits mod 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tzcode import FieldCtx, LinPoly, rank_weight
-from tzcode.linpoly import root_space
+from tzcode.linpoly import _term_matrices, root_space
 
 from conftest import (
     DependentSpan,
@@ -155,3 +155,16 @@ def test_kernel_dimension_bounded_by_degree(ctx5):
             top = ctx5.random_element(rng)
         f = LinPoly(ctx5, coeffs + [top])
         assert len(root_space(f)) <= f.qdegree
+
+
+def test_term_matrices_of_a_stack_are_those_of_each_polynomial(ctx5):
+    # one call on a stack of polynomials gives each one's matrices F^i M(f_i),
+    # and a coefficient row times their sum is the polynomial's value
+    rng = rng_for(47)
+    stack = ctx5.pack([ctx5.random_element(rng) for _ in range(6)]).reshape(2, 3, ctx5.m)
+    terms = _term_matrices(ctx5, stack)
+    assert terms.shape == (2, 3, ctx5.m, ctx5.m)
+    for f, own in zip(stack, terms):
+        assert np.array_equal(own, _term_matrices(ctx5, f))
+        x = ctx5.random_element(rng)
+        assert np.array_equal(x.coeffs @ own.sum(axis=0) % ctx5.q, LinPoly(ctx5, f)(x).coeffs)
