@@ -4,7 +4,8 @@ Construction, encoding, syndrome decoding of every error of rank
 <= (2n-k-1)//2 and, at even k, of errors over F_(q^n) of rank n-k/2,
 channel simulation, and brute-force oracles for desk-scale verification.
 
-The hot kernels multiply small float64 matrices through BLAS (field.py).
+The hot kernels multiply small float32 or float64 matrices through BLAS
+(field.py), in the narrowest float that keeps every sum exact.
 They were tuned with BLAS pinned to one thread, as the benchmark runs them;
 on a few cores the default thread pool can make each product slower, so a
 caller that times or serves decodes should set OPENBLAS_NUM_THREADS=1 (or

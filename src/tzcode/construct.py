@@ -26,8 +26,8 @@ The code is also one F_q map, _enc_mat, from the 2kn subfield digits of a
 message to the 4n^2 coefficients of its codeword, which encode and the
 exhaustive oracles multiply by.  Every table is held in the field's work
 dtype (FieldCtx._work), so products run through BLAS wherever it is
-float64; N is also held as a public int64 array.  nu = lam^(q^k) xi^-1 is
-the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
+float32 or float64; N is also held as a public int64 array.
+nu = lam^(q^k) xi^-1 is the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
 sum_i nu_j^(q^i) sigma_i = e_j: the table N[j, i] = nu_j^(q^i) inverts the
 transform.  The split maps and nu share the one inverse of xi^(q^(2n-k)).
 """
@@ -87,7 +87,7 @@ def _trace_form(ctx: FieldCtx) -> np.ndarray:
     Tr(alpha^d) for d <= 4n-2: the absolute trace lies in F_q, so it is the
     constant coefficient of the sum of all Frobenius images.
     """
-    tr = (ctx._red @ ctx._frob_rows[:, :, 0].sum(axis=0)) % ctx.q
+    tr = (ctx._red @ ctx._frob_rows[:, :, 0].sum(axis=0).astype(np.int64)) % ctx.q
     power = np.arange(ctx.m)
     return tr[power[:, None] + power[None, :]]
 
@@ -186,7 +186,8 @@ class TZCode:
         # product with it sums at most 2kn <= 4n^2 products of reduced
         # entries, inside FieldCtx's bound
         by_basis = ctx._mul_factor(np.asarray(ctx._subfield_mat, ctx._work))
-        self._enc_mat = ctx._mod(self.G[:, None] @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
+        rows = np.asarray(self.G, ctx._work)[:, None]
+        self._enc_mat = ctx._mod(rows @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
 
     def validate_message(self, msg) -> np.ndarray:
         """The packed (2k, 2n) message; MessageNotInSubfield unless it is 2k elements of F_(q^n)."""
@@ -205,7 +206,7 @@ class TZCode:
         """Codeword msg . G for a message over the subfield of linearity."""
         ctx = self.ctx
         digits = ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
-        flat = ctx._mod(digits @ self._enc_mat)
+        flat = ctx._mod(digits.astype(ctx._work) @ self._enc_mat)
         return ctx.unpack(flat.reshape(self.length, -1))
 
     def pack_word(self, v) -> np.ndarray:

@@ -227,7 +227,8 @@ def solve_span(S, ctx, rows=None):
     scaled = ctx._dot(np.concatenate([fr[:rank], a[rows:, free]]), ctx._mul_factor(tr[rank]))
     if not np.array_equal(a[rows:, t], scaled[rank:]):
         return rank, plain, None
-    boundary = _monic(ctx, np.insert(tr[:rank] - scaled[:rank], free, tr[rank], 0))
+    low = tr[:rank] - scaled[:rank]
+    boundary = _monic(ctx, np.concatenate([low[:free], tr[rank:], low[free:]]))
     if len(a) < len(S) and ff_mat_vec(S[len(a) :], boundary, ctx).any():
         return rank, plain, None
     return rank, plain, boundary
@@ -327,7 +328,7 @@ def _finish(code: TZCode, r, sigma, span, plain=None) -> DecodeOutcome:
     polys = span[None] if plain is None else np.stack([span, np.concatenate([plain, 0 * span[:1]])])
     terms = _term_matrices(ctx, polys)
     err, sigma_err = error_from_span(code, sigma, terms[0])
-    kills = ~ctx._dot(err, terms.sum(axis=1)).any(axis=(1, 2))
+    kills = ~ctx._dot(err.astype(ctx._work), terms.sum(axis=1)).any(axis=(1, 2))
     if not kills[0] or kills[1:].any():
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
     msg = code._message(sigma - sigma_err)

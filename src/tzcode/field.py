@@ -48,17 +48,22 @@ stays exact in the work dtype: FieldCtx works this out once from q and n
 (FieldCtx._lazy), and elsewhere the same kernels reduce the matrix first.
 The kernels compute in the dtype they are given, mul in the work dtype.
 The callers with long eliminations or large products hand them
-FieldCtx._work, which is float64 whenever the admitted bound times q stays
-below 2^53: every value is then an exact integer, and BLAS multiplies
-float64 matrices many times faster than numpy multiplies int64 ones.  Those
-callers are the eliminations of linalg (ff_rref's pivot normalisation
-included), ff_mat_vec, the decoder's recurrence, the tables TZCode holds
-(construct.py: the transform table, N, the split maps and the code map) and
-linpoly.root_space's action matrix.  Each
-casts its result back to int64 once, so every array and element the
-library hands out holds int64.  Where the bound keeps the work dtype int64
-the casts are no-ops.  The multiplication and Frobenius-power tables are
-held in the work dtype, and a kernel given another dtype casts them to it.
+FieldCtx._work, a float dtype wherever q times the largest sum it must
+hold stays below 2^p, p its significand bits: float32 (p = 24) where that
+sum is the unreduced one, so that every product is lazy, else float64
+(p = 53) where it is the admitted bound.  Every partial sum of a BLAS
+product is then an exact integer, in whatever order it adds, and so is
+floor(x / q) in the reduction; BLAS multiplies float matrices many times
+faster than numpy multiplies int64 ones, and a float32 vector holds twice
+the lanes of a float64 one.  Those callers are the eliminations of linalg
+(ff_rref's pivot normalisation included), ff_mat_vec, the decoder's
+recurrence and rank check, the tables TZCode holds (construct.py: the
+transform table, N, the split maps and the code map) and
+linpoly.root_space's action matrix.  Each casts its result back to int64
+once, so every array and element the library hands out holds int64.
+Where the bound keeps the work dtype int64 the casts are no-ops.  The
+multiplication, Frobenius-power and Frobenius-row tables are held in the
+work dtype, and a kernel given another dtype casts them to it.
 """
 
 from __future__ import annotations
@@ -247,36 +252,40 @@ class FieldCtx:
             raise InvalidParameter("modulus is not irreducible over F_q")
         self.modulus = tuple(modulus)
         self._red, frob = tables
-        # _frob_rows[i] maps the rows of a packed array to those of a^(q^i)
-        rows = [np.eye(m, dtype=np.int64)]
-        for _ in range(m - 1):
-            rows.append((rows[-1] @ frob.T) % q)
-        self._frob_rows = np.stack(rows)
-        # Below 2^53 every integer is exact in float64, and BLAS multiplies
-        # float64 matrices many times faster than numpy multiplies int64 ones;
-        # below 2^53 / q, floor(x / q) is exact too (_mod).  So long
-        # eliminations and large products run in float64 whenever the bound
-        # allows; the kernels compute in the dtype they are given.  The
-        # float64 products are small and were tuned single-threaded, the way
-        # the benchmark runs them with BLAS pinned to one thread.
-        self._work = np.dtype(np.float64 if bound * q < 2**53 else np.int64)
+        # Below 2^24 every integer is exact in float32, below 2^53 in float64,
+        # and BLAS multiplies float matrices many times faster than numpy
+        # multiplies int64 ones; below 2^24 / q or 2^53 / q, floor(x / q) is
+        # exact too (_mod).  So long eliminations and large products run in
+        # the narrowest float the bound allows; the kernels compute in the
+        # dtype they are given.  The float products are small and were tuned
+        # single-threaded, the way the benchmark runs them with BLAS pinned
+        # to one thread.
         # A multiplication matrix M(b) = b @ _mul_tensor that feeds one more
         # product may enter it unreduced, that product taking the only
         # reduction, while the largest such sum stays exact in the work
         # dtype: an unreduced entry of M(b) is below 2n(q-1)^2, a reduced
         # row times M(b) below 4n^2(q-1)^3, and ff_mat_vec's block of 2n
-        # columns plus its reduced running sum below 8n^3(q-1)^3 + q.  Where
-        # that sum is not exact, _mul_factor reduces M(b) first.
+        # columns plus its reduced running sum below 8n^3(q-1)^3 + q, the
+        # largest sum any product meets.  float32 is taken only where that
+        # sum is exact, so every product there is lazy; where it is not
+        # exact in float64 or int64, _mul_factor reduces M(b) first.
         unreduced = 8 * n**3 * (q - 1) ** 3 + q
+        self._work = np.dtype(np.float32 if unreduced * q < 2**24 else
+                              np.float64 if bound * q < 2**53 else np.int64)
         self._lazy = unreduced * q < 2**53 if self._work.kind == "f" else unreduced < 2**63
-        # the two F_q tables, held in the work dtype, that the hot kernels
-        # multiply by: row d of _mul_tensor is M(x^d), whose row u is
-        # x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u of M(a);
-        # row r of _frob_tensor is x^r under the 2n power maps side by side,
-        # so a @ _frob_tensor lays out a^(q^i) for every i
+        # _frob_rows[i] maps the rows of a packed array to those of a^(q^i)
+        rows = [np.eye(m, dtype=np.int64)]
+        for _ in range(m - 1):
+            rows.append((rows[-1] @ frob.T) % q)
+        self._frob_rows = np.stack(rows).astype(self._work)
+        # the three F_q tables, held in the work dtype, that the hot kernels
+        # multiply by: _frob_rows above; row d of _mul_tensor is M(x^d), whose
+        # row u is x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u
+        # of M(a); row r of _frob_tensor is x^r under the 2n power maps side
+        # by side, so a @ _frob_tensor lays out a^(q^i) for every i
         power = np.arange(m)
         self._mul_tensor = self._red[power[:, None] + power].reshape(m, m * m).astype(self._work)
-        self._frob_tensor = self._frob_rows.transpose(1, 0, 2).reshape(m, m * m).astype(self._work)
+        self._frob_tensor = self._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
         self.one = FF2n(self, self._red[0].copy())
@@ -391,9 +400,10 @@ class FieldCtx:
         return build(arr)
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
-        """x mod q entrywise, for int64 x or for float x whose magnitude times q is below 2^53.
+        """x mod q entrywise, for int64 x or for float x whose magnitude times q is below 2^p.
 
-        A float x is overwritten.
+        p is the float's significand bits: 53 in float64, 24 in float32.  A
+        float x is overwritten.
         """
         if x.dtype.kind != "f":
             return x % self.q
@@ -451,15 +461,19 @@ class FieldCtx:
         return self._by_table(a, self._frob_tensor[:, : (count or self.m) * self.m])
 
     def frob(self, a: np.ndarray, i) -> np.ndarray:
-        """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries."""
-        rows = self._frob_rows[i % self.m]
+        """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries.
+
+        The product runs in a's dtype, as _by_table's do.
+        """
+        rows = self._frob_rows[i % self.m].astype(a.dtype, copy=False)
         if rows.ndim == 2:
             return self._dot(a, rows)
         return self._dot(a[..., None, :], rows)[..., 0, :]
 
     def trace(self, a: np.ndarray) -> np.ndarray:
         """Relative trace onto F_{q^n} entrywise: a + a^(q^n), one reduction of 2n + 1 terms."""
-        return self._mod(a + self._dot(a, self._frob_rows[self.n], reduce=False))
+        by = self._frob_rows[self.n].astype(a.dtype, copy=False)
+        return self._mod(a + self._dot(a, by, reduce=False))
 
     def _conorm(self, a: np.ndarray) -> np.ndarray:
         """a^(q + q^2 + ... + q^(2n-1)) entrywise, by the Itoh-Tsujii addition chain.
@@ -478,12 +492,12 @@ class FieldCtx:
         return self.frob(x, 1)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q."""
+        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q; in a's dtype."""
         if not a.any(axis=-1).all():
             raise DivisionByZero("inverse of zero")
         b = self._conorm(a)
         norm = self.mul(a, b)[..., :1]
-        return self._mod(b * fq_reciprocal(norm, self.q))
+        return self._mod(b * fq_reciprocal(norm, self.q).astype(b.dtype, copy=False))
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"

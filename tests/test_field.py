@@ -418,12 +418,13 @@ def test_subfield_digit_map_round_trip(ctx5, ctx33):
         assert np.array_equal(ctx.subfield_digits(elems), digits)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 11, 10007])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 101, 10007])
 def test_subfield_digits_are_a_column_read(q, monkeypatch):
     # FieldCtx solves no F_q system for the digit map: an element's digits
     # are its entries at the basis's free columns.  On F_(q^n) they agree
-    # with the solved right inverse, in both work dtypes (float64 below
-    # q = 10007, int64 at it), and so does encoding through either
+    # with the solved right inverse, in every work dtype (float32 up to
+    # q = 11, float64 at q = 101, int64 at q = 10007), and so does encoding
+    # through either
     import tzcode.linalg as linalg
 
     def refused(*args):
@@ -432,7 +433,7 @@ def test_subfield_digits_are_a_column_read(q, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(linalg, "fq_solve", refused)
         ctx = FieldCtx(q, 2)
-    assert ctx._work == (np.int64 if q == 10007 else np.float64)
+    assert ctx._work == {101: np.float64, 10007: np.int64}.get(q, np.float32)
     coords = ref_subfield_coords(ctx)
     digits = rng_for(23).integers(0, q, (40, ctx.n))
     elems = ctx._from_digits(digits)

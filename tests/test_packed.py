@@ -7,10 +7,11 @@ fold in conftest; the packed elimination (ff_rref, ff_rank, ff_solve, the
 conftest ff_kernel and the decoder's span reader solve_span, whose spans
 are packed (rank+1, 2n) arrays) against the list-of-FF2n reference in
 conftest.  Each check runs in int64 and, where the field allows it, in the
-float64 work dtype the decoder eliminates in.  At the largest q each dtype
-admits, the code's F_q maps, the root space and decoding are checked for
-exactness; and whatever runs in the work dtype inside, every array and
-element the library hands back holds int64.  The numbers of table products
+float32 or float64 work dtype the decoder eliminates in.  At the largest q
+each dtype admits, the code's F_q maps, the root space and decoding are
+checked for exactness; every product of a decode takes and gives the work
+dtype, so none promotes to a wider one; and whatever runs in the work dtype
+inside, every array and element the library hands back holds int64.  The numbers of table products
 and reductions per elimination pivot and per decode, and of tzcode's own
 function calls per decode, are pinned, so that a change that adds a fold or
 a step back fails here and not only in a noisy timing.
@@ -51,21 +52,31 @@ def _unreduced_bound(q, n):
     return 8 * n**3 * (q - 1) ** 3 + q
 
 
-def _largest_prime(ok):
-    """Largest prime q = 1 mod 4 with ok(q) at n = 2; ok must be monotone."""
+def _largest_prime(ok, every=False):
+    """Largest prime q with ok(q) at n = 2, q = 1 mod 4 unless every; ok must be monotone."""
     lo, hi = 3, 2**21
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if ok(mid) else (lo, mid)
-    # q = 1 mod 4 keeps the modulus search short (see test_field)
-    return next(p for p in range(lo - 1, 0, -1) if _is_prime(p) and p % 4 == 1)
+    # at the large q of the float64 and int64 edges, q = 1 mod 4 keeps the
+    # modulus search short (see test_field)
+    return next(p for p in range(lo - 1, 0, -1) if _is_prime(p) and (every or p % 4 == 1))
+
+
+def _float32_edge_q():
+    """The largest q at n = 2 whose kernels run in float32: q times the
+    unreduced sum stays below 2^24, so every product there is lazy."""
+    return _largest_prime(lambda v: _unreduced_bound(v, 2) * v < 2**24, every=True)
 
 
 def _edge_q(edge):
     """int64: the largest q FieldCtx accepts at n = 2; float64: the largest q
-    whose kernels still run in float64, where floor(x / q) must stay exact."""
+    whose kernels still run in float64, where floor(x / q) must stay exact;
+    float32: the largest q whose kernels run in float32."""
     if edge == "int64":
         return _largest_prime(lambda v: _fold_bound(v, 2) < 2**63)
+    if edge == "float32":
+        return _float32_edge_q()
     return _largest_prime(lambda v: _fold_bound(v, 2) * v < 2**53)
 
 
@@ -74,7 +85,13 @@ def _unreduced_edge_q(edge):
     next product unreduced in the work dtype edge."""
     if edge == "int64":
         return _largest_prime(lambda v: _unreduced_bound(v, 2) < 2**63)
+    if edge == "float32":
+        return _float32_edge_q()
     return _largest_prime(lambda v: _unreduced_bound(v, 2) * v < 2**53)
+
+
+# the work dtype of the next q above each float edge
+_NEXT_TIER = {"float32": np.dtype(np.float64), "float64": np.dtype(np.int64)}
 
 
 def _code_with_random_gamma(ctx, k, rng):
@@ -123,7 +140,9 @@ def _check_kernels(ctx, a, b):
         assert ctx.unpack(outer(ctx, wa[:5], wb[:7])) == tuple(
             tuple(x * y for y in eb[:7]) for x in ea[:5])
         for i in (1, ctx.n, -1):
-            assert ctx.unpack(ctx.frob(wa, i)) == tuple(x.frobenius(i) for x in ea)
+            image = ctx.frob(wa, i)
+            assert image.dtype == dt and ctx.unpack(image) == tuple(x.frobenius(i) for x in ea)
+        assert ctx.unpack(ctx.trace(wa)) == tuple(ctx.trace_rel(x) for x in ea)
         powers = np.arange(len(a)) % ctx.m
         assert ctx.unpack(ctx.frob(wa, powers)) == tuple(
             x.frobenius(int(i)) for x, i in zip(ea, powers))
@@ -131,7 +150,9 @@ def _check_kernels(ctx, a, b):
         assert every.dtype == dt and ctx.unpack(every) == tuple(
             tuple(x.frobenius(i) for i in range(ctx.m)) for x in ea[:7])
         nonzero = [i for i, x in enumerate(ea) if not x.is_zero()]
-        assert ctx.unpack(ctx.inv(wa[nonzero])) == tuple(ea[i].inverse() for i in nonzero)
+        inverse = ctx.inv(wa[nonzero])
+        assert inverse.dtype == dt
+        assert ctx.unpack(inverse) == tuple(ea[i].inverse() for i in nonzero)
         mv = ff_mat_vec(wa[: rows * cols].reshape(rows, cols, ctx.m), wb[:cols], ctx)
         assert mv.dtype == np.int64 and ctx.unpack(mv) == mat_vec
 
@@ -156,14 +177,14 @@ def test_batched_kernels_match_scalar_ops_at_decoder_size(q, n):
         assert z.tolist() == int_mulmod(ctx, x, y)
 
 
-@pytest.mark.parametrize("edge", ["int64", "float64"])
+@pytest.mark.parametrize("edge", ["int64", "float64", "float32"])
 def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
     q = _edge_q(edge)
     ctx = FieldCtx(q, 2)
     assert ctx._work == np.dtype(edge)
-    if edge == "float64":
+    if edge in _NEXT_TIER:
         above = next(p for p in range(q + 1, 2 * q) if _is_prime(p) and p % 4 == 1)
-        assert FieldCtx(above, 2)._work == np.dtype(np.int64)
+        assert FieldCtx(above, 2)._work == _NEXT_TIER[edge]
     rng = rng_for(210)
     a = rng.integers(0, q, (40, ctx.m))
     b = rng.integers(0, q, (40, ctx.m))
@@ -188,17 +209,21 @@ def test_batched_products_at_the_largest_q_each_dtype_admits(edge):
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["unreduced", "reduced"])
-@pytest.mark.parametrize("edge", ["int64", "float64"])
+@pytest.mark.parametrize("edge", ["int64", "float64", "float32"])
 def test_products_at_the_unreduced_budget_edge(edge, above):
     """At the largest q whose multiplication matrices enter their next product
     unreduced, and at the next q, where they are reduced first, every kernel
     that multiplies by one matches the Python-int products on operands whose
-    coefficients are all q-1."""
+    coefficients are all q-1.  float32 holds only lazy products, so past its
+    edge the next q leaves it for float64, where they stay unreduced."""
     q = _unreduced_edge_q(edge)
     if above:
         q = next(p for p in range(q + 1, 2 * q) if _is_prime(p) and p % 4 == 1)
     ctx = FieldCtx(q, 2)
-    assert (ctx._work, ctx._lazy) == (np.dtype(edge), not above)
+    if edge == "float32" and above:
+        assert (ctx._work, ctx._lazy) == (np.dtype(np.float64), True)
+    else:
+        assert (ctx._work, ctx._lazy) == (np.dtype(edge), not above)
     m = ctx.m
     full = np.full(m, q - 1)
     square = int_mulmod(ctx, full, full)
@@ -221,7 +246,7 @@ def test_products_at_the_unreduced_budget_edge(edge, above):
         assert ff_mat_vec(a, mat[0], ctx).tolist() == [[v * (2 * m + 1) % q for v in square]] * 2
 
 
-@pytest.mark.parametrize("edge", ["int64", "float64"])
+@pytest.mark.parametrize("edge", ["int64", "float64", "float32"])
 def test_code_maps_and_decoding_at_the_largest_q_each_dtype_admits(edge):
     ctx = FieldCtx(_edge_q(edge), 2)
     assert ctx._work == np.dtype(edge)
@@ -263,13 +288,15 @@ def _all_int64(elems):
     return all(e.coeffs.dtype == np.int64 for e in elems)
 
 
-@pytest.mark.parametrize("q, n, k", [(3, 12, 1), (3, 12, 2), (3, 12, 19), (_edge_q("int64"), 2, 1)],
-                         ids=["float64-k1", "float64-k2", "float64-k19", "int64-edge"])
+@pytest.mark.parametrize("q, n, k", [(3, 12, 1), (3, 12, 2), (3, 12, 19), (7, 12, 19),
+                                     (_edge_q("int64"), 2, 1)],
+                         ids=["float32-k1", "float32-k2", "float32-k19", "float64-k19",
+                              "int64-edge"])
 def test_results_leave_as_int64(q, n, k):
     # FF2n hashes its coefficient bytes: a float coefficient would give two
     # equal elements different hashes
     ctx = FieldCtx(q, n)
-    assert ctx._work == np.dtype(np.float64 if q == 3 else np.int64)
+    assert ctx._work == np.dtype({3: np.float32, 7: np.float64}.get(q, np.int64))
     rng = rng_for(250 + k)
     code = _code_with_random_gamma(ctx, k, rng)
     t = code.radius  # at even k the boundary rank, decoded from subfield errors
@@ -288,6 +315,17 @@ def test_results_leave_as_int64(q, n, k):
     for arr in (sigma, syndrome(code, ctx.pack(r)), S, ff_rref(S, ctx)[0], span,
                 root_space(LinPoly(ctx, span)), code._message(code._read(ctx.pack(cw)))):
         assert arr.dtype == np.int64
+
+
+def test_work_dtype_of_the_benchmark_fields():
+    """(3,12), where plain-scan and boundary-sub run, works in float32: q times
+    its unreduced sum, 331 785, stays below 2^24.  (7,12), high-rate's field,
+    whose unreduced sum 20.9M alone passes 2^24, stays in float64, lazy."""
+    small, wide = FieldCtx(3, 12), FieldCtx(7, 12)
+    assert (small._work, small._lazy) == (np.dtype(np.float32), True)
+    assert (wide._work, wide._lazy) == (np.dtype(np.float64), True)
+    for ctx in (small, wide):
+        assert {t.dtype for t in (ctx._mul_tensor, ctx._frob_tensor, ctx._frob_rows)} == {ctx._work}
 
 
 def _count_kernels(monkeypatch) -> Counter:
@@ -367,6 +405,29 @@ def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     assert out.success and out.t == t
     assert dict(calls) == expected
     assert finished == ([{"_dot": k + 7, "_mod": k + 6}] if t else [])
+
+
+@pytest.mark.parametrize("k, t, subfield", [
+    (1, 0, False), (1, 6, False), (2, 0, False), (2, 11, True), (2, 6, False),
+], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain"])
+def test_decode_products_stay_in_the_work_dtype(monkeypatch, k, t, subfield):
+    """The words of test_kernel_calls_per_decode at (3,12): every product of the
+    decode takes both operands in the float32 work dtype and gives it back, so
+    no int64 table or operand promotes a product to float64."""
+    ctx = FieldCtx(3, 12)
+    code = build_code(ctx, k)
+    _, cw, _, _, r = plant(code, max(t, 1), rng_for(270 + k), subfield=subfield)
+    dtypes = Counter()
+
+    def recorded(self, a, b, reduce=True, _dot=FieldCtx._dot):
+        out = _dot(self, a, b, reduce)
+        dtypes[a.dtype, b.dtype, out.dtype] += 1
+        return out
+
+    monkeypatch.setattr(FieldCtx, "_dot", recorded)
+    out = decode(code, r if t else cw)
+    assert out.success and out.t == t
+    assert list(dtypes) == [(ctx._work,) * 3]
 
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [

@@ -6,9 +6,11 @@ Each SRC is a directory that holds a tzcode package, such as a checkout's
 src/.  Both are imported under distinct package names, which works because
 every import inside tzcode is relative.  First both trees build FieldCtx
 and the code on SETUP_PAIRS pairs, and every pair of codes must hold equal
-TABLES, in dtype, shape and bytes, wherever both trees hold the table; the
-names of the tables that only one tree holds are printed.  Then the same planted words are decoded
-by both sides, word by word.  The side that runs first alternates from pair
+TABLES, in shape and in exact values (compared as int64, so that a table
+held in another work dtype still compares), wherever both trees hold the
+table; the names of the tables that only one tree holds, and both dtypes
+of a shared table whose dtypes differ, are printed.  Then the same planted
+words are decoded by both sides, word by word.  The side that runs first alternates from pair
 to pair and from word to word, so that both see the same host speed; a
 paired run resolves changes that the swing of absolute times between runs
 hides.  Every pair of outcomes must be equal.  Set-up is one row of the
@@ -85,23 +87,27 @@ def held(code) -> list:
     return [name for name in TABLES if hasattr(code, name)]
 
 
+def shared(sides) -> list:
+    """The names of TABLES that both sides' codes hold."""
+    return [name for name in held(sides[0].code) if name in held(sides[1].code)]
+
+
 def check_setup(sides, q: int, n: int, k: int):
     """Time FieldCtx and build_code in both trees on SETUP_PAIRS pairs.
 
     The tree that builds first alternates from pair to pair.  Returns the
     first of the TABLES both codes hold in which the two codes of a pair
-    differ, or None.
+    differ in shape or in value, or None.
     """
-    shared = [name for name in held(sides[0].code) if name in held(sides[1].code)]
     for i in range(SETUP_PAIRS):
         codes = {}
         for side in sides if i % 2 == 0 else sides[::-1]:
             t0 = time.perf_counter()
             codes[id(side)] = side.tz.build_code(side.tz.FieldCtx(q, n), k)
             side.times["setup"].append((time.perf_counter() - t0) * 1e3)
-        for name in shared:
+        for name in shared(sides):
             a, b = (getattr(codes[id(side)], name) for side in sides)
-            if (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape, b.tobytes()):
+            if a.shape != b.shape or (a.astype("int64") != b.astype("int64")).any():
                 return name
     return None
 
@@ -150,6 +156,10 @@ def main(argv=None) -> int:
         lone = [name for name in held(side.code) if name not in held(other.code)]
         if lone:
             print(f"tables held by the {label} tree only: {', '.join(lone)}")
+    for name in shared(sides):
+        dtypes = [getattr(side.code, name).dtype for side in sides]
+        if dtypes[0] != dtypes[1]:
+            print(f"{name}: parent dtype {dtypes[0]}, change dtype {dtypes[1]}")
     differs = check_setup(sides, args.q, args.n, args.k)
     if differs:
         print(f"setup: the codes differ in {differs}", file=sys.stderr)
