@@ -7,8 +7,8 @@ gamma x^(q^k) at the evaluation basis lambda.  The parity-check matrix H
 ((4n-2k) x 2n) is built on the trace almost dual basis
 mu = xi^(q^(2n-k)) lambda*, where lambda* is the trace-dual basis of lambda;
 a word is a codeword exactly when its syndrome has zero relative trace.
-G and H are packed (rows, 2n, 2n) arrays (field.py), built by batched
-Frobenius maps and products.
+G and H are packed (rows, 2n, 2n) int64 arrays (field.py), built by batched
+Frobenius maps and products in the field's work dtype.
 
 A word w has the transform sigma_i = sum_j w_j (mu_j^(q^k))^(q^i), i in Z_2n:
 one product with the table TZCode holds (TZCode._read).  H's rows are rows
@@ -24,9 +24,10 @@ test, which is_codeword, unmap and the decoder read.
 
 The code is also one F_q map, _enc_mat, from the 2kn subfield digits of a
 message to the 4n^2 coefficients of its codeword, which encode and the
-exhaustive oracles multiply by.  Every table is held in the field's work
-dtype (FieldCtx._work), so products run through BLAS wherever it is
-float32 or float64; N is also held as a public int64 array.
+exhaustive oracles multiply by.  Every table the code reads is held in the
+field's work dtype (FieldCtx._work), N among them, so products run through
+BLAS wherever it is float32 or float64; only G and H, which the code holds
+for its callers, are int64.
 nu = lam^(q^k) xi^-1 is the trace-dual basis of mu^(q^k) = xi (lam*)^(q^k), so
 sum_i nu_j^(q^i) sigma_i = e_j: the table N[j, i] = nu_j^(q^i) inverts the
 transform.  The split maps and nu share the one inverse of xi^(q^(2n-k)).
@@ -75,8 +76,7 @@ def find_xi(ctx: FieldCtx, gamma: FF2n) -> FF2n:
     """
     if gamma.is_zero():
         raise InvalidParameter("gamma must be nonzero")
-    trace_map = (ctx._frob_rows[ctx.n] + ctx._frob_rows[0]).T % ctx.q
-    kernel = fq_kernel(trace_map, ctx.q)
+    kernel = fq_kernel(ctx._trace_rows.T, ctx.q)
     eta = FF2n(ctx, kernel[0].copy())
     return eta / gamma
 
@@ -116,16 +116,16 @@ def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.n
 
 
 def _split_maps(ctx: FieldCtx, gamma: FF2n, twists: np.ndarray) -> np.ndarray:
-    """(len twists, 2n, 4n) F_q maps in ctx._work: map i takes x to (a | b), a + gamma b = tw_i x.
+    """(len twists, 2n, 4n) F_q maps: map i takes x to (a | b), a + gamma b = tw_i x.
 
     a, b lie in F_(q^n): b = (f - f^(q^n)) / (gamma - gamma^(q^n)), a = f - gamma b, f = tw_i x.
     """
-    q, n = ctx.q, ctx.n
-    eye = np.eye(ctx.m, dtype=np.int64)
-    conj_gap = ctx.inv((gamma.coeffs - ctx.frob(gamma.coeffs, n)) % q)
-    to_b = (eye - ctx._frob_rows[n]) @ ctx.mul_matrix(conj_gap) % q
-    to_a = (eye - to_b @ ctx.mul_matrix(gamma.coeffs)) % q
-    return ctx._dot(ctx.mul_matrix(twists), np.concatenate([to_a, to_b], axis=1)).astype(ctx._work)
+    eye = ctx._frob_rows[0]  # F^0, the identity map
+    g = ctx.pack(gamma)
+    conj_gap = ctx.inv(ctx._mod(g - ctx.frob(g, ctx.n)))
+    to_b = ctx._dot(eye - ctx._frob_rows[ctx.n], ctx.mul_matrix(conj_gap))
+    to_a = ctx._mod(eye - ctx._dot(to_b, ctx.mul_matrix(g)))
+    return ctx._dot(ctx.mul_matrix(twists), np.concatenate([to_a, to_b], axis=1))
 
 
 class TZCode:
@@ -153,19 +153,20 @@ class TZCode:
 
         # x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at lam
         lam_elems = ctx.pack(lam)
-        self.G = np.concatenate([
+        G = np.concatenate([
             lam_elems[None],
             _twisted_rows(ctx, lam_elems, gamma, range(1, k)),
             ctx.mul(gamma.coeffs, ctx.frob(lam_elems, k))[None],
         ])
+        self.G = G.astype(np.int64)
         mu_elems = ctx.pack(mu)
         self.H = np.concatenate([
             ctx.mul(gamma.frobenius(m - k).coeffs, mu_elems)[None],
             _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
             ctx.frob(mu_elems, k)[None],
-        ])
+        ]).astype(np.int64)
         # the transform table: row i is (mu^(q^k))^(q^i), one frob_powers
-        powers = ctx.frob_powers(np.asarray(ctx.frob(mu_elems, k), ctx._work))
+        powers = ctx.frob_powers(ctx.frob(mu_elems, k))
         self._transform_work = np.ascontiguousarray(powers.swapaxes(0, 1))
 
         # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
@@ -174,8 +175,7 @@ class TZCode:
         nu = ctx.frob(ctx.mul(xi_inv, lam_elems), k)
         # N[j, i] = nu_j^(q^i) inverts the decoder's transform: one product of
         # nu with the field's Frobenius-power table
-        self._N_work = ctx.frob_powers(np.asarray(nu, ctx._work))
-        self.N = np.asarray(self._N_work, np.int64)
+        self.N = ctx.frob_powers(nu)
         # F_i = xi^(-q^(i-k)) sigma_(i-k), split into (a_i | b_i)
         self._split_work = _split_maps(ctx, gamma, ctx.frob(xi_inv, np.arange(k + 1)))
 
@@ -185,9 +185,8 @@ class TZCode:
         # element, which every entry of G shares.  Held in the work dtype: a
         # product with it sums at most 2kn <= 4n^2 products of reduced
         # entries, inside FieldCtx's bound
-        by_basis = ctx._mul_factor(np.asarray(ctx._subfield_mat, ctx._work))
-        rows = np.asarray(self.G, ctx._work)[:, None]
-        self._enc_mat = ctx._mod(rows @ by_basis[None]).reshape(2 * k * ctx.n, m * m)
+        by_basis = ctx._mul_factor(ctx._subfield_mat)
+        self._enc_mat = ctx._dot(G[:, None], by_basis[None]).reshape(2 * k * ctx.n, m * m)
 
     def validate_message(self, msg) -> np.ndarray:
         """The packed (2k, 2n) message; MessageNotInSubfield unless it is 2k elements of F_(q^n)."""
@@ -206,7 +205,7 @@ class TZCode:
         """Codeword msg . G for a message over the subfield of linearity."""
         ctx = self.ctx
         digits = ctx.subfield_digits(self.validate_message(msg)).reshape(-1)
-        flat = ctx._mod(digits.astype(ctx._work) @ self._enc_mat)
+        flat = ctx._dot(digits, self._enc_mat)
         return ctx.unpack(flat.reshape(self.length, -1))
 
     def pack_word(self, v) -> np.ndarray:
@@ -230,11 +229,10 @@ class TZCode:
         ctx, k = self.ctx, self.k
         if sigma[1 : ctx.m - k].any():
             return None
-        low = np.asarray(sigma[np.arange(-k, 1)], ctx._work)
-        ab = ctx._dot(low[:, None], self._split_work).reshape(-1, ctx.m)
+        ab = ctx._dot(sigma[np.arange(-k, 1), None], self._split_work).reshape(-1, ctx.m)
         if ab[1].any() or ab[2 * k].any():
             return None
-        return np.concatenate([ab[:1], ab[2 : 2 * k], ab[2 * k + 1 :]]).astype(np.int64)
+        return np.concatenate([ab[:1], ab[2 : 2 * k], ab[2 * k + 1 :]])
 
     def unmap(self, cw) -> tuple:
         """The unique message encoding to cw; raises NotACodeword otherwise."""
@@ -255,8 +253,8 @@ class TZCode:
 
 
 def gh_product(code: TZCode) -> np.ndarray:
-    """G H^T, packed: row i is the syndrome H g_i of G's row i."""
-    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G])
+    """G H^T, packed in int64: row i is the syndrome H g_i of G's row i."""
+    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G]).astype(np.int64)
 
 
 def _check_gh_structure(code: TZCode):

@@ -54,12 +54,14 @@ term, a multiple of L_f, so L_f kills it; L_f, of q-degree t-1, kills none
 of rank t.  Where L_f cannot be read the pivots do not lead, which no
 error of rank t-1 gives, so the kill test alone decides.
 
-Every stage works on packed arrays (field.py): the transform is (2n, 2n),
-the syndrome matrices (rows, cols, 2n) gathered from the powers
-sigma_i^(q^c), i <= 2n-k, that one product with the field's Frobenius-power
-table gives, and the span polynomial (t+1, 2n), row i its coefficient of
-x^(q^i).  The transform and its inverse are one ff_mat_vec each, each
-recurrence step one F_q product, and FF2n appears only where decode hands
+Every stage takes and gives packed arrays in the field's work dtype
+(field.py), so no stage converts what the one before it handed over: the
+word is packed once, the transform is (2n, 2n), the syndrome matrices
+(rows, cols, 2n) are gathered from the powers sigma_i^(q^c), i <= 2n-k,
+that one product with the field's Frobenius-power table gives, and the
+span polynomial is (t+1, 2n), row i its coefficient of x^(q^i).  The
+transform and its inverse are one ff_mat_vec each, each recurrence step
+one F_q product, and FF2n, in int64, appears only where decode hands
 results back.  Decoding failures are returned as values, never raised.
 """
 
@@ -127,8 +129,8 @@ class DecodeOutcome:
 
 
 def syndrome(code: TZCode, r) -> np.ndarray:
-    """s = r H^T, packed; entrywise relative trace vanishes exactly on codewords."""
-    return ff_mat_vec(code.H, r, code.ctx)
+    """s = r H^T, packed in int64; entrywise relative trace vanishes exactly on codewords."""
+    return ff_mat_vec(code.H, r, code.ctx).astype(np.int64)
 
 
 def _shifted(pw, top: int, rows, cols: int) -> np.ndarray:
@@ -142,8 +144,8 @@ def build_S(code: TZCode, sigma, u: int) -> np.ndarray:
     m, k = code.ctx.m, code.k
     if not 1 <= u <= (m - (k + 1)) // 2:
         raise IndexError(f"u must satisfy 1 <= u <= {(m - (k + 1)) // 2}, got {u}")
-    pw = code.ctx.frob_powers(np.asarray(sigma[: 2 * u + 1], code.ctx._work), u + 1)
-    return _shifted(pw, u + 1, range(u), u + 1).astype(np.int64)
+    pw = code.ctx.frob_powers(sigma[: 2 * u + 1], u + 1)
+    return _shifted(pw, u + 1, range(u), u + 1)
 
 
 def estimate_rank(code: TZCode, sigma):
@@ -176,14 +178,14 @@ def build_S_exp(code: TZCode, sigma) -> np.ndarray:
     if k % 2 != 0:
         raise LimitCaseInapplicable("trace-augmented system needs even k")
     t = ctx.n - k // 2
-    ps = ctx.frob_powers(np.asarray(sigma[: 2 * t + 1], ctx._work), ctx.n + t + 1)
+    ps = ctx.frob_powers(sigma[: 2 * t + 1], ctx.n + t + 1)
     # Tr(x)^(q^c) = x^(q^c) + x^(q^(c+n)), c <= t < n: two gathers of the powers
     trace_rows = ctx._mod(_shifted(ps, t, range(t), t + 1)
                           + _shifted(ps[:, ctx.n :], t, range(t), t + 1))
-    g2t = ctx.frob(np.asarray(code.gamma.coeffs, ctx._work), 2 * t)
+    g2t = ctx.frob(ctx.pack(code.gamma), 2 * t)
     twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0], ctx._mul_factor(g2t))
     plain_rows = _shifted(ps, t, range(1, t), t + 1)
-    return np.concatenate([plain_rows, trace_rows, ctx.trace(twisted)[None]]).astype(np.int64)
+    return np.concatenate([plain_rows, trace_rows, ctx.trace(twisted)[None]])
 
 
 def solve_span(S, ctx, rows=None):
@@ -236,7 +238,7 @@ def solve_span(S, ctx, rows=None):
 
 def _monic(ctx, neg) -> np.ndarray:
     """The packed monic span polynomial whose coefficients below the top are -neg, |neg| < q."""
-    return np.concatenate([-neg, ctx.one.coeffs[None]]).astype(np.int64) % ctx.q
+    return ctx._mod(np.concatenate([-neg, ctx.pack(ctx.one)[None]]))
 
 
 def solve_locators(code: TZCode, a, sigma) -> np.ndarray:
@@ -267,7 +269,7 @@ def recover_B(code: TZCode, d) -> np.ndarray:
     inversion.
     """
     ctx = code.ctx
-    coords = code.N[:, 0] @ _trace_form(ctx) % ctx.q
+    coords = code.N[:, 0].astype(np.int64) @ _trace_form(ctx) % ctx.q
     return (d @ coords.T) % ctx.q
 
 
@@ -303,7 +305,7 @@ def error_from_span(code: TZCode, sigma, terms):
     for p in range(m - k - 1, m):
         down[p] = ctx._dot(down[p - t : p].reshape(-1), W)
     sigma_e = down[(m - k - 1 - np.arange(m)) % m]
-    return ff_mat_vec(code._N_work, sigma_e, ctx), sigma_e
+    return ff_mat_vec(code.N, sigma_e, ctx), sigma_e
 
 
 def _finish(code: TZCode, r, sigma, span, plain=None) -> DecodeOutcome:
@@ -328,13 +330,13 @@ def _finish(code: TZCode, r, sigma, span, plain=None) -> DecodeOutcome:
     polys = span[None] if plain is None else np.stack([span, np.concatenate([plain, 0 * span[:1]])])
     terms = _term_matrices(ctx, polys)
     err, sigma_err = error_from_span(code, sigma, terms[0])
-    kills = ~ctx._dot(err.astype(ctx._work), terms.sum(axis=1)).any(axis=(1, 2))
+    kills = ~ctx._dot(err, terms.sum(axis=1)).any(axis=(1, 2))
     if not kills[0] or kills[1:].any():
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
     msg = code._message(sigma - sigma_err)
     if msg is None:
         return DecodeOutcome.fail(NOT_A_CODEWORD)
-    return DecodeOutcome.ok(ctx.unpack((r - err) % ctx.q), ctx.unpack(err), ctx.unpack(msg), t)
+    return DecodeOutcome.ok(ctx.unpack(ctx._mod(r - err)), ctx.unpack(err), ctx.unpack(msg), t)
 
 
 def decode(code: TZCode, r) -> DecodeOutcome:

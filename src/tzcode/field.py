@@ -5,14 +5,14 @@ power basis of alpha, where alpha is a root of the defining modulus f, a
 monic irreducible polynomial of degree 2n over F_q.  Coefficient index i
 holds the coefficient of alpha^i, reduced into [0, q).
 
-Inside the library a vector or matrix over F_{q^2n} is one packed int64
-array of shape (..., 2n); FF2n is the scalar view the public API hands out
-and takes back, and FieldCtx.pack / unpack convert between the two, each in
-one pass over a word: pack reads a flat sequence of elements into one
-array, and unpack hands out the rows of one read-only copy.  Every FF2n the
-library builds holds a read-only int64 array of shape (2n,), reduced into
-[0, q); so two elements are equal exactly when their fields are equal and
-their coefficient bytes are, which is also what an element hashes.  The
+Inside the library a vector or matrix over F_{q^2n} is one packed array
+of shape (..., 2n) in the field's work dtype, FieldCtx._work; FF2n is the
+scalar view the public API hands out and takes back.  FieldCtx.pack reads
+an array or a flat sequence of elements into one work-dtype array, and
+unpack hands out the rows of one read-only int64 copy.  Every FF2n holds
+a read-only int64 array of shape (2n,), reduced into [0, q), whatever
+array it is built from, so that two elements are equal, and hash alike,
+exactly when their fields and their coefficient bytes are equal.  The
 FieldCtx kernels broadcast over the leading axes:
 
 * mul_matrix: the 2n x 2n matrices M(a) with v M(a) = a v, one matmul of
@@ -28,6 +28,7 @@ FieldCtx kernels broadcast over the leading axes:
 * frob_powers: the a^(q^i), i < count, as one matmul with the first count
   blocks of the Frobenius-power table, which lays the 2n powers side by
   side; it serves the syndrome matrices and the code's transform tables;
+* trace: a + a^(q^n) as one matmul with I + F^n;
 * inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
   addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
   a^-1 = b N(a)^-1; the absolute norm is the same a b.
@@ -46,24 +47,20 @@ multiplication matrix that feeds one more product enters it unreduced
 the largest sum it then meets, an ff_mat_vec block below 8n^3(q-1)^3 + q,
 stays exact in the work dtype: FieldCtx works this out once from q and n
 (FieldCtx._lazy), and elsewhere the same kernels reduce the matrix first.
-The kernels compute in the dtype they are given, mul in the work dtype.
-The callers with long eliminations or large products hand them
-FieldCtx._work, a float dtype wherever q times the largest sum it must
-hold stays below 2^p, p its significand bits: float32 (p = 24) where that
-sum is the unreduced one, so that every product is lazy, else float64
-(p = 53) where it is the admitted bound.  Every partial sum of a BLAS
-product is then an exact integer, in whatever order it adds, and so is
-floor(x / q) in the reduction; BLAS multiplies float matrices many times
-faster than numpy multiplies int64 ones, and a float32 vector holds twice
-the lanes of a float64 one.  Those callers are the eliminations of linalg
-(ff_rref's pivot normalisation included), ff_mat_vec, the decoder's
-recurrence and rank check, the tables TZCode holds (construct.py: the
-transform table, N, the split maps and the code map) and
-linpoly.root_space's action matrix.  Each casts its result back to int64
-once, so every array and element the library hands out holds int64.
-Where the bound keeps the work dtype int64 the casts are no-ops.  The
-multiplication, Frobenius-power and Frobenius-row tables are held in the
-work dtype, and a kernel given another dtype casts them to it.
+
+The work dtype is a float wherever q times the largest sum it must hold
+stays below 2^p, p its significand bits: float32 (p = 24) where that sum
+is the unreduced one, so that every product is lazy, else float64
+(p = 53) where it is the admitted bound, else int64.  Every partial sum
+of a BLAS product is then an exact integer, in whatever order it adds,
+and so is floor(x / q) in the reduction; BLAS multiplies float matrices
+many times faster than numpy multiplies int64 ones, and a float32 vector
+holds twice the lanes of a float64 one.  Every kernel takes any integer
+dtype and computes in and returns the work dtype, and so does every
+packed array the library keeps or passes between stages.  int64 is made
+only where elements leave: FF2n, unpack, and the packed results
+documented as int64 (ff_rref, ff_solve, TZCode.G and H, syndrome,
+gh_product); the F_q routines of linalg work in int64 throughout.
 """
 
 from __future__ import annotations
@@ -256,8 +253,8 @@ class FieldCtx:
         # and BLAS multiplies float matrices many times faster than numpy
         # multiplies int64 ones; below 2^24 / q or 2^53 / q, floor(x / q) is
         # exact too (_mod).  So long eliminations and large products run in
-        # the narrowest float the bound allows; the kernels compute in the
-        # dtype they are given.  The float products are small and were tuned
+        # the narrowest float the bound allows, and every packed array is
+        # held in that dtype.  The float products are small and were tuned
         # single-threaded, the way the benchmark runs them with BLAS pinned
         # to one thread.
         # A multiplication matrix M(b) = b @ _mul_tensor that feeds one more
@@ -278,14 +275,16 @@ class FieldCtx:
         for _ in range(m - 1):
             rows.append((rows[-1] @ frob.T) % q)
         self._frob_rows = np.stack(rows).astype(self._work)
-        # the three F_q tables, held in the work dtype, that the hot kernels
+        # the F_q tables, held in the work dtype, that the hot kernels
         # multiply by: _frob_rows above; row d of _mul_tensor is M(x^d), whose
         # row u is x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u
         # of M(a); row r of _frob_tensor is x^r under the 2n power maps side
-        # by side, so a @ _frob_tensor lays out a^(q^i) for every i
+        # by side, so a @ _frob_tensor lays out a^(q^i) for every i; and
+        # _trace_rows = I + F^n, so a @ _trace_rows is a + a^(q^n), unreduced
         power = np.arange(m)
         self._mul_tensor = self._red[power[:, None] + power].reshape(m, m * m).astype(self._work)
         self._frob_tensor = self._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
+        self._trace_rows = self._frob_rows[0] + self._frob_rows[n]
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))
         self.one = FF2n(self, self._red[0].copy())
@@ -356,7 +355,7 @@ class FieldCtx:
         return (digits @ self._subfield_mat) % self.q
 
     def subfield_digits(self, elems) -> np.ndarray:
-        """(..., n) digits in subfield_basis; the inverse of subfield_elements.
+        """(..., n) digits in subfield_basis, in the work dtype; the inverse of subfield_elements.
 
         elems is a sequence of elements or their packed array, whose entries
         at the basis's free columns are the digits.  Valid only for elements
@@ -373,17 +372,17 @@ class FieldCtx:
     # -- packed arithmetic: (..., 2n) arrays, broadcasting over leading axes ----
 
     def pack(self, elems) -> np.ndarray:
-        """The (..., 2n) array of an element or a nested sequence of elements.
+        """The (..., 2n) work-dtype array of an array, an element or a nested sequence of elements.
 
-        An array passes through unchanged, and a flat sequence of elements
-        is read entry by entry into one copy.
+        An array in the work dtype passes through unchanged, and a flat
+        sequence of elements is read entry by entry into one copy.
         """
-        if isinstance(elems, np.ndarray):
-            return elems
         if isinstance(elems, FF2n):
-            return elems.coeffs
-        parts = [e.coeffs if isinstance(e, FF2n) else self.pack(e) for e in elems]
-        return np.array(parts) if parts else np.zeros((0, self.m), dtype=np.int64)
+            elems = elems.coeffs
+        elif not isinstance(elems, np.ndarray):
+            elems = [e.coeffs if isinstance(e, FF2n) else self.pack(e) for e in elems]
+            elems = elems or np.zeros((0, self.m))
+        return np.asarray(elems, self._work)
 
     def unpack(self, arr):
         """The elements of a (..., 2n) array, as nested tuples of FF2n.
@@ -414,10 +413,12 @@ class FieldCtx:
         return x
 
     def _dot(self, a: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
-        """a @ b, mod q unless reduce is False; exact while its sums stay inside the dtype's bound.
+        """a @ b in the work dtype, mod q unless reduce is False; exact while its sums stay bounded.
 
-        A stack of rows against one matrix is a single matrix product.
+        a may hold any integer dtype; b is a table or a product in the work
+        dtype.  A stack of rows against one matrix is a single matrix product.
         """
+        a = np.asarray(a, self._work)
         if b.ndim == 2 and a.ndim > 2:
             out = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
         else:
@@ -425,24 +426,17 @@ class FieldCtx:
         return self._mod(out) if reduce else out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entrywise products of broadcasting packed arrays: a M(b) in the work dtype, reduced once.
+        """Entrywise products of broadcasting packed arrays: a M(b), reduced once.
 
-        M is of the operand with fewer entries; the products leave in the operands' dtype.
+        M is of the operand with fewer entries.
         """
-        dtype = np.result_type(a, b)
         if a[..., 0].size < b[..., 0].size:
             a, b = b, a
-        by = self._mul_factor(np.asarray(b, self._work))
-        out = self._dot(np.asarray(a, self._work)[..., None, :], by, False)[..., 0, :]
-        return self._mod(out.astype(dtype, copy=False))
+        return self._dot(a[..., None, :], self._mul_factor(b))[..., 0, :]
 
     def _by_table(self, a: np.ndarray, table: np.ndarray, reduce: bool = True) -> np.ndarray:
-        """(..., blocks, 2n): a times a (2n, blocks 2n) table, reduced unless reduce is False.
-
-        The product runs in a's dtype: the tables are held in the work dtype, and
-        an a of another dtype casts its table.
-        """
-        out = self._dot(a, table.astype(a.dtype, copy=False), reduce)
+        """(..., blocks, 2n): a times a (2n, blocks 2n) table, reduced unless reduce is False."""
+        out = self._dot(a, table, reduce)
         return out.reshape(a.shape[:-1] + (table.shape[1] // self.m, self.m))
 
     def mul_matrix(self, a: np.ndarray) -> np.ndarray:
@@ -461,19 +455,15 @@ class FieldCtx:
         return self._by_table(a, self._frob_tensor[:, : (count or self.m) * self.m])
 
     def frob(self, a: np.ndarray, i) -> np.ndarray:
-        """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries.
-
-        The product runs in a's dtype, as _by_table's do.
-        """
-        rows = self._frob_rows[i % self.m].astype(a.dtype, copy=False)
+        """a^(q^i) entrywise; i is an int or an int array broadcasting over a's entries."""
+        rows = self._frob_rows[i % self.m]
         if rows.ndim == 2:
             return self._dot(a, rows)
         return self._dot(a[..., None, :], rows)[..., 0, :]
 
     def trace(self, a: np.ndarray) -> np.ndarray:
-        """Relative trace onto F_{q^n} entrywise: a + a^(q^n), one reduction of 2n + 1 terms."""
-        by = self._frob_rows[self.n].astype(a.dtype, copy=False)
-        return self._mod(a + self._dot(a, by, reduce=False))
+        """Relative trace onto F_{q^n} entrywise: a + a^(q^n), one product and one reduction."""
+        return self._dot(a, self._trace_rows)
 
     def _conorm(self, a: np.ndarray) -> np.ndarray:
         """a^(q + q^2 + ... + q^(2n-1)) entrywise, by the Itoh-Tsujii addition chain.
@@ -492,12 +482,12 @@ class FieldCtx:
         return self.frob(x, 1)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q; in a's dtype."""
+        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q."""
         if not a.any(axis=-1).all():
             raise DivisionByZero("inverse of zero")
         b = self._conorm(a)
         norm = self.mul(a, b)[..., :1]
-        return self._mod(b * fq_reciprocal(norm, self.q).astype(b.dtype, copy=False))
+        return self._mod(b * fq_reciprocal(norm, self.q).astype(self._work))
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"
@@ -514,6 +504,9 @@ class FieldCtx:
         return hash((self.q, self.n, self.modulus))
 
 
+_INT64 = np.dtype(np.int64)
+
+
 class FF2n:
     """One element of F_{q^2n} as a coefficient vector in the power basis.
 
@@ -525,6 +518,8 @@ class FF2n:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs: np.ndarray):
+        if coeffs.dtype is not _INT64:  # an int64 array is kept, anything else copied
+            coeffs = coeffs.astype(_INT64)
         if coeffs.flags.writeable:
             coeffs.setflags(write=False)
         self.ctx = ctx

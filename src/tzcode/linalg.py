@@ -1,9 +1,10 @@
 """Dense exact linear algebra over F_{q^2n} and over F_q.
 
-A matrix over F_{q^2n} is a packed int64 array of shape (rows, cols, 2n)
-(field.py); the F_{q^2n} entry points also take nested lists of FF2n and
-then read the field off the entries.  A matrix over F_q is an int64 array
-reduced mod q.
+A matrix over F_{q^2n} is a packed array of shape (rows, cols, 2n) in the
+field's work dtype (field.py); the F_{q^2n} entry points also take packed
+arrays of any integer dtype, which they read through FieldCtx.pack, or
+nested lists of FF2n, and then read the field off the entries.  A matrix
+over F_q is an int64 array reduced mod q.
 
 Both fields share one convention: columns are scanned left to right, the
 pivot is the first nonzero entry scanning rows top-down, and the result is
@@ -36,8 +37,9 @@ mod q follows (a second reduces the matrices first where they may not
 stay unreduced).  The scan stops as over F_q.  No inverse is taken per
 pivot; one batched inverse of the pivots normalises the rows at the end,
 which gives the same unique reduced form.
-All of it runs in the field's work dtype (field.py), and ff_rref hands the
-rows back as int64.  _eliminate can seek pivots in the leading rows only.
+All of it runs in the field's work dtype (field.py), as does ff_mat_vec;
+ff_rref and ff_solve hand their results back as int64, as their callers
+outside the library expect.  _eliminate can seek pivots in the leading rows only.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _packed(a, ctx):
-    """(ctx, packed array) from a packed array and its field, or from nested FF2n.
+    """(ctx, work-dtype packed array) from a packed array and its field, or from nested FF2n.
 
     The field is read off the first item, descending until one has a ctx.
     """
@@ -87,26 +89,26 @@ def ff_mat_vec(a, v, ctx=None) -> np.ndarray:
     (FieldCtx.mul_matrix), so a v is one F_q product of a's coefficient rows
     with those matrices stacked, unreduced where FieldCtx._lazy allows.  It
     runs in blocks of 2n columns, whose sums FieldCtx keeps exact, and the
-    running sum is reduced after every block.  A matrix already in the work
-    dtype, as TZCode holds its transform table and N, is not cast.
+    running sum is reduced after every block.
     """
     ctx, a = _packed(a, ctx)
-    w, m = ctx._work, ctx.m
-    a = a.astype(w, copy=False).reshape(len(a), -1)
-    by = ctx._mul_factor(ctx.pack(v).astype(w, copy=False)).reshape(-1, m)  # row j 2n + u: v_j x^u
-    out = np.zeros((len(a), m), dtype=w)
+    m = ctx.m
+    a = a.reshape(len(a), -1)
+    by = ctx._mul_factor(ctx.pack(v)).reshape(-1, m)  # row j 2n + u: v_j x^u
+    out = np.zeros((len(a), m), dtype=ctx._work)
     for i in range(0, a.shape[1], m * m):
         out = ctx._mod(out + ctx._dot(a[:, i : i + m * m], by[i : i + m * m], reduce=False))
-    return out.astype(np.int64)
+    return out
 
 
 def _eliminate(ctx, a, rows=None):
     """Fraction-free Gauss-Jordan on a copy of a packed matrix, pivots from its first rows rows.
 
-    Returns the eliminated matrix in ctx._work, whose pivot rows still carry
-    their pivots rather than ones, and the pivot columns.  Every row is reduced.
+    a is in the work dtype, as _packed gives it.  Returns the eliminated
+    matrix, whose pivot rows still carry their pivots rather than ones, and
+    the pivot columns.  Every row is reduced.
     """
-    a = a.astype(ctx._work)  # a copy, exact in the work dtype (FieldCtx)
+    a = a.copy()
     rows = len(a) if rows is None else rows
     m = ctx.m
     pivots = []
@@ -139,7 +141,7 @@ def ff_rref(a, ctx=None):
     """Reduced row echelon form; returns (packed int64 rows, pivot column indices).
 
     The batched pivot inverse and the row normalisation run in the work
-    dtype of the elimination; the rows are cast back to int64 once.
+    dtype; the rows leave as int64.
     """
     ctx, a = _packed(a, ctx)
     a, pivots = _eliminate(ctx, a)

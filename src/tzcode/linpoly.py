@@ -2,7 +2,7 @@
 
 A q-polynomial sum_i f_i x^(q^i) acts as an F_q-linear endomorphism of
 F_{q^2n}.  LinPoly holds its coefficients as one packed (d+1, 2n) array
-(field.py), row i the coefficient of x^(q^i).  Since x^(q^2n) = x on the
+in the field's work dtype (field.py), row i the coefficient of x^(q^i).  Since x^(q^2n) = x on the
 field, 2n+1 coefficients (q-degree 2n, as the subspace polynomial of the
 whole field needs) are the most it takes.  decode keeps its spans as bare
 arrays of that shape, acting through _term_matrices; root_space returns the
@@ -47,7 +47,7 @@ class LinPoly:
         """sum_i f_i x^(q^i): one batched Frobenius of x, one batched product."""
         ctx = self.ctx
         powers = ctx.frob(x.coeffs, np.arange(len(self.coeffs)))
-        return FF2n(ctx, ctx.mul(self.coeffs, powers).sum(axis=0) % ctx.q)
+        return FF2n(ctx, ctx._mod(ctx.mul(self.coeffs, powers).sum(axis=0)))
 
     __call__ = evaluate
 
@@ -56,7 +56,7 @@ class LinPoly:
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self):
-        return f"LinPoly({self.coeffs.tolist()})"
+        return f"LinPoly({self.coeffs.astype(np.int64).tolist()})"
 
 
 def _term_matrices(ctx, coeffs) -> np.ndarray:
@@ -67,8 +67,8 @@ def _term_matrices(ctx, coeffs) -> np.ndarray:
     M(f_i) = f_i x^(q^i) on a coefficient row x; each entry sums 2n products
     of F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy allows.
     """
-    frob = ctx._frob_rows[np.arange(np.shape(coeffs)[-2]) % ctx.m]  # F^(2n) is F^0
-    return ctx._mod(frob @ ctx._mul_factor(np.asarray(coeffs, ctx._work)))
+    frob = ctx._frob_rows[np.arange(coeffs.shape[-2]) % ctx.m]  # F^(2n) is F^0
+    return ctx._dot(frob, ctx._mul_factor(coeffs))
 
 
 def root_space(f: LinPoly) -> np.ndarray:

@@ -7,13 +7,16 @@ breaks the benchmark without breaking any other test.
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import tzcode
 
-from conftest import plant, rng_for
+from conftest import plant, ref_rref, rng_for
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -121,3 +124,38 @@ def test_traced_boundary_decode_times_its_span_read(monkeypatch):
     assert parents == ["decoder.decode"]
     route, _, values = layers.trial_values(tracer, lo, hi)
     assert route == "boundary" and values["decoder.span_ms"] > 0
+
+
+class _StubProbe:
+    """The speed probe's timed() without its kernel: one call, its wall time."""
+
+    def timed(self, fn):
+        t0 = time.perf_counter()
+        result = fn()
+        return SimpleNamespace(result=result, seconds=time.perf_counter() - t0)
+
+
+def test_traced_microtimings_run_on_todays_tzcode(monkeypatch):
+    # run.py --trace 1 times single operations with perfbench/micro.py, which
+    # calls ff_rref on nested lists of elements and fq_rref on an int array;
+    # once per batch here, at a small field
+    micro = _load("perfbench_micro", PERFBENCH / "micro.py")
+    monkeypatch.setattr(micro, "REPEAT", 1)
+    ctx = tzcode.FieldCtx(3, 2)
+    reduced = []
+
+    def ff_rref(mat, _ff_rref=tzcode.linalg.ff_rref):
+        out = _ff_rref(mat)
+        reduced.append((mat, out))
+        return out
+
+    monkeypatch.setattr(tzcode.linalg, "ff_rref", ff_rref)
+    timings = micro.microtimings(tzcode, ctx, rng_for(98), _StubProbe())
+    assert list(timings) == ["field.mul_us", "field.frobenius_us", "field.inverse_us",
+                             "linalg.ff_rref_op_ms", "linalg.fq_rref_op_ms"]
+    assert all(len(runs) == 1 and runs[0].result >= 0 for runs in timings.values())
+    assert len(reduced) == 2
+    for mat, (rows, pivots) in reduced:
+        ref_rows, ref_pivots = ref_rref(mat)
+        assert rows.dtype == np.int64 and pivots == ref_pivots
+        assert ctx.unpack(rows) == tuple(tuple(row) for row in ref_rows)

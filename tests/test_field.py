@@ -482,3 +482,19 @@ def test_handed_out_elements_compare_by_bytes(ctx5):
             same = np.array_equal(x.coeffs, y.coeffs)
             assert (x == y) == same and (x != y) != same
             assert not same or hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, np.int64])
+def test_elements_hold_int64_whatever_array_they_are_built_from(ctx5, dtype):
+    # FF2n compares and hashes its coefficient bytes, so it casts what it is
+    # given to int64; an int64 array it keeps without a copy
+    from tzcode.field import FF2n
+
+    coeffs = [1, 2, 0, 4]
+    x = FF2n(ctx5, np.array(coeffs, dtype=dtype))
+    assert x.coeffs.dtype == np.int64 and not x.coeffs.flags.writeable
+    assert x == ctx5.elem(coeffs) and hash(x) == hash(ctx5.elem(coeffs))
+    assert len({x, ctx5.elem(coeffs)}) == 1
+    assert (x * ctx5.alpha) == ctx5.elem(coeffs) * ctx5.alpha
+    held = np.array(coeffs, dtype=np.int64)
+    assert FF2n(ctx5, held).coeffs is held

@@ -1,18 +1,21 @@
 """Packed F_{q^2n} kernels and elimination against element-by-element references.
 
-The batched kernels (FieldCtx.mul, mul_matrix, frob, frob_powers, inv, and
-ff_mat_vec) are checked against the scalar FF2n operations and against
-schoolbook products in Python ints, and mul_matrix against the Toeplitz
-fold in conftest; the packed elimination (ff_rref, ff_rank, ff_solve, the
-conftest ff_kernel and the decoder's span reader solve_span, whose spans
-are packed (rank+1, 2n) arrays) against the list-of-FF2n reference in
-conftest.  Each check runs in int64 and, where the field allows it, in the
-float32 or float64 work dtype the decoder eliminates in.  At the largest q
-each dtype admits, the code's F_q maps, the root space and decoding are
-checked for exactness; every product of a decode takes and gives the work
-dtype, so none promotes to a wider one; and whatever runs in the work dtype
-inside, every array and element the library hands back holds int64.  The numbers of table products
-and reductions per elimination pivot and per decode, and of tzcode's own
+The batched kernels (FieldCtx.mul, mul_matrix, frob, trace, frob_powers,
+inv, and ff_mat_vec) are checked against the scalar FF2n operations and
+against schoolbook products in Python ints, and mul_matrix against the
+Toeplitz fold in conftest; the packed elimination (ff_rref, ff_rank,
+ff_solve, the conftest ff_kernel and the decoder's span reader solve_span,
+whose spans are packed (rank+1, 2n) arrays) against the list-of-FF2n
+reference in conftest.  The library keeps one packed representation, the
+field's work dtype (float32, float64 or int64, as q and n allow): each
+kernel is handed int32, int64 and work-dtype operands and must give the
+work dtype back.  At the largest q each dtype admits, the code's F_q maps,
+the root space and decoding are checked for exactness; every array that
+reaches a product, a reduction or the membership test during a decode is
+in the work dtype, so no stage converts and no product promotes to a wider
+one; and every element and every packed result documented as int64 that
+the library hands back holds int64.  The numbers of table products and
+reductions per elimination pivot and per decode, and of tzcode's own
 function calls per decode, are pinned, so that a change that adds a fold or
 a step back fails here and not only in a noisy timing.
 """
@@ -29,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 import tzcode
 from tzcode import FieldCtx, LinPoly, build_code, decode, random_message
-from tzcode.construct import is_valid_gamma
+from tzcode.construct import gh_product, is_valid_gamma
 from tzcode.decoder import build_S, build_S_exp, solve_span, syndrome
 from tzcode.errors import DivisionByZero, NoSolution
 from tzcode.field import _is_prime
@@ -118,12 +121,13 @@ def int_mulmod(ctx, a, b):
 
 
 def _dtypes(ctx):
-    return sorted({np.dtype(np.int64), ctx._work}, key=str)
+    """The dtypes a kernel may be handed: int32, int64 and the field's work dtype."""
+    return sorted({np.dtype(np.int32), np.dtype(np.int64), ctx._work}, key=str)
 
 
 def _check_kernels(ctx, a, b):
-    """mul, mul_matrix, outer, frob, frob_powers, inv and ff_mat_vec on packed a, b against
-    the scalar ops."""
+    """mul, mul_matrix, outer, frob, trace, frob_powers, inv and ff_mat_vec on packed a, b
+    against the scalar ops; whatever dtype they are handed, each gives the work dtype."""
     ea, eb = ctx.unpack(a), ctx.unpack(b)
     products = tuple(x * y for x, y in zip(ea, eb))
     cols = min(len(b), 2 * ctx.m + 1)  # wider than 2n columns: ff_mat_vec sums two blocks or more
@@ -132,29 +136,31 @@ def _check_kernels(ctx, a, b):
     for dt in _dtypes(ctx):
         wa, wb = a.astype(dt), b.astype(dt)
         prod = ctx.mul(wa, wb)
-        assert prod.dtype == dt
+        assert prod.dtype == ctx._work
         assert ctx.unpack(prod) == products
         by = ctx.mul_matrix(wa)
-        assert by.dtype == dt and np.array_equal(by, ref_mul_matrix(ctx, wa))
+        assert by.dtype == ctx._work and np.array_equal(by, ref_mul_matrix(ctx, wa))
         assert ctx.unpack(ctx._dot(wb[:, None], by)[:, 0]) == products
         assert ctx.unpack(outer(ctx, wa[:5], wb[:7])) == tuple(
             tuple(x * y for y in eb[:7]) for x in ea[:5])
         for i in (1, ctx.n, -1):
             image = ctx.frob(wa, i)
-            assert image.dtype == dt and ctx.unpack(image) == tuple(x.frobenius(i) for x in ea)
-        assert ctx.unpack(ctx.trace(wa)) == tuple(ctx.trace_rel(x) for x in ea)
+            assert image.dtype == ctx._work
+            assert ctx.unpack(image) == tuple(x.frobenius(i) for x in ea)
+        trace = ctx.trace(wa)
+        assert trace.dtype == ctx._work and ctx.unpack(trace) == tuple(ctx.trace_rel(x) for x in ea)
         powers = np.arange(len(a)) % ctx.m
         assert ctx.unpack(ctx.frob(wa, powers)) == tuple(
             x.frobenius(int(i)) for x, i in zip(ea, powers))
         every = ctx.frob_powers(wa[:7])
-        assert every.dtype == dt and ctx.unpack(every) == tuple(
+        assert every.dtype == ctx._work and ctx.unpack(every) == tuple(
             tuple(x.frobenius(i) for i in range(ctx.m)) for x in ea[:7])
         nonzero = [i for i, x in enumerate(ea) if not x.is_zero()]
         inverse = ctx.inv(wa[nonzero])
-        assert inverse.dtype == dt
+        assert inverse.dtype == ctx._work
         assert ctx.unpack(inverse) == tuple(ea[i].inverse() for i in nonzero)
         mv = ff_mat_vec(wa[: rows * cols].reshape(rows, cols, ctx.m), wb[:cols], ctx)
-        assert mv.dtype == np.int64 and ctx.unpack(mv) == mat_vec
+        assert mv.dtype == ctx._work and ctx.unpack(mv) == mat_vec
 
 
 def test_batched_kernels_match_scalar_ops_exhaustively():
@@ -232,7 +238,7 @@ def test_products_at_the_unreduced_budget_edge(edge, above):
         batch = np.tile(x, (3, 1))
         for prod in (ctx.mul(x, x)[None], ctx.mul(batch, batch), ctx.mul(batch, x),
                      ctx.mul(x, batch)):
-            assert prod.dtype == dt and prod.tolist() == [square] * len(prod)
+            assert prod.dtype == ctx._work and prod.tolist() == [square] * len(prod)
         assert ctx.mul_matrix(x).tolist() == [int_mulmod(ctx, full, unit) for unit in np.eye(m)]
         assert all(int_mulmod(ctx, full, y) == ctx.one.coeffs.tolist() for y in ctx.inv(batch))
     # every row becomes p row - f pivot_row with p = f: the pivot row turns
@@ -294,7 +300,8 @@ def _all_int64(elems):
                               "int64-edge"])
 def test_results_leave_as_int64(q, n, k):
     # FF2n hashes its coefficient bytes: a float coefficient would give two
-    # equal elements different hashes
+    # equal elements different hashes.  Inside, every stage hands the next
+    # the work dtype; the packed results documented as int64 leave as int64
     ctx = FieldCtx(q, n)
     assert ctx._work == np.dtype({3: np.float32, 7: np.float64}.get(q, np.int64))
     rng = rng_for(250 + k)
@@ -312,9 +319,13 @@ def test_results_leave_as_int64(q, n, k):
     S = build_S_exp(code, sigma) if k % 2 == 0 else build_S(code, sigma, (ctx.m - k - 1) // 2)
     rank, span, _ = solve_span(S, ctx)
     assert rank == t
-    for arr in (sigma, syndrome(code, ctx.pack(r)), S, ff_rref(S, ctx)[0], span,
-                root_space(LinPoly(ctx, span)), code._message(code._read(ctx.pack(cw)))):
+    for arr in (sigma, S, span, code._message(code._read(ctx.pack(cw))), ctx.pack(r),
+                code.validate_message(msg), code.N, LinPoly(ctx, span).coeffs):
+        assert arr.dtype == ctx._work
+    for arr in (syndrome(code, ctx.pack(r)), ff_rref(S, ctx)[0], ff_solve(S[:, :-1], S[:, -1], ctx),
+                root_space(LinPoly(ctx, span)), code.G, code.H, gh_product(code)):
         assert arr.dtype == np.int64
+    assert LinPoly(ctx, span)(cw[0]).coeffs.dtype == np.int64
 
 
 def test_work_dtype_of_the_benchmark_fields():
@@ -364,26 +375,29 @@ def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
     (3, 1, 0, False, {"_dot": 3, "_mod": 2}),
-    (3, 1, 6, False, {"_dot": 55, "_mod": 33}),
+    (3, 1, 6, False, {"_dot": 56, "_mod": 35}),
     (3, 2, 0, False, {"_dot": 3, "_mod": 2}),
-    (3, 2, 11, True, {"_dot": 76, "_mod": 44}),
-    (3, 2, 6, False, {"_dot": 60, "_mod": 38}),
+    (3, 2, 11, True, {"_dot": 77, "_mod": 47}),
+    (3, 2, 6, False, {"_dot": 61, "_mod": 40}),
     (7, 19, 0, False, {"_dot": 3, "_mod": 2}),
-    (7, 19, 2, False, {"_dot": 61, "_mod": 47}),
+    (7, 19, 2, False, {"_dot": 62, "_mod": 49}),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     """One fixed word per route at the three benchmark codes: the products and
     reductions of the whole decode, and of its finishing step.  The zero
     route is the read of the transform (two products, one reduction) and the
     one membership test that finds r a codeword and gives its message (one
-    product, one reduction), with no finish.  The finish takes k+7 products
-    and k+6 reductions: one _term_matrices call (one product, one reduction)
+    product, one reduction), with no finish.  The finish takes k+8 products
+    and k+7 reductions: one _term_matrices call (two products, for the
+    unreduced multiplication matrices and for F^c M(f_c), and one reduction)
     for the span's term matrices, and on the boundary for the plain span's
     too; the recurrence matrix W and the k+1 recurrence steps (one product
     and one reduction each); the inverse transform (two products, one
     reduction); the rank check, which applies the summed term matrices to
-    err (one product, one reduction); and the membership test, which reads the
-    message off k+1 transform entries (one product, one reduction).  The
+    err (one product, one reduction); the membership test, which reads the
+    message off k+1 transform entries (one product, one reduction); and the
+    corrected word r - err (one reduction).  Each span read reduces its
+    monic span once, the boundary's plain and boundary spans once each.  The
     check of the boundary's trace rows below the first is one matrix-vector
     product (two products, one reduction).  No relative trace is taken but
     in the closing row of S_exp (one product, one reduction)."""
@@ -404,40 +418,50 @@ def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     out = decode(code, r if t else cw)
     assert out.success and out.t == t
     assert dict(calls) == expected
-    assert finished == ([{"_dot": k + 7, "_mod": k + 6}] if t else [])
+    assert finished == ([{"_dot": k + 8, "_mod": k + 7}] if t else [])
 
 
-@pytest.mark.parametrize("k, t, subfield", [
-    (1, 0, False), (1, 6, False), (2, 0, False), (2, 11, True), (2, 6, False),
-], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain"])
-def test_decode_products_stay_in_the_work_dtype(monkeypatch, k, t, subfield):
-    """The words of test_kernel_calls_per_decode at (3,12): every product of the
-    decode takes both operands in the float32 work dtype and gives it back, so
-    no int64 table or operand promotes a product to float64."""
-    ctx = FieldCtx(3, 12)
+@pytest.mark.parametrize("q, k, t, subfield", [
+    (3, 1, 0, False), (3, 1, 6, False), (3, 2, 0, False), (3, 2, 11, True), (3, 2, 6, False),
+    (7, 19, 0, False), (7, 19, 2, False),
+], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
+def test_decode_products_stay_in_the_work_dtype(monkeypatch, q, k, t, subfield):
+    """The words of test_kernel_calls_per_decode: every array that reaches a
+    product (FieldCtx._dot, both operands and the result), a reduction
+    (FieldCtx._mod) or the membership test (TZCode._message) during the
+    decode is in the work dtype, float32 at (3,12) and float64 at (7,12), so
+    no stage hands the next an int64 array and no product promotes to a
+    wider float."""
+    ctx = FieldCtx(q, 12)
     code = build_code(ctx, k)
     _, cw, _, _, r = plant(code, max(t, 1), rng_for(270 + k), subfield=subfield)
     dtypes = Counter()
 
-    def recorded(self, a, b, reduce=True, _dot=FieldCtx._dot):
-        out = _dot(self, a, b, reduce)
-        dtypes[a.dtype, b.dtype, out.dtype] += 1
-        return out
+    def recorded(name, kernel):
+        def run(self, *arrays, **kwargs):
+            dtypes.update((name, x.dtype) for x in arrays if isinstance(x, np.ndarray))
+            out = kernel(self, *arrays, **kwargs)
+            if out is not None:
+                dtypes[name, out.dtype] += 1
+            return out
+        return run
 
-    monkeypatch.setattr(FieldCtx, "_dot", recorded)
+    for cls, name in ((FieldCtx, "_dot"), (FieldCtx, "_mod"), (tzcode.TZCode, "_message")):
+        monkeypatch.setattr(cls, name, recorded(name, getattr(cls, name)))
     out = decode(code, r if t else cw)
     assert out.success and out.t == t
-    assert list(dtypes) == [(ctx._work,) * 3]
+    assert {name for name, _ in dtypes} == {"_dot", "_mod", "_message"}
+    assert {dtype for _, dtype in dtypes} == {ctx._work}
 
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
     (3, 1, 0, False, 74),
-    (3, 1, 6, False, 229),
+    (3, 1, 6, False, 233),
     (3, 2, 0, False, 76),
-    (3, 2, 11, True, 286),
-    (3, 2, 6, False, 247),
+    (3, 2, 11, True, 293),
+    (3, 2, 6, False, 252),
     (7, 19, 0, False, 110),
-    (7, 19, 2, False, 277),
+    (7, 19, 2, False, 281),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_function_calls_per_decode(q, k, t, subfield, expected):
     """The words of test_kernel_calls_per_decode: the calls, counted by

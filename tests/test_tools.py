@@ -29,6 +29,15 @@ def test_paired_decode_compares_one_tree_with_itself(capsys, monkeypatch):
         assert [line.split()[0] for line in out.splitlines()[2:]] == list(tool.STAGES)
 
 
+def test_paired_decode_tables_are_the_ones_a_code_holds():
+    # a name the code no longer holds would drop out of the comparison unseen
+    import tzcode
+
+    tool = _tool("paired_decode")
+    code = tzcode.build_code(tzcode.FieldCtx(3, 2), 1)
+    assert tool.held(code) == list(tool.TABLES)
+
+
 def test_paired_decode_compares_only_the_tables_both_trees_hold(capsys, monkeypatch, tmp_path):
     # a tree that holds a table the other does not: the table is named, not
     # compared, and the run goes on
