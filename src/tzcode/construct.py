@@ -159,9 +159,12 @@ class TZCode:
             ctx.mul(gamma.coeffs, ctx.frob(lam_elems, k))[None],
         ])
         self.G = G.astype(np.int64)
+        # M(gamma^(q^(2n-k))), unreduced where FieldCtx._lazy allows: it
+        # scales H's first row and the closing row of the decoder's S_exp
+        self._gamma_factor = ctx._mul_factor(ctx.frob(ctx.pack(gamma), m - k))
         mu_elems = ctx.pack(mu)
         self.H = np.concatenate([
-            ctx.mul(gamma.frobenius(m - k).coeffs, mu_elems)[None],
+            ctx._dot(mu_elems, self._gamma_factor)[None],
             _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
             ctx.frob(mu_elems, k)[None],
         ]).astype(np.int64)
@@ -253,8 +256,19 @@ class TZCode:
 
 
 def gh_product(code: TZCode) -> np.ndarray:
-    """G H^T, packed in int64: row i is the syndrome H g_i of G's row i."""
-    return np.stack([ff_mat_vec(code.H, g, code.ctx) for g in code.G]).astype(np.int64)
+    """G H^T, packed in int64: row i is the syndrome H g_i of G's row i.
+
+    One product: the coefficient rows of the one of G and H with more rows
+    times the multiplication matrices of the other's entries, laid side by
+    side (FieldCtx.mul_matrix).  An entry sums 2n products of elements, as
+    one block of ff_mat_vec does, inside FieldCtx's bound.
+    """
+    ctx, m = code.ctx, code.ctx.m
+    few, many = sorted((code.G, code.H), key=len)
+    by = ctx._mul_factor(few).reshape(len(few), m * m, m)  # [r, j 2n + u] = few_rj x^u
+    out = ctx._dot(many.reshape(len(many), m * m), by.transpose(1, 0, 2).reshape(m * m, -1))
+    out = out.reshape(len(many), len(few), m)
+    return (out if few is code.H else out.swapaxes(0, 1)).astype(np.int64)
 
 
 def _check_gh_structure(code: TZCode):

@@ -182,8 +182,7 @@ def build_S_exp(code: TZCode, sigma) -> np.ndarray:
     # Tr(x)^(q^c) = x^(q^c) + x^(q^(c+n)), c <= t < n: two gathers of the powers
     trace_rows = ctx._mod(_shifted(ps, t, range(t), t + 1)
                           + _shifted(ps[:, ctx.n :], t, range(t), t + 1))
-    g2t = ctx.frob(ctx.pack(code.gamma), 2 * t)
-    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0], ctx._mul_factor(g2t))
+    twisted = ctx._dot(_shifted(ps, 2 * t, [0], t + 1)[0], code._gamma_factor)  # 2t = 2n - k
     plain_rows = _shifted(ps, t, range(1, t), t + 1)
     return np.concatenate([plain_rows, trace_rows, ctx.trace(twisted)[None]])
 
@@ -327,10 +326,11 @@ def _finish(code: TZCode, r, sigma, span, plain=None) -> DecodeOutcome:
     FieldCtx's bound.
     """
     ctx, t = code.ctx, len(span) - 1
-    polys = span[None] if plain is None else np.stack([span, np.concatenate([plain, 0 * span[:1]])])
-    terms = _term_matrices(ctx, polys)
-    err, sigma_err = error_from_span(code, sigma, terms[0])
-    kills = ~ctx._dot(err, terms.sum(axis=1)).any(axis=(1, 2))
+    polys = (span,) if plain is None else (span, plain)
+    terms = _term_matrices(ctx, *polys)
+    err, sigma_err = error_from_span(code, sigma, terms[: t + 1])
+    actions = np.add.reduceat(terms, [0, t + 1][: len(polys)])  # each one's sum
+    kills = ~ctx._dot(err, actions).any(axis=(1, 2))
     if not kills[0] or kills[1:].any():
         return DecodeOutcome.fail(ERROR_RANK_MISMATCH)
     msg = code._message(sigma - sigma_err)

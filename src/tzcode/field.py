@@ -29,17 +29,30 @@ FieldCtx kernels broadcast over the leading axes:
   blocks of the Frobenius-power table, which lays the 2n powers side by
   side; it serves the syndrome matrices and the code's transform tables;
 * trace: a + a^(q^n) as one matmul with I + F^n;
-* inv: Itoh-Tsujii.  The conorm b = a^(q + ... + q^(2n-1)) comes from an
-  addition chain of about 2 log2(2n) products, N(a) = a b lies in F_q, and
-  a^-1 = b N(a)^-1; the absolute norm is the same a b.
+* inv: Itoh-Tsujii into a tabled subfield F_{q^d}, d the largest divisor
+  of 2n with q^d <= SUBFIELD_TABLE_SIZE (Guajardo and Paar's tower-field
+  variant).  The conorm b = a^(q^d + q^2d + ... + q^(2n-d)) comes from an
+  addition chain of about 2 log2(2n/d) products, N(a) = a b lies in
+  F_{q^d}, and a^-1 = b N(a)^-1, N(a)^-1 read off the table by N(a)'s d
+  digits; the absolute norm of a is that of N(a), read off the same table.
+  At d = 2n the chain is empty and the table holds a^-1 itself; at d = 1,
+  where q^2 passes the bound, N(a) lies in F_q and fq_reciprocal inverts it.
 
 The reduction table, the rows x^d mod f for d <= 4n-2, folds the raw
 products of the Rabin irreducibility test of each candidate modulus.
 FieldCtx builds each table once: the reduction table, the stacked
 Frobenius powers, the multiplication and Frobenius-power tables as
-(2n, 4n^2) F_q matrices, and the reduced-echelon basis of F_{q^n} with the
-columns at which an element of F_{q^n} holds its digits in that basis
-(subfield_digits).  A fold stays exact in int64 only while
+(2n, 4n^2) F_q matrices, the reduced-echelon bases of F_{q^n} and of
+F_{q^d} with the columns at which an element of either holds its digits in
+that basis (subfield_digits reads F_{q^n}'s), and the subfield table: the
+inverses, packed, and the absolute norms of the q^d elements of F_{q^d}.
+It holds q^d 2n work-dtype entries, at most SUBFIELD_TABLE_SIZE 2n: 70 KB
+at (3,12), where d = 6 in float32, and 461 KB at (7,12), where d = 4 in
+float64.  Its build from the powers of a primitive element takes about
+0.8 and 1.1 ms of set-up there (one BLAS thread), less than the reduction
+table's unit rows save in the modulus search.  At 2^13, d = 8 at (3,12):
+three products fewer per inverse, but the table passes 0.6 MB and its
+build takes about twice as long.  A fold stays exact in int64 only while
 2n(q-1)^2 + n(2n-1)(q-1)^3 < 2^63, which FieldCtx checks first; so does
 any product of reduced rows with reduced tables or matrices.  A
 multiplication matrix that feeds one more product enters it unreduced
@@ -77,6 +90,12 @@ __all__ = [
     "rank_weight",
 ]
 
+# the most elements the subfield FieldCtx tables for inverses and norms may
+# have (module docstring)
+SUBFIELD_TABLE_SIZE = 2**12
+# how many candidates for that table's primitive element are tested at once
+_CANDIDATES = 16
+
 
 # ---------------------------------------------------------------------------
 # F_q[x]/(f) through its reduction table
@@ -101,16 +120,49 @@ def _is_prime(v):
 
 
 def _reduction_table(q, modulus) -> np.ndarray:
-    """Row d is x^d mod modulus, for d = 0 .. 2m-2: it folds any raw product."""
+    """Row d is x^d mod modulus, for d = 0 .. 2m-2: it folds any raw product.
+
+    Rows 0 .. m-1 are the unit vectors; each later row shifts the one
+    before and folds its carry, the coefficient of x^m, through modulus.
+    """
     m = len(modulus) - 1
     low = np.array(modulus[:m], dtype=np.int64)
     red = np.zeros((2 * m - 1, m), dtype=np.int64)
-    red[0, 0] = 1
-    for d in range(1, 2 * m - 1):
+    red[:m] = np.eye(m, dtype=np.int64)
+    for d in range(m, 2 * m - 1):
         carry = red[d - 1, m - 1]
         red[d, 1:] = red[d - 1, : m - 1]
         red[d] = (red[d] - carry * low) % q
     return red
+
+
+def _primitive_matrix(products, one, q) -> np.ndarray:
+    """The digit matrix of the first element of order q^d - 1 in index order.
+
+    Elements of F_{q^d} are given by their d digits in a basis, whose
+    products[i, j] holds the digits of basis_i basis_j and one the digits
+    of 1; the digit matrix of c, sum_j c_j products[:, j], multiplies digit
+    rows by c.  c has order q^d - 1 exactly when c^((q^d-1)/p) != 1 for
+    each prime p | q^d - 1: square-and-multiply on the matrices of
+    _CANDIDATES candidates at a time, every exponent in lockstep.
+    """
+    d = len(one)
+    size = q**d
+    place = q ** np.arange(d)
+    exponents = np.array([(size - 1) // p for p in _prime_factors(size - 1)])
+    for first in range(1, size, _CANDIDATES):
+        digits = np.arange(first, min(first + _CANDIDATES, size))[:, None] // place % q
+        mats = steps = np.einsum("cj,ijk->cik", digits, products) % q
+        out = np.broadcast_to(one, (len(steps), len(exponents), d))  # one c^e
+        e = exponents.copy()
+        while e.any():
+            out = np.where((e & 1)[:, None], out @ steps % q, out)
+            steps = steps @ steps % q
+            e >>= 1
+        primitive = ~(out == one).all(axis=-1).any(axis=1)
+        if primitive.any():
+            return mats[primitive.argmax()]
+    raise AssertionError("every finite field has a primitive element")
 
 
 def _toeplitz(b) -> np.ndarray:
@@ -290,16 +342,64 @@ class FieldCtx:
         self.one = FF2n(self, self._red[0].copy())
         self.alpha = FF2n(self, self._red[1].copy())
 
-        # the reduced-echelon F_q-basis of F_{q^n}, the kernel of a -> a^(q^n) - a.
-        # Line j is one at its free column, the last it does not vanish at,
-        # and every other line is zero there, so an element's digits in this
-        # basis are its entries at those columns
-        sub = fq_kernel((self._frob_rows[n] - self._frob_rows[0]).T % q, q)
-        if sub.shape[0] != n:
-            raise InvalidParameter("subfield of the stated degree not found")
-        self._subfield_mat = sub
-        self._subfield_cols = np.array([np.flatnonzero(line)[-1] for line in sub])
+        self._subfield_mat, self._subfield_cols = self._subfield(n)
         self.subfield_basis = self.subfield_elements(np.eye(n, dtype=np.int64))
+        self._tabulate_subfield()
+
+    def _subfield(self, d: int):
+        """(basis, columns): the reduced-echelon F_q-basis of F_{q^d} and its digit columns.
+
+        F_{q^d} is the kernel of a -> a^(q^d) - a.  Line j is one at its free
+        column, the last it does not vanish at, and every other line is zero
+        there, so an element's digits in this basis are its entries at those
+        columns.
+        """
+        q = self.q
+        basis = fq_kernel((self._frob_rows[d % self.m] - self._frob_rows[0]).T % q, q)
+        if basis.shape[0] != d:
+            raise InvalidParameter("subfield of the stated degree not found")
+        return basis, np.array([np.flatnonzero(line)[-1] for line in basis])
+
+    def _tabulate_subfield(self):
+        """The tabled subfield F_{q^d} and its tables, built once.
+
+        d is the largest divisor of 2n with q^d <= SUBFIELD_TABLE_SIZE.
+        _table_index is the (2n,) weight vector that reads an element of
+        F_{q^d} as its index, sum_j digit_j q^j, its digits taken in the
+        reduced-echelon basis (_subfield).  With g the first element in
+        index order of order q^d - 1 (_primitive_matrix), the row of g^k
+        holds g^-k in _table_inverse, the (q^d, 2n) packed inverses, and
+        g^(k (q^d-1)/(q-1)), the absolute norm, in _table_norm, an F_q
+        value; row 0, the zero's, holds zeros.  The powers of g run
+        on d x d digit matrices.  At d = 1 no table is built: F_q's
+        reciprocals are fq_reciprocal's.
+        """
+        q, m = self.q, self.m
+        d = max((d for d in range(2, m + 1) if m % d == 0 and q**d <= SUBFIELD_TABLE_SIZE),
+                default=1)
+        self._table_degree = d
+        if d == 1:
+            return
+        basis, cols = self._subfield(d)
+        size = q**d
+        self._table_index = np.zeros(m, dtype=self._work)
+        self._table_index[cols] = q ** np.arange(d)
+        one = self._red[0, cols]
+        products = self.mul(basis[:, None], basis[None])[..., cols].astype(np.int64)
+        # the powers g^k, k < q^d - 1, doubling: rows [2^i, 2^(i+1)) are the
+        # first 2^i times g^(2^i)
+        step = _primitive_matrix(products, one, q).astype(self._work)
+        powers = one[None].astype(self._work)
+        for _ in range((size - 2).bit_length()):
+            powers = np.concatenate([powers, self._dot(powers, step)])
+            step = self._dot(step, step)
+        elems = self._dot(powers[: size - 1], basis.astype(self._work))
+        index = self._table_rows(elems)
+        k = np.arange(size - 1)
+        self._table_inverse = np.zeros((size, m), dtype=self._work)
+        self._table_inverse[index[-k]] = elems  # g^-k has the inverse g^k
+        self._table_norm = np.zeros(size, dtype=np.int64)
+        self._table_norm[index] = elems[k * ((size - 1) // (q - 1)) % (size - 1), 0]
 
     # -- element constructors ------------------------------------------------
 
@@ -342,8 +442,12 @@ class FieldCtx:
         return FF2n(self, self.trace(a.coeffs))
 
     def norm_abs(self, a: "FF2n") -> "FF2n":
-        """Absolute norm onto F_q: a times its conorm, the other 2n-1 Frobenius images."""
-        return FF2n(self, self.mul(a.coeffs, self._conorm(a.coeffs)))
+        """Absolute norm onto F_q: that of a's norm into F_{q^d}, read off the subfield table."""
+        b = self._conorm(a.coeffs)
+        norm = a.coeffs if b is None else self.mul(a.coeffs, b)
+        if self._table_degree == 1:  # N(a) lies in F_q
+            return FF2n(self, norm)
+        return self.scalar(int(self._table_norm[self._table_rows(norm)]))
 
     def subfield_elements(self, digits) -> tuple:
         """Elements sum_j d_j subfield_basis[j], one per row of a (..., n) digit array."""
@@ -465,29 +569,49 @@ class FieldCtx:
         """Relative trace onto F_{q^n} entrywise: a + a^(q^n), one product and one reduction."""
         return self._dot(a, self._trace_rows)
 
-    def _conorm(self, a: np.ndarray) -> np.ndarray:
-        """a^(q + q^2 + ... + q^(2n-1)) entrywise, by the Itoh-Tsujii addition chain.
+    def _conorm(self, a: np.ndarray):
+        """a^(q^d + q^2d + ... + q^(2n-d)) entrywise, d the tabled degree; None at d = 2n.
 
-        With e_j = 1 + q + ... + q^(j-1), x = a^(e_j) steps to a^(e_2j) as
-        x * x^(q^j) and to a^(e_(j+1)) as a * x^q, following the bits of 2n-1;
-        about 2 log2(2n) products and as many Frobenius maps.
+        a times it is a's norm into F_{q^d}.  It comes from the Itoh-Tsujii
+        addition chain: with e_j = 1 + q^d + ... + q^((j-1)d), x = a^(e_j)
+        steps to a^(e_2j) as x * x^(q^(jd)) and to a^(e_(j+1)) as a * x^(q^d),
+        following the bits of 2n/d - 1; about 2 log2(2n/d) products and as
+        many Frobenius maps.  At d = 2n the product is empty.
         """
+        d = self._table_degree
+        if d == self.m:
+            return None
         x, j = a, 1
-        for bit in bin(self.m - 1)[3:]:
-            x = self.mul(x, self.frob(x, j))
+        for bit in bin(self.m // d - 1)[3:]:
+            x = self.mul(x, self.frob(x, j * d))
             j *= 2
             if bit == "1":
-                x = self.mul(a, self.frob(x, 1))
+                x = self.mul(a, self.frob(x, d))
                 j += 1
-        return self.frob(x, 1)
+        return self.frob(x, d)
+
+    def _table_rows(self, x: np.ndarray) -> np.ndarray:
+        """The subfield table indices of the entries of x, which lie in F_{q^d}."""
+        return (x @ self._table_index).astype(np.intp)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        """a^-1 = b / N(a) entrywise, b the conorm: N(a) = a b lies in F_q."""
+        """a^-1 = b N(a)^-1 entrywise, b the conorm: N(a) = a b lies in F_{q^d}.
+
+        N(a)^-1 is read off the subfield table, and one multiplication
+        matrix of b serves both products.  At d = 2n the table holds a^-1,
+        and at d = 1 N(a) lies in F_q and fq_reciprocal inverts it.
+        """
         if not a.any(axis=-1).all():
             raise DivisionByZero("inverse of zero")
         b = self._conorm(a)
-        norm = self.mul(a, b)[..., :1]
-        return self._mod(b * fq_reciprocal(norm, self.q).astype(self._work))
+        if b is None:
+            return self._table_inverse[self._table_rows(a)]
+        by_b = self._mul_factor(b)
+        norm = self._dot(a[..., None, :], by_b)[..., 0, :]
+        if self._table_degree == 1:
+            return self._mod(b * fq_reciprocal(norm[..., :1], self.q).astype(self._work))
+        inverse = self._table_inverse[self._table_rows(norm)]  # N(a)^-1
+        return self._dot(inverse[..., None, :], by_b)[..., 0, :]
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"

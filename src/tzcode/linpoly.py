@@ -59,16 +59,18 @@ class LinPoly:
         return f"LinPoly({self.coeffs.astype(np.int64).tolist()})"
 
 
-def _term_matrices(ctx, coeffs) -> np.ndarray:
-    """The (..., d+1, 2n, 2n) F_q matrices F^i M(f_i), reduced, in the field's work dtype.
+def _term_matrices(ctx, *polys) -> np.ndarray:
+    """The (terms, 2n, 2n) F_q matrices F^i M(f_i) of each f in polys in turn, reduced, work dtype.
 
-    f is given by its packed coefficients (..., d+1, 2n), F^i holds the rows
+    Each f is given by its packed coefficients (d+1, 2n), and its d+1
+    matrices follow those of the polynomial before it.  F^i holds the rows
     of the q^i-th power map and M(f_i) multiplication by f_i, so x @ F^i @
     M(f_i) = f_i x^(q^i) on a coefficient row x; each entry sums 2n products
-    of F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy allows.
+    of F^i's reduced entries with M(f_i)'s, unreduced where FieldCtx._lazy
+    allows.  One product gives all of them.
     """
-    frob = ctx._frob_rows[np.arange(coeffs.shape[-2]) % ctx.m]  # F^(2n) is F^0
-    return ctx._dot(frob, ctx._mul_factor(coeffs))
+    powers = np.concatenate([np.arange(len(f)) for f in polys]) % ctx.m  # F^(2n) is F^0
+    return ctx._dot(ctx._frob_rows[powers], ctx._mul_factor(np.concatenate(polys)))
 
 
 def root_space(f: LinPoly) -> np.ndarray:

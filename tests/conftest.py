@@ -15,9 +15,14 @@ from tzcode.decoder import (ERROR_RANK_MISMATCH, NO_RANK_FOUND, NOT_A_CODEWORD, 
                             error_from_span, estimate_rank)
 from tzcode.field import _toeplitz
 from tzcode.linalg import (_eliminate, _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank,
-                           fq_solve)
+                           fq_reciprocal, fq_solve)
 from tzcode.linpoly import _term_matrices
 from tzcode.selftest import GAMMA, MODULUS, XI
+
+
+# the first monic irreducible of degree 8 over F_10007 (default_modulus),
+# given so that tests do not rerun the search
+MODULUS_10007_4 = [5, 1, 0, 0, 0, 0, 0, 0, 1]
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +125,38 @@ def transform(code, r) -> np.ndarray:
     ctx = code.ctx
     rows = ctx.frob(ctx.pack(code.mu), (code.k + np.arange(ctx.m))[:, None])  # [i, j]
     return ctx.mul(rows, ctx.pack(r)[None]).sum(axis=1) % ctx.q
+
+
+def ref_reduction_table(q, modulus) -> np.ndarray:
+    """Row d is x^d mod modulus, d = 0 .. 2m-2, every row folded from the one
+    before: the loop src/ replaced with unit rows below m."""
+    m = len(modulus) - 1
+    low = np.array(modulus[:m], dtype=np.int64)
+    red = np.zeros((2 * m - 1, m), dtype=np.int64)
+    red[0, 0] = 1
+    for d in range(1, 2 * m - 1):
+        carry = red[d - 1, m - 1]
+        red[d, 1:] = red[d - 1, : m - 1]
+        red[d] = (red[d] - carry * low) % q
+    return red
+
+
+def ref_inverse_and_norm(ctx, a):
+    """(a^-1, N(a)), int64, of packed nonzero a, entry by entry, by the
+    Itoh-Tsujii chain all the way down to F_q: the conorm
+    b = a^(q + ... + q^(2n-1)) from the addition chain on the bits of 2n-1,
+    the absolute norm N(a) = a b in F_q, and a^-1 = b N(a)^-1: the form src/
+    replaced with a chain into a tabled subfield."""
+    x, j = a, 1
+    for bit in bin(ctx.m - 1)[3:]:
+        x = ctx.mul(x, ctx.frob(x, j))
+        j *= 2
+        if bit == "1":
+            x = ctx.mul(a, ctx.frob(x, 1))
+            j += 1
+    b = ctx.frob(x, 1).astype(np.int64)
+    norm = ctx.mul(a, b).astype(np.int64)
+    return b * fq_reciprocal(norm[..., :1], ctx.q) % ctx.q, norm
 
 
 def ref_subfield_coords(ctx) -> np.ndarray:

@@ -1,15 +1,21 @@
 """Tower arithmetic, Frobenius tables, traces, norms, and the Moore matrix."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.decoder import decode
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
-from tzcode.field import Basis, _is_prime, _rabin, default_modulus
+from tzcode.field import (SUBFIELD_TABLE_SIZE, Basis, _is_prime, _primitive_matrix, _rabin,
+                          _reduction_table, default_modulus)
 from tzcode.linalg import ff_rank, fq_rank
+from tzcode.selftest import MODULUS
 
 from conftest import (
+    MODULUS_10007_4,
     elements,
     ext,
     ext_inv,
@@ -18,6 +24,8 @@ from conftest import (
     index_of,
     plant,
     qvan,
+    ref_inverse_and_norm,
+    ref_reduction_table,
     ref_subfield_coords,
     rng_for,
     trace_abs,
@@ -378,6 +386,95 @@ def test_large_q_field_builds():
     ctx = FieldCtx(10007, 2)
     assert ctx.modulus == (6, 1, 0, 0, 1)
     _check_arithmetic(ctx, 20)
+
+
+# ---------------------------------------------------------------------------
+# inversion and norms through the tabled subfield F_(q^d)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _field(q, n):
+    return FieldCtx(q, n)
+
+
+def _check_against_the_chain(ctx, packed):
+    """ctx.inv and ctx.norm_abs on the packed nonzero elements equal the
+    Itoh-Tsujii chain down to F_q, in values and in the work dtype."""
+    inverse, norm = ref_inverse_and_norm(ctx, packed)
+    got = ctx.inv(packed)
+    assert got.dtype == ctx._work and np.array_equal(got, inverse)
+    for a, expected in zip(ctx.unpack(packed), ctx.unpack(norm)):
+        assert ctx.norm_abs(a) == expected
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (5, 2), (3, 3)])
+def test_inverse_and_norm_exhaustive_where_the_table_holds_the_field(q, n):
+    # F_(3^4), F_(5^4) and F_(3^6) fit the table whole: d = 2n, no chain
+    ctx = FieldCtx(q, n)
+    assert ctx._table_degree == ctx.m
+    every = np.stack([a.coeffs for a in elements(ctx)])
+    _check_against_the_chain(ctx, every[1:])
+    assert ctx.norm_abs(ctx.zero) == ctx.zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 11, 101]), n=st.integers(1, 12), data=st.data())
+def test_inverse_and_norm_match_the_chain(q, n, data):
+    # every d the bound gives: 2n whole, a proper divisor, and 1 at q = 101
+    ctx = _field(q, n)
+    row = st.lists(st.integers(0, q - 1), min_size=ctx.m, max_size=ctx.m).filter(any)
+    packed = np.array(data.draw(st.lists(row, min_size=1, max_size=4)), dtype=np.int64)
+    _check_against_the_chain(ctx, packed)
+
+
+def test_inverse_without_a_table_is_the_chain_to_the_base_field():
+    # q^2 > SUBFIELD_TABLE_SIZE: d = 1, so no table is built and N(a) lies in F_q
+    ctx = FieldCtx(10007, 4, MODULUS_10007_4)
+    assert ctx._table_degree == 1 and not hasattr(ctx, "_table_inverse")
+    packed = rng_for(24).integers(0, ctx.q, (12, ctx.m))
+    packed[:, 0] = np.maximum(packed[:, 0], 1)
+    _check_against_the_chain(ctx, packed)
+
+
+@pytest.mark.parametrize("q, n, d", [(3, 12, 6), (7, 12, 4), (3, 2, 4), (11, 3, 3)])
+def test_tabled_subfield_and_its_generator(q, n, d):
+    # d is the largest divisor of 2n with q^d <= SUBFIELD_TABLE_SIZE; the
+    # table's generator g is the first element of F_(q^d), in the digit
+    # order the table reads, of order q^d - 1; the table holds every
+    # nonzero element's inverse and norm as the chain gives them
+    ctx = _field(q, n)
+    assert ctx._table_degree == d and q**d <= SUBFIELD_TABLE_SIZE
+    assert all(ctx.m % e or q**e > SUBFIELD_TABLE_SIZE for e in range(d + 1, ctx.m + 1))
+    size = q**d
+    primes = [p for p in range(2, size) if (size - 1) % p == 0 and _is_prime(p)]
+
+    def full_order(c):
+        return c ** (size - 1) == ctx.one and all(c ** ((size - 1) // p) != ctx.one for p in primes)
+
+    basis, cols = ctx._subfield(d)
+    assert np.array_equal(ctx._table_rows(basis), q ** np.arange(d))  # digit j weighs q^j
+    digits = np.stack([idx // q ** np.arange(d) % q for idx in range(size)])
+    subfield = ctx.unpack(digits @ basis % q)
+    assert all(c.frobenius(d) == c for c in subfield)
+    elems = ctx.unpack(basis)
+    products = np.array([[(x * y).coeffs[cols] for y in elems] for x in elems])
+    one = ctx._red[0, cols]
+    first = int(one @ _primitive_matrix(products, one, q) % q @ q ** np.arange(d))  # 1 times g
+    assert full_order(subfield[first]) and not any(full_order(c) for c in subfield[1:first])
+    _check_against_the_chain(ctx, np.stack([c.coeffs for c in subfield[1:]]))
+
+
+def test_reduction_table_matches_the_row_by_row_fold():
+    # rows below 2n are the unit vectors; the rest shift and fold, as before
+    rng = rng_for(25)
+    cases = [(3, _field(3, 12).modulus), (7, _field(7, 12).modulus), (5, MODULUS)]
+    for q in (3, 5, 7, 11):
+        for m in (2, 3, 8):
+            cases.append((q, [int(c) for c in rng.integers(0, q, m)] + [1]))
+    for q, modulus in cases:
+        table = _reduction_table(q, modulus)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, ref_reduction_table(q, modulus))
 
 
 def _int64_safe(q, n):

@@ -158,13 +158,14 @@ def test_kernel_dimension_bounded_by_degree(ctx5):
 
 
 def test_term_matrices_of_a_stack_are_those_of_each_polynomial(ctx5):
-    # one call on a stack of polynomials gives each one's matrices F^i M(f_i),
-    # and a coefficient row times their sum is the polynomial's value
+    # one call on several polynomials, of different q-degrees, gives each
+    # one's matrices F^i M(f_i) in turn, and a coefficient row times their
+    # sum is the polynomial's value
     rng = rng_for(47)
-    stack = ctx5.pack([ctx5.random_element(rng) for _ in range(6)]).reshape(2, 3, ctx5.m)
-    terms = _term_matrices(ctx5, stack)
-    assert terms.shape == (2, 3, ctx5.m, ctx5.m)
-    for f, own in zip(stack, terms):
+    polys = [ctx5.pack([ctx5.random_element(rng) for _ in range(size)]) for size in (3, 2, 4)]
+    terms = _term_matrices(ctx5, *polys)
+    assert terms.shape == (9, ctx5.m, ctx5.m)
+    for f, own in zip(polys, np.split(terms, [3, 5])):
         assert np.array_equal(own, _term_matrices(ctx5, f))
         x = ctx5.random_element(rng)
         assert np.array_equal(x.coeffs @ own.sum(axis=0) % ctx5.q, LinPoly(ctx5, f)(x).coeffs)

@@ -40,9 +40,9 @@ from tzcode import linalg
 from tzcode.linalg import _eliminate, ff_mat_vec, ff_rank, ff_rref, ff_solve, fq_rref
 from tzcode.linpoly import root_space
 
-from conftest import (elements, encode_by_rows, ff_kernel, message_left_inverse, outer, plant, qvan,
-                      ref_kernel, ref_mat_vec, ref_mul_matrix, ref_rref, ref_solve, rng_for,
-                      same_span)
+from conftest import (MODULUS_10007_4, elements, encode_by_rows, ff_kernel, message_left_inverse,
+                      outer, plant, qvan, ref_kernel, ref_mat_vec, ref_mul_matrix, ref_rref,
+                      ref_solve, rng_for, same_span)
 
 
 def _fold_bound(q, n):
@@ -375,12 +375,12 @@ def test_kernel_calls_per_pivot_and_per_syndrome(monkeypatch, k, t, subfield):
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
     (3, 1, 0, False, {"_dot": 3, "_mod": 2}),
-    (3, 1, 6, False, {"_dot": 56, "_mod": 35}),
+    (3, 1, 6, False, {"_dot": 42, "_mod": 25}),
     (3, 2, 0, False, {"_dot": 3, "_mod": 2}),
-    (3, 2, 11, True, {"_dot": 77, "_mod": 47}),
-    (3, 2, 6, False, {"_dot": 61, "_mod": 40}),
+    (3, 2, 11, True, {"_dot": 61, "_mod": 36}),
+    (3, 2, 6, False, {"_dot": 45, "_mod": 29}),
     (7, 19, 0, False, {"_dot": 3, "_mod": 2}),
-    (7, 19, 2, False, {"_dot": 62, "_mod": 49}),
+    (7, 19, 2, False, {"_dot": 51, "_mod": 41}),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     """One fixed word per route at the three benchmark codes: the products and
@@ -400,7 +400,10 @@ def test_kernel_calls_per_decode(monkeypatch, q, k, t, subfield, expected):
     monic span once, the boundary's plain and boundary spans once each.  The
     check of the boundary's trace rows below the first is one matrix-vector
     product (two products, one reduction).  No relative trace is taken but
-    in the closing row of S_exp (one product, one reduction)."""
+    in the closing row of S_exp (one product with the code's unreduced
+    multiplication matrix of gamma^(q^(2n-k)), one reduction).  Each span
+    read takes one batched inverse: 10 products and 7 reductions at (3,12),
+    13 and 9 at (7,12) (test_kernel_calls_per_inverse)."""
     import tzcode.decoder as dec
 
     code = build_code(FieldCtx(q, 12), k)
@@ -456,12 +459,12 @@ def test_decode_products_stay_in_the_work_dtype(monkeypatch, q, k, t, subfield):
 
 @pytest.mark.parametrize("q, k, t, subfield, expected", [
     (3, 1, 0, False, 74),
-    (3, 1, 6, False, 233),
+    (3, 1, 6, False, 188),
     (3, 2, 0, False, 76),
-    (3, 2, 11, True, 293),
-    (3, 2, 6, False, 252),
+    (3, 2, 11, True, 241),
+    (3, 2, 6, False, 200),
     (7, 19, 0, False, 110),
-    (7, 19, 2, False, 281),
+    (7, 19, 2, False, 245),
 ], ids=["k1-zero", "k1-plain", "k2-zero", "k2-boundary", "k2-plain", "k19-zero", "k19-plain"])
 def test_function_calls_per_decode(q, k, t, subfield, expected):
     """The words of test_kernel_calls_per_decode: the calls, counted by
@@ -517,22 +520,33 @@ def test_elimination_stops_below_the_last_pivot(monkeypatch):
 
 
 def test_kernel_calls_per_inverse(monkeypatch):
-    """ctx.inv at 2n = 24: the conorm's addition chain follows the bits 0111
-    of 23 after the leading one, 4 doublings and 3 increments, each one
-    Frobenius map (a product and a reduction) and one field product (a table
-    product, a row product and one reduction); then the last Frobenius map,
-    the norm product and the scaling by the norm's reciprocal."""
-    ctx = FieldCtx(3, 12)
-    a = rng_for(266).integers(0, 3, (6, ctx.m)).astype(ctx._work)
-    a[:, 0] = 1
-    calls = _count_kernels(monkeypatch)
-    ctx.inv(a)
-    assert calls == {"_dot": 7 * 3 + 1 + 2, "_mod": 7 * 2 + 1 + 1 + 1}
+    """ctx.inv at 2n = 24.  At q = 3 the tabled subfield is F_(3^6), so the
+    conorm's addition chain follows the bits of 24/6 - 1 = 3 after the
+    leading one, 1: one doubling and one increment, each one Frobenius map
+    (a product and a reduction) and one field product (a table product, a
+    row product and one reduction); then the last Frobenius map, which
+    gives the conorm b, and b's unreduced multiplication matrix (a table
+    product), which serves both the norm product into F_(3^6) and the
+    product with the norm's inverse, read off the table (a row product and
+    one reduction each).  At q = 7 the subfield is F_(7^4), and the bits 01
+    of 24/4 - 1 = 5 give two doublings and one increment."""
+    for q, d, steps in ((3, 6, 2), (7, 4, 3)):
+        ctx = FieldCtx(q, 12)
+        assert ctx._table_degree == d
+        a = rng_for(266).integers(0, q, (6, ctx.m)).astype(ctx._work)
+        a[:, 0] = 1
+        calls = _count_kernels(monkeypatch)
+        ctx.inv(a)
+        assert calls == {"_dot": steps * 3 + 1 + 1 + 2, "_mod": steps * 2 + 1 + 2}
+        monkeypatch.undo()
 
 
 def test_inverse_of_zero_raises_in_a_batch(ctx5):
-    with pytest.raises(DivisionByZero):
-        ctx5.inv(np.stack([ctx5.one.coeffs, ctx5.zero.coeffs]))
+    # on every path: the table alone (d = 2n at (5,2)), the chain and the
+    # table (d = 6 at (3,12), 4 at (7,12)), the chain and fq_reciprocal (d = 1)
+    for ctx in (ctx5, FieldCtx(3, 12), FieldCtx(7, 12), FieldCtx(10007, 4, MODULUS_10007_4)):
+        with pytest.raises(DivisionByZero):
+            ctx.inv(np.stack([ctx.one.coeffs, ctx.zero.coeffs, ctx.alpha.coeffs]))
 
 
 # ---------------------------------------------------------------------------

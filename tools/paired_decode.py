@@ -40,7 +40,7 @@ STAGES = ("setup", "read", "decode")
 # 40 pairs resolve a set-up ratio to a few percent; 10 left it at about +-12%
 SETUP_PAIRS = 40
 # the tables of a code that two trees holding them must build alike
-TABLES = ("G", "H", "_transform_work", "N", "_split_work", "_enc_mat")
+TABLES = ("G", "H", "_transform_work", "N", "_split_work", "_enc_mat", "_gamma_factor")
 
 
 def load(name: str, src: str):
