@@ -262,6 +262,9 @@ def gh_product(code: TZCode) -> np.ndarray:
     times the multiplication matrices of the other's entries, laid side by
     side (FieldCtx.mul_matrix).  An entry sums 2n products of elements, as
     one block of ff_mat_vec does, inside FieldCtx's bound.
+    The matrices go to the one with fewer rows: always H's would take
+    2.4 ms instead of 0.07 at (3,12,1), always G's 3.7 ms instead of 0.5 at
+    (7,12,19), against a build_code of 2 and 5 ms (timeit, one BLAS thread).
     """
     ctx, m = code.ctx, code.ctx.m
     few, many = sorted((code.G, code.H), key=len)

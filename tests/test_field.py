@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.decoder import decode
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
-from tzcode.field import (SUBFIELD_TABLE_SIZE, Basis, _is_prime, _primitive_matrix, _rabin,
-                          _reduction_table, default_modulus)
+from tzcode.field import (SUBFIELD_TABLE_SIZE, FF2n, Basis, _is_prime, _primitive_matrix,
+                          _rabin, _reduction_table, default_modulus)
 from tzcode.linalg import ff_rank, fq_rank
 from tzcode.selftest import MODULUS
 
@@ -407,11 +407,12 @@ def _check_against_the_chain(ctx, packed):
         assert ctx.norm_abs(a) == expected
 
 
-@pytest.mark.parametrize("q, n", [(3, 2), (5, 2), (3, 3)])
-def test_inverse_and_norm_exhaustive_where_the_table_holds_the_field(q, n):
-    # F_(3^4), F_(5^4) and F_(3^6) fit the table whole: d = 2n, no chain
+@pytest.mark.parametrize("q, n, d", [(3, 2, 2), (5, 2, 2), (3, 3, 3)])
+def test_inverse_and_norm_exhaustive_on_small_fields(q, n, d):
+    # F_(3^4), F_(5^4) and F_(3^6) would fit the table whole, but the table
+    # is a proper subfield: a one-step chain into F_(q^d)
     ctx = FieldCtx(q, n)
-    assert ctx._table_degree == ctx.m
+    assert ctx._table_degree == d
     every = np.stack([a.coeffs for a in elements(ctx)])
     _check_against_the_chain(ctx, every[1:])
     assert ctx.norm_abs(ctx.zero) == ctx.zero
@@ -420,8 +421,9 @@ def test_inverse_and_norm_exhaustive_where_the_table_holds_the_field(q, n):
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([3, 5, 7, 11, 101]), n=st.integers(1, 12), data=st.data())
 def test_inverse_and_norm_match_the_chain(q, n, data):
-    # every d the bound gives: 2n whole, a proper divisor, and 1 at q = 101
+    # every d the bound gives: a proper divisor, and 1 at n = 1 and at q = 101
     ctx = _field(q, n)
+    assert ctx._table_degree < ctx.m
     row = st.lists(st.integers(0, q - 1), min_size=ctx.m, max_size=ctx.m).filter(any)
     packed = np.array(data.draw(st.lists(row, min_size=1, max_size=4)), dtype=np.int64)
     _check_against_the_chain(ctx, packed)
@@ -436,15 +438,15 @@ def test_inverse_without_a_table_is_the_chain_to_the_base_field():
     _check_against_the_chain(ctx, packed)
 
 
-@pytest.mark.parametrize("q, n, d", [(3, 12, 6), (7, 12, 4), (3, 2, 4), (11, 3, 3)])
+@pytest.mark.parametrize("q, n, d", [(3, 12, 6), (7, 12, 4), (3, 2, 2), (11, 3, 3)])
 def test_tabled_subfield_and_its_generator(q, n, d):
-    # d is the largest divisor of 2n with q^d <= SUBFIELD_TABLE_SIZE; the
+    # d is the largest proper divisor of 2n with q^d <= SUBFIELD_TABLE_SIZE; the
     # table's generator g is the first element of F_(q^d), in the digit
     # order the table reads, of order q^d - 1; the table holds every
     # nonzero element's inverse and norm as the chain gives them
     ctx = _field(q, n)
     assert ctx._table_degree == d and q**d <= SUBFIELD_TABLE_SIZE
-    assert all(ctx.m % e or q**e > SUBFIELD_TABLE_SIZE for e in range(d + 1, ctx.m + 1))
+    assert all(ctx.m % e or q**e > SUBFIELD_TABLE_SIZE for e in range(d + 1, ctx.m))
     size = q**d
     primes = [p for p in range(2, size) if (size - 1) % p == 0 and _is_prime(p)]
 
@@ -462,6 +464,17 @@ def test_tabled_subfield_and_its_generator(q, n, d):
     first = int(one @ _primitive_matrix(products, one, q) % q @ q ** np.arange(d))  # 1 times g
     assert full_order(subfield[first]) and not any(full_order(c) for c in subfield[1:first])
     _check_against_the_chain(ctx, np.stack([c.coeffs for c in subfield[1:]]))
+
+
+def test_inverse_and_norm_reduce_their_input_first(ctx5):
+    # FF2n keeps the coefficients it is given: an entry outside 0..q-1 is
+    # the same element as its residue, for inverse and norm alike
+    for raw in ([5, 1, 0, 0], [-4, 1, 0, 0], [9, 7, -1, 12]):
+        a = FF2n(ctx5, np.array(raw))
+        reduced = FF2n(ctx5, np.array(raw) % 5)
+        assert a.inverse() == reduced.inverse()
+        assert ctx5.norm_abs(a) == ctx5.norm_abs(reduced)
+    assert FF2n(ctx5, np.array([5, 1, 0, 0])).inverse() * ctx5.alpha == ctx5.one
 
 
 def test_reduction_table_matches_the_row_by_row_fold():

@@ -542,8 +542,8 @@ def test_kernel_calls_per_inverse(monkeypatch):
 
 
 def test_inverse_of_zero_raises_in_a_batch(ctx5):
-    # on every path: the table alone (d = 2n at (5,2)), the chain and the
-    # table (d = 6 at (3,12), 4 at (7,12)), the chain and fq_reciprocal (d = 1)
+    # on both paths: the chain and the table (d = 2 at (5,2), 6 at (3,12),
+    # 4 at (7,12)), the chain and fq_reciprocal (d = 1)
     for ctx in (ctx5, FieldCtx(3, 12), FieldCtx(7, 12), FieldCtx(10007, 4, MODULUS_10007_4)):
         with pytest.raises(DivisionByZero):
             ctx.inv(np.stack([ctx.one.coeffs, ctx.zero.coeffs, ctx.alpha.coeffs]))
