@@ -1,19 +1,26 @@
 """Code construction: twist element, trace almost dual basis, G and H, encoding.
 
 A code instance lives over the tower F_q < F_{q^n} < F_{q^2n} and is linear
-over the middle field only.  Its generator matrix G (2k x 2n) evaluates the
-basis maps x, x^q, gamma x^q, ..., x^(q^(k-1)), gamma x^(q^(k-1)),
-gamma x^(q^k) at the evaluation basis lambda.  The parity-check matrix H
-((4n-2k) x 2n) is built on the trace almost dual basis
-mu = xi^(q^(2n-k)) lambda*, where lambda* is the trace-dual basis of lambda;
-a word is a codeword exactly when its syndrome has zero relative trace.
-G and H are packed (rows, 2n, 2n) int64 arrays (field.py), built by batched
-Frobenius maps and products in the field's work dtype.
+over the middle field only.  As in the paper, it is an evaluation code over
+an F_q-basis, and G, H and the decoder's read table are rows of two Moore
+matrices, whose row i over a basis b is b^(q^i), the map x^(q^i) evaluated
+at b; TZCode takes each with one FieldCtx.frob_powers call.  The generator
+matrix G (2k x 2n) evaluates the basis maps x, x^q, gamma x^q, ...,
+x^(q^(k-1)), gamma x^(q^(k-1)), gamma x^(q^k) at the evaluation basis
+lambda: rows 0..k of lambda's Moore matrix with their gamma multiples, but
+for gamma lambda and lambda^(q^k).  The parity-check matrix H
+((4n-2k) x 2n) evaluates such maps at the trace almost dual basis
+mu = xi^(q^(2n-k)) lambda*, where lambda* is the trace-dual basis of lambda:
+row 0 of mu's Moore matrix times gamma^(q^(2n-k)), rows k+1..2n-1 with their
+gamma multiples, and row k.  A word is a codeword exactly when its syndrome
+has zero relative trace.  G and H are packed (rows, 2n, 2n) int64 arrays
+(field.py), built in the field's work dtype.
 
 A word w has the transform sigma_i = sum_j w_j (mu_j^(q^k))^(q^i), i in Z_2n:
-one product with the table TZCode holds (TZCode._read).  H's rows are rows
-1..2n-k-1 of that table and their gamma multiples, gamma^(q^(2n-k)) times
-row 2n-k, and row 0, so the syndrome holds nothing sigma does not.  As
+one product with the read table TZCode holds (TZCode._read), mu's Moore
+matrix with its rows rolled by k, so that row i is row k+i.  H's rows are
+rows 1..2n-k-1 of that table and their gamma multiples, gamma^(q^(2n-k))
+times row 2n-k, and row 0, so the syndrome holds nothing sigma does not.  As
 sum_j lambda_j^(q^i) lambda*_j = delta_i0, F_i(w) = sum_j w_j (lambda*_j)^(q^i)
 are the coefficients of the q-polynomial that interpolates w on lambda, and
 sigma_i = xi^(q^i) F_(k+i).  Split F_i = a_i + gamma b_i over F_{q^n}: w is
@@ -109,10 +116,9 @@ def trace_almost_dual(ctx: FieldCtx, lam: Basis, xi: FF2n, k: int) -> Basis:
     return Basis(ctx.unpack(ctx.mul(xi.frobenius(m - k).coeffs, dual.T)))
 
 
-def _twisted_rows(ctx: FieldCtx, elems: np.ndarray, gamma: FF2n, powers) -> np.ndarray:
-    """The packed rows e^(q^i) and gamma e^(q^i) over elems, for each i in powers."""
-    rows = ctx.frob(elems, np.array(powers, dtype=np.int64)[:, None])
-    return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *elems.shape)
+def _twisted_rows(ctx: FieldCtx, rows: np.ndarray, gamma: FF2n) -> np.ndarray:
+    """The packed rows r and gamma r, for each row r of rows in turn."""
+    return np.stack([rows, ctx.mul(gamma.coeffs, rows)], axis=1).reshape(-1, *rows.shape[1:])
 
 
 def _split_maps(ctx: FieldCtx, gamma: FF2n, twists: np.ndarray) -> np.ndarray:
@@ -151,36 +157,33 @@ class TZCode:
         # over F_(q^n), generic ones decoding up to (2n-k-1)//2 = radius - 1
         self.radius = (m - k) // 2
 
+        # rows i <= k of lam's Moore matrix, lam^(q^i), and all 2n of mu's
+        lam_rows = ctx.frob_powers(ctx.pack(lam), k + 1).swapaxes(0, 1)
+        mu_rows = ctx.frob_powers(ctx.pack(mu)).swapaxes(0, 1)
         # x, x^(q^i) and gamma x^(q^i) for 0 < i < k, and gamma x^(q^k), at lam
-        lam_elems = ctx.pack(lam)
-        G = np.concatenate([
-            lam_elems[None],
-            _twisted_rows(ctx, lam_elems, gamma, range(1, k)),
-            ctx.mul(gamma.coeffs, ctx.frob(lam_elems, k))[None],
-        ])
+        G = np.delete(_twisted_rows(ctx, lam_rows, gamma), [1, 2 * k], axis=0)
         self.G = G.astype(np.int64)
         # M(gamma^(q^(2n-k))), unreduced where FieldCtx._lazy allows: it
         # scales H's first row and the closing row of the decoder's S_exp
         self._gamma_factor = ctx._mul_factor(ctx.frob(ctx.pack(gamma), m - k))
-        mu_elems = ctx.pack(mu)
         self.H = np.concatenate([
-            ctx._dot(mu_elems, self._gamma_factor)[None],
-            _twisted_rows(ctx, mu_elems, gamma, range(k + 1, m)),
-            ctx.frob(mu_elems, k)[None],
+            ctx._dot(mu_rows[0], self._gamma_factor)[None],
+            _twisted_rows(ctx, mu_rows[k + 1:], gamma),
+            mu_rows[k][None],
         ]).astype(np.int64)
-        # the transform table: row i is (mu^(q^k))^(q^i), one frob_powers
-        powers = ctx.frob_powers(ctx.frob(mu_elems, k))
-        self._transform_work = np.ascontiguousarray(powers.swapaxes(0, 1))
+        # the transform table: row i is (mu^(q^k))^(q^i), row k + i of mu's
+        self._transform_work = np.ascontiguousarray(np.roll(mu_rows, -k, axis=0))
 
         # lam* = xi^(-q^(2n-k)) mu, and nu = (xi^(-q^(2n-k)) lam)^(q^k) is the
         # trace-dual basis of mu^(q^k): one inverse serves both
         xi_inv = ctx.inv(xi.frobenius(m - k).coeffs)
-        nu = ctx.frob(ctx.mul(xi_inv, lam_elems), k)
+        xi_powers = ctx.frob_powers(xi_inv, k + 1)
+        nu = ctx.mul(xi_powers[k], lam_rows[k])
         # N[j, i] = nu_j^(q^i) inverts the decoder's transform: one product of
         # nu with the field's Frobenius-power table
         self.N = ctx.frob_powers(nu)
         # F_i = xi^(-q^(i-k)) sigma_(i-k), split into (a_i | b_i)
-        self._split_work = _split_maps(ctx, gamma, ctx.frob(xi_inv, np.arange(k + 1)))
+        self._split_work = _split_maps(ctx, gamma, xi_powers)
 
         # the code as one F_q map: row i*n + j holds the coefficients of the
         # codeword of the message with subfield_basis[j] at entry i, zero

@@ -39,12 +39,14 @@ FieldCtx kernels broadcast over the leading axes:
   in F_q and fq_reciprocal inverts it.
 
 The reduction table, the rows x^d mod f for d <= 4n-2, folds the raw
-products of the Rabin irreducibility test of each candidate modulus.
-FieldCtx builds each table once: the reduction table, the stacked
-Frobenius powers, the multiplication and Frobenius-power tables as
-(2n, 4n^2) F_q matrices, the reduced-echelon bases of F_{q^n} and of
-F_{q^d} with the columns at which an element of either holds its digits in
-that basis (subfield_digits reads F_{q^n}'s), and the subfield table: the
+products of the Rabin irreducibility test of each candidate modulus, and
+the modulus search keeps the reduction table and Frobenius matrix of the
+candidate it accepts, so that each candidate is tested once.  FieldCtx
+builds each table once: the multiplication and Frobenius-power tables as
+(2n, 4n^2) F_q matrices, the stacked Frobenius powers (_frob_rows) being a
+view of the second, the reduced-echelon bases of F_{q^n} and of F_{q^d}
+with the columns at which an element of either holds its digits in that
+basis (subfield_digits reads F_{q^n}'s), and the subfield table: the
 inverses, packed, and the absolute norms of the q^d elements of F_{q^d}.
 It holds q^d 2n work-dtype entries, at most SUBFIELD_TABLE_SIZE 2n: 70 KB
 at (3,12), where d = 6 in float32, and 461 KB at (7,12), where d = 4 in
@@ -167,21 +169,14 @@ def _primitive_matrix(products, one, q) -> np.ndarray:
     raise AssertionError("every finite field has a primitive element")
 
 
-def _toeplitz(b) -> np.ndarray:
-    """(..., m, 2m-1) Toeplitz blocks of a (..., m) array: [j, d] = b_(d-j).
+def _mul_table(red) -> np.ndarray:
+    """(m, m^2) multiplication table of a reduction table: row d is M(x^d), row u of it x^(d+u).
 
-    Row j holds the coefficients of b x^j before reduction, so a convolution
-    a * b is a @ _toeplitz(b).  The blocks are a strided view of one padded
-    copy of b.
+    a @ it, reshaped to (m, m), is the multiplication matrix M(a), whose row
+    u is a x^u mod f.
     """
-    m = b.shape[-1]
-    pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
-    # windows over the zero-padded reversal r of b: [j, e] = r_(j+e) = b_(2m-2-e-j)
-    r = np.concatenate([pad, b[..., ::-1], pad], axis=-1)
-    step = r.itemsize
-    windows = np.ndarray(b.shape[:-1] + (m, 2 * m - 1), b.dtype, r, 0,
-                         r.strides[:-1] + (step, step))
-    return windows[..., ::-1]
+    power = np.arange(red.shape[1])
+    return red[power[:, None] + power].reshape(len(power), -1)
 
 
 def _rabin(q, coeffs):
@@ -192,8 +187,8 @@ def _rabin(q, coeffs):
     square-and-multiply.  f is irreducible exactly when x^(q^m) = x and, for
     each prime p | m, x^(q^(m/p)) - x is coprime to f; gcd(f, g) = 1 exactly
     when multiplication by g is bijective on F_q[x]/(f), so coprimality is a
-    full-rank test of g's multiplication matrix: its Toeplitz rows g x^j,
-    folded through the table.
+    full-rank test of g's multiplication matrix, one product of g with the
+    multiplication table (_mul_table, which also builds FieldCtx._mul_tensor).
     """
     m = len(coeffs) - 1
     if coeffs[0] == 0:
@@ -221,21 +216,13 @@ def _rabin(q, coeffs):
         return None
     for p in _prime_factors(m):
         g = (x_qi[m // p] - x) % q
-        if fq_rank((_toeplitz(g) @ red) % q, q) != m:
+        if fq_rank((g @ _mul_table(red)).reshape(m, m) % q, q) != m:
             return None
     return red, frob
 
 
-def default_modulus(q, m):
-    """First monic irreducible of degree m in coefficient-lexicographic order.
-
-    Candidates are enumerated by counting the non-leading coefficients as
-    base-q digits with the constant term least significant, so the search is
-    reproducible across runs and implementations.  Only candidates without a
-    root in F_q reach the Rabin test: the q candidates g + c that share their
-    higher terms g have a root exactly when -c is a value of g, so one
-    evaluation of g at every point of F_q screens all of them.
-    """
+def _first_irreducible(q, m):
+    """(default_modulus(q, m), _rabin's tables of it): each candidate is tested once."""
     points = np.arange(q, dtype=np.int64)
     for high in range(q ** (m - 1)):
         upper = [(high // q**i) % q for i in range(m - 1)] + [1]
@@ -248,9 +235,23 @@ def default_modulus(q, m):
         rootless[minus_g] = False
         for c in np.flatnonzero(rootless):
             coeffs = [int(c)] + upper
-            if _rabin(q, coeffs) is not None:
-                return coeffs
+            tables = _rabin(q, coeffs)
+            if tables is not None:
+                return coeffs, tables
     raise InvalidParameter(f"no irreducible polynomial of degree {m} over F_{q}")
+
+
+def default_modulus(q, m):
+    """First monic irreducible of degree m in coefficient-lexicographic order.
+
+    Candidates are enumerated by counting the non-leading coefficients as
+    base-q digits with the constant term least significant, so the search is
+    reproducible across runs and implementations.  Only candidates without a
+    root in F_q reach the Rabin test: the q candidates g + c that share their
+    higher terms g have a root exactly when -c is a value of g, so one
+    evaluation of g at every point of F_q screens all of them.
+    """
+    return _first_irreducible(q, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +292,14 @@ class FieldCtx:
         self.q = q
         self.n = n
         self.m = m = 2 * n
-        if modulus is None:
-            modulus = default_modulus(q, m)
+        # the search hands over the tables of the candidate it accepted
+        modulus, tables = _first_irreducible(q, m) if modulus is None else (modulus, None)
         modulus = [int(c) % q for c in modulus]
         if len(modulus) != m + 1 or modulus[m] != 1:
             raise InvalidParameter(
                 f"modulus must be monic of degree {m}, got coefficients {modulus}"
             )
-        tables = _rabin(q, modulus)
+        tables = tables or _rabin(q, modulus)
         if tables is None:
             raise InvalidParameter("modulus is not irreducible over F_q")
         self.modulus = tuple(modulus)
@@ -324,20 +325,21 @@ class FieldCtx:
         self._work = np.dtype(np.float32 if unreduced * q < 2**24 else
                               np.float64 if bound * q < 2**53 else np.int64)
         self._lazy = unreduced * q < 2**53 if self._work.kind == "f" else unreduced < 2**63
-        # _frob_rows[i] maps the rows of a packed array to those of a^(q^i)
-        rows = [np.eye(m, dtype=np.int64)]
+        # the F_q tables, each built once in the work dtype, that the hot
+        # kernels multiply by: row d of _mul_tensor is M(x^d), whose row u is
+        # x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u of M(a);
+        # row r of _frob_tensor is x^r under the 2n power maps side by side,
+        # so a @ _frob_tensor lays out a^(q^i) for every i, and _frob_rows is
+        # its (2n, 2n, 2n) view whose [i] maps the rows of a packed array to
+        # those of a^(q^i); _trace_rows = I + F^n, so a @ _trace_rows is
+        # a + a^(q^n), unreduced
+        self._mul_tensor = _mul_table(self._red).astype(self._work)
+        step = frob.T.astype(self._work)
+        rows = [np.eye(m, dtype=self._work)]
         for _ in range(m - 1):
-            rows.append((rows[-1] @ frob.T) % q)
-        self._frob_rows = np.stack(rows).astype(self._work)
-        # the F_q tables, held in the work dtype, that the hot kernels
-        # multiply by: _frob_rows above; row d of _mul_tensor is M(x^d), whose
-        # row u is x^(d+u) mod f, so a @ _mul_tensor lays out the rows a x^u
-        # of M(a); row r of _frob_tensor is x^r under the 2n power maps side
-        # by side, so a @ _frob_tensor lays out a^(q^i) for every i; and
-        # _trace_rows = I + F^n, so a @ _trace_rows is a + a^(q^n), unreduced
-        power = np.arange(m)
-        self._mul_tensor = self._red[power[:, None] + power].reshape(m, m * m).astype(self._work)
-        self._frob_tensor = self._frob_rows.transpose(1, 0, 2).reshape(m, m * m)
+            rows.append(self._dot(rows[-1], step))
+        self._frob_tensor = np.stack(rows, axis=1).reshape(m, m * m)
+        self._frob_rows = self._frob_tensor.reshape(m, m, m).swapaxes(0, 1)
         self._trace_rows = self._frob_rows[0] + self._frob_rows[n]
 
         self.zero = FF2n(self, np.zeros(m, dtype=np.int64))

@@ -13,7 +13,6 @@ from tzcode.channel import (
 from tzcode.decoder import (ERROR_RANK_MISMATCH, NO_RANK_FOUND, NOT_A_CODEWORD, SPAN_DIM_MISMATCH,
                             DecodeOutcome, _monic, build_S, build_S_exp, error_from_decomposition,
                             error_from_span, estimate_rank)
-from tzcode.field import _toeplitz
 from tzcode.linalg import (_eliminate, _kernel_of_rref, _packed, ff_rank, ff_rref, fq_inv, fq_rank,
                            fq_reciprocal, fq_solve)
 from tzcode.linpoly import _term_matrices
@@ -125,6 +124,27 @@ def transform(code, r) -> np.ndarray:
     ctx = code.ctx
     rows = ctx.frob(ctx.pack(code.mu), (code.k + np.arange(ctx.m))[:, None])  # [i, j]
     return ctx.mul(rows, ctx.pack(r)[None]).sum(axis=1) % ctx.q
+
+
+def ref_code_tables(code):
+    """(G, H, read table) of code, one Frobenius map per power: G's and H's
+    twisted rows e^(q^i), gamma e^(q^i) from frob, and the read table from
+    the Frobenius powers of mu^(q^k); G and H in int64.  The construction
+    src/ replaced with rows of lam's and mu's Moore matrices."""
+    ctx, k, m = code.ctx, code.k, code.ctx.m
+    gamma = code.gamma.coeffs
+
+    def twisted(elems, powers):
+        rows = ctx.frob(elems, np.array(powers, dtype=np.int64)[:, None])
+        return np.stack([rows, ctx.mul(gamma, rows)], axis=1).reshape(-1, *elems.shape)
+
+    lam, mu = ctx.pack(code.lam), ctx.pack(code.mu)
+    G = np.concatenate([lam[None], twisted(lam, range(1, k)),
+                        ctx.mul(gamma, ctx.frob(lam, k))[None]])
+    H = np.concatenate([ctx.mul(ctx.frob(gamma, m - k), mu)[None], twisted(mu, range(k + 1, m)),
+                        ctx.frob(mu, k)[None]])
+    read = ctx.frob_powers(ctx.frob(mu, k)).swapaxes(0, 1)
+    return G.astype(np.int64), H.astype(np.int64), read
 
 
 def ref_reduction_table(q, modulus) -> np.ndarray:
@@ -415,11 +435,21 @@ def fold(ctx, conv) -> np.ndarray:
     return ctx._dot(conv, ctx._red)
 
 
+def toeplitz_rows(b) -> np.ndarray:
+    """(..., m, 2m-1) raw products of a (..., m) array b: row j is the
+    convolution of b with x^j, b shifted up j places, before reduction."""
+    m = b.shape[-1]
+    out = np.zeros(b.shape[:-1] + (m, 2 * m - 1), dtype=b.dtype)
+    for j in range(m):
+        out[..., j, j : j + m] = b
+    return out
+
+
 def ref_mul_matrix(ctx, a) -> np.ndarray:
     """(..., 2n, 2n) multiplication matrices by a Toeplitz fold: row u is the
     raw product a x^u reduced through the table, the form src/ replaced with
     one product of a with FieldCtx's multiplication table."""
-    return fold(ctx, _toeplitz(a))
+    return fold(ctx, toeplitz_rows(a))
 
 
 def outer(ctx, a, b) -> np.ndarray:
@@ -427,7 +457,7 @@ def outer(ctx, a, b) -> np.ndarray:
     matmul against b's Toeplitz blocks, shared by every a_i, then the fold;
     src/ takes products of one element with many from its multiplication
     matrix instead."""
-    blocks = _toeplitz(b).transpose(1, 0, 2).reshape(ctx.m, -1)
+    blocks = toeplitz_rows(b).transpose(1, 0, 2).reshape(ctx.m, -1)
     return fold(ctx, ctx._dot(a, blocks, reduce=False).reshape(len(a), len(b), -1))
 
 

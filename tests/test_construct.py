@@ -21,6 +21,7 @@ from tzcode.errors import (
 )
 from tzcode.channel import random_message
 from tzcode.decoder import decode, recover_B
+from tzcode.construct import TZCode
 from tzcode.field import Basis
 from tzcode.paramfile import params_from_dict
 from tzcode.linalg import fq_kernel
@@ -37,6 +38,7 @@ from conftest import (
     plant,
     random_subfield_element,
     message_left_inverse,
+    ref_code_tables,
     ref_message_digits,
     ref_msg_left_inverse,
     rng_for,
@@ -169,6 +171,33 @@ def test_closed_form_mu_matches_moore_solve(q, n, k):
     rng = rng_for(54)
     for lam in [ctx.power_basis] + [_random_basis(ctx, rng) for _ in range(3)]:
         assert list(trace_almost_dual(ctx, lam, xi, k)) == moore_mu(ctx, lam, xi, k)
+
+
+@pytest.mark.parametrize("q, n, k", [(5, 2, 2), (3, 4, 1), (3, 4, 3), (3, 12, 1), (7, 12, 19)])
+def test_tables_are_rows_of_the_moore_matrices(q, n, k):
+    code = build_code(FieldCtx(q, n), k)
+    G, H, read = ref_code_tables(code)
+    assert np.array_equal(code.G, G) and np.array_equal(code.H, H)
+    assert np.array_equal(code._transform_work, read)
+    assert code._transform_work.flags.c_contiguous  # a strided table slows every _read
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 2, 1), (3, 4, 3)])
+def test_code_takes_one_moore_matrix_of_lam_and_one_of_mu(q, n, k, monkeypatch):
+    # every Frobenius map of lam or mu that TZCode takes, by kernel: one
+    # frob_powers call each, k+1 rows of lam's Moore matrix and all of mu's
+    ctx = FieldCtx(q, n)
+    code = build_code(ctx, k)
+    bases = {"lam": ctx.pack(code.lam), "mu": ctx.pack(code.mu)}
+    seen = []
+    for kernel in ("frob", "frob_powers"):
+        def traced(a, *args, _kernel=kernel, _built=getattr(ctx, kernel)):
+            seen.extend((_kernel, name, args) for name, b in bases.items()
+                        if np.shape(a) == b.shape and np.array_equal(a, b))
+            return _built(a, *args)
+        monkeypatch.setattr(ctx, kernel, traced)
+    TZCode(ctx, k, code.lam, code.gamma, code.xi, code.mu)
+    assert seen == [("frob_powers", "lam", (k + 1,)), ("frob_powers", "mu", ())]
 
 
 # parameter files written when mu still came from the Moore solve; loading

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tzcode import FieldCtx, build_code, rank_weight
 from tzcode.decoder import decode
 from tzcode.errors import DivisionByZero, InvalidParameter, UnsupportedCharacteristic
+from tzcode import field
 from tzcode.field import (SUBFIELD_TABLE_SIZE, FF2n, Basis, _is_prime, _primitive_matrix,
                           _rabin, _reduction_table, default_modulus)
 from tzcode.linalg import ff_rank, fq_rank
@@ -363,6 +364,48 @@ def _mobius(d):
 def test_irreducible_count_matches_gauss_formula(q, m):
     gauss = sum(_mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
     assert sum(_rabin(q, f) is not None for f in _monic(q, m)) == gauss
+
+
+def _counted_rabin(monkeypatch) -> list:
+    """The candidates FieldCtx hands _rabin from now on, in order."""
+    calls = []
+
+    def counted(q, coeffs):
+        calls.append(list(coeffs))
+        return _rabin(q, coeffs)
+
+    monkeypatch.setattr(field, "_rabin", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, n, tested", [(3, 4, 4), (3, 12, 25)])
+def test_default_field_tests_each_candidate_once(q, n, tested, monkeypatch):
+    # the search keeps the accepted candidate's tables: FieldCtx does not
+    # test its modulus again
+    calls = _counted_rabin(monkeypatch)
+    ctx = FieldCtx(q, n)
+    rootless = []
+    for f in _monic(q, 2 * n):
+        if all(sum(c * x**i for i, c in enumerate(f)) % q for x in range(q)):
+            rootless.append(f)
+        if f == list(ctx.modulus):
+            break
+    assert calls == rootless and len(calls) == tested
+
+
+def test_explicit_modulus_is_tested_once(monkeypatch):
+    calls = _counted_rabin(monkeypatch)
+    FieldCtx(5, 2, MODULUS)
+    assert calls == [list(MODULUS)]
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (3, 12), (7, 12)])
+def test_frobenius_rows_are_a_view_of_the_power_table(q, n):
+    ctx = FieldCtx(q, n)
+    assert np.shares_memory(ctx._frob_rows, ctx._frob_tensor)
+    eye = np.eye(ctx.m, dtype=np.int64)
+    for i in (0, 1, n, ctx.m - 1):
+        assert np.array_equal(ctx._frob_rows[i], ctx.frob(eye, i))
 
 
 def test_inverse_exhaustive(ctx5, ctx3):

@@ -38,6 +38,15 @@ def test_paired_decode_tables_are_the_ones_a_code_holds():
     assert tool.held(code) == list(tool.TABLES)
 
 
+def test_paired_decode_field_tables_are_the_ones_a_field_holds():
+    import tzcode
+
+    tool = _tool("paired_decode")
+    ctx = tzcode.FieldCtx(3, 2)
+    assert tool.held(ctx, tool.FIELD_TABLES) == list(tool.FIELD_TABLES)
+    assert list(tool.tables(tzcode.build_code(ctx, 1))) == [*tool.TABLES, *tool.FIELD_TABLES]
+
+
 def test_paired_decode_compares_only_the_tables_both_trees_hold(capsys, monkeypatch, tmp_path):
     # a tree that holds a table the other does not: the table is named, not
     # compared, and the run goes on
@@ -84,3 +93,22 @@ def test_paired_decode_compares_table_values_not_dtypes(capsys, monkeypatch, tmp
         lines = out.splitlines()
         assert code == 0 and lines[0] == "_enc_mat: parent dtype float64, change dtype float32"
         assert "every shared table and every outcome equal" in lines[1]
+
+
+def test_paired_decode_compares_the_field_tables(capsys, monkeypatch, tmp_path):
+    # a tree whose field holds a reduction table of another shape stops at
+    # set-up, though its codes hold the same tables
+    tool = _tool("paired_decode")
+    for var in tool.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(tool, "SETUP_PAIRS", 2)
+    shutil.copytree(ROOT / "src" / "tzcode", tmp_path / "tzcode")
+    with open(tmp_path / "tzcode" / "field.py", "a") as fh:
+        fh.write("\n_built = FieldCtx.__init__\n\n\n"
+                 "def _rebuilt(self, *args):\n"
+                 "    _built(self, *args)\n"
+                 "    self._red = np.vstack([self._red, self._red[-1:]])\n\n\n"
+                 "FieldCtx.__init__ = _rebuilt\n")
+    args = ["--q", "3", "--n", "2", "--k", "1", "--t", "1", "--words", "4"]
+    assert tool.main([str(tmp_path), str(ROOT / "src"), *args]) == 1
+    assert capsys.readouterr().err == "setup: the codes differ in _red\n"

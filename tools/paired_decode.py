@@ -6,12 +6,13 @@ Each SRC is a directory that holds a tzcode package, such as a checkout's
 src/.  Both are imported under distinct package names, which works because
 every import inside tzcode is relative.  First both trees build FieldCtx
 and the code on SETUP_PAIRS pairs, and every pair of codes must hold equal
-TABLES, in shape and in exact values (compared as int64, so that a table
-held in another work dtype still compares), wherever both trees hold the
-table; the names of the tables that only one tree holds, and both dtypes
-of a shared table whose dtypes differ, are printed.  Then the same planted
-words are decoded by both sides, word by word.  The side that runs first alternates from pair
-to pair and from word to word, so that both see the same host speed; a
+TABLES, and their fields equal FIELD_TABLES, in shape and in exact values
+(compared as int64, so that a table held in another work dtype still
+compares), wherever both trees hold the table; the names of the tables
+that only one tree holds, and both dtypes of a shared table whose dtypes
+differ, are printed.  Then the same planted words are decoded by both
+sides, word by word.  The side that runs first alternates from pair to
+pair and from word to word, so that both see the same host speed; a
 paired run resolves changes that the swing of absolute times between runs
 hides.  Every pair of outcomes must be equal.  Set-up is one row of the
 table; the read of a word (TZCode._read, one product with the code's read
@@ -39,8 +40,11 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 STAGES = ("setup", "read", "decode")
 # 40 pairs resolve a set-up ratio to a few percent; 10 left it at about +-12%
 SETUP_PAIRS = 40
-# the tables of a code that two trees holding them must build alike
+# the tables of a code, and of its FieldCtx, that two trees holding them
+# must build alike
 TABLES = ("G", "H", "_transform_work", "N", "_split_work", "_enc_mat", "_gamma_factor")
+FIELD_TABLES = ("_red", "_mul_tensor", "_frob_tensor", "_frob_rows", "_trace_rows",
+                "_subfield_mat", "_table_inverse", "_table_norm")
 
 
 def load(name: str, src: str):
@@ -82,22 +86,28 @@ class Side:
         return out
 
 
-def held(code) -> list:
-    """The names of TABLES that code holds."""
-    return [name for name in TABLES if hasattr(code, name)]
+def held(obj, names=None) -> list:
+    """The names among names, TABLES by default, that obj holds."""
+    return [name for name in (TABLES if names is None else names) if hasattr(obj, name)]
 
 
-def shared(sides) -> list:
-    """The names of TABLES that both sides' codes hold."""
-    return [name for name in held(sides[0].code) if name in held(sides[1].code)]
+def tables(code) -> dict:
+    """The TABLES that code holds and the FIELD_TABLES that its field holds, by name."""
+    return {**{name: getattr(code, name) for name in held(code)},
+            **{name: getattr(code.ctx, name) for name in held(code.ctx, FIELD_TABLES)}}
+
+
+def shared(first: dict, second: dict) -> list:
+    """The names of the tables in both of two tables() maps."""
+    return [name for name in first if name in second]
 
 
 def check_setup(sides, q: int, n: int, k: int):
     """Time FieldCtx and build_code in both trees on SETUP_PAIRS pairs.
 
     The tree that builds first alternates from pair to pair.  Returns the
-    first of the TABLES both codes hold in which the two codes of a pair
-    differ in shape or in value, or None.
+    first of the tables both trees hold (shared) in which the two codes of a
+    pair, or their fields, differ in shape or in value, or None.
     """
     for i in range(SETUP_PAIRS):
         codes = {}
@@ -105,8 +115,9 @@ def check_setup(sides, q: int, n: int, k: int):
             t0 = time.perf_counter()
             codes[id(side)] = side.tz.build_code(side.tz.FieldCtx(q, n), k)
             side.times["setup"].append((time.perf_counter() - t0) * 1e3)
-        for name in shared(sides):
-            a, b = (getattr(codes[id(side)], name) for side in sides)
+        first, second = (tables(codes[id(side)]) for side in sides)
+        for name in shared(first, second):
+            a, b = first[name], second[name]
             if a.shape != b.shape or (a.astype("int64") != b.astype("int64")).any():
                 return name
     return None
@@ -152,12 +163,13 @@ def main(argv=None) -> int:
     sides = [Side(load(name, src), args.q, args.n, args.k)
              for name, src in (("tzcode_parent", args.parent_src),
                                ("tzcode_change", args.change_src))]
-    for side, other, label in ((sides[0], sides[1], "parent"), (sides[1], sides[0], "change")):
-        lone = [name for name in held(side.code) if name not in held(other.code)]
+    held_by = [tables(side.code) for side in sides]
+    for label, mine, other in (("parent", *held_by), ("change", *held_by[::-1])):
+        lone = [name for name in mine if name not in other]
         if lone:
             print(f"tables held by the {label} tree only: {', '.join(lone)}")
-    for name in shared(sides):
-        dtypes = [getattr(side.code, name).dtype for side in sides]
+    for name in shared(*held_by):
+        dtypes = [owned[name].dtype for owned in held_by]
         if dtypes[0] != dtypes[1]:
             print(f"{name}: parent dtype {dtypes[0]}, change dtype {dtypes[1]}")
     differs = check_setup(sides, args.q, args.n, args.k)
